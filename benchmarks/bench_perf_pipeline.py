@@ -6,7 +6,7 @@ participants by default) end to end in two configurations:
 * **baseline** — every participant re-renders every downloaded page
   (artifact cache disabled), the style cascade tests every rule against
   every element (rule index disabled), and participants run sequentially
-  through the legacy single-stream path;
+  on one worker;
 * **optimized** — the shared :class:`~repro.render.artifacts.PageArtifactCache`
   renders each stored page once per campaign, the cascade goes through the
   :class:`~repro.html.cssom.RuleIndex`, and participants fan out across
@@ -58,7 +58,7 @@ from repro.experiments.fontsize import (
 from repro.net.faults import CircuitBreakerConfig, FaultPlan, RetryPolicy
 from repro.render.artifacts import PageArtifactCache
 from repro.util.executors import available_cpus, resolve_chunk_size
-from repro.util.perf import PERF
+from repro.obs.metrics import GLOBAL_METRICS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
@@ -69,7 +69,7 @@ SEED = 2019
 
 
 def _fresh_campaign(
-    participants: int, optimized: bool, seed: int = SEED
+    participants: int, optimized: bool, parallelism: int, seed: int = SEED
 ) -> tuple:
     """A prepared campaign plus its judge, in one of the two configurations."""
     experiment = FontSizeExperiment(seed=seed)
@@ -77,6 +77,7 @@ def _fresh_campaign(
         config=CampaignConfig(
             seed=experiment.seeds.seed("crowd-campaign"),
             artifact_cache=optimized,
+            parallelism=parallelism,
         )
     )
     if not optimized:
@@ -95,16 +96,14 @@ def _fresh_campaign(
     return campaign, experiment.make_personal_judge()
 
 
-def _run(
-    participants: int, optimized: bool, parallelism: Optional[int]
-) -> tuple:
+def _run(participants: int, optimized: bool, parallelism: int) -> tuple:
     """(result, wall_seconds, perf_snapshot) for one configuration."""
-    campaign, judge = _fresh_campaign(participants, optimized)
-    PERF.reset()
+    campaign, judge = _fresh_campaign(participants, optimized, parallelism)
+    GLOBAL_METRICS.reset()
     start = time.perf_counter()
-    result = campaign.run(judge, reward_usd=REWARD_USD, parallelism=parallelism)
+    result = campaign.run(judge, reward_usd=REWARD_USD)
     elapsed = time.perf_counter() - start
-    return result, elapsed, PERF.snapshot()
+    return result, elapsed, GLOBAL_METRICS.snapshot()
 
 
 def _concluded_fingerprint(result: CampaignResult) -> List[dict]:
@@ -112,9 +111,7 @@ def _concluded_fingerprint(result: CampaignResult) -> List[dict]:
     return [r.as_dict() for r in result.raw_results]
 
 
-def _run_lossy(
-    participants: int, parallelism: Optional[int]
-) -> tuple:
+def _run_lossy(participants: int, parallelism: int) -> tuple:
     """One lossy-network campaign: seeded faults, retries, dropout."""
     experiment = FontSizeExperiment(seed=SEED)
     campaign = Campaign(
@@ -130,6 +127,7 @@ def _run_lossy(
             retry_policy=RetryPolicy(max_attempts=4, backoff_base_seconds=0.5),
             breaker_config=CircuitBreakerConfig(failure_threshold=6),
             dropout_rate=0.03,
+            parallelism=parallelism,
         )
     )
     documents = build_font_variants()
@@ -140,15 +138,11 @@ def _run_lossy(
         main_text_selector=MAIN_TEXT_SELECTOR,
         instructions=QUESTION.text,
     )
-    PERF.reset()
+    GLOBAL_METRICS.reset()
     start = time.perf_counter()
-    result = campaign.run(
-        experiment.make_personal_judge(),
-        reward_usd=REWARD_USD,
-        parallelism=parallelism,
-    )
+    result = campaign.run(experiment.make_personal_judge(), reward_usd=REWARD_USD)
     elapsed = time.perf_counter() - start
-    return campaign, result, elapsed, PERF.snapshot()
+    return campaign, result, elapsed, GLOBAL_METRICS.snapshot()
 
 
 def run_lossy_benchmark(
@@ -200,7 +194,7 @@ def run_lossy_benchmark(
 
 def run_traced_campaign(
     participants: int,
-    parallelism: Optional[int],
+    parallelism: int,
     trace_out: Path,
 ) -> dict:
     """One observed campaign: spans + metrics exported as Chrome trace JSON."""
@@ -282,7 +276,7 @@ def run_pipeline_benchmark(
 ) -> dict:
     """Run both configurations and return the report dictionary."""
     baseline_result, baseline_s, baseline_perf = _run(
-        participants, optimized=False, parallelism=None
+        participants, optimized=False, parallelism=1
     )
     optimized_result, optimized_s, optimized_perf = _run(
         participants, optimized=True, parallelism=parallelism

@@ -94,12 +94,14 @@ SCENARIOS = {
 }
 
 
-def _fresh_campaign(participants: int, cached: bool):
+def _fresh_campaign(participants: int, cached: bool, executor: str, workers: int):
     experiment = FontSizeExperiment(seed=SEED)
     campaign = Campaign(
         config=CampaignConfig(
             seed=experiment.seeds.seed("crowd-campaign"),
             artifact_cache=cached,
+            executor=executor,
+            parallelism=workers,
         )
     )
     documents = build_font_variants()
@@ -115,11 +117,9 @@ def _fresh_campaign(participants: int, cached: bool):
 
 def _run_cell(participants: int, cached: bool, executor: str, workers: int):
     """(result, wall_seconds) for one grid cell — a fresh campaign each time."""
-    campaign, judge = _fresh_campaign(participants, cached)
+    campaign, judge = _fresh_campaign(participants, cached, executor, workers)
     start = time.perf_counter()
-    result = campaign.run(
-        judge, reward_usd=REWARD_USD, parallelism=workers, executor=executor
-    )
+    result = campaign.run(judge, reward_usd=REWARD_USD)
     elapsed = time.perf_counter() - start
     return result, elapsed
 

@@ -102,7 +102,11 @@ def test_bench_participant_flow(benchmark):
     workers = iter(generate_population(10_000, IN_LAB_MIX, seed=0))
 
     def one_participant():
-        campaign._run_participant(next(workers), judge, controls_per_participant=1)
+        worker = next(workers)
+        result, client, _ = campaign._simulate_participant(
+            worker, judge, 1, campaign.rng
+        )
+        campaign._upload_result(client, worker, result)
 
     benchmark(one_participant)
     assert campaign.server.response_count("bench-flow") > 0

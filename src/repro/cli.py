@@ -30,7 +30,7 @@ from typing import Dict, Optional
 from repro.core.campaign import Campaign
 from repro.core.config import STORE_MODES, CampaignConfig
 from repro.core.extension import make_utility_judge
-from repro.core.scheduling import SCHEDULER_MODES, warn_legacy_scheduler
+from repro.core.scheduling import SCHEDULER_MODES
 from repro.core.parameters import TestParameters
 from repro.core.reporting import format_question_tally, format_table
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -68,16 +68,11 @@ def _prepare_campaign(args) -> Campaign:
     observe = bool(getattr(args, "observe", False) or getattr(args, "trace_out", None))
     parallelism = getattr(args, "parallelism", None)
     executor = getattr(args, "executor", None)
-    if executor is not None and parallelism is None:
-        # --executor implies fan-out mode; default the worker count to the
-        # machine. Safe: fan-out results are identical at any worker count.
-        parallelism = available_cpus()
+    if parallelism is None:
+        # --executor asks for a pool; default its worker count to the
+        # machine. Safe: results are identical at any worker count.
+        parallelism = available_cpus() if executor is not None else 1
     scheduler = getattr(args, "scheduler", None)
-    legacy = getattr(args, "adaptive", None)
-    if legacy:
-        warn_legacy_scheduler("the --adaptive flag")
-        if scheduler is None:
-            scheduler = legacy
     config = CampaignConfig(
         seed=args.seed,
         parallelism=parallelism,
@@ -119,10 +114,6 @@ def cmd_prepare(args) -> int:
           f"(+{len(prepared.control_pairs())} control)")
     print(f"  files exported:   {len(written)} under {out}")
     return 0
-
-
-# Sort modes still accepted by the deprecated ``--adaptive`` flag.
-_LEGACY_SORT_MODES = ("bubble", "insertion", "merge")
 
 
 def cmd_run(args) -> int:
@@ -328,14 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         "early stopping); non-'full' modes require single-question tests",
     )
     run.add_argument(
-        "--adaptive",
-        choices=_LEGACY_SORT_MODES,
-        help="deprecated alias for --scheduler limited to the sort modes",
-    )
-    run.add_argument(
         "--parallelism", type=int, default=None,
         help="fan-out worker count for participant simulation (default: "
-        "sequential, or all CPUs when --executor is given)",
+        "1, or all CPUs when --executor is given)",
     )
     run.add_argument(
         "--executor", choices=sorted(EXECUTOR_MODES), default=None,

@@ -9,8 +9,9 @@ applies quality control and analysis. One call to :meth:`run` is one
 complete Kaleidoscope test — the unit the evaluation benchmarks drive.
 
 Configuration lives in one frozen :class:`~repro.core.config.CampaignConfig`
-(``Campaign(config=...)``); the historical per-kwarg constructor surface
-keeps working through a deprecation shim. With ``observe=True`` the campaign
+(``Campaign(config=...)``), the single source of truth for every run entry
+point: recruitment always yields a roster, and one roster pipeline simulates,
+uploads and checkpoints it. With ``observe=True`` the campaign
 records a deterministic trace — campaign → participant → page → exchange
 spans on virtual clocks, plus a metrics registry — exportable through
 :meth:`Campaign.timeline` as Chrome trace-event JSON or a text report.
@@ -21,18 +22,14 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.aggregator import RESPONSES_COLLECTION, Aggregator, PreparedTest
 from repro.core.analysis import AnalysisBundle, analyze_responses
 from repro.core.conclusion import Conclusion, DegradedConclusion
-from repro.core.config import (
-    STREAMING_NETWORK_LOG_LIMIT,
-    CampaignConfig,
-    warn_legacy_kwargs,
-)
+from repro.core.config import STREAMING_NETWORK_LOG_LIMIT, CampaignConfig
 from repro.core.extension import BrowserExtension, JudgeFunction, ParticipantResult
 from repro.core.fanout import run_process_fanout
 from repro.core.integrated import IntegratedWebpage
@@ -45,7 +42,6 @@ from repro.core.scheduling import (
     all_pairs,
     make_scheduler,
     scheduler_class,
-    warn_legacy_scheduler,
 )
 from repro.core.server import CoreServer
 from repro.store import ShardedDocumentStore, StreamingCampaignState
@@ -77,7 +73,6 @@ from repro.util.executors import (
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
     effective_pool_size,
-    validate_executor_mode,
 )
 from repro.util.rng import coerce_rng
 
@@ -87,10 +82,36 @@ from repro.util.rng import coerce_rng
 _PARTICIPANT_PROFILES = ("fiber", "cable", "dsl", "4g", "3g")
 _PROFILE_WEIGHTS = (0.25, 0.30, 0.15, 0.20, 0.10)
 
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``
-#: (``parallelism=None`` legitimately means sequential mode).
-_UNSET = object()
 
+def _comparison_versions(prepared: PreparedTest) -> List[str]:
+    """The test's version ids without the contrast-control pseudo-version."""
+    return [v for v in prepared.version_ids if v != "__contrast__"]
+
+
+def _require_floors(conclusion: Conclusion) -> None:
+    """Raise when a concluded run fell below its requested floors."""
+    if not conclusion.quorum_met:
+        raise CampaignError(
+            "campaign degraded below the conclusion floor: "
+            f"{conclusion.complete}/{conclusion.recruited} complete "
+            f"(min_participants={conclusion.min_participants}, "
+            f"quorum={conclusion.quorum})"
+        )
+
+
+class _Evidence(NamedTuple):
+    """What a conclude pass measured, from either evidence source."""
+
+    raw_results: List[ParticipantResult]
+    #: ``None`` for batch evidence, where ``len(raw_results)`` is the count.
+    participant_count: Optional[int]
+    report: QualityReport
+    raw_analysis: AnalysisBundle
+    controlled_analysis: AnalysisBundle
+    expected_answers: int
+    uploaded: int
+    complete: int
+    abandoned: int
 
 
 @dataclass
@@ -116,8 +137,8 @@ class CampaignResult:
     conclusion: Optional[Conclusion] = None
     #: Checkpoint payload for driving a resume from the serialized result:
     #: ``root_entropy``, the completed-participant ids, the stored rows, and
-    #: any recorded upload losses. ``None`` for inline (non-fan-out) runs,
-    #: which have no replayable entropy.
+    #: any recorded upload losses. Every run records one; it is ``None``
+    #: only for a result concluded before any roster ran.
     resume_state: Optional[dict] = None
     #: Uploaded-participant count for streaming conclusions, whose
     #: ``raw_results`` stay empty by design (the rows were folded into
@@ -180,20 +201,12 @@ class Campaign:
         platform: Optional[CrowdPlatform] = None,
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
-        artifact_cache=_UNSET,
-        fault_plan=_UNSET,
-        retry_policy=_UNSET,
-        breaker_config=_UNSET,
-        dropout_rate=_UNSET,
         config: Optional[CampaignConfig] = None,
     ):
         """Build a campaign over (optionally shared) infrastructure.
 
-        Settings belong in ``config`` (a :class:`~repro.core.config.
-        CampaignConfig`); the individual setting kwargs (``artifact_cache``,
-        ``fault_plan``, ``retry_policy``, ``breaker_config``,
-        ``dropout_rate``) are deprecated — they still work, folded into the
-        config with a once-per-process warning.
+        Every setting lives in ``config`` (a :class:`~repro.core.config.
+        CampaignConfig`).
 
         ``config.artifact_cache`` controls participant-side page rendering:
         ``True`` (default) renders each downloaded page through a shared
@@ -208,22 +221,8 @@ class Campaign:
         ``config.observe`` records a deterministic trace + metrics for the
         run, exportable via :meth:`timeline`.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("artifact_cache", artifact_cache),
-                ("fault_plan", fault_plan),
-                ("retry_policy", retry_policy),
-                ("breaker_config", breaker_config),
-                ("dropout_rate", dropout_rate),
-            )
-            if value is not _UNSET
-        }
         if config is None:
             config = CampaignConfig()
-        if legacy:
-            warn_legacy_kwargs(legacy)
-            config = config.replace(**legacy)
         self.config = config
         if seed is None:
             seed = config.seed
@@ -302,15 +301,15 @@ class Campaign:
         self._resilient = config.resilient
         # (worker_id, reason) for every participant whose upload never landed.
         self.lost_uploads: List[Tuple[str, str]] = []
-        # Entropy of the last deterministic fan-out: re-running with the same
-        # value (and the same roster) resumes a crashed campaign on identical
-        # RNG substreams, skipping participants whose uploads are stored.
+        # Entropy of the last roster run: re-running with the same value (and
+        # the same roster) resumes a crashed campaign on identical RNG
+        # substreams, skipping participants whose uploads are stored.
         self.last_root_entropy: Optional[int] = None
         # Optional callable invoked with this campaign after every durable
-        # unit of progress in a deterministic fan-out (each upload in serial/
-        # thread mode, each merged chunk in process mode). The fleet worker
-        # installs one to journal checkpoints and heartbeat its lease; it may
-        # raise to simulate the worker dying at exactly that point.
+        # unit of roster progress (each upload in serial/thread mode, each
+        # merged chunk in process mode). The fleet worker installs one to
+        # journal checkpoints and heartbeat its lease; it may raise to
+        # simulate the worker dying at exactly that point.
         self.checkpoint_hook = None
         # Overload control plane: the LoadSignal built from the arrival
         # schedule (attached to the server's admission controller before
@@ -335,7 +334,6 @@ class Campaign:
         # Root span of the run in progress; participant subtrees are adopted
         # under the innermost open span from the campaign thread.
         self._root_span = None
-        self._participant_seq = 0
         # Worker count the last fan-out actually used (after capping at the
         # pending roster size). Plain attribute, not a gauge: gauges land in
         # deterministic_snapshot(), which must not vary with pool size.
@@ -406,7 +404,7 @@ class Campaign:
         comparisons = len(prepared.comparison_pairs())
         expected_answers = (comparisons + 1) * questions
         question_ids = [q.question_id for q in prepared.parameters.question]
-        version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
+        version_ids = _comparison_versions(prepared)
         state = StreamingCampaignState(
             prepared.test_id,
             question_ids,
@@ -443,61 +441,22 @@ class Campaign:
         quality_config: Optional[QualityConfig] = None,
         participants: Optional[int] = None,
         controls_per_participant: Optional[int] = None,
-        parallelism=_UNSET,
-        executor=_UNSET,
-        min_participants=_UNSET,
-        quorum=_UNSET,
     ) -> CampaignResult:
         """Execute the campaign to completion and conclude the results.
 
-        Every knob defaults to the campaign's :class:`~repro.core.config.
-        CampaignConfig`; passing it here overrides the config for this call.
-
-        ``parallelism=None`` (default) runs each participant inline as they
-        are recruited, drawing from the campaign's single RNG stream — the
-        historical behaviour. Any integer ``parallelism >= 1`` switches to
-        the deterministic fan-out mode: recruitment only collects the roster,
-        then every participant is simulated on an independent RNG substream
-        (``numpy.random.SeedSequence.spawn``) and uploaded in recruitment
-        order — so the concluded result is bit-identical for every
-        parallelism level, and levels > 1 run participants concurrently.
-
-        ``executor`` picks the fan-out backend (fan-out mode only;
-        the inline ``parallelism=None`` path ignores it): ``"serial"``
-        forces the in-thread loop, ``"thread"`` (default) overlaps
-        participants on a thread pool, ``"process"`` fans chunks of
-        participants out to worker processes — the GIL-free backend. All
-        three conclude bit-identically at a fixed seed.
-
-        ``min_participants`` / ``quorum`` are conclusion floors: when the
-        surviving complete participants fall below the absolute count or the
-        fraction of the recruited roster, :meth:`conclude` raises instead of
-        silently reporting on too little data.
+        Posts the task, lets the platform recruit the roster, runs it through
+        the roster pipeline (:meth:`_run_roster`) and concludes. Everything
+        else — executor, worker count, conclusion floors, root entropy —
+        comes from the campaign's :class:`~repro.core.config.CampaignConfig`
+        (derive a variant with ``config.replace(...)``). The concluded result
+        is bit-identical for every executor and ``parallelism`` at a fixed
+        seed.
         """
-        cfg = self.config
-        reward_usd = cfg.reward_usd if reward_usd is None else reward_usd
-        if controls_per_participant is None:
-            controls_per_participant = cfg.controls_per_participant
-        parallelism = cfg.parallelism if parallelism is _UNSET else parallelism
-        executor = cfg.executor if executor is _UNSET else executor
-        if parallelism is None and (
-            cfg.overload is not None or cfg.arrival is not None
-        ):
-            # Arrival schedules and the overload control plane are defined
-            # over the deterministic roster fan-out (staggered session
-            # starts, precomputed LoadSignal); route there with one worker —
-            # bit-identical to any other worker count or executor.
-            parallelism = 1
-        if min_participants is _UNSET:
-            min_participants = cfg.min_participants
-        if quorum is _UNSET:
-            quorum = cfg.quorum
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
+        if reward_usd is None:
+            reward_usd = self.config.reward_usd
         needed = participants or prepared.parameters.participant_num
-        # A shared scheduler serializes the roster (each pair choice depends
-        # on every prior answer), so recruitment only collects the roster.
-        shared = self._scheduler_is_shared()
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="recruited", participants=needed,
@@ -505,34 +464,11 @@ class Campaign:
             self._root_span = root
             job = self._post_task(prepared, needed, reward_usd)
             start_time = self.env.now
-
-            if parallelism is None and not shared:
-                def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                    self._run_participant(worker, judge, controls_per_participant)
-
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-            else:
-                roster: List[WorkerProfile] = []
-
-                def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                    roster.append(worker)
-
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-                if shared:
-                    self._run_participants_shared_scheduler(
-                        roster, judge, controls_per_participant,
-                    )
-                else:
-                    self._run_participants_deterministic(
-                        roster, judge, controls_per_participant,
-                        parallelism=parallelism, executor=executor,
-                    )
+            roster = self._recruit(job)
+            self._run_roster(roster, judge, controls_per_participant)
             duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
             return self.conclude(
-                job=job, duration_days=duration_days, quality_config=quality_config,
-                min_participants=min_participants, quorum=quorum,
+                job=job, duration_days=duration_days, quality_config=quality_config
             )
 
     def run_until_significant(
@@ -554,14 +490,30 @@ class Campaign:
         quality-controlled tally for ``(question_id, *pair)`` has
         p < ``alpha`` — or at ``max_participants``.
 
+        Each batch grows one roster that runs through the roster pipeline on
+        a single root entropy, so recruit *i* always simulates on substream
+        *i* however the batches fall. The config's controls and conclusion
+        floors apply: the test does not stop before the floors are met, and
+        raises :class:`~repro.errors.CampaignError` if ``max_participants``
+        ends below them. Shared schedulers (``scheduler="adaptive"``) are
+        rejected: they carry their own certified early stop.
+
         Note the statistical caveat baked into the default: repeatedly
         peeking inflates the false-positive rate, so ``alpha`` defaults to
         a stricter 0.01 rather than 0.05.
         """
         prepared = self._require_prepared()
+        self._check_scheduler_applies(prepared)
         if batch_size <= 0 or max_participants <= 0:
             raise CampaignError("batch_size and max_participants must be positive")
-        reward_usd = self.config.reward_usd if reward_usd is None else reward_usd
+        if self._scheduler_is_shared():
+            raise CampaignError(
+                f"run_until_significant cannot drive scheduler="
+                f"{self.config.scheduler!r}: a shared scheduler stops on its "
+                "own certificate; use run() or run_with_workers()"
+            )
+        if reward_usd is None:
+            reward_usd = self.config.reward_usd
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="sequential",
@@ -569,31 +521,29 @@ class Campaign:
             self._root_span = root
             job = self._post_task(prepared, max_participants, reward_usd)
             start_time = self.env.now
-            result: Optional[CampaignResult] = None
-
-            def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                self._run_participant(worker, judge, controls_per_participant=1)
-
+            roster: List[WorkerProfile] = []
+            root_entropy = None
             while job.participants_recruited < max_participants:
-                target = min(
+                quota = job.participants_needed
+                job.participants_needed = min(
                     job.participants_recruited + batch_size, max_participants
                 )
-                saved_quota = job.participants_needed
-                job.participants_needed = target
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-                job.participants_needed = saved_quota
+                roster += self._recruit(job)
+                job.participants_needed = quota
+                self._run_roster(roster, judge, root_entropy=root_entropy)
+                root_entropy = self.last_root_entropy
                 duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
-                result = self.conclude(
-                    job=job, duration_days=duration_days, quality_config=quality_config
-                )
+                result = self._conclude(job, duration_days, quality_config)
                 tally = result.controlled_analysis.tallies.get((question_id, *pair))
-                if tally is not None and tally.total >= batch_size and (
-                    tally.preference_p_value() < alpha
+                if (
+                    tally is not None
+                    and tally.total >= batch_size
+                    and tally.preference_p_value() < alpha
+                    and result.conclusion.quorum_met
                 ):
                     self.platform.close_job(job.job_id)
                     break
-            assert result is not None  # at least one batch ran
+            _require_floors(result.conclusion)
             return result
 
     def run_with_workers(
@@ -603,29 +553,18 @@ class Campaign:
         quality_config: Optional[QualityConfig] = None,
         controls_per_participant: Optional[int] = None,
         in_lab: bool = False,
-        parallelism=_UNSET,
-        executor=_UNSET,
-        min_participants=_UNSET,
-        quorum=_UNSET,
-        root_entropy=_UNSET,
         resume_from: Optional[dict] = None,
     ) -> CampaignResult:
         """Run a fixed roster (the in-lab path, or unit-style driving).
 
-        Skips platform recruitment; every worker performs the test back to
-        back on the virtual clock. Knobs default to the campaign's
-        :class:`~repro.core.config.CampaignConfig`. ``parallelism=None``
-        keeps the historical single-stream sequential behaviour; any integer
-        ``parallelism >= 1`` gives each worker an independent RNG substream
-        and (for levels > 1) simulates them concurrently — the concluded
-        result is identical for every parallelism level at a fixed seed.
-        ``executor`` picks the fan-out backend (``"serial"`` / ``"thread"``
-        / ``"process"``); see :meth:`run`.
-
-        ``root_entropy`` (fan-out mode only) replays a previous fan-out's
-        RNG substreams — pass a crashed campaign's ``last_root_entropy`` to
-        resume it: workers whose uploads are already stored are skipped, the
-        rest re-simulate on exactly the streams they would have had.
+        Skips platform recruitment; the roster goes straight through the
+        roster pipeline (:meth:`_run_roster`), every knob coming from the
+        campaign's :class:`~repro.core.config.CampaignConfig`.
+        ``CampaignConfig.root_entropy`` replays a previous run's RNG
+        substreams — a crashed campaign's ``last_root_entropy`` resumes it:
+        workers whose uploads are already stored (or recorded lost) are
+        skipped, the rest re-simulate on exactly the streams they would
+        have had.
 
         ``resume_from`` is the serialized-checkpoint convenience: pass a
         previous :meth:`CampaignResult.to_dict` payload (or its ``"resume"``
@@ -633,118 +572,26 @@ class Campaign:
         seeds its database with the stored rows, carries over recorded upload
         losses, and replays the payload's ``root_entropy`` — so a resume can
         be driven across process boundaries from nothing but the serialized
-        result. Fan-out mode only.
+        result.
         """
-        cfg = self.config
-        if controls_per_participant is None:
-            controls_per_participant = cfg.controls_per_participant
-        parallelism = cfg.parallelism if parallelism is _UNSET else parallelism
-        executor = cfg.executor if executor is _UNSET else executor
-        if parallelism is None and (
-            cfg.overload is not None or cfg.arrival is not None
-        ):
-            # Same routing as run(): overload/arrival live on the fan-out.
-            parallelism = 1
-        if min_participants is _UNSET:
-            min_participants = cfg.min_participants
-        if quorum is _UNSET:
-            quorum = cfg.quorum
-        root_entropy = cfg.root_entropy if root_entropy is _UNSET else root_entropy
+        root_entropy = None
         if resume_from is not None:
-            if parallelism is None and not self._scheduler_is_shared():
-                raise CampaignError(
-                    "resume_from requires the deterministic fan-out mode; "
-                    "pass parallelism >= 1"
-                )
-            root_entropy = self._apply_resume_state(resume_from, root_entropy)
+            root_entropy = self._apply_resume_state(
+                resume_from, self.config.root_entropy
+            )
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
-        shared = self._scheduler_is_shared()
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="roster", participants=len(workers),
         ) as root:
             self._root_span = root
-            if shared:
-                self._run_participants_shared_scheduler(
-                    list(workers), judge, controls_per_participant,
-                    in_lab=in_lab, root_entropy=root_entropy,
-                )
-            elif parallelism is None:
-                for worker in workers:
-                    self._run_participant(
-                        worker, judge, controls_per_participant, in_lab=in_lab
-                    )
-            else:
-                self._run_participants_deterministic(
-                    list(workers), judge, controls_per_participant,
-                    parallelism=parallelism, executor=executor, in_lab=in_lab,
-                    root_entropy=root_entropy,
-                )
+            self._run_roster(
+                list(workers), judge, controls_per_participant,
+                in_lab=in_lab, root_entropy=root_entropy,
+            )
             return self.conclude(
-                job=None, duration_days=0.0, quality_config=quality_config,
-                min_participants=min_participants, quorum=quorum,
-            )
-
-    def run_adaptive(
-        self,
-        judge: JudgeFunction,
-        scheduler_factory,
-        reward_usd: Optional[float] = None,
-        quality_config: Optional[QualityConfig] = None,
-        participants: Optional[int] = None,
-    ) -> CampaignResult:
-        """Run with sorting-based comparison reduction (§III-D).
-
-        ``scheduler_factory(version_ids)`` builds a fresh comparison
-        scheduler per participant (e.g. ``InsertionSortScheduler``); each
-        participant sees only the pairs their own sort requires, plus one
-        control pair. Single-question tests only.
-
-        .. deprecated:: select a scheduler with
-           ``CampaignConfig(scheduler="insertion")`` (or ``"bubble"`` /
-           ``"merge"`` / ``"adaptive"``) and call :meth:`run` instead; this
-           entry point keeps the historical behaviour with a
-           once-per-process warning.
-        """
-        warn_legacy_scheduler("Campaign.run_adaptive")
-        prepared = self._require_prepared()
-        if self.config.streaming:
-            raise CampaignError(
-                "adaptive (sorting-based) campaigns are incompatible with "
-                "store='sharded-streaming': each participant answers a "
-                "different pair schedule, so completeness is not a fixed "
-                "expected-answer count the online screen can apply"
-            )
-        if len(prepared.parameters.question) != 1:
-            raise CampaignError(
-                "sorting-based reduction applies only when one comparison "
-                "question is asked (§III-D)"
-            )
-        reward_usd = self.config.reward_usd if reward_usd is None else reward_usd
-        needed = participants or prepared.parameters.participant_num
-        with self.tracer.span(
-            "campaign", category="campaign", test_id=prepared.test_id,
-            mode="adaptive", participants=needed,
-        ) as root:
-            self._root_span = root
-            job = self._post_task(prepared, needed, reward_usd)
-            start_time = self.env.now
-
-            def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                self._run_participant(
-                    worker, judge, controls_per_participant=1,
-                    scheduler_factory=scheduler_factory,
-                )
-
-            self._adaptive_mode = True
-            try:
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-            finally:
-                duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
-            return self.conclude(
-                job=job, duration_days=duration_days, quality_config=quality_config
+                job=None, duration_days=0.0, quality_config=quality_config
             )
 
     # -- config-driven comparison scheduling ---------------------------------
@@ -768,24 +615,6 @@ class Campaign:
             return False
         return bool(scheduler_class(self.config.scheduler).shared)
 
-    def _config_scheduler_factory(self):
-        """Per-participant scheduler factory for the configured mode, or
-        ``None`` for ``"full"`` (historical all-pairs page plan) and for
-        shared modes (which build one campaign-level instance instead).
-
-        Closes over plain picklable values only, so the factory rebuilds
-        identically inside process-pool workers.
-        """
-        cfg = self.config
-        if cfg.scheduler == SCHEDULER_FULL or self._scheduler_is_shared():
-            return None
-        name, sub = cfg.scheduler, cfg.scheduler_config
-
-        def factory(version_ids):
-            return make_scheduler(name, version_ids, sub)
-
-        return factory
-
     def _post_task(
         self, prepared: PreparedTest, needed: int, reward_usd: float
     ) -> CrowdJob:
@@ -805,23 +634,15 @@ class Campaign:
             raise CampaignError(f"task post failed: {post.text}")
         return self.platform.get_job(post.json()["job_id"])
 
-    def _run_participant(
-        self,
-        worker: WorkerProfile,
-        judge: JudgeFunction,
-        controls_per_participant: int,
-        in_lab: bool = False,
-        scheduler_factory=None,
-    ) -> None:
-        index = self._participant_seq
-        self._participant_seq += 1
-        result, client, pspan = self._simulate_participant(
-            worker, judge, controls_per_participant, self.rng,
-            in_lab=in_lab, scheduler_factory=scheduler_factory,
-            trace_index=index,
-        )
-        self._adopt(pspan)
-        self._upload_result(client, worker, result)
+    def _recruit(self, job: CrowdJob) -> List[WorkerProfile]:
+        """Drive the platform's recruitment up to ``job``'s quota; the
+        recruits, in arrival order, are the roster."""
+        roster: List[WorkerProfile] = []
+        with self.tracer.span("recruitment", category="campaign"):
+            self.platform.run_recruitment(
+                job, on_recruit=lambda worker, arrival_time_s: roster.append(worker)
+            )
+        return roster
 
     def _adopt(self, span) -> None:
         """Attach a finished participant subtree under the open span.
@@ -843,19 +664,20 @@ class Campaign:
         controls_per_participant: int,
         rng: np.random.Generator,
         in_lab: bool = False,
-        scheduler_factory=None,
         session_start: Optional[float] = None,
         trace_index: int = 0,
         shared_scheduler: Optional[Scheduler] = None,
     ):
         """One participant's full extension flow, minus the upload.
 
-        All randomness comes from ``rng``: with the campaign's shared stream
-        this reproduces the historical sequential behaviour; with an
-        independent substream the simulation is order-independent, which is
-        what makes the parallel mode deterministic. ``session_start`` anchors
-        the client's session clock (breaker cooldowns, outage windows); the
-        fan-out passes the pre-fan-out time so it is thread-order free.
+        All randomness comes from ``rng``, the participant's own substream,
+        so the simulation is order-independent — what makes every executor
+        conclude identically. ``session_start`` anchors the client's session
+        clock (breaker cooldowns, outage windows); the roster pipeline passes
+        the pre-fan-out time so it is thread-order free. ``shared_scheduler``
+        serves the comparisons when the campaign pools one scheduler across
+        the roster; otherwise the configured mode builds a fresh one per
+        participant (``"full"`` keeps the all-pairs page plan).
 
         Returns ``(result, client, participant_span)``; the span is a
         *detached* trace subtree (or the shared null span) that the caller
@@ -902,13 +724,17 @@ class Campaign:
                     trace_clock=trace_clock,
                     metrics=self.metrics,
                 )
-                if scheduler_factory is None and shared_scheduler is None:
-                    # Config-driven per-participant scheduling (the redesigned
-                    # axis): sort modes build a fresh scheduler per worker on
-                    # every executor path, including process-pool workers.
-                    scheduler_factory = self._config_scheduler_factory()
+                scheduler = shared_scheduler
+                if scheduler is None and self.config.scheduler != SCHEDULER_FULL:
+                    # Sort modes build a fresh scheduler per worker on every
+                    # executor path, including process-pool workers.
+                    scheduler = make_scheduler(
+                        self.config.scheduler,
+                        _comparison_versions(prepared),
+                        self.config.scheduler_config,
+                    )
                 try:
-                    if scheduler_factory is None and shared_scheduler is None:
+                    if scheduler is None:
                         pages = self._pages_for_participant(
                             prepared, controls_per_participant, rng
                         )
@@ -916,9 +742,6 @@ class Campaign:
                             prepared.test_id, prepared.parameters.question, pages
                         )
                     else:
-                        version_ids = [
-                            v for v in prepared.version_ids if v != "__contrast__"
-                        ]
                         pages_by_pair = {
                             frozenset((p.left_version, p.right_version)): p
                             for p in prepared.comparison_pairs()
@@ -926,11 +749,6 @@ class Campaign:
                         controls = list(prepared.control_pairs())
                         order = rng.permutation(len(controls))
                         chosen = [controls[i] for i in order[:controls_per_participant]]
-                        scheduler = (
-                            shared_scheduler
-                            if shared_scheduler is not None
-                            else scheduler_factory(version_ids)
-                        )
                         result = extension.run_adaptive_test(
                             prepared.test_id,
                             prepared.parameters.question[0],
@@ -1050,17 +868,16 @@ class Campaign:
 
         Accepts either a full :meth:`CampaignResult.to_dict` payload or just
         its ``"resume"`` entry. Stored rows are inserted for every completed
-        participant the server does not already hold (so the fan-out skips
-        them), and recorded upload losses are carried over — without them a
-        resumed resilient run would under-count its recruited roster and
-        conclude differently from an uncrashed one.
+        participant the server does not already hold, and recorded upload
+        losses are carried over, so the roster pipeline skips both — without
+        the losses a resumed resilient run would re-simulate those workers
+        and conclude differently from an uncrashed one.
         """
         payload = resume_from.get("resume", resume_from)
         if not isinstance(payload, dict) or payload.get("root_entropy") is None:
             raise CampaignError(
                 "resume_from must be a CampaignResult.to_dict() payload (or "
-                "its 'resume' entry) carrying a root_entropy; inline runs "
-                "record none and cannot be resumed this way"
+                "its 'resume' entry) carrying a root_entropy"
             )
         entropy = int(payload["root_entropy"])
         if root_entropy is not None and int(root_entropy) != entropy:
@@ -1139,92 +956,6 @@ class Campaign:
         admission.attach_signal(signal)
         self._overload_signal = signal
 
-    def _run_participants_shared_scheduler(
-        self,
-        workers: Sequence[WorkerProfile],
-        judge: JudgeFunction,
-        controls_per_participant: int,
-        in_lab: bool = False,
-        root_entropy: Optional[int] = None,
-    ) -> None:
-        """Run a roster against one campaign-level shared scheduler.
-
-        Every pair the scheduler serves depends on all previously absorbed
-        answers, so the roster is a sequential dependency chain: participants
-        run one at a time in roster order on independent RNG substreams,
-        with uploads and checkpoints after each. The configured ``executor``
-        is deliberately ignored — there is no independent work to overlap,
-        and the sequential chain makes the conclusion trivially identical
-        across executor settings.
-
-        Degradation is an exact inverse on the evidence: a participant who
-        abandons has their unanswered serve released (the comparison is
-        re-offered to the next participant); a participant whose upload is
-        lost, or whom the per-upload quality screen drops, has every
-        absorbed answer retracted from the shared tally.
-
-        The scheduler state rides the campaign checkpoint: ``resume_state``
-        snapshots it after every upload, and a resumed campaign restores the
-        snapshot before continuing — bit-identical to never having stopped.
-        """
-        with self.tracer.span("prewarm", category="campaign"):
-            self._prewarm_artifacts()
-        if root_entropy is None:
-            root_entropy = int(self.rng.integers(0, 2**63))
-        self.last_root_entropy = root_entropy
-        root = np.random.SeedSequence(root_entropy)
-        streams = [np.random.default_rng(s) for s in root.spawn(len(workers))]
-        prepared = self._require_prepared()
-        completed = set(self.server.uploaded_worker_ids(prepared.test_id))
-        pending = [
-            i for i in range(len(workers))
-            if workers[i].worker_id not in completed
-        ]
-        session_start = self.env.now
-        offsets = arrival_offsets(
-            self.config.arrival, len(workers), self.config.seed,
-            reward_usd=self.config.reward_usd,
-        )
-        self._install_overload(offsets, session_start)
-        version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
-        scheduler = make_scheduler(
-            self.config.scheduler, version_ids, self.config.scheduler_config,
-            metrics=self.metrics,
-        )
-        if self._scheduler_snapshot is not None:
-            scheduler.restore(self._scheduler_snapshot)
-            self._scheduler_snapshot = None
-        self._shared_scheduler = scheduler
-        # Expose the scheduler over the server's /schedule routes so a real
-        # extension could drive the same campaign the simulation does.
-        self.server.attach_scheduler(scheduler)
-        with self.tracer.span("fanout", category="campaign",
-                              participants=len(pending)):
-            for i in pending:
-                worker = workers[i]
-                result, client, pspan = self._simulate_participant(
-                    worker, judge, controls_per_participant, streams[i],
-                    in_lab=in_lab,
-                    session_start=session_start + (
-                        offsets[i] if i < len(offsets) else 0.0
-                    ),
-                    trace_index=i,
-                    shared_scheduler=scheduler,
-                )
-                self._adopt(pspan)
-                if getattr(result, "abandoned", False):
-                    # The served-but-unanswered pair goes back to the pool.
-                    scheduler.release(worker.worker_id)
-                _, lost_reason = self._upload_result(client, worker, result)
-                if lost_reason is not None:
-                    # Absorbed answers that were never stored are not
-                    # evidence: remove them so scheduling and conclude see
-                    # the same data.
-                    self._retract_from_scheduler(scheduler, result)
-                elif self._screen_scheduled_upload(result):
-                    self._retract_from_scheduler(scheduler, result)
-                self._checkpoint()
-
     def _retract_from_scheduler(
         self, scheduler: Scheduler, result: ParticipantResult
     ) -> None:
@@ -1268,47 +999,60 @@ class Campaign:
         ).apply([result], 1)
         return bool(report.dropped)
 
-    def _run_participants_deterministic(
+    def _run_roster(
         self,
         workers: Sequence[WorkerProfile],
         judge: JudgeFunction,
-        controls_per_participant: int,
-        parallelism: int,
-        executor: str = "thread",
+        controls_per_participant: Optional[int] = None,
         in_lab: bool = False,
         root_entropy: Optional[int] = None,
     ) -> None:
-        """Simulate a roster on independent RNG substreams, optionally in
-        parallel, and upload in roster order.
+        """The roster pipeline: simulate every pending worker on an
+        independent RNG substream and upload in roster order.
 
         Each worker's stream comes from ``SeedSequence.spawn``, so no draw by
         one participant can perturb another — results are identical whether
-        the roster runs serially or across ``parallelism`` threads. Uploads
+        the roster runs serially or across ``parallelism`` workers. Uploads
         happen from the calling thread in roster order, progressively as each
-        participant's simulation completes — so a crash mid-fan-out leaves a
+        participant's simulation completes — so a crash mid-roster leaves a
         checkpoint of finished uploads on the server. Participant trace
         subtrees are adopted in the same roster order, which is what makes
         the exported timeline bit-identical at every parallelism level.
 
-        ``executor`` selects the backend: ``"serial"`` always runs the
-        inline loop; ``"thread"`` overlaps participants on a thread pool;
-        ``"process"`` chunks them across worker processes (see
+        ``CampaignConfig.executor`` selects the backend: ``"serial"`` always
+        runs the inline loop; ``"thread"`` overlaps participants on a thread
+        pool; ``"process"`` chunks them across worker processes (see
         :mod:`repro.core.fanout`). The pool is capped at the pending roster
         size — idle workers are never spawned — and the capped size is
         recorded in :attr:`_last_fanout_pool`. In process mode the crash
         checkpoint is chunk-granular rather than participant-granular.
 
-        ``root_entropy`` replays a previous fan-out: substreams are spawned
-        from it (for *every* roster slot, keeping stream alignment), and
-        workers whose uploads the server already stores are skipped — the
-        resume path after a crash. The entropy actually used is recorded in
+        A shared scheduler (``scheduler="adaptive"``) makes the roster a
+        sequential dependency chain — every pair it serves depends on all
+        previously absorbed answers — so it always takes the inline loop,
+        plus three per-upload hooks that keep the evidence exact: an
+        abandoning participant's unanswered serve is released, and a lost
+        upload or a quality-screen drop retracts every absorbed answer. The
+        scheduler state rides the checkpoint (:meth:`resume_state`), and a
+        resumed campaign restores it before continuing.
+
+        ``root_entropy`` (default: ``CampaignConfig.root_entropy``, else a
+        draw from the campaign RNG) replays a previous roster: substreams are
+        spawned from it for *every* roster slot, keeping stream alignment,
+        and workers whose uploads the server already stores, or whose loss
+        is already recorded, are skipped — the resume path after a crash,
+        and how :meth:`run_until_significant` grows its roster batch by
+        batch. The entropy actually used is recorded in
         :attr:`last_root_entropy`.
         """
-        if parallelism < 1:
-            raise CampaignError(f"parallelism must be >= 1, got {parallelism}")
-        executor = validate_executor_mode(executor)
+        cfg = self.config
+        if controls_per_participant is None:
+            controls_per_participant = cfg.controls_per_participant
+        prepared = self._require_prepared()
         with self.tracer.span("prewarm", category="campaign"):
             self._prewarm_artifacts()
+        if root_entropy is None:
+            root_entropy = cfg.root_entropy
         if root_entropy is None:
             root_entropy = int(self.rng.integers(0, 2**63))
         self.last_root_entropy = root_entropy
@@ -1316,10 +1060,10 @@ class Campaign:
         # Spawn a stream per roster slot even when resuming (alignment):
         # worker i always gets substream i regardless of who already finished.
         streams = [np.random.default_rng(s) for s in root.spawn(len(workers))]
-        completed = set(self.server.uploaded_worker_ids(self._require_prepared().test_id))
+        done = set(self.server.uploaded_worker_ids(prepared.test_id))
+        done.update(worker_id for worker_id, _ in self.lost_uploads)
         pending = [
-            i for i in range(len(workers))
-            if workers[i].worker_id not in completed
+            i for i in range(len(workers)) if workers[i].worker_id not in done
         ]
         # Captured once before the fan-out so every client's session clock has
         # the same thread-order-free anchor.
@@ -1328,10 +1072,22 @@ class Campaign:
         # index (resume keeps alignment: a redelivered job derives the same
         # offsets), and drives the admission controller's load signal.
         offsets = arrival_offsets(
-            self.config.arrival, len(workers), self.config.seed,
-            reward_usd=self.config.reward_usd,
+            cfg.arrival, len(workers), cfg.seed, reward_usd=cfg.reward_usd,
         )
         self._install_overload(offsets, session_start)
+        scheduler = None
+        if self._scheduler_is_shared():
+            scheduler = make_scheduler(
+                cfg.scheduler, _comparison_versions(prepared),
+                cfg.scheduler_config, metrics=self.metrics,
+            )
+            if self._scheduler_snapshot is not None:
+                scheduler.restore(self._scheduler_snapshot)
+                self._scheduler_snapshot = None
+            self._shared_scheduler = scheduler
+            # Expose the scheduler over the server's /schedule routes so a
+            # real extension could drive the same campaign the simulation does.
+            self.server.attach_scheduler(scheduler)
 
         def simulate(index: int):
             return self._simulate_participant(
@@ -1341,24 +1097,36 @@ class Campaign:
                     offsets[index] if index < len(offsets) else 0.0
                 ),
                 trace_index=index,
+                shared_scheduler=scheduler,
             )
 
+        def upload(index: int, result, client, pspan) -> None:
+            worker = workers[index]
+            self._adopt(pspan)
+            if scheduler is not None and getattr(result, "abandoned", False):
+                # The served-but-unanswered pair goes back to the pool.
+                scheduler.release(worker.worker_id)
+            _, lost_reason = self._upload_result(client, worker, result)
+            if scheduler is not None and (
+                lost_reason is not None or self._screen_scheduled_upload(result)
+            ):
+                # Answers that were never stored, or that the screen drops,
+                # are not evidence: remove them so scheduling and conclude
+                # see the same data.
+                self._retract_from_scheduler(scheduler, result)
+            self._checkpoint()
+
         # Never spawn more workers than there are pending participants.
-        pool_size = effective_pool_size(parallelism, len(pending))
+        pool_size = 1 if scheduler is not None else effective_pool_size(
+            cfg.parallelism, len(pending)
+        )
         self._last_fanout_pool = pool_size
         with self.tracer.span("fanout", category="campaign",
                               participants=len(pending)):
-            if (
-                executor == EXECUTOR_SERIAL
-                or pool_size == 1
-                or len(pending) <= 1
-            ):
+            if cfg.executor == EXECUTOR_SERIAL or pool_size == 1:
                 for i in pending:
-                    result, client, pspan = simulate(i)
-                    self._adopt(pspan)
-                    self._upload_result(client, workers[i], result)
-                    self._checkpoint()
-            elif executor == EXECUTOR_PROCESS:
+                    upload(i, *simulate(i))
+            elif cfg.executor == EXECUTOR_PROCESS:
                 with self.metrics.timed("campaign.parallel_fanout"):
                     run_process_fanout(
                         self, workers, judge, controls_per_participant,
@@ -1373,12 +1141,8 @@ class Campaign:
                     with ThreadPoolExecutor(max_workers=pool_size) as pool:
                         # pool.map yields in submission order, so uploads land
                         # in roster order while later simulations overlap.
-                        for i, (result, client, pspan) in zip(
-                            pending, pool.map(simulate, pending)
-                        ):
-                            self._adopt(pspan)
-                            self._upload_result(client, workers[i], result)
-                            self._checkpoint()
+                        for i, outcome in zip(pending, pool.map(simulate, pending)):
+                            upload(i, *outcome)
 
     def _make_downloader(self, client: Client):
         def download(storage_path: str) -> str:
@@ -1479,9 +1243,9 @@ class Campaign:
                 return candidate
         return page  # no mirrored variant stored: fall back
 
-    def _sample_profile(self, rng: Optional[np.random.Generator] = None) -> NetworkProfile:
-        generator = rng if rng is not None else self.rng
-        name = str(generator.choice(_PARTICIPANT_PROFILES, p=_PROFILE_WEIGHTS))
+    @staticmethod
+    def _sample_profile(rng: np.random.Generator) -> NetworkProfile:
+        name = str(rng.choice(_PARTICIPANT_PROFILES, p=_PROFILE_WEIGHTS))
         return PROFILES[name]
 
     # -- step 4: conclusion ------------------------------------------------------
@@ -1491,8 +1255,6 @@ class Campaign:
         job: Optional[CrowdJob],
         duration_days: float,
         quality_config: Optional[QualityConfig] = None,
-        min_participants: Optional[int] = None,
-        quorum: Optional[float] = None,
     ) -> CampaignResult:
         """Apply quality control and analysis to everything uploaded so far.
 
@@ -1504,149 +1266,163 @@ class Campaign:
         coverage, so an under-sampled cell is visible rather than silently
         thin.
 
-        ``min_participants`` (absolute count of complete participants) and
-        ``quorum`` (fraction of the recruited roster that completed) are
-        hard floors: when either is unmet a :class:`~repro.errors.
-        CampaignError` is raised instead of concluding on too little data.
+        ``CampaignConfig.min_participants`` (absolute count of complete
+        participants) and ``CampaignConfig.quorum`` (fraction of the
+        recruited roster that completed) are hard floors: when either is
+        unmet a :class:`~repro.errors.CampaignError` is raised instead of
+        concluding on too little data.
 
         ``quality_config`` defaults to the campaign's
         ``CampaignConfig.quality``. In streaming mode the thresholds were
         fixed at prepare time (the online screen already ran); passing a
         *different* config here raises.
         """
+        result = self._conclude(job, duration_days, quality_config)
+        _require_floors(result.conclusion)
+        return result
+
+    def _conclude(
+        self,
+        job: Optional[CrowdJob],
+        duration_days: float,
+        quality_config: Optional[QualityConfig],
+    ) -> CampaignResult:
+        """The conclude body without the floor check (which
+        :meth:`run_until_significant` defers to its final batch).
+
+        The evidence comes from one of two sources — the batch screen and
+        analysis over the stored rows, or the streaming sufficient
+        statistics — and feeds one shared tail: counts, coverage, the
+        conclusion, its gauges and the observation exports.
+        """
         prepared = self._require_prepared()
-        if self.config.streaming:
-            return self._conclude_streaming(
-                job, duration_days, quality_config, min_participants, quorum
-            )
-        if quality_config is None:
-            quality_config = self.config.quality
+        cfg = self.config
         with self.tracer.span("conclude", category="campaign") as cspan:
-            raw = self.server.stored_results(prepared.test_id)
-            if not raw:
-                raise CampaignError("no responses collected; nothing to conclude")
-            questions = len(prepared.parameters.question)
-            sort_scheduled = self.config.scheduler not in (
-                SCHEDULER_FULL, "adaptive"
-            )
-            if getattr(self, "_adaptive_mode", False) or sort_scheduled:
-                # Sorting-based reduction: any correct sort of N versions asks
-                # at least N-1 questions; completeness is that floor + control.
-                version_count = len(
-                    [v for v in prepared.version_ids if v != "__contrast__"]
-                )
-                expected_answers = (version_count - 1 + 1) * questions
-            elif self.config.scheduler == "adaptive":
-                # Shared information-gain scheduling: per-participant answer
-                # counts legitimately vary (session budgets, early stop can
-                # leave late arrivals only the control page), so completeness
-                # is just the control floor.
-                expected_answers = 1 * questions
+            if cfg.streaming:
+                evidence = self._streamed_evidence(prepared, quality_config)
             else:
-                comparisons = len(prepared.comparison_pairs())
-                # Hard-rule completeness: every comparison pair answered for
-                # every question, plus at least one control page.
-                expected_answers = (comparisons + 1) * questions
-            report = QualityControl(
-                quality_config, metrics=self.metrics, tracer=self.tracer
-            ).apply(raw, expected_answers)
-            question_ids = [q.question_id for q in prepared.parameters.question]
-            version_ids = [
-                v for v in prepared.version_ids if v != "__contrast__"
-            ]
-            with self.tracer.span("analysis", category="campaign"):
-                raw_analysis = analyze_responses(raw, question_ids, version_ids)
-                controlled_analysis = analyze_responses(
-                    report.kept, question_ids, version_ids
-                )
-            abandoned = [r for r in raw if getattr(r, "abandoned", False)]
-            complete = [
-                r for r in raw
-                if not getattr(r, "abandoned", False)
-                and len(r.answers) >= expected_answers
-            ]
+                evidence = self._batch_evidence(prepared, quality_config)
             if job is not None and job.participants_recruited:
                 recruited = job.participants_recruited
             else:
-                recruited = len(raw) + len(self.lost_uploads)
+                recruited = evidence.uploaded + len(self.lost_uploads)
+            raw_analysis = evidence.raw_analysis
             pair_coverage = raw_analysis.answer_coverage()
             expected_total = recruited * len(pair_coverage)
             achieved = sum(pair_coverage.values())
             needs_report = bool(
-                abandoned
+                evidence.abandoned
                 or self.lost_uploads
-                or len(complete) < recruited
-                or min_participants is not None
-                or quorum is not None
+                or evidence.complete < recruited
+                or cfg.min_participants is not None
+                or cfg.quorum is not None
             )
             conclusion_cls = DegradedConclusion if needs_report else Conclusion
             conclusion = conclusion_cls(
                 recruited=recruited,
-                uploaded=len(raw),
-                complete=len(complete),
-                abandoned=len(abandoned),
+                uploaded=evidence.uploaded,
+                complete=evidence.complete,
+                abandoned=evidence.abandoned,
                 lost_uploads=list(self.lost_uploads),
-                expected_answers=expected_answers,
+                expected_answers=evidence.expected_answers,
                 pair_coverage=pair_coverage,
                 min_pair_coverage=raw_analysis.min_coverage(),
                 coverage_fraction=(
                     min(1.0, achieved / expected_total) if expected_total else 0.0
                 ),
-                min_participants=min_participants,
-                quorum=quorum,
+                min_participants=cfg.min_participants,
+                quorum=cfg.quorum,
             )
             self.metrics.set_gauge("campaign.recruited", recruited)
-            self.metrics.set_gauge("campaign.uploaded", len(raw))
-            self.metrics.set_gauge("campaign.complete", len(complete))
+            self.metrics.set_gauge("campaign.uploaded", evidence.uploaded)
+            self.metrics.set_gauge("campaign.complete", evidence.complete)
             self.metrics.set_gauge(
                 "campaign.coverage_fraction", round(conclusion.coverage_fraction, 4)
             )
-            cspan.set_attr("complete", len(complete))
-            cspan.set_attr("uploaded", len(raw))
+            cspan.set_attr("complete", evidence.complete)
+            cspan.set_attr("uploaded", evidence.uploaded)
             cspan.set_attr("degraded", conclusion.is_degraded)
             self._record_overload_observations()
-            if not conclusion.quorum_met:
-                raise CampaignError(
-                    "campaign degraded below the conclusion floor: "
-                    f"{conclusion.complete}/{conclusion.recruited} complete "
-                    f"(min_participants={min_participants}, quorum={quorum})"
-                )
+            if cfg.streaming:
+                self._record_store_observations()
             early_stop = None
             if self._shared_scheduler is not None:
                 stop = getattr(self._shared_scheduler, "conclusion", None)
                 early_stop = stop() if callable(stop) else None
             return CampaignResult(
                 test_id=prepared.test_id,
-                raw_results=raw,
-                quality_report=report,
+                raw_results=evidence.raw_results,
+                quality_report=evidence.report,
                 raw_analysis=raw_analysis,
-                controlled_analysis=controlled_analysis,
+                controlled_analysis=evidence.controlled_analysis,
                 job=job,
                 duration_days=duration_days,
                 total_cost_usd=job.total_cost_usd if job is not None else 0.0,
                 conclusion=conclusion,
                 resume_state=self.resume_state(),
+                participant_count=evidence.participant_count,
                 early_stop=early_stop,
             )
 
-    def _conclude_streaming(
-        self,
-        job: Optional[CrowdJob],
-        duration_days: float,
-        quality_config: Optional[QualityConfig],
-        min_participants: Optional[int],
-        quorum: Optional[float],
-    ) -> CampaignResult:
-        """Conclude from the streaming sufficient statistics.
+    def _batch_evidence(
+        self, prepared: PreparedTest, quality_config: Optional[QualityConfig]
+    ) -> _Evidence:
+        """Screen and analyse the stored rows in one batch pass."""
+        if quality_config is None:
+            quality_config = self.config.quality
+        raw = self.server.stored_results(prepared.test_id)
+        if not raw:
+            raise CampaignError("no responses collected; nothing to conclude")
+        questions = len(prepared.parameters.question)
+        version_ids = _comparison_versions(prepared)
+        if self._scheduler_is_shared():
+            # Shared information-gain scheduling: per-participant answer
+            # counts legitimately vary (session budgets, early stop can
+            # leave late arrivals only the control page), so completeness
+            # is just the control floor.
+            expected_answers = 1 * questions
+        elif self.config.scheduler != SCHEDULER_FULL:
+            # Sorting-based reduction: any correct sort of N versions asks
+            # at least N-1 questions; completeness is that floor + control.
+            expected_answers = (len(version_ids) - 1 + 1) * questions
+        else:
+            # Hard-rule completeness: every comparison pair answered for
+            # every question, plus at least one control page.
+            expected_answers = (len(prepared.comparison_pairs()) + 1) * questions
+        report = QualityControl(
+            quality_config, metrics=self.metrics, tracer=self.tracer
+        ).apply(raw, expected_answers)
+        question_ids = [q.question_id for q in prepared.parameters.question]
+        with self.tracer.span("analysis", category="campaign"):
+            raw_analysis = analyze_responses(raw, question_ids, version_ids)
+            controlled_analysis = analyze_responses(
+                report.kept, question_ids, version_ids
+            )
+        abandoned = sum(1 for r in raw if getattr(r, "abandoned", False))
+        complete = sum(
+            1 for r in raw
+            if not getattr(r, "abandoned", False)
+            and len(r.answers) >= expected_answers
+        )
+        return _Evidence(
+            raw_results=raw, participant_count=None, report=report,
+            raw_analysis=raw_analysis, controlled_analysis=controlled_analysis,
+            expected_answers=expected_answers, uploaded=len(raw),
+            complete=complete, abandoned=abandoned,
+        )
+
+    def _streamed_evidence(
+        self, prepared: PreparedTest, quality_config: Optional[QualityConfig]
+    ) -> _Evidence:
+        """Finish the streaming sufficient statistics.
 
         Decision-identical to the batch path — the online screen already ran
-        the batch screening code per upload, and the conclude pass streams
-        the stored rows once (lazy WAL replay) to finish the majority filter
-        and fold the controlled aggregates — but memory stays O(pairs), not
+        the batch screening code per upload, and this pass streams the
+        stored rows once (lazy WAL replay) to finish the majority filter and
+        fold the controlled aggregates — but memory stays O(pairs), not
         O(participants): ``raw_results`` is empty and the quality report
         carries worker ids, never results.
         """
-        prepared = self._require_prepared()
         state = self._streaming_state
         if state is None:
             raise CampaignError(
@@ -1660,89 +1436,35 @@ class Campaign:
                 "construct the campaign with CampaignConfig(quality=...) "
                 "instead of passing a different quality_config to conclude()"
             )
-        with self.tracer.span("conclude", category="campaign") as cspan:
-            if state.ingested == 0:
-                raise CampaignError("no responses collected; nothing to conclude")
-            expected_answers = state.expected_answers
-            # Mirror QualityControl.apply's span/metrics/events exactly: the
-            # decisions were made per upload, but the observability contract
-            # is conclude-time.
-            with self.tracer.span(
-                "quality", category="campaign", participants=state.ingested
-            ) as qspan:
-                data = state.conclude(self._stream_rows(prepared.test_id))
-                report = data.report
-                qspan.set_attr("kept", report.kept_count)
-                qspan.set_attr("dropped", len(report.dropped))
-                self.metrics.add("quality.kept", report.kept_count)
-                self.metrics.add("quality.dropped", len(report.dropped))
-                for reason, count in sorted(report.drop_reasons().items()):
-                    self.metrics.add(f"quality.drop.{reason}", count)
-                    self.tracer.event("quality_drop", reason=reason, count=count)
-            with self.tracer.span("analysis", category="campaign"):
-                raw_analysis = data.raw_analysis
-                controlled_analysis = data.controlled_analysis
-            self.last_streaming = data
-            if job is not None and job.participants_recruited:
-                recruited = job.participants_recruited
-            else:
-                recruited = data.uploaded + len(self.lost_uploads)
-            pair_coverage = raw_analysis.answer_coverage()
-            expected_total = recruited * len(pair_coverage)
-            achieved = sum(pair_coverage.values())
-            needs_report = bool(
-                data.abandoned
-                or self.lost_uploads
-                or data.complete < recruited
-                or min_participants is not None
-                or quorum is not None
-            )
-            conclusion_cls = DegradedConclusion if needs_report else Conclusion
-            conclusion = conclusion_cls(
-                recruited=recruited,
-                uploaded=data.uploaded,
-                complete=data.complete,
-                abandoned=data.abandoned,
-                lost_uploads=list(self.lost_uploads),
-                expected_answers=expected_answers,
-                pair_coverage=pair_coverage,
-                min_pair_coverage=raw_analysis.min_coverage(),
-                coverage_fraction=(
-                    min(1.0, achieved / expected_total) if expected_total else 0.0
-                ),
-                min_participants=min_participants,
-                quorum=quorum,
-            )
-            self.metrics.set_gauge("campaign.recruited", recruited)
-            self.metrics.set_gauge("campaign.uploaded", data.uploaded)
-            self.metrics.set_gauge("campaign.complete", data.complete)
-            self.metrics.set_gauge(
-                "campaign.coverage_fraction", round(conclusion.coverage_fraction, 4)
-            )
-            cspan.set_attr("complete", data.complete)
-            cspan.set_attr("uploaded", data.uploaded)
-            cspan.set_attr("degraded", conclusion.is_degraded)
-            self._record_overload_observations()
-            self._record_store_observations()
-            if not conclusion.quorum_met:
-                raise CampaignError(
-                    "campaign degraded below the conclusion floor: "
-                    f"{conclusion.complete}/{conclusion.recruited} complete "
-                    f"(min_participants={min_participants}, quorum={quorum})"
-                )
-            return CampaignResult(
-                test_id=prepared.test_id,
-                raw_results=[],
-                quality_report=report,
-                raw_analysis=raw_analysis,
-                controlled_analysis=controlled_analysis,
-                job=job,
-                duration_days=duration_days,
-                total_cost_usd=job.total_cost_usd if job is not None else 0.0,
-                conclusion=conclusion,
-                resume_state=self.resume_state(),
-                participant_count=data.uploaded,
-            )
+        if state.ingested == 0:
+            raise CampaignError("no responses collected; nothing to conclude")
+        # Mirror QualityControl.apply's span/metrics/events exactly: the
+        # decisions were made per upload, but the observability contract is
+        # conclude-time.
+        with self.tracer.span(
+            "quality", category="campaign", participants=state.ingested
+        ) as qspan:
+            data = state.conclude(self._stream_rows(prepared.test_id))
+            report = data.report
+            qspan.set_attr("kept", report.kept_count)
+            qspan.set_attr("dropped", len(report.dropped))
+            self.metrics.add("quality.kept", report.kept_count)
+            self.metrics.add("quality.dropped", len(report.dropped))
+            for reason, count in sorted(report.drop_reasons().items()):
+                self.metrics.add(f"quality.drop.{reason}", count)
+                self.tracer.event("quality_drop", reason=reason, count=count)
+        # The analyses were folded alongside the screen; the span keeps the
+        # trace shape identical to the batch path's.
+        with self.tracer.span("analysis", category="campaign"):
+            pass
+        self.last_streaming = data
+        return _Evidence(
+            raw_results=[], participant_count=data.uploaded, report=report,
+            raw_analysis=data.raw_analysis,
+            controlled_analysis=data.controlled_analysis,
+            expected_answers=state.expected_answers, uploaded=data.uploaded,
+            complete=data.complete, abandoned=data.abandoned,
+        )
 
     def _record_store_observations(self) -> None:
         """Export the sharded store's durability counters into the trace +
@@ -1833,11 +1555,11 @@ class Campaign:
     def resume_state(self) -> Optional[dict]:
         """The serializable checkpoint of everything durable so far.
 
-        ``None`` before any deterministic fan-out ran (inline runs record no
-        replayable entropy). Otherwise: the fan-out's ``root_entropy``, the
-        ids and stored rows of completed participants, and the recorded
-        upload losses — exactly what :meth:`run_with_workers`'s
-        ``resume_from`` consumes to continue the campaign elsewhere.
+        ``None`` only before the first roster ran. Otherwise: the roster's
+        ``root_entropy``, the ids and stored rows of completed participants,
+        and the recorded upload losses — exactly what
+        :meth:`run_with_workers`'s ``resume_from`` consumes to continue the
+        campaign elsewhere.
         """
         if self.last_root_entropy is None:
             return None

@@ -11,11 +11,8 @@ frozen, validated dataclass that :class:`~repro.core.campaign.Campaign`,
                             observe=True)
     campaign = Campaign(config=config)
 
-Per-call method arguments (``campaign.run(parallelism=8)``) still work and
-override the config for that call; the legacy ``Campaign(...)`` constructor
-kwargs (``artifact_cache``, ``fault_plan``, ``retry_policy``,
-``breaker_config``, ``dropout_rate``) keep working through a deprecation
-shim that folds them into the config and warns once per process.
+The config is the single source of truth: the run entry points take no
+per-call overrides of its fields.
 
 The object is immutable (hashable, safely shareable between a campaign and
 its server/extension); derive variants with :meth:`CampaignConfig.replace`.
@@ -24,7 +21,6 @@ its server/extension); derive variants with :meth:`CampaignConfig.replace`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -53,45 +49,21 @@ STORE_SHARDED_STREAMING = "sharded-streaming"
 #: million-participant run carries O(window) diagnostics, not O(requests).
 STREAMING_NETWORK_LOG_LIMIT = 10_000
 
-_DEPRECATION_WARNED = False
-
-
-def warn_legacy_kwargs(names) -> None:
-    """Emit the one-per-process deprecation warning for legacy kwargs."""
-    global _DEPRECATION_WARNED
-    if _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED = True
-    warnings.warn(
-        "passing campaign settings as individual kwargs "
-        f"({', '.join(sorted(names))}) is deprecated; bundle them in a "
-        "CampaignConfig and pass config=... (see README 'Migrating to "
-        "CampaignConfig')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warning() -> None:
-    """Test hook: re-arm the once-per-process warning."""
-    global _DEPRECATION_WARNED
-    _DEPRECATION_WARNED = False
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """Every tunable of a campaign run, in one validated object.
 
-    ``None`` means "component default" throughout, so a default-constructed
-    config reproduces the historical pipeline bit-for-bit.
+    ``None`` means "component default" throughout.
     """
 
     #: Campaign RNG seed (ignored when an explicit ``rng``/``seed`` is
     #: passed to the :class:`~repro.core.campaign.Campaign` constructor).
     seed: Optional[int] = None
-    #: ``None`` = legacy single-stream sequential simulation; ``n >= 1`` =
-    #: deterministic fan-out on independent RNG substreams (``n`` threads).
-    parallelism: Optional[int] = None
+    #: Worker count for the roster pipeline; every participant simulates on
+    #: an independent RNG substream, so the conclusion is identical for
+    #: every ``n >= 1``.
+    parallelism: int = 1
     #: Conclusion floor: minimum absolute count of complete participants.
     min_participants: Optional[int] = None
     #: Conclusion floor: minimum completed fraction of the recruited roster.
@@ -113,10 +85,9 @@ class CampaignConfig:
     breaker_config: Optional[CircuitBreakerConfig] = None
     #: Base per-page probability a participant walks away mid-test.
     dropout_rate: float = 0.0
-    #: Fan-out executor (only meaningful with ``parallelism >= 1``):
-    #: ``"serial"`` runs the roster inline, ``"thread"`` (default) uses a
-    #: thread pool, ``"process"`` a process pool. All three conclude
-    #: bit-identically for a fixed seed.
+    #: Roster executor: ``"serial"`` runs the roster inline, ``"thread"``
+    #: (default) uses a thread pool, ``"process"`` a process pool. All three
+    #: conclude bit-identically for a fixed seed.
     executor: str = "thread"
     #: Participants per process-pool task (amortizes spawn + pickle
     #: overhead); ``None`` picks ``ceil(pending / (workers * 4))``.
@@ -159,7 +130,7 @@ class CampaignConfig:
     scheduler_config: Optional[SchedulerConfig] = None
 
     def __post_init__(self):
-        if self.parallelism is not None and self.parallelism < 1:
+        if self.parallelism < 1:
             raise ValidationError(
                 f"parallelism must be >= 1, got {self.parallelism}"
             )

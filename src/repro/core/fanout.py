@@ -442,7 +442,7 @@ def run_process_fanout(
 ) -> None:
     """Simulate ``pending`` roster indices across a process pool.
 
-    The caller (``Campaign._run_participants_deterministic``) has already
+    The caller (``Campaign._run_roster``) has already
     prewarmed the artifact cache, spawned nothing, and holds the ``fanout``
     span open; this function fans the chunks out and merges every chunk
     back in roster order.

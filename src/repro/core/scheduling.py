@@ -45,7 +45,6 @@ distinguish.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,32 +65,6 @@ SCHEDULER_MODES = ("full", "bubble", "insertion", "merge", "adaptive")
 
 #: The mode that reproduces the historical hardcoded-``all_pairs`` design.
 SCHEDULER_FULL = "full"
-
-_LEGACY_WARNED = False
-
-
-def warn_legacy_scheduler(what: str) -> None:
-    """Once-per-process deprecation warning for the pre-registry surface
-    (``Campaign.run_adaptive``, the CLI ``--adaptive`` flag, and the
-    ``_SchedulerBase`` name)."""
-    global _LEGACY_WARNED
-    if _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED = True
-    warnings.warn(
-        f"{what} is deprecated; select a scheduler with "
-        "CampaignConfig(scheduler=...) / `run --scheduler` instead (see "
-        "README 'Choosing a comparison scheduler')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_legacy_scheduler_warning() -> None:
-    """Test hook: re-arm the once-per-process warning."""
-    global _LEGACY_WARNED
-    _LEGACY_WARNED = False
-
 
 def all_pairs(version_ids: Sequence[str]) -> List[Tuple[str, str]]:
     """Every unordered pair, in deterministic lexicographic-combination order."""
@@ -796,9 +769,3 @@ def drive_scheduler(scheduler: Scheduler, comparator) -> List[str]:
         scheduler.report(comparator(*pair))
     return scheduler.ranking()
 
-
-def __getattr__(name: str):
-    if name == "_SchedulerBase":
-        warn_legacy_scheduler("the _SchedulerBase name")
-        return Scheduler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,6 @@ that a real (non-simulated) extension could drive an adaptive campaign.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional
 
 from repro.core.aggregator import (
@@ -47,29 +46,6 @@ from repro.obs.metrics import GLOBAL_METRICS
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 
-_STORE_KWARG_WARNED = False
-
-
-def _warn_store_kwarg() -> None:
-    """Once-per-process deprecation warning for ``CoreServer(store=...)``."""
-    global _STORE_KWARG_WARNED
-    if _STORE_KWARG_WARNED:
-        return
-    _STORE_KWARG_WARNED = True
-    warnings.warn(
-        "CoreServer(store=...) is deprecated; pass the document store as "
-        "the first positional argument (database=...) — the 'store' name "
-        "now refers to CampaignConfig.store, the storage-backend mode",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_store_kwarg_warning() -> None:
-    """Test hook: re-arm the once-per-process warning."""
-    global _STORE_KWARG_WARNED
-    _STORE_KWARG_WARNED = False
-
 
 class CoreServer:
     """The Kaleidoscope core server bound to its database and storage."""
@@ -82,7 +58,6 @@ class CoreServer:
         platform=None,
         config=None,
         metrics=None,
-        store: Optional[DocumentStore] = None,
     ):
         """``config`` is the campaign's :class:`~repro.core.config.
         CampaignConfig`; the server takes its hostname from it unless
@@ -90,18 +65,7 @@ class CoreServer:
         registry for the server-side counters (uploads, dedupe hits,
         resource reads); without an explicitly injected registry the
         counters are skipped, keeping the per-request path free of even
-        no-op accounting.
-
-        ``store=`` is a deprecated alias for ``database=`` from before the
-        ``CampaignConfig.store`` backend selector claimed the name; it
-        keeps working with a once-per-process warning."""
-        if store is not None:
-            if database is not None:
-                raise ValidationError(
-                    "pass database= or the deprecated store= alias, not both"
-                )
-            _warn_store_kwarg()
-            database = store
+        no-op accounting."""
         if database is None:
             raise ValidationError("CoreServer requires a database")
         if storage is None:

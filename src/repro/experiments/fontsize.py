@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.analysis import BehaviorCdfs, RankingDistribution, behavior_cdfs
 from repro.core.campaign import Campaign, CampaignResult
+from repro.core.config import CampaignConfig
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig
 from repro.crowd.inlab import InLabStudy
@@ -203,17 +204,21 @@ class FontSizeExperiment:
         self,
         participants: int = CROWD_PARTICIPANTS,
         quality_config: Optional[QualityConfig] = None,
-        parallelism: Optional[int] = None,
+        parallelism: int = 1,
         artifact_cache: Optional[bool] = True,
     ) -> CampaignResult:
         """The Kaleidoscope arm: FigureEight recruitment + extension flow.
 
-        ``parallelism`` and ``artifact_cache`` pass straight through to
-        :class:`~repro.core.campaign.Campaign` — the perf benchmark drives
-        this arm in both its brute-force and fast-path configurations.
+        ``parallelism`` and ``artifact_cache`` go into the campaign's
+        :class:`~repro.core.config.CampaignConfig` — the perf benchmark
+        drives this arm in both its brute-force and fast-path
+        configurations.
         """
         campaign = Campaign(
-            seed=self.seeds.seed("crowd-campaign"), artifact_cache=artifact_cache
+            seed=self.seeds.seed("crowd-campaign"),
+            config=CampaignConfig(
+                parallelism=parallelism, artifact_cache=artifact_cache
+            ),
         )
         documents = build_font_variants()
         parameters = build_parameters(participants)
@@ -230,7 +235,6 @@ class FontSizeExperiment:
             judge,
             reward_usd=REWARD_USD,
             quality_config=quality_config,
-            parallelism=parallelism,
         )
 
     def run_inlab(self, participants: int = INLAB_PARTICIPANTS) -> Tuple[CampaignResult, float]:

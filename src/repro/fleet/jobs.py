@@ -55,21 +55,9 @@ class CampaignSubmission:
         if not self.documents:
             raise FleetError("a submission needs at least one version document")
 
-    def normalized_config(self) -> CampaignConfig:
-        """The config the fleet actually runs with.
-
-        Fleet execution requires the deterministic fan-out mode — that is
-        where ``root_entropy`` checkpoint/resume lives — so a submission
-        with ``parallelism=None`` is promoted to ``parallelism=1`` (same
-        conclusions, sequential execution, but resumable).
-        """
-        if self.config.parallelism is None:
-            return self.config.replace(parallelism=1)
-        return self.config
-
     def stimulus_host(self) -> str:
         """The resource key for concurrency guards and breaker scoping."""
-        return self.resource or self.normalized_config().host
+        return self.resource or self.config.host
 
     def roster_size(self) -> int:
         return self.participants or self.parameters.participant_num
@@ -89,7 +77,7 @@ class CampaignSubmission:
         builds (an original delivery and a post-crash redelivery) start from
         identical state.
         """
-        campaign = Campaign(config=self.normalized_config())
+        campaign = Campaign(config=self.config)
         documents = {
             version: parse_html(markup)
             for version, markup in self.documents.items()

@@ -1,6 +1,6 @@
 """Executor selection and sizing for the participant fan-out.
 
-The campaign's deterministic fan-out mode can run a roster three ways —
+The campaign's roster pipeline can run a roster three ways —
 ``serial`` (inline), ``thread`` (a :class:`~concurrent.futures.
 ThreadPoolExecutor`) or ``process`` (a :class:`~concurrent.futures.
 ProcessPoolExecutor`) — all concluding bit-identically for a fixed seed

@@ -6,11 +6,7 @@ import warnings
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.config import (
-    DEFAULT_HOST,
-    CampaignConfig,
-    _reset_deprecation_warning,
-)
+from repro.core.config import DEFAULT_HOST, CampaignConfig
 from repro.core.conclusion import Conclusion, DegradedConclusion
 from repro.core.extension import BrowserExtension, make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -58,7 +54,7 @@ class TestConfigObject:
     def test_replace_derives_variant(self):
         base = CampaignConfig(seed=7)
         variant = base.replace(parallelism=4, observe=True)
-        assert base.parallelism is None and not base.observe
+        assert base.parallelism == 1 and not base.observe
         assert variant.seed == 7 and variant.parallelism == 4 and variant.observe
 
     @pytest.mark.parametrize(
@@ -104,30 +100,24 @@ class TestConfigObject:
 
 
 class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_once_and_still_work(self):
-        _reset_deprecation_warning()
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
-            campaign = Campaign(seed=5, dropout_rate=0.02)
-        assert campaign.config.dropout_rate == 0.02
-        # Second construction in the same process stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Campaign(seed=6, dropout_rate=0.02)
+    """Settings reach a campaign only through its config."""
 
     def test_config_path_does_not_warn(self):
-        _reset_deprecation_warning()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Campaign(config=CampaignConfig(seed=5, dropout_rate=0.02))
+        with pytest.raises(TypeError):
+            Campaign(seed=5, dropout_rate=0.02)
 
     def test_legacy_and_config_runs_match(self):
-        _reset_deprecation_warning()
+        # The constructor's seed kwarg and CampaignConfig.seed are one knob.
         plan = FaultPlan.lossy(seed=9, drop_rate=0.05)
         policy = RetryPolicy(max_attempts=3, backoff_base_seconds=0.5)
-        with pytest.warns(DeprecationWarning):
-            legacy = Campaign(seed=9, fault_plan=plan, retry_policy=policy)
-        legacy.prepare(make_params(), make_documents())
-        legacy_result = legacy.run(make_judge())
+        by_kwarg = Campaign(
+            seed=9, config=CampaignConfig(fault_plan=plan, retry_policy=policy)
+        )
+        by_kwarg.prepare(make_params(), make_documents())
+        kwarg_result = by_kwarg.run(make_judge())
 
         modern = Campaign(
             config=CampaignConfig(seed=9, fault_plan=plan, retry_policy=policy)
@@ -135,7 +125,7 @@ class TestLegacyKwargShim:
         modern.prepare(make_params(), make_documents())
         modern_result = modern.run(make_judge())
 
-        assert [r.as_dict() for r in legacy_result.raw_results] == [
+        assert [r.as_dict() for r in kwarg_result.raw_results] == [
             r.as_dict() for r in modern_result.raw_results
         ]
 
@@ -190,9 +180,9 @@ class TestUniformConclusion:
         assert result.conclusion.complete == result.conclusion.recruited == 8
 
     def test_floors_mark_conclusion_degraded_subclass(self):
-        campaign = Campaign(seed=22)
+        campaign = Campaign(seed=22, config=CampaignConfig(min_participants=1))
         campaign.prepare(make_params(), make_documents())
-        result = campaign.run(make_judge(), min_participants=1)
+        result = campaign.run(make_judge())
         assert isinstance(result.conclusion, DegradedConclusion)
         assert result.conclusion.quorum_met
         assert result.degraded is result.conclusion

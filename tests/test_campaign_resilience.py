@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import REASON_ABANDONED, QualityConfig
@@ -58,7 +59,9 @@ def fingerprint(result, campaign):
 class TestDefaultUnchanged:
     def test_none_plan_bit_identical_to_no_plan(self):
         def run(fault_plan):
-            campaign = Campaign(seed=11, fault_plan=fault_plan)
+            campaign = Campaign(
+                seed=11, config=CampaignConfig(fault_plan=fault_plan)
+            )
             campaign.prepare(make_params(), make_documents())
             result = campaign.run(make_judge())
             return (
@@ -73,12 +76,15 @@ class TestDefaultUnchanged:
 
     def test_none_plan_bit_identical_across_parallelism(self):
         def run(parallelism, fault_plan):
-            campaign = Campaign(seed=12, fault_plan=fault_plan)
+            campaign = Campaign(
+                seed=12,
+                config=CampaignConfig(
+                    fault_plan=fault_plan, parallelism=parallelism
+                ),
+            )
             campaign.prepare(make_params(participants=6), make_documents())
             workers = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=5, id_prefix="w")
-            result = campaign.run_with_workers(
-                workers, make_judge(), parallelism=parallelism
-            )
+            result = campaign.run_with_workers(workers, make_judge())
             return [r.as_dict() for r in result.raw_results]
 
         assert (
@@ -90,12 +96,15 @@ class TestDefaultUnchanged:
 
 
 class TestDegradedConclusion:
-    def lossy_campaign(self, seed=21, dropout=0.25, participants=10):
+    def lossy_campaign(self, seed=21, dropout=0.25, participants=10, **floors):
         campaign = Campaign(
             seed=seed,
-            fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
-            retry_policy=RETRIES,
-            dropout_rate=dropout,
+            config=CampaignConfig(
+                fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
+                retry_policy=RETRIES,
+                dropout_rate=dropout,
+                **floors,
+            ),
         )
         campaign.prepare(
             make_params(participants=participants), make_documents()
@@ -138,18 +147,18 @@ class TestDegradedConclusion:
         assert payload["quorum_met"] is True
 
     def test_min_participants_floor_enforced(self):
-        campaign = self.lossy_campaign(dropout=0.6)
+        campaign = self.lossy_campaign(dropout=0.6, min_participants=10)
         with pytest.raises(CampaignError, match="conclusion floor"):
-            campaign.run(make_judge(), min_participants=10)
+            campaign.run(make_judge())
 
     def test_quorum_floor_enforced(self):
-        campaign = self.lossy_campaign(dropout=0.6)
+        campaign = self.lossy_campaign(dropout=0.6, quorum=0.95)
         with pytest.raises(CampaignError, match="conclusion floor"):
-            campaign.run(make_judge(), quorum=0.95)
+            campaign.run(make_judge())
 
     def test_met_floor_passes(self):
-        campaign = self.lossy_campaign(dropout=0.1)
-        result = campaign.run(make_judge(), min_participants=1)
+        campaign = self.lossy_campaign(dropout=0.1, min_participants=1)
+        result = campaign.run(make_judge())
         assert result.degraded.quorum_met
         assert result.degraded.min_participants == 1
 
@@ -158,18 +167,19 @@ class TestLossyDeterminism:
     def run_lossy(self, parallelism, seed=31):
         campaign = Campaign(
             seed=seed,
-            fault_plan=FaultPlan.lossy(
-                seed=seed, drop_rate=0.08, error_rate=0.03, latency_rate=0.05
+            config=CampaignConfig(
+                fault_plan=FaultPlan.lossy(
+                    seed=seed, drop_rate=0.08, error_rate=0.03, latency_rate=0.05
+                ),
+                retry_policy=RETRIES,
+                breaker_config=CircuitBreakerConfig(failure_threshold=5),
+                dropout_rate=0.2,
+                parallelism=parallelism,
             ),
-            retry_policy=RETRIES,
-            breaker_config=CircuitBreakerConfig(failure_threshold=5),
-            dropout_rate=0.2,
         )
         campaign.prepare(make_params(participants=8), make_documents())
         workers = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=9, id_prefix="w")
-        result = campaign.run_with_workers(
-            workers, make_judge(), parallelism=parallelism
-        )
+        result = campaign.run_with_workers(workers, make_judge())
         return fingerprint(result, campaign)
 
     def test_identical_across_parallelism(self):
@@ -197,9 +207,11 @@ class TestCheckpointResume:
     def build(self, seed=41):
         campaign = Campaign(
             seed=seed,
-            fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
-            retry_policy=RETRIES,
-            dropout_rate=0.15,
+            config=CampaignConfig(
+                fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
+                retry_policy=RETRIES,
+                dropout_rate=0.15,
+            ),
         )
         campaign.prepare(make_params(participants=8), make_documents())
         return campaign
@@ -210,23 +222,25 @@ class TestCheckpointResume:
 
         reference = self.build()
         clean = reference.run_with_workers(
-            workers, make_judge(), parallelism=1, quality_config=config
+            workers, make_judge(), quality_config=config
         )
 
         crashed = self.build()
         judge = CrashingJudge(make_judge(), workers[4].worker_id)
         with pytest.raises(RuntimeError, match="simulated mid-campaign crash"):
             crashed.run_with_workers(
-                workers, judge, parallelism=1, quality_config=config
+                workers, judge, quality_config=config
             )
         # The crash left a checkpoint: the first participants' uploads landed.
         stored = crashed.server.uploaded_worker_ids("resilience-test")
         assert 0 < len(stored) < len(workers)
 
         judge.armed = False
+        crashed.config = crashed.config.replace(
+            root_entropy=crashed.last_root_entropy
+        )
         resumed = crashed.run_with_workers(
-            workers, judge, parallelism=1, quality_config=config,
-            root_entropy=crashed.last_root_entropy,
+            workers, judge, quality_config=config
         )
         assert fingerprint(resumed, crashed) == fingerprint(clean, reference)
 
@@ -235,12 +249,11 @@ class TestCheckpointResume:
         campaign = self.build(seed=42)
         judge = CrashingJudge(make_judge(), workers[3].worker_id)
         with pytest.raises(RuntimeError):
-            campaign.run_with_workers(workers, judge, parallelism=1)
+            campaign.run_with_workers(workers, judge)
         completed_before = set(campaign.server.uploaded_worker_ids("resilience-test"))
         judge.armed = False
         campaign.run_with_workers(
-            workers, judge, parallelism=1,
-            root_entropy=campaign.last_root_entropy,
+            workers, judge, resume_from=campaign.resume_state()
         )
         # Completed participants were not re-simulated: still one upload each.
         uploads = campaign.server.uploaded_worker_ids("resilience-test")
@@ -256,9 +269,11 @@ class TestSerializedResume:
     def build(self, seed=44):
         campaign = Campaign(
             seed=seed,
-            fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
-            retry_policy=RETRIES,
-            dropout_rate=0.15,
+            config=CampaignConfig(
+                fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
+                retry_policy=RETRIES,
+                dropout_rate=0.15,
+            ),
         )
         campaign.prepare(make_params(participants=8), make_documents())
         return campaign
@@ -269,7 +284,7 @@ class TestSerializedResume:
         )
         campaign = Campaign(seed=43)
         campaign.prepare(make_params(participants=6), make_documents())
-        result = campaign.run_with_workers(workers, make_judge(), parallelism=1)
+        result = campaign.run_with_workers(workers, make_judge())
         resume = result.to_dict()["resume"]
         assert resume["root_entropy"] == campaign.last_root_entropy
         assert sorted(resume["completed_worker_ids"]) == sorted(
@@ -285,14 +300,14 @@ class TestSerializedResume:
         config = QualityConfig()
         reference = self.build()
         clean = reference.run_with_workers(
-            workers, make_judge(), parallelism=1, quality_config=config
+            workers, make_judge(), quality_config=config
         )
 
         crashed = self.build()
         judge = CrashingJudge(make_judge(), workers[4].worker_id)
         with pytest.raises(RuntimeError, match="simulated mid-campaign crash"):
             crashed.run_with_workers(
-                workers, judge, parallelism=1, quality_config=config
+                workers, judge, quality_config=config
             )
         # Conclude what landed: the serialized partial result is the whole
         # checkpoint — rows, recorded losses, and the RNG root entropy.
@@ -303,21 +318,53 @@ class TestSerializedResume:
 
         fresh = self.build()
         resumed = fresh.run_with_workers(
-            workers, make_judge(), parallelism=1, quality_config=config,
+            workers, make_judge(), quality_config=config,
             resume_from=payload,
         )
         assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
 
-    def test_resume_from_requires_fanout_mode(self):
-        workers = generate_population(
-            4, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=16, id_prefix="w"
+
+class TestResumeAfterLostUploads:
+    def build(self):
+        campaign = Campaign(
+            seed=1,
+            config=CampaignConfig(
+                fault_plan=FaultPlan(seed=1).with_rule(
+                    FaultRule(FAULT_DROP, 0.5, path_prefix="/responses")
+                ),
+                retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
+            ),
         )
-        campaign = Campaign(seed=45)
-        campaign.prepare(make_params(participants=4), make_documents())
-        with pytest.raises(CampaignError, match="parallelism"):
-            campaign.run_with_workers(
-                workers, make_judge(), resume_from={"root_entropy": 1}
-            )
+        campaign.prepare(make_params(participants=12), make_documents())
+        return campaign
+
+    def test_lost_uploads_are_not_resimulated(self):
+        workers = generate_population(
+            12, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=1, id_prefix="w"
+        )
+        reference = self.build()
+        clean = reference.run_with_workers(workers, make_judge())
+
+        crashed = self.build()
+        checkpoints = []
+
+        def crash(campaign):
+            checkpoints.append(campaign)
+            if len(checkpoints) == 8:
+                raise RuntimeError("simulated worker crash")
+
+        crashed.checkpoint_hook = crash
+        with pytest.raises(RuntimeError, match="simulated worker crash"):
+            crashed.run_with_workers(workers, make_judge())
+        assert crashed.lost_uploads  # a loss precedes the crash point
+
+        fresh = self.build()
+        resumed = fresh.run_with_workers(
+            workers, make_judge(), resume_from=crashed.resume_state()
+        )
+        assert fresh.lost_uploads == reference.lost_uploads
+        assert resumed.conclusion.recruited == len(workers)
+        assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
 
 
 class TestLostUploads:
@@ -327,10 +374,12 @@ class TestLostUploads:
         # still concludes from the survivors.
         campaign = Campaign(
             seed=51,
-            fault_plan=FaultPlan(seed=51).with_rule(
-                FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")
+            config=CampaignConfig(
+                fault_plan=FaultPlan(seed=51).with_rule(
+                    FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")
+                ),
+                retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
             ),
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
         )
         campaign.prepare(make_params(participants=8), make_documents())
         result = campaign.run(make_judge())

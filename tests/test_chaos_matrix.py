@@ -10,6 +10,7 @@ move. CI's ``chaos`` job runs this module on its own after the full suite.
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -39,7 +40,12 @@ def scenario_kwargs(name, seed):
 
 
 def run_cell(name, seed, parallelism):
-    campaign = Campaign(seed=seed, **scenario_kwargs(name, seed))
+    campaign = Campaign(
+        seed=seed,
+        config=CampaignConfig(
+            parallelism=parallelism, **scenario_kwargs(name, seed)
+        ),
+    )
     campaign.prepare(
         TestParameters(
             test_id="chaos-test",
@@ -64,7 +70,7 @@ def run_cell(name, seed, parallelism):
     workers = generate_population(
         5, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=seed, id_prefix="w"
     )
-    result = campaign.run_with_workers(workers, judge, parallelism=parallelism)
+    result = campaign.run_with_workers(workers, judge)
     return (
         [r.as_dict() for r in result.raw_results],
         sorted(campaign.lost_uploads),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import BrowserExtension, make_utility_judge
 from repro.core.integrated import IntegratedWebpage
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -84,8 +85,8 @@ class TestExtensionAdaptive:
 
 
 class TestCampaignAdaptive:
-    def build(self, seed=31):
-        campaign = Campaign(seed=seed)
+    def build(self, seed=31, scheduler="insertion"):
+        campaign = Campaign(seed=seed, config=CampaignConfig(scheduler=scheduler))
         params = TestParameters(
             test_id="adaptive",
             test_description="adaptive scheduling",
@@ -103,14 +104,14 @@ class TestCampaignAdaptive:
     def test_adaptive_campaign_completes(self):
         campaign = self.build()
         judge = make_utility_judge(UTILITIES, ThurstoneChoiceModel())
-        result = campaign.run_adaptive(judge, InsertionSortScheduler)
+        result = campaign.run(judge)
         assert result.participants == 15
         assert len(result.controlled_results) > 0
 
     def test_adaptive_shows_fewer_pages(self):
-        campaign = self.build(seed=32)
+        campaign = self.build(seed=32, scheduler="merge")
         judge = make_utility_judge(UTILITIES, ThurstoneChoiceModel())
-        result = campaign.run_adaptive(judge, MergeSortScheduler)
+        result = campaign.run(judge)
         full_pairs = 6  # C(4,2)
         answer_counts = [
             len([a for a in p.answers if not a.is_control])
@@ -122,12 +123,12 @@ class TestCampaignAdaptive:
     def test_best_version_still_wins(self):
         campaign = self.build(seed=33)
         judge = make_utility_judge(UTILITIES, ThurstoneChoiceModel())
-        result = campaign.run_adaptive(judge, InsertionSortScheduler)
+        result = campaign.run(judge)
         ranking = result.controlled_analysis.rankings[QUESTION.question_id]
         assert ranking.modal_version_at_rank("A") == "v3"
 
     def test_multi_question_test_rejected(self):
-        campaign = Campaign(seed=34)
+        campaign = Campaign(seed=34, config=CampaignConfig(scheduler="insertion"))
         params = TestParameters(
             test_id="multi",
             test_description="two questions",
@@ -141,4 +142,4 @@ class TestCampaignAdaptive:
         campaign.prepare(params, documents)
         judge = make_utility_judge(UTILITIES, ThurstoneChoiceModel())
         with pytest.raises(CampaignError):
-            campaign.run_adaptive(judge, InsertionSortScheduler)
+            campaign.run(judge)

@@ -3,12 +3,11 @@
 Covers the AdaptiveScheduler itself (early stopping, budget stop,
 bit-identical checkpoint/resume, retraction), the flip-risk scoring
 helper, the scheduler registry surface, the server's ``/schedule``
-routes, campaign-level executor determinism, and the once-per-process
-legacy deprecation warnings.
+routes, and campaign-level determinism of the roster pipeline across
+executors and crash-resume.
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +28,8 @@ from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.scheduling import (
     MergeSortScheduler,
     SchedulerConfig,
-    _reset_legacy_scheduler_warning,
     make_scheduler,
     scheduler_from_snapshot,
-    warn_legacy_scheduler,
 )
 from repro.core.server import CoreServer
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -379,11 +376,11 @@ class TestServerScheduleRoutes:
         ).status == 400
 
 
-def _adaptive_campaign(executor, parallelism=None):
+def _adaptive_campaign(executor, parallelism=1, scheduler="adaptive"):
     campaign = Campaign(
         config=CampaignConfig(
             seed=11,
-            scheduler="adaptive",
+            scheduler=scheduler,
             executor=executor,
             parallelism=parallelism,
         )
@@ -403,25 +400,55 @@ def _adaptive_campaign(executor, parallelism=None):
     return campaign
 
 
+def _roster_digest(result):
+    """Conclusion, early stop, checkpoint (rows, losses, scheduler state),
+    quality decisions and controlled tallies of one concluded run."""
+    payload = result.to_dict()
+    payload["kept"] = sorted(r.worker_id for r in result.quality_report.kept)
+    payload["tallies"] = repr(sorted(result.controlled_analysis.tallies.items()))
+    return json.dumps(payload, sort_keys=True, default=str)
+
+
+def _crash_and_resume(scheduler, roster, judge, crash_at=3):
+    """Kill a serial run at upload ``crash_at``, then finish it on a fresh
+    campaign from nothing but the crashed one's checkpoint."""
+    crashed = _adaptive_campaign("serial", scheduler=scheduler)
+    uploads = []
+
+    def crash(campaign):
+        uploads.append(campaign)
+        if len(uploads) == crash_at:
+            raise RuntimeError("simulated worker crash")
+
+    crashed.checkpoint_hook = crash
+    with pytest.raises(RuntimeError, match="simulated worker crash"):
+        crashed.run_with_workers(roster, judge)
+    checkpoint = crashed.resume_state()
+    assert len(checkpoint["rows"]) == crash_at
+    fresh = _adaptive_campaign("serial", scheduler=scheduler)
+    return fresh.run_with_workers(roster, judge, resume_from=checkpoint)
+
+
 class TestCampaignAdaptiveDeterminism:
     def test_serial_and_thread_conclusions_identical(self):
+        """Per scheduler mode, a thread pool and a crash-resume each equal
+        the uninterrupted serial run."""
         roster = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=11)
         judge = make_utility_judge(
             {"p0": 1.5, "p1": 0.2, "p2": -1.0, "__contrast__": -5.0},
             ThurstoneChoiceModel(),
         )
-        outcomes = []
-        for executor in ("serial", "thread"):
-            result = _adaptive_campaign(executor, 4).run_with_workers(
-                roster, judge
+        for scheduler in ("full", "merge", "adaptive"):
+            reference = _roster_digest(
+                _adaptive_campaign("serial", scheduler=scheduler)
+                .run_with_workers(roster, judge)
             )
-            outcomes.append(
-                (
-                    result.conclusion.to_dict(),
-                    result.early_stop.to_dict() if result.early_stop else None,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
+            threaded = _adaptive_campaign(
+                "thread", 4, scheduler=scheduler
+            ).run_with_workers(roster, judge)
+            assert _roster_digest(threaded) == reference, scheduler
+            resumed = _crash_and_resume(scheduler, roster, judge)
+            assert _roster_digest(resumed) == reference, scheduler
 
     def test_result_serializes_early_stop(self):
         roster = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=11)
@@ -433,31 +460,6 @@ class TestCampaignAdaptiveDeterminism:
         payload = json.loads(json.dumps(result.to_dict(), default=str))
         assert payload["early_stop"] is not None
         assert payload["early_stop"]["reason"] in ("stable", "budget")
-
-
-class TestLegacyDeprecation:
-    def test_warns_once_per_process(self):
-        _reset_legacy_scheduler_warning()
-        with pytest.deprecated_call():
-            warn_legacy_scheduler("the --adaptive flag")
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            warn_legacy_scheduler("the --adaptive flag")
-        assert captured == []
-        _reset_legacy_scheduler_warning()
-
-    def test_run_adaptive_warns(self):
-        _reset_legacy_scheduler_warning()
-        campaign = _adaptive_campaign("serial")
-        with pytest.deprecated_call():
-            campaign.run_adaptive(
-                make_utility_judge(
-                    {"p0": 1.0, "p1": 0.0, "p2": -1.0, "__contrast__": -5.0},
-                    ThurstoneChoiceModel(),
-                ),
-                MergeSortScheduler,
-            )
-        _reset_legacy_scheduler_warning()
 
 
 answers = st.lists(

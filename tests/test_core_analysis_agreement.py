@@ -151,3 +151,92 @@ class TestSequentialCampaign:
             judge, "q1", ("a", "b"), alpha=0.001, batch_size=10, max_participants=40
         )
         assert result.participants == 40
+
+    def sequential_campaign(self, config, versions=("a", "b")):
+        from repro.core.campaign import Campaign
+        from repro.core.parameters import Question, TestParameters, WebpageSpec
+        from repro.html.parser import parse_html
+
+        campaign = Campaign(config=config)
+        campaign.prepare(
+            TestParameters(
+                test_id="seq-config",
+                test_description="sequential config",
+                participant_num=100,
+                question=[Question("q1", "Which?")],
+                webpages=[
+                    WebpageSpec(web_path=v, web_page_load=500) for v in versions
+                ],
+            ),
+            {
+                v: parse_html(f"<html><body><p>{v} text</p></body></html>")
+                for v in versions
+            },
+        )
+        return campaign
+
+    def clear_judge(self):
+        from repro.core.extension import make_utility_judge
+        from repro.crowd.judgment import ThurstoneChoiceModel
+
+        return make_utility_judge(
+            {"a": 0.0, "b": 5.0, "c": 10.0, "__contrast__": -20.0},
+            ThurstoneChoiceModel(),
+        )
+
+    def test_honours_config_controls(self):
+        from repro.core.config import CampaignConfig
+
+        campaign = self.sequential_campaign(
+            CampaignConfig(seed=23, controls_per_participant=2)
+        )
+        assert len(campaign.prepared.control_pairs()) >= 2
+        result = campaign.run_until_significant(
+            self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+            max_participants=30,
+        )
+        for participant in result.raw_results:
+            controls = [a for a in participant.answers if a.is_control]
+            assert len(controls) == 2
+
+    def test_min_participants_floor_defers_the_stop(self):
+        from repro.core.config import CampaignConfig
+
+        campaign = self.sequential_campaign(
+            CampaignConfig(seed=24, min_participants=30)
+        )
+        result = campaign.run_until_significant(
+            self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+            max_participants=60,
+        )
+        tally = result.controlled_analysis.tallies[("q1", "a", "b")]
+        assert tally.preference_p_value() < 0.01
+        assert result.conclusion.min_participants == 30
+        assert result.conclusion.complete >= 30
+        assert result.participants < 60  # stopped once the floor was met
+
+    def test_unmet_floor_raises_at_the_cap(self):
+        from repro.core.config import CampaignConfig
+        from repro.errors import CampaignError
+
+        campaign = self.sequential_campaign(
+            CampaignConfig(seed=25, min_participants=50)
+        )
+        with pytest.raises(CampaignError, match="conclusion floor"):
+            campaign.run_until_significant(
+                self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+                max_participants=20,
+            )
+
+    def test_shared_scheduler_rejected(self):
+        from repro.core.config import CampaignConfig
+        from repro.errors import CampaignError
+
+        campaign = self.sequential_campaign(
+            CampaignConfig(seed=26, scheduler="adaptive"), versions=("a", "b", "c")
+        )
+        with pytest.raises(CampaignError, match="shared scheduler"):
+            campaign.run_until_significant(
+                self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+                max_participants=30,
+            )

@@ -82,11 +82,11 @@ def chaos_config(**overrides):
 def run_campaign(executor, parallelism, config=None, participants=PARTICIPANTS):
     if config is None:
         config = CampaignConfig(seed=71, observe=True)
-    campaign = Campaign(config=config)
-    campaign.prepare(make_params(participants), make_documents())
-    result = campaign.run(
-        make_judge(), parallelism=parallelism, executor=executor
+    campaign = Campaign(
+        config=config.replace(parallelism=parallelism, executor=executor)
     )
+    campaign.prepare(make_params(participants), make_documents())
+    result = campaign.run(make_judge())
     return campaign, result
 
 
@@ -184,9 +184,7 @@ class TestProcessCheckpointResume:
     def run_reference(self, workers, config):
         campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
-        result = campaign.run_with_workers(
-            workers, make_judge(), parallelism=4, executor="process"
-        )
+        result = campaign.run_with_workers(workers, make_judge())
         return campaign, result
 
     def test_midrun_crash_between_chunks_resumes_bit_identical(self):
@@ -194,16 +192,16 @@ class TestProcessCheckpointResume:
             PARTICIPANTS, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=7, id_prefix="w"
         )
         # chunk_size=3 over 12 participants: 4 chunks, checkpoint after each.
-        config = CampaignConfig(seed=71, chunk_size=3)
+        config = CampaignConfig(
+            seed=71, chunk_size=3, parallelism=4, executor="process"
+        )
         _, clean = self.run_reference(workers, config)
 
         crashed = Campaign(config=config)
         crashed.prepare(make_params(), make_documents())
         crashed.checkpoint_hook = ChunkCrashHook(crash_after=2)
         with pytest.raises(RuntimeError, match="between chunks"):
-            crashed.run_with_workers(
-                workers, make_judge(), parallelism=4, executor="process"
-            )
+            crashed.run_with_workers(workers, make_judge())
         # The crash landed between chunks: a proper prefix of the roster's
         # uploads is durable, the rest never ran.
         stored = crashed.server.uploaded_worker_ids("executor-test")
@@ -216,8 +214,7 @@ class TestProcessCheckpointResume:
         fresh = Campaign(config=config)
         fresh.prepare(make_params(), make_documents())
         resumed = fresh.run_with_workers(
-            workers, make_judge(), parallelism=4, executor="process",
-            resume_from=state,
+            workers, make_judge(), resume_from=state
         )
         assert json.dumps(resumed.conclusion.to_dict(), sort_keys=True) == (
             json.dumps(clean.conclusion.to_dict(), sort_keys=True)
@@ -234,20 +231,20 @@ class TestProcessCheckpointResume:
         workers = generate_population(
             PARTICIPANTS, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=7, id_prefix="w"
         )
-        config = CampaignConfig(seed=71, chunk_size=3)
+        config = CampaignConfig(
+            seed=71, chunk_size=3, parallelism=4, executor="process"
+        )
         _, clean = self.run_reference(workers, config)
         campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
         campaign.checkpoint_hook = ChunkCrashHook(crash_after=3)
         with pytest.raises(RuntimeError, match="between chunks"):
-            campaign.run_with_workers(
-                workers, make_judge(), parallelism=4, executor="process"
-            )
+            campaign.run_with_workers(workers, make_judge())
         campaign.checkpoint_hook = None
-        resumed = campaign.run_with_workers(
-            workers, make_judge(), parallelism=4, executor="process",
-            root_entropy=campaign.last_root_entropy,
+        campaign.config = campaign.config.replace(
+            root_entropy=campaign.last_root_entropy
         )
+        resumed = campaign.run_with_workers(workers, make_judge())
         assert [r.as_dict() for r in resumed.raw_results] == [
             r.as_dict() for r in clean.raw_results
         ]
@@ -293,13 +290,12 @@ class TestPoolSizing:
 
 class TestPicklability:
     def test_unpicklable_judge_raises_campaign_error(self):
-        campaign = Campaign(config=CampaignConfig(seed=71))
+        campaign = Campaign(
+            config=CampaignConfig(seed=71, parallelism=2, executor="process")
+        )
         campaign.prepare(make_params(4), make_documents())
         with pytest.raises(CampaignError, match="picklable"):
-            campaign.run(
-                lambda w, q, left, right, rng: left,
-                parallelism=2, executor="process",
-            )
+            campaign.run(lambda w, q, left, right, rng: left)
 
     def test_ensure_picklable_passthrough(self):
         ensure_picklable(make_judge(), "judge")
@@ -327,9 +323,8 @@ class TestModeValidation:
 
     def test_run_rejects_unknown_executor(self):
         campaign = Campaign(config=CampaignConfig(seed=71))
-        campaign.prepare(make_params(3), make_documents())
         with pytest.raises(ValidationError, match="executor"):
-            campaign.run(make_judge(), parallelism=2, executor="fiber")
+            campaign.config.replace(parallelism=2, executor="fiber")
 
     def test_validate_executor_mode(self):
         for mode in EXECUTOR_MODES:

@@ -51,19 +51,19 @@ def make_judge():
     )
 
 
-def run_observed(parallelism, seed=71, config=None):
+def run_observed(parallelism=1, seed=71, config=None):
     """One observed 3-version / 20-participant campaign."""
     if config is None:
         config = CampaignConfig(seed=seed, observe=True)
-    campaign = Campaign(config=config)
+    campaign = Campaign(config=config.replace(parallelism=parallelism))
     campaign.prepare(make_params(), make_documents())
-    result = campaign.run(make_judge(), parallelism=parallelism)
+    result = campaign.run(make_judge())
     return campaign, result
 
 
 class TestSpanTree:
     def test_covers_every_pipeline_level(self):
-        campaign, result = run_observed(parallelism=None)
+        campaign, result = run_observed()
         root = campaign.obs.trace_root()
         assert root is not None
         campaigns = root.find_all("campaign")
@@ -79,14 +79,14 @@ class TestSpanTree:
         assert all(p.find_all("page") for p in participants)
 
     def test_spans_carry_virtual_timestamps(self):
-        campaign, _ = run_observed(parallelism=None)
+        campaign, _ = run_observed()
         root = campaign.obs.trace_root()
         for span in root.iter():
             assert span.end is not None, f"unfinished span {span.name}"
             assert span.end >= span.start
 
     def test_answers_recorded_as_events(self):
-        campaign, result = run_observed(parallelism=None)
+        campaign, result = run_observed()
         root = campaign.obs.trace_root()
         answers = [n for n in root.event_names() if n == "answer"]
         expected = sum(len(r.answers) for r in result.raw_results)
@@ -133,7 +133,7 @@ class TestExportedArtifact:
         assert {"campaign", "participant", "page", "exchange"} <= names
 
     def test_metadata_and_metrics_attached(self, tmp_path):
-        campaign, _ = run_observed(parallelism=None)
+        campaign, _ = run_observed()
         payload = campaign.timeline().to_trace_events()
         other = payload["otherData"]
         assert other["meta"]["test_id"] == "trace-test"
@@ -141,7 +141,7 @@ class TestExportedArtifact:
         assert counters.get("campaign.participants", 0) == PARTICIPANTS
 
     def test_text_report_summarizes_the_run(self):
-        campaign, _ = run_observed(parallelism=None)
+        campaign, _ = run_observed()
         report = campaign.timeline().text_report()
         assert "campaign" in report
         assert "participant" in report
@@ -164,7 +164,7 @@ class TestChaosRunEvents:
 
     def test_faults_and_retries_appear_as_events(self):
         campaign, result = run_observed(
-            parallelism=None, config=self.chaos_config()
+            config=self.chaos_config()
         )
         root = campaign.obs.trace_root()
         names = root.event_names()

@@ -19,15 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import ThurstoneChoiceModel
-from repro.errors import CampaignError
+from repro.errors import ValidationError
 from repro.html.cssom import RuleIndex, StyleResolver, parse_stylesheet
 from repro.html.dom import Document, Element, Text
 from repro.html.parser import parse_html
 from repro.render.artifacts import PageArtifactCache, content_hash
-from repro.util.perf import PERF, PerfRegistry
+from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 
 
 # -- indexed cascade == brute-force cascade ---------------------------------
@@ -279,13 +280,13 @@ class TestPageArtifactCache:
 
 class TestPerfRegistry:
     def test_counters_accumulate(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         perf.add("x", 2)
         perf.add("x")
         assert perf.counter("x") == 3
 
     def test_timers_record_calls_and_seconds(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         with perf.timed("t"):
             pass
         with perf.timed("t"):
@@ -294,7 +295,7 @@ class TestPerfRegistry:
         assert perf.timer_seconds("t") >= 0.0
 
     def test_snapshot_shape(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         perf.add("c", 5)
         with perf.timed("t"):
             pass
@@ -303,7 +304,7 @@ class TestPerfRegistry:
         assert snap["timers"]["t"]["calls"] == 1
 
     def test_reset_by_prefix(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         perf.add("cascade.elements", 1)
         perf.add("layout.boxes", 1)
         perf.reset(prefix="cascade.")
@@ -311,14 +312,14 @@ class TestPerfRegistry:
         assert perf.counter("layout.boxes") == 1
 
     def test_global_registry_wired_into_cascade(self):
-        PERF.reset(prefix="cascade.")
+        GLOBAL_METRICS.reset(prefix="cascade.")
         document = parse_html(
             "<html><head><style>p { color: red }</style></head>"
             "<body><p>x</p></body></html>"
         )
         resolver = StyleResolver(document)
         resolver.computed_style(document.body.element_children[0])
-        assert PERF.counter("cascade.elements") >= 1
+        assert GLOBAL_METRICS.counter("cascade.elements") >= 1
 
 
 # -- parallel participant simulation ----------------------------------------
@@ -352,9 +353,14 @@ def make_judge():
 
 
 def run_campaign(parallelism, seed=7, artifact_cache=True):
-    campaign = Campaign(seed=seed, artifact_cache=artifact_cache)
+    campaign = Campaign(
+        seed=seed,
+        config=CampaignConfig(
+            parallelism=parallelism, artifact_cache=artifact_cache
+        ),
+    )
     campaign.prepare(make_params(), make_documents())
-    return campaign.run(make_judge(), reward_usd=0.1, parallelism=parallelism)
+    return campaign.run(make_judge(), reward_usd=0.1)
 
 
 def fingerprints(result):
@@ -386,9 +392,8 @@ class TestParallelEquivalence:
 
     def test_invalid_parallelism_rejected(self):
         campaign = Campaign(seed=7)
-        campaign.prepare(make_params(), make_documents())
-        with pytest.raises(CampaignError):
-            campaign.run(make_judge(), parallelism=0)
+        with pytest.raises(ValidationError):
+            campaign.config.replace(parallelism=0)
 
     def test_works_without_artifact_cache(self):
         serial = run_campaign(parallelism=1, artifact_cache=None)
@@ -399,19 +404,19 @@ class TestParallelEquivalence:
         from repro.crowd.workers import IN_LAB_MIX, generate_population
 
         def result_for(parallelism):
-            campaign = Campaign(seed=11)
+            campaign = Campaign(
+                seed=11, config=CampaignConfig(parallelism=parallelism)
+            )
             campaign.prepare(make_params(), make_documents())
             workers = generate_population(8, IN_LAB_MIX, seed=5)
-            return campaign.run_with_workers(
-                workers, make_judge(), parallelism=parallelism
-            )
+            return campaign.run_with_workers(workers, make_judge())
 
         assert fingerprints(result_for(1)) == fingerprints(result_for(3))
 
     def test_participants_render_pages(self):
-        campaign = Campaign(seed=7)
+        campaign = Campaign(seed=7, config=CampaignConfig(parallelism=2))
         campaign.prepare(make_params(), make_documents())
-        campaign.run(make_judge(), reward_usd=0.1, parallelism=2)
+        campaign.run(make_judge(), reward_usd=0.1)
         assert campaign.artifacts is not None
         # Every stored page (integrated + versions) rendered exactly once.
         assert campaign.artifacts.misses == len(campaign.artifacts)

@@ -10,7 +10,7 @@ from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.quality import QualityConfig
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ValidationError
 
 
 def result_digest(result):
@@ -140,7 +140,7 @@ class TestCrashRecovery:
         return config, result
 
     def crash_after(self, config, roster, entropy, checkpoints):
-        campaign = Campaign(config=config)
+        campaign = Campaign(config=config.replace(root_entropy=entropy))
         campaign.prepare(make_params(), make_documents())
         seen = [0]
 
@@ -151,9 +151,7 @@ class TestCrashRecovery:
 
         campaign.checkpoint_hook = hook
         with pytest.raises(Boom):
-            campaign.run_with_workers(
-                roster, make_judge(), root_entropy=entropy
-            )
+            campaign.run_with_workers(roster, make_judge())
         return campaign
 
     def test_checkpoint_resume_identical(self, roster, reference):
@@ -181,12 +179,10 @@ class TestCrashRecovery:
         del crashed
         # A new campaign over the same directory recovers the WALs and
         # re-folds the stored rows before resuming the fan-out.
-        revived = Campaign(config=disk_config)
+        revived = Campaign(config=disk_config.replace(root_entropy=entropy))
         revived.prepare(make_params(), make_documents())
         assert revived._streaming_state.ingested == 7
-        result = revived.run_with_workers(
-            roster, make_judge(), root_entropy=entropy
-        )
+        result = revived.run_with_workers(roster, make_judge())
         assert result_digest(result) == result_digest(ref)
 
     def test_shard_count_mismatch_rejected(self, roster, reference):
@@ -205,11 +201,10 @@ class TestCrashRecovery:
 
 class TestStreamingGuards:
     def test_adaptive_mode_rejected(self):
-        config = CampaignConfig(seed=13, store="sharded-streaming")
-        campaign = Campaign(config=config)
-        campaign.prepare(make_params(), make_documents())
-        with pytest.raises(CampaignError, match="adaptive"):
-            campaign.run_adaptive(make_judge(), scheduler_factory=None)
+        with pytest.raises(ValidationError, match="sharded-streaming"):
+            CampaignConfig(
+                seed=13, store="sharded-streaming", scheduler="adaptive"
+            )
 
     def test_conclude_quality_config_conflict_rejected(self):
         config = CampaignConfig(seed=14, store="sharded-streaming")
