@@ -10,11 +10,14 @@ Two phases prove the `sharded-streaming` store mode (ISSUE 9):
   streaming aggregator's sufficient-statistics size is O(pairs) — the cell
   count at 1M participants must equal the cell count of a tiny run.
 * **crosscheck** — a 10 000-participant campaign concludes byte-identically
-  on the batch path (in-memory store, full result scan) and the streaming
-  path, across serial / thread / process executors and a crash-resume run
-  (checkpoint mid-fan-out, resume on a fresh campaign). Identity covers
-  the conclusion, quality keeps/drops, raw + controlled tallies, ranking
-  matrices, and the Bradley-Terry fit.
+  on the in-memory store and the sharded streaming store, across serial /
+  thread / process executors and a crash-resume run (checkpoint
+  mid-fan-out, resume on a fresh campaign). Every campaign concludes from
+  the upload-time fold, so the reference is computed independently: the
+  whole-batch ``QualityControl.apply``, ``analyze_responses`` and
+  ``counts_from_results`` over the memory run's ``raw_results``. Identity
+  covers the conclusion, quality keeps/drops, raw + controlled tallies,
+  ranking matrices, and the Bradley-Terry fit.
 
 Results land in ``BENCH_streaming.json`` at the repo root.
 
@@ -44,11 +47,13 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.core.analysis import analyze_responses
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
+from repro.core.quality import QualityControl
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.html.parser import parse_html
@@ -236,41 +241,28 @@ def run_rss_phase(participants: int, shards: int, ceiling_mb: float) -> dict:
     return child
 
 
-# -- phase 2: batch vs streaming cross-check ---------------------------------
+# -- phase 2: batch reference vs both stores ---------------------------------
 
 
-def conclusion_digest(campaign: Campaign, result) -> str:
+def conclusion_digest(
+    conclusion, report, raw_analysis, controlled_analysis, bt, question_ids
+) -> str:
     """SHA-256 over everything the acceptance criterion names: conclusion,
     quality keeps/drops, per-pair stats, rankings, and the BT fit."""
-    question_ids = [q.question_id for q in campaign.prepared.parameters.question]
-    version_ids = [
-        v for v in campaign.prepared.version_ids if v != "__contrast__"
-    ]
-    if campaign.last_streaming is not None:
-        bt = {q: campaign.last_streaming.controlled_bt[q] for q in question_ids}
-    else:
-        bt = {
-            q: counts_from_results(result.quality_report.kept, q, version_ids)
-            for q in question_ids
-        }
     payload = {
-        "conclusion": result.conclusion.to_dict(),
-        "kept": result.quality_report.kept_ids,
-        "dropped": [
-            (d.worker_id, d.reason, d.detail)
-            for d in result.quality_report.dropped
-        ],
+        "conclusion": conclusion.to_dict(),
+        "kept": report.kept_ids,
+        "dropped": [(d.worker_id, d.reason, d.detail) for d in report.dropped],
         "raw_tallies": sorted(
             (list(key), (t.left_count, t.right_count, t.same_count))
-            for key, t in result.raw_analysis.tallies.items()
+            for key, t in raw_analysis.tallies.items()
         ),
         "controlled_tallies": sorted(
             (list(key), (t.left_count, t.right_count, t.same_count))
-            for key, t in result.controlled_analysis.tallies.items()
+            for key, t in controlled_analysis.tallies.items()
         ),
         "rankings": {
-            q: result.controlled_analysis.rankings[q].matrix
-            for q in question_ids
+            q: controlled_analysis.rankings[q].matrix for q in question_ids
         },
         "bt": {
             q: {
@@ -284,6 +276,37 @@ def conclusion_digest(campaign: Campaign, result) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _question_ids(campaign: Campaign) -> List[str]:
+    return [q.question_id for q in campaign.prepared.parameters.question]
+
+
+def campaign_digest(campaign: Campaign, result) -> str:
+    """The digest of what a campaign concluded from its upload-time fold."""
+    return conclusion_digest(
+        result.conclusion, result.quality_report, result.raw_analysis,
+        result.controlled_analysis, campaign.last_streaming.controlled_bt,
+        _question_ids(campaign),
+    )
+
+
+def reference_digest(campaign: Campaign, result) -> str:
+    """The digest of the whole-batch pipeline over ``result.raw_results``
+    (the fold is not consulted, except for the conclusion record)."""
+    prepared = campaign.prepared
+    question_ids = _question_ids(campaign)
+    version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
+    raw = result.raw_results
+    expected = (len(prepared.comparison_pairs()) + 1) * len(question_ids)
+    report = QualityControl(campaign.config.quality).apply(raw, expected)
+    bt = {q: counts_from_results(report.kept, q, version_ids) for q in question_ids}
+    return conclusion_digest(
+        result.conclusion, report,
+        analyze_responses(raw, question_ids, version_ids),
+        analyze_responses(report.kept, question_ids, version_ids),
+        bt, question_ids,
+    )
 
 
 class _Crash(Exception):
@@ -316,18 +339,20 @@ def run_crosscheck_phase(
     )
     judge = build_judge()
 
-    batch = _crosscheck_campaign("memory", participants, "serial", parallelism, shards)
-    batch_result = batch.run_with_workers(roster, judge)
-    reference = conclusion_digest(batch, batch_result)
+    memory = _crosscheck_campaign("memory", participants, "serial", parallelism, shards)
+    memory_result = memory.run_with_workers(roster, judge)
 
-    digests = {"batch/serial": reference}
-    kept = batch_result.quality_report.kept_count
+    digests = {
+        "batch-reference": reference_digest(memory, memory_result),
+        "memory/serial": campaign_digest(memory, memory_result),
+    }
+    kept = memory_result.quality_report.kept_count
     for executor in executors:
         campaign = _crosscheck_campaign(
             "sharded-streaming", participants, executor, parallelism, shards
         )
         result = campaign.run_with_workers(roster, judge)
-        digests[f"streaming/{executor}"] = conclusion_digest(campaign, result)
+        digests[f"streaming/{executor}"] = campaign_digest(campaign, result)
 
     # Crash-resume: die at the fan-out's halfway checkpoint, then resume a
     # fresh campaign from the serialized checkpoint.
@@ -354,7 +379,7 @@ def run_crosscheck_phase(
     resumed_result = resumed.run_with_workers(
         roster, judge, resume_from=checkpoint
     )
-    digests["streaming/thread+crash-resume"] = conclusion_digest(
+    digests["streaming/thread+crash-resume"] = campaign_digest(
         resumed, resumed_result
     )
 
@@ -362,7 +387,10 @@ def run_crosscheck_phase(
         "participants": participants,
         "parallelism": parallelism,
         "kept": kept,
-        "reference": "batch/serial (in-memory store, full result scan)",
+        "reference": (
+            "batch-reference (QualityControl.apply + analyze_responses + "
+            "counts_from_results over the serial memory run's raw_results)"
+        ),
         "digest_covers": [
             "conclusion",
             "quality kept/dropped (ids, reasons, details, order)",
@@ -413,7 +441,7 @@ def run_streaming_benchmark(
             "rss_met": bounded["within_ceiling"] and bounded["cells_o_pairs"],
             "crosscheck_target": (
                 f"{crosscheck_participants}-participant conclusion "
-                "byte-identical: batch vs streaming x "
+                "byte-identical: batch reference vs memory/serial and streaming x "
                 f"{'/'.join(executors)} + crash-resume"
             ),
             "crosscheck_met": crosscheck["identical"],
@@ -456,7 +484,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--crosscheck-participants", type=int, default=None,
-        help="batch-vs-streaming identity scale "
+        help="batch-reference identity scale "
         f"(default {DEFAULT_CROSSCHECK_PARTICIPANTS})",
     )
     parser.add_argument("--shards", type=int, default=SHARDS)
@@ -470,7 +498,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--assert-crosscheck", action="store_true",
-        help="exit nonzero unless every streaming conclusion digest equals "
+        help="exit nonzero unless every campaign's conclusion digest equals "
         "the batch reference",
     )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)

@@ -142,18 +142,12 @@ def cmd_run(args) -> int:
             block = format_question_tally(tally)
             print("  " + block.replace("\n", "\n  "))
         if len(version_ids) > 2:
-            from repro.core.btmodel import fit_bradley_terry, fit_from_results
+            from repro.core.btmodel import fit_bradley_terry
 
-            if campaign.last_streaming is not None:
-                # Streaming mode kept only the sufficient statistics — fit
-                # straight from the folded win counts.
-                fit = fit_bradley_terry(
-                    campaign.last_streaming.controlled_bt[question.question_id]
-                )
-            else:
-                fit = fit_from_results(
-                    result.controlled_results, question.question_id, version_ids
-                )
+            # Fit straight from the win counts the conclude pass folded.
+            fit = fit_bradley_terry(
+                campaign.last_streaming.controlled_bt[question.question_id]
+            )
             print("\n  Bradley-Terry ranking (best first): "
                   + " > ".join(fit.ranking()))
     return 0

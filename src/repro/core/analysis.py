@@ -310,7 +310,6 @@ class AnalysisBundle:
 
     tallies: Dict[Tuple[str, str, str], QuestionTally]
     rankings: Dict[str, RankingDistribution]
-    behavior: Optional[BehaviorCdfs]
     participants: int
 
     def answer_coverage(self) -> Dict[Tuple[str, str, str], int]:
@@ -352,10 +351,8 @@ def analyze_responses(
         question_id: ranking_distribution(results, question_id, version_ids)
         for question_id in question_ids
     }
-    behavior = behavior_cdfs(results) if results else None
     return AnalysisBundle(
         tallies=tallies,
         rankings=rankings,
-        behavior=behavior,
         participants=len(list(results)),
     )

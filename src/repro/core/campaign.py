@@ -22,12 +22,13 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.aggregator import RESPONSES_COLLECTION, Aggregator, PreparedTest
-from repro.core.analysis import AnalysisBundle, analyze_responses
+# Unused here; kept because perfbench/layers.py patches it on this module by name.
+from repro.core.analysis import AnalysisBundle, analyze_responses  # noqa: F401
 from repro.core.conclusion import Conclusion, DegradedConclusion
 from repro.core.config import STREAMING_NETWORK_LOG_LIMIT, CampaignConfig
 from repro.core.extension import BrowserExtension, JudgeFunction, ParticipantResult
@@ -35,7 +36,7 @@ from repro.core.fanout import run_process_fanout
 from repro.core.integrated import IntegratedWebpage
 from repro.core.parameters import TestParameters
 from repro.core.adaptive import EarlyStoppedConclusion
-from repro.core.quality import QualityConfig, QualityControl, QualityReport
+from repro.core.quality import QualityControl, QualityReport, record_report
 from repro.core.scheduling import (
     SCHEDULER_FULL,
     Scheduler,
@@ -99,21 +100,6 @@ def _require_floors(conclusion: Conclusion) -> None:
         )
 
 
-class _Evidence(NamedTuple):
-    """What a conclude pass measured, from either evidence source."""
-
-    raw_results: List[ParticipantResult]
-    #: ``None`` for batch evidence, where ``len(raw_results)`` is the count.
-    participant_count: Optional[int]
-    report: QualityReport
-    raw_analysis: AnalysisBundle
-    controlled_analysis: AnalysisBundle
-    expected_answers: int
-    uploaded: int
-    complete: int
-    abandoned: int
-
-
 @dataclass
 class CampaignResult:
     """Everything one finished campaign produced.
@@ -140,10 +126,10 @@ class CampaignResult:
     #: any recorded upload losses. Every run records one; it is ``None``
     #: only for a result concluded before any roster ran.
     resume_state: Optional[dict] = None
-    #: Uploaded-participant count for streaming conclusions, whose
-    #: ``raw_results`` stay empty by design (the rows were folded into
-    #: sufficient statistics, never materialized). ``None`` = batch mode,
-    #: where ``len(raw_results)`` is the count.
+    #: Uploaded-participant count. Sharded-store conclusions keep
+    #: ``raw_results`` empty by design (the rows were folded into
+    #: sufficient statistics, never materialized), so this is the count;
+    #: ``None`` falls back to ``len(raw_results)``.
     participant_count: Optional[int] = None
     #: The adaptive scheduler's structured stopping verdict (ranking,
     #: answers used, stability evidence); ``None`` for every other
@@ -270,7 +256,8 @@ class Campaign:
             self.database = DocumentStore()
         self.storage = storage if storage is not None else FileStore()
         # Streaming sufficient statistics + online quality screen, built by
-        # prepare() in streaming mode and fed by the server on every upload.
+        # prepare() and fed by the server on every accepted upload; the
+        # only evidence conclude reads.
         self._streaming_state: Optional[StreamingCampaignState] = None
         self.last_streaming = None
         self.platform = (
@@ -385,8 +372,7 @@ class Campaign:
                 instructions=instructions,
                 mirror_pairs=randomize_orientation,
             )
-        if self.config.streaming:
-            self._ensure_streaming()
+        self._ensure_streaming()
         return self.prepared
 
     def _ensure_streaming(self) -> None:
@@ -401,17 +387,29 @@ class Campaign:
         """
         prepared = self._require_prepared()
         questions = len(prepared.parameters.question)
-        comparisons = len(prepared.comparison_pairs())
-        expected_answers = (comparisons + 1) * questions
-        question_ids = [q.question_id for q in prepared.parameters.question]
         version_ids = _comparison_versions(prepared)
+        if self._scheduler_is_shared():
+            # Shared information-gain scheduling: per-participant answer
+            # counts legitimately vary (session budgets, early stop can
+            # leave late arrivals only the control page), so completeness
+            # is just the control floor.
+            expected_answers = 1 * questions
+        elif self.config.scheduler != SCHEDULER_FULL:
+            # Sorting-based reduction: any correct sort of N versions asks
+            # at least N-1 questions; completeness is that floor + control.
+            expected_answers = (len(version_ids) - 1 + 1) * questions
+        else:
+            # Hard-rule completeness: every comparison pair answered for
+            # every question, plus at least one control page.
+            expected_answers = (len(prepared.comparison_pairs()) + 1) * questions
+        question_ids = [q.question_id for q in prepared.parameters.question]
         state = StreamingCampaignState(
             prepared.test_id,
             question_ids,
             version_ids,
             all_pairs(version_ids),
             expected_answers,
-            quality_config=self.config.quality,
+            quality=self.config.quality,
         )
         for row in self._stream_rows(prepared.test_id):
             state.ingest_row(row)
@@ -438,7 +436,6 @@ class Campaign:
         self,
         judge: JudgeFunction,
         reward_usd: Optional[float] = None,
-        quality_config: Optional[QualityConfig] = None,
         participants: Optional[int] = None,
         controls_per_participant: Optional[int] = None,
     ) -> CampaignResult:
@@ -467,9 +464,7 @@ class Campaign:
             roster = self._recruit(job)
             self._run_roster(roster, judge, controls_per_participant)
             duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
-            return self.conclude(
-                job=job, duration_days=duration_days, quality_config=quality_config
-            )
+            return self.conclude(job=job, duration_days=duration_days)
 
     def run_until_significant(
         self,
@@ -480,7 +475,6 @@ class Campaign:
         batch_size: int = 10,
         max_participants: int = 400,
         reward_usd: Optional[float] = None,
-        quality_config: Optional[QualityConfig] = None,
     ) -> CampaignResult:
         """Recruit in batches until a pair's preference reaches significance.
 
@@ -533,7 +527,7 @@ class Campaign:
                 self._run_roster(roster, judge, root_entropy=root_entropy)
                 root_entropy = self.last_root_entropy
                 duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
-                result = self._conclude(job, duration_days, quality_config)
+                result = self._conclude(job, duration_days)
                 tally = result.controlled_analysis.tallies.get((question_id, *pair))
                 if (
                     tally is not None
@@ -550,7 +544,6 @@ class Campaign:
         self,
         workers: Sequence[WorkerProfile],
         judge: JudgeFunction,
-        quality_config: Optional[QualityConfig] = None,
         controls_per_participant: Optional[int] = None,
         in_lab: bool = False,
         resume_from: Optional[dict] = None,
@@ -590,9 +583,7 @@ class Campaign:
                 list(workers), judge, controls_per_participant,
                 in_lab=in_lab, root_entropy=root_entropy,
             )
-            return self.conclude(
-                job=None, duration_days=0.0, quality_config=quality_config
-            )
+            return self.conclude(job=None, duration_days=0.0)
 
     # -- config-driven comparison scheduling ---------------------------------
 
@@ -981,9 +972,8 @@ class Campaign:
         """Per-upload quality screen for shared-scheduler campaigns: True
         when this participant's answers should be retracted.
 
-        Runs only when the campaign has a ``CampaignConfig.quality`` —
-        matching streaming mode, where online screening is opt-in via the
-        same knob. Population-relative layers are disabled (hard-rule
+        Runs only when the campaign has a ``CampaignConfig.quality``.
+        Population-relative layers are disabled (hard-rule
         completeness is undefined for adaptive budgets; majority vote needs
         a population), leaving the per-participant engagement and
         control-question layers.
@@ -1251,10 +1241,7 @@ class Campaign:
     # -- step 4: conclusion ------------------------------------------------------
 
     def conclude(
-        self,
-        job: Optional[CrowdJob],
-        duration_days: float,
-        quality_config: Optional[QualityConfig] = None,
+        self, job: Optional[CrowdJob], duration_days: float
     ) -> CampaignResult:
         """Apply quality control and analysis to everything uploaded so far.
 
@@ -1272,59 +1259,79 @@ class Campaign:
         unmet a :class:`~repro.errors.CampaignError` is raised instead of
         concluding on too little data.
 
-        ``quality_config`` defaults to the campaign's
-        ``CampaignConfig.quality``. In streaming mode the thresholds were
-        fixed at prepare time (the online screen already ran); passing a
-        *different* config here raises.
+        Quality control runs under ``CampaignConfig.quality``, the config
+        the upload-time screen already applied.
         """
-        result = self._conclude(job, duration_days, quality_config)
+        result = self._conclude(job, duration_days)
         _require_floors(result.conclusion)
         return result
 
     def _conclude(
-        self,
-        job: Optional[CrowdJob],
-        duration_days: float,
-        quality_config: Optional[QualityConfig],
+        self, job: Optional[CrowdJob], duration_days: float
     ) -> CampaignResult:
         """The conclude body without the floor check (which
         :meth:`run_until_significant` defers to its final batch).
 
-        The evidence comes from one of two sources — the batch screen and
-        analysis over the stored rows, or the streaming sufficient
-        statistics — and feeds one shared tail: counts, coverage, the
-        conclusion, its gauges and the observation exports.
+        Finishes the fold the server ran on every accepted upload: one pass
+        over the stored rows completes the quality screen (majority votes
+        need the final tallies) and folds the controlled aggregates. The
+        stores differ only in materialisation. The in-memory store parses
+        its rows into a list once and keeps it as ``raw_results`` (and the
+        kept ones as ``quality_report.kept``); the sharded store parses its
+        WAL replay lazily and leaves both empty, so its memory stays
+        O(pairs), not O(participants).
         """
         prepared = self._require_prepared()
         cfg = self.config
+        state = self._streaming_state
         with self.tracer.span("conclude", category="campaign") as cspan:
+            if state.ingested == 0:
+                raise CampaignError("no responses collected; nothing to conclude")
             if cfg.streaming:
-                evidence = self._streamed_evidence(prepared, quality_config)
+                raw_results: List[ParticipantResult] = []
+                results = (
+                    ParticipantResult.from_dict(row)
+                    for row in self._stream_rows(prepared.test_id)
+                )
             else:
-                evidence = self._batch_evidence(prepared, quality_config)
+                raw_results = results = self.server.stored_results(prepared.test_id)
+            with self.tracer.span(
+                "quality", category="campaign", participants=state.ingested
+            ) as qspan:
+                data = state.conclude(results)
+                report = data.report
+                if raw_results:
+                    kept = set(report.kept_worker_ids)
+                    report.kept = [r for r in raw_results if r.worker_id in kept]
+                record_report(report, qspan, self.metrics, self.tracer)
+            # The analyses were folded alongside the screen; the span keeps
+            # the trace shape of a screen-then-analyse conclude.
+            with self.tracer.span("analysis", category="campaign"):
+                pass
+            self.last_streaming = data
             if job is not None and job.participants_recruited:
                 recruited = job.participants_recruited
             else:
-                recruited = evidence.uploaded + len(self.lost_uploads)
-            raw_analysis = evidence.raw_analysis
+                recruited = data.uploaded + len(self.lost_uploads)
+            raw_analysis = data.raw_analysis
             pair_coverage = raw_analysis.answer_coverage()
             expected_total = recruited * len(pair_coverage)
             achieved = sum(pair_coverage.values())
             needs_report = bool(
-                evidence.abandoned
+                data.abandoned
                 or self.lost_uploads
-                or evidence.complete < recruited
+                or data.complete < recruited
                 or cfg.min_participants is not None
                 or cfg.quorum is not None
             )
             conclusion_cls = DegradedConclusion if needs_report else Conclusion
             conclusion = conclusion_cls(
                 recruited=recruited,
-                uploaded=evidence.uploaded,
-                complete=evidence.complete,
-                abandoned=evidence.abandoned,
+                uploaded=data.uploaded,
+                complete=data.complete,
+                abandoned=data.abandoned,
                 lost_uploads=list(self.lost_uploads),
-                expected_answers=evidence.expected_answers,
+                expected_answers=state.expected_answers,
                 pair_coverage=pair_coverage,
                 min_pair_coverage=raw_analysis.min_coverage(),
                 coverage_fraction=(
@@ -1334,13 +1341,13 @@ class Campaign:
                 quorum=cfg.quorum,
             )
             self.metrics.set_gauge("campaign.recruited", recruited)
-            self.metrics.set_gauge("campaign.uploaded", evidence.uploaded)
-            self.metrics.set_gauge("campaign.complete", evidence.complete)
+            self.metrics.set_gauge("campaign.uploaded", data.uploaded)
+            self.metrics.set_gauge("campaign.complete", data.complete)
             self.metrics.set_gauge(
                 "campaign.coverage_fraction", round(conclusion.coverage_fraction, 4)
             )
-            cspan.set_attr("complete", evidence.complete)
-            cspan.set_attr("uploaded", evidence.uploaded)
+            cspan.set_attr("complete", data.complete)
+            cspan.set_attr("uploaded", data.uploaded)
             cspan.set_attr("degraded", conclusion.is_degraded)
             self._record_overload_observations()
             if cfg.streaming:
@@ -1351,120 +1358,18 @@ class Campaign:
                 early_stop = stop() if callable(stop) else None
             return CampaignResult(
                 test_id=prepared.test_id,
-                raw_results=evidence.raw_results,
-                quality_report=evidence.report,
+                raw_results=raw_results,
+                quality_report=report,
                 raw_analysis=raw_analysis,
-                controlled_analysis=evidence.controlled_analysis,
+                controlled_analysis=data.controlled_analysis,
                 job=job,
                 duration_days=duration_days,
                 total_cost_usd=job.total_cost_usd if job is not None else 0.0,
                 conclusion=conclusion,
                 resume_state=self.resume_state(),
-                participant_count=evidence.participant_count,
+                participant_count=data.uploaded,
                 early_stop=early_stop,
             )
-
-    def _batch_evidence(
-        self, prepared: PreparedTest, quality_config: Optional[QualityConfig]
-    ) -> _Evidence:
-        """Screen and analyse the stored rows in one batch pass."""
-        if quality_config is None:
-            quality_config = self.config.quality
-        raw = self.server.stored_results(prepared.test_id)
-        if not raw:
-            raise CampaignError("no responses collected; nothing to conclude")
-        questions = len(prepared.parameters.question)
-        version_ids = _comparison_versions(prepared)
-        if self._scheduler_is_shared():
-            # Shared information-gain scheduling: per-participant answer
-            # counts legitimately vary (session budgets, early stop can
-            # leave late arrivals only the control page), so completeness
-            # is just the control floor.
-            expected_answers = 1 * questions
-        elif self.config.scheduler != SCHEDULER_FULL:
-            # Sorting-based reduction: any correct sort of N versions asks
-            # at least N-1 questions; completeness is that floor + control.
-            expected_answers = (len(version_ids) - 1 + 1) * questions
-        else:
-            # Hard-rule completeness: every comparison pair answered for
-            # every question, plus at least one control page.
-            expected_answers = (len(prepared.comparison_pairs()) + 1) * questions
-        report = QualityControl(
-            quality_config, metrics=self.metrics, tracer=self.tracer
-        ).apply(raw, expected_answers)
-        question_ids = [q.question_id for q in prepared.parameters.question]
-        with self.tracer.span("analysis", category="campaign"):
-            raw_analysis = analyze_responses(raw, question_ids, version_ids)
-            controlled_analysis = analyze_responses(
-                report.kept, question_ids, version_ids
-            )
-        abandoned = sum(1 for r in raw if getattr(r, "abandoned", False))
-        complete = sum(
-            1 for r in raw
-            if not getattr(r, "abandoned", False)
-            and len(r.answers) >= expected_answers
-        )
-        return _Evidence(
-            raw_results=raw, participant_count=None, report=report,
-            raw_analysis=raw_analysis, controlled_analysis=controlled_analysis,
-            expected_answers=expected_answers, uploaded=len(raw),
-            complete=complete, abandoned=abandoned,
-        )
-
-    def _streamed_evidence(
-        self, prepared: PreparedTest, quality_config: Optional[QualityConfig]
-    ) -> _Evidence:
-        """Finish the streaming sufficient statistics.
-
-        Decision-identical to the batch path — the online screen already ran
-        the batch screening code per upload, and this pass streams the
-        stored rows once (lazy WAL replay) to finish the majority filter and
-        fold the controlled aggregates — but memory stays O(pairs), not
-        O(participants): ``raw_results`` is empty and the quality report
-        carries worker ids, never results.
-        """
-        state = self._streaming_state
-        if state is None:
-            raise CampaignError(
-                "streaming state missing; prepare() builds it — was the "
-                "campaign prepared with store='sharded-streaming'?"
-            )
-        if quality_config is not None and quality_config != state.quality_config:
-            raise CampaignError(
-                "streaming quality control is fixed at prepare time (the "
-                "online screen already ran with the campaign's config); "
-                "construct the campaign with CampaignConfig(quality=...) "
-                "instead of passing a different quality_config to conclude()"
-            )
-        if state.ingested == 0:
-            raise CampaignError("no responses collected; nothing to conclude")
-        # Mirror QualityControl.apply's span/metrics/events exactly: the
-        # decisions were made per upload, but the observability contract is
-        # conclude-time.
-        with self.tracer.span(
-            "quality", category="campaign", participants=state.ingested
-        ) as qspan:
-            data = state.conclude(self._stream_rows(prepared.test_id))
-            report = data.report
-            qspan.set_attr("kept", report.kept_count)
-            qspan.set_attr("dropped", len(report.dropped))
-            self.metrics.add("quality.kept", report.kept_count)
-            self.metrics.add("quality.dropped", len(report.dropped))
-            for reason, count in sorted(report.drop_reasons().items()):
-                self.metrics.add(f"quality.drop.{reason}", count)
-                self.tracer.event("quality_drop", reason=reason, count=count)
-        # The analyses were folded alongside the screen; the span keeps the
-        # trace shape identical to the batch path's.
-        with self.tracer.span("analysis", category="campaign"):
-            pass
-        self.last_streaming = data
-        return _Evidence(
-            raw_results=[], participant_count=data.uploaded, report=report,
-            raw_analysis=data.raw_analysis,
-            controlled_analysis=data.controlled_analysis,
-            expected_answers=state.expected_answers, uploaded=data.uploaded,
-            complete=data.complete, abandoned=data.abandoned,
-        )
 
     def _record_store_observations(self) -> None:
         """Export the sharded store's durability counters into the trace +

@@ -42,6 +42,9 @@ from repro.util.rng import coerce_rng
 # judge(worker, question, left_version, right_version, rng) -> 'left'|'right'|'same'
 JudgeFunction = Callable[..., str]
 
+#: Every value a comparison answer may take.
+ANSWER_VALUES = ("left", "right", "same")
+
 
 @dataclass(frozen=True)
 class Answer:
@@ -68,6 +71,12 @@ class Answer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Answer":
+        """Parse one answer; an answer value outside :data:`ANSWER_VALUES`
+        raises ``ValueError`` (the server rejects that upload with a 400)."""
+        if data["answer"] not in ANSWER_VALUES:
+            raise ValueError(
+                f"answer must be one of {ANSWER_VALUES}, got {data['answer']!r}"
+            )
         return cls(
             integrated_id=data["integrated_id"],
             question_id=data["question_id"],
@@ -368,7 +377,7 @@ class BrowserExtension:
         answer = self.judge(
             self.worker, question, page.left_version, page.right_version, self.rng
         )
-        if answer not in ("left", "right", "same"):
+        if answer not in ANSWER_VALUES:
             raise ExtensionError(
                 f"judge returned {answer!r}; must be left/right/same"
             )

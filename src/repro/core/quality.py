@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.extension import ParticipantResult
+from repro.core.extension import ANSWER_VALUES, ParticipantResult
 from repro.errors import ValidationError
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.tracing import NULL_TRACER
@@ -131,13 +131,7 @@ class QualityControl:
             if self.config.enable_majority_vote:
                 survivors = self._majority_filter(survivors, report)
             report.kept = survivors
-            span.set_attr("kept", len(report.kept))
-            span.set_attr("dropped", len(report.dropped))
-            self.metrics.add("quality.kept", len(report.kept))
-            self.metrics.add("quality.dropped", len(report.dropped))
-            for reason, count in sorted(report.drop_reasons().items()):
-                self.metrics.add(f"quality.drop.{reason}", count)
-                self.tracer.event("quality_drop", reason=reason, count=count)
+            record_report(report, span, self.metrics, self.tracer)
             return report
 
     # -- layers 1-3: individual screening ----------------------------------
@@ -161,7 +155,7 @@ class QualityControl:
                         else ""
                     ),
                 )
-            if any(a.answer not in ("left", "right", "same") for a in result.answers):
+            if any(a.answer not in ANSWER_VALUES for a in result.answers):
                 return DropRecord(result.worker_id, REASON_INCOMPLETE, "invalid answer value")
         if config.enable_engagement:
             drop = self._engagement_check(result)
@@ -245,55 +239,95 @@ class QualityControl:
         majority = self.majority_votes(results)
         kept: List[ParticipantResult] = []
         for result in results:
-            cells = 0
-            deviations = 0
-            for answer in result.answers:
-                if answer.is_control:
-                    continue
-                key = (answer.integrated_id, answer.question_id)
-                consensus = majority.get(key)
-                if consensus is None:
-                    continue
-                cells += 1
-                if answer.answer != consensus:
-                    deviations += 1
-            if (
-                cells >= self.config.majority_min_cells
-                and deviations / cells > self.config.majority_deviation_fraction
-            ):
-                report.dropped.append(
-                    DropRecord(
-                        result.worker_id,
-                        REASON_MAJORITY,
-                        f"deviates on {deviations}/{cells} cells",
-                    )
-                )
+            drop = self.majority_drop(result, majority)
+            if drop is not None:
+                report.dropped.append(drop)
             else:
                 kept.append(result)
         return kept
 
+    def majority_drop(
+        self, result: ParticipantResult, majority: Dict[Tuple[str, str], str]
+    ) -> Optional[DropRecord]:
+        """The crowd-wisdom drop for one result against the ``majority``
+        map, or ``None`` when it deviates on too few cells."""
+        cells = 0
+        deviations = 0
+        for answer in result.answers:
+            if answer.is_control:
+                continue
+            consensus = majority.get((answer.integrated_id, answer.question_id))
+            if consensus is None:
+                continue
+            cells += 1
+            if answer.answer != consensus:
+                deviations += 1
+        if (
+            cells >= self.config.majority_min_cells
+            and deviations / cells > self.config.majority_deviation_fraction
+        ):
+            return DropRecord(
+                result.worker_id,
+                REASON_MAJORITY,
+                f"deviates on {deviations}/{cells} cells",
+            )
+        return None
+
     @staticmethod
-    def majority_votes(
-        results: Sequence[ParticipantResult],
+    def tally_majority(
+        tallies: Dict[Tuple[str, str], Counter], result: ParticipantResult
+    ) -> None:
+        """Count ``result``'s non-control answers into per-(integrated page,
+        question) ``tallies``."""
+        for answer in result.answers:
+            if answer.is_control:
+                continue
+            key = (answer.integrated_id, answer.question_id)
+            counter = tallies.get(key)
+            if counter is None:
+                counter = tallies[key] = Counter()
+            counter[answer.answer] += 1
+
+    @staticmethod
+    def consensus(
+        tallies: Dict[Tuple[str, str], Counter],
     ) -> Dict[Tuple[str, str], str]:
-        """Majority answer per (integrated page, question) cell.
+        """Majority answer per cell from its answer tallies.
 
         Cells with no clear winner (a tie) carry no consensus and are
-        excluded from deviation counting.
+        excluded from deviation counting. The strict-majority rule depends
+        only on the final counts, so tallies accumulated one upload at a
+        time give the same map as one batch pass.
         """
-        tallies: Dict[Tuple[str, str], Counter] = {}
-        for result in results:
-            for answer in result.answers:
-                if answer.is_control:
-                    continue
-                key = (answer.integrated_id, answer.question_id)
-                tallies.setdefault(key, Counter())[answer.answer] += 1
         majority: Dict[Tuple[str, str], str] = {}
         for key, counter in tallies.items():
             ranked = counter.most_common(2)
             if len(ranked) == 1 or ranked[0][1] > ranked[1][1]:
                 majority[key] = ranked[0][0]
         return majority
+
+    @classmethod
+    def majority_votes(
+        cls, results: Sequence[ParticipantResult],
+    ) -> Dict[Tuple[str, str], str]:
+        """Majority answer per (integrated page, question) cell."""
+        tallies: Dict[Tuple[str, str], Counter] = {}
+        for result in results:
+            cls.tally_majority(tallies, result)
+        return cls.consensus(tallies)
+
+
+def record_report(report: QualityReport, span, metrics, tracer) -> None:
+    """Export one quality pass: kept/dropped attributes on its ``quality``
+    span, kept/dropped counters with a per-reason breakdown, and one
+    ``quality_drop`` event per reason."""
+    span.set_attr("kept", report.kept_count)
+    span.set_attr("dropped", len(report.dropped))
+    metrics.add("quality.kept", report.kept_count)
+    metrics.add("quality.dropped", len(report.dropped))
+    for reason, count in sorted(report.drop_reasons().items()):
+        metrics.add(f"quality.drop.{reason}", count)
+        tracer.event("quality_drop", reason=reason, count=count)
 
 
 def split_raw_and_controlled(

@@ -21,14 +21,13 @@ to the page), moderate for button looks, large for button visibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.abtest.experiment import ABExperiment, ABResult
 from repro.abtest.traffic import SiteTrafficModel
 from repro.core.analysis import QuestionTally
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.parameters import Question, TestParameters, WebpageSpec
-from repro.core.quality import QualityConfig
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.experiments.datasets import build_group_page_variant, group_resources_for
 from repro.sim.clock import SECONDS_PER_DAY, SimulationEnvironment
@@ -138,7 +137,6 @@ class ExpandButtonExperiment:
     def run_kaleidoscope(
         self,
         participants: int = CROWD_PARTICIPANTS,
-        quality_config: Optional[QualityConfig] = None,
     ) -> CampaignResult:
         """The Kaleidoscope arm."""
         campaign = Campaign(seed=self.seeds.seed("kaleidoscope"))
@@ -156,7 +154,7 @@ class ExpandButtonExperiment:
             instructions="Compare the two versions of our group webpage.",
         )
         judge = make_multi_question_judge(self.choice_model)
-        return campaign.run(judge, reward_usd=REWARD_USD, quality_config=quality_config)
+        return campaign.run(judge, reward_usd=REWARD_USD)
 
     def run_ab(self, visitors: int = AB_VISITORS) -> Tuple[ABResult, ABExperiment]:
         """The A/B arm on simulated live traffic."""

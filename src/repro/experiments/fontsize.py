@@ -24,7 +24,6 @@ from repro.core.analysis import BehaviorCdfs, RankingDistribution, behavior_cdfs
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import CampaignConfig
 from repro.core.parameters import Question, TestParameters, WebpageSpec
-from repro.core.quality import QualityConfig
 from repro.crowd.inlab import InLabStudy
 from repro.crowd.judgment import FontReadabilityModel, ThurstoneChoiceModel
 from repro.html.mutations import set_font_size
@@ -203,7 +202,6 @@ class FontSizeExperiment:
     def run_crowd(
         self,
         participants: int = CROWD_PARTICIPANTS,
-        quality_config: Optional[QualityConfig] = None,
         parallelism: int = 1,
         artifact_cache: Optional[bool] = True,
     ) -> CampaignResult:
@@ -231,11 +229,7 @@ class FontSizeExperiment:
             instructions=QUESTION.text,
         )
         judge = self.make_personal_judge()
-        return campaign.run(
-            judge,
-            reward_usd=REWARD_USD,
-            quality_config=quality_config,
-        )
+        return campaign.run(judge, reward_usd=REWARD_USD)
 
     def run_inlab(self, participants: int = INLAB_PARTICIPANTS) -> Tuple[CampaignResult, float]:
         """The in-lab arm: same configuration, trusted walked-through pool.

@@ -25,7 +25,6 @@ from repro.core.analysis import QuestionTally
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.extension import make_uplt_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
-from repro.core.quality import QualityConfig
 from repro.crowd.judgment import UPLTPerceptionModel
 from repro.experiments.datasets import build_wikipedia_page, wikipedia_resources_for
 from repro.net.objectload import protocol_schedules
@@ -136,7 +135,6 @@ class HttpVersionsExperiment:
     def run(
         self,
         participants: int = CROWD_PARTICIPANTS,
-        quality_config: Optional[QualityConfig] = None,
     ) -> HttpVersionsOutcome:
         schedules = self.build_schedules()
         campaign = Campaign(seed=self.seeds.seed("http-campaign"))
@@ -157,9 +155,7 @@ class HttpVersionsExperiment:
             "__contrast__": region_times_of(schedules["http1"]),
         }
         judge = make_uplt_judge(region_times, self.perception)
-        result = campaign.run(
-            judge, reward_usd=REWARD_USD, quality_config=quality_config
-        )
+        result = campaign.run(judge, reward_usd=REWARD_USD)
         raw = result.raw_analysis.tallies[(QUESTION.question_id, VERSION_H1, VERSION_H2)]
         controlled = result.controlled_analysis.tallies[
             (QUESTION.question_id, VERSION_H1, VERSION_H2)

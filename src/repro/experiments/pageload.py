@@ -24,7 +24,6 @@ from repro.core.analysis import QuestionTally
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.extension import make_uplt_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
-from repro.core.quality import QualityConfig
 from repro.crowd.judgment import UPLTPerceptionModel
 from repro.experiments.datasets import build_wikipedia_page, wikipedia_resources_for
 from repro.render.metrics import VisualMetrics, compute_visual_metrics
@@ -155,7 +154,6 @@ class PageLoadExperiment:
     def run(
         self,
         participants: int = CROWD_PARTICIPANTS,
-        quality_config: Optional[QualityConfig] = None,
     ) -> PageLoadOutcome:
         """Run the crowd campaign and assemble the Figure 9 data."""
         campaign = Campaign(seed=self.seeds.seed("pageload"))
@@ -171,9 +169,7 @@ class PageLoadExperiment:
             instructions=QUESTION.text,
         )
         judge = make_uplt_judge(measured_region_times(), self.perception)
-        result = campaign.run(
-            judge, reward_usd=REWARD_USD, quality_config=quality_config
-        )
+        result = campaign.run(judge, reward_usd=REWARD_USD)
         raw_tally = result.raw_analysis.tallies[
             (QUESTION.question_id, VERSION_A, VERSION_B)
         ]

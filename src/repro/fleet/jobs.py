@@ -43,7 +43,6 @@ class CampaignSubmission:
     documents: Dict[str, str]
     judge: Any
     config: CampaignConfig = field(default_factory=CampaignConfig)
-    quality_config: Any = None
     population_seed: int = 0
     participants: Optional[int] = None
     resource: str = ""
@@ -98,10 +97,7 @@ class CampaignSubmission:
         if campaign is None:
             campaign = self.build_campaign()
         return campaign.run_with_workers(
-            self.roster(),
-            self.judge,
-            quality_config=self.quality_config,
-            resume_from=resume_from,
+            self.roster(), self.judge, resume_from=resume_from
         )
 
     def reference_run(self) -> CampaignResult:

@@ -11,8 +11,8 @@ The subsystem behind million-participant campaigns:
   response firehose;
 * :mod:`repro.store.stream` — :class:`StreamingAggregator` /
   :class:`OnlineQualityScreen`, folding each upload into O(pairs)
-  sufficient statistics so a campaign concludes without materializing its
-  participants.
+  sufficient statistics. Every campaign concludes from this fold; with the
+  sharded store it does so without materializing its participants.
 """
 
 from repro.store.sharded import ShardedDocumentStore

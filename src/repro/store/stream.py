@@ -23,9 +23,12 @@ batch :class:`~repro.core.quality.QualityControl`:
    exactly the order the batch pass produces: individual drops in upload
    order, then majority drops in survivor order.
 
-The second pass reads rows back through
-:meth:`~repro.store.sharded.ShardedDocumentStore.stream_collection`, which
-replays the shard WALs lazily — so the whole conclude stays out of
+Every campaign concludes this way, whatever its store. The stores differ
+only in how the second pass gets its rows: the in-memory store parses them
+into a list once (the campaign keeps it as ``raw_results``), while the
+sharded store parses
+:meth:`~repro.store.sharded.ShardedDocumentStore.stream_collection`'s lazy
+WAL replay one row at a time — so its conclude stays out of
 O(participants) memory even at a million uploads.
 """
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.analysis import (
     RANK_LABELS,
@@ -61,9 +64,7 @@ class StreamingAggregator:
     After folding the same results in the same order,
     :meth:`analysis_bundle` reproduces
     :func:`repro.core.analysis.analyze_responses` field-for-field (tallies,
-    rankings, participants) — except ``behavior``, whose CDFs are
-    irreducibly O(uploads) and stay ``None`` in streaming mode — and
-    :attr:`bt_counts` reproduces
+    rankings, participants) and :attr:`bt_counts` reproduces
     :func:`repro.core.btmodel.counts_from_results` including the wins-dict
     insertion order the MM fit iterates in.
     """
@@ -183,7 +184,6 @@ class StreamingAggregator:
         return AnalysisBundle(
             tallies=tallies,
             rankings=rankings,
-            behavior=None,
             participants=self.participants,
         )
 
@@ -217,31 +217,16 @@ class OnlineQualityScreen:
             return drop
         self.survivors += 1
         if self.config.enable_majority_vote:
-            for answer in result.answers:
-                if answer.is_control:
-                    continue
-                key = (answer.integrated_id, answer.question_id)
-                self.majority_tallies.setdefault(key, Counter())[
-                    answer.answer
-                ] += 1
+            QualityControl.tally_majority(self.majority_tallies, result)
         return None
-
-    def majority_votes(self) -> Dict[Tuple[str, str], str]:
-        """Consensus per cell from the running tallies (ties carry none)."""
-        majority: Dict[Tuple[str, str], str] = {}
-        for key, counter in self.majority_tallies.items():
-            ranked = counter.most_common(2)
-            if len(ranked) == 1 or ranked[0][1] > ranked[1][1]:
-                majority[key] = ranked[0][0]
-        return majority
 
 
 @dataclass
 class StreamingQualityReport(QualityReport):
-    """A :class:`~repro.core.quality.QualityReport` that does not hold the
-    kept results — only their worker ids, in kept order. ``kept`` stays
-    empty by construction; every id/count accessor reports the true
-    numbers."""
+    """A :class:`~repro.core.quality.QualityReport` built from the kept
+    worker ids, in kept order. ``kept`` stays empty unless the caller
+    materialized the results (the in-memory store fills it); every
+    id/count accessor reports the true numbers either way."""
 
     kept_worker_ids: List[str] = field(default_factory=list)
 
@@ -261,7 +246,6 @@ class StreamingConclusionData:
     report: StreamingQualityReport
     raw_analysis: AnalysisBundle
     controlled_analysis: AnalysisBundle
-    raw_bt: Dict[str, PairwiseCounts]
     controlled_bt: Dict[str, PairwiseCounts]
     uploaded: int
     abandoned: int
@@ -285,15 +269,14 @@ class StreamingCampaignState:
         version_ids: List[str],
         pairs: List[Tuple[str, str]],
         expected_answers: int,
-        quality_config: Optional[QualityConfig] = None,
+        quality: Optional[QualityConfig] = None,
     ):
         self.test_id = test_id
         self.expected_answers = expected_answers
         self.raw = StreamingAggregator(
             question_ids, version_ids, pairs, expected_answers
         )
-        self.screen = OnlineQualityScreen(quality_config, expected_answers)
-        self.quality_config = self.screen.config
+        self.screen = OnlineQualityScreen(quality, expected_answers)
 
     @property
     def ingested(self) -> int:
@@ -304,15 +287,16 @@ class StreamingCampaignState:
         self.screen.observe(result)
 
     def ingest_row(self, row: dict) -> None:
-        row = dict(row)
-        row.pop("_id", None)
         self.ingest(ParticipantResult.from_dict(row))
 
-    def conclude(self, rows: Iterable[dict]) -> StreamingConclusionData:
+    def conclude(
+        self, results: Iterable[ParticipantResult]
+    ) -> StreamingConclusionData:
         """Finish quality control and build both analysis bundles.
 
-        ``rows`` streams the stored response rows in upload (``_id``) order
-        — exactly what ``stream_collection`` yields. Per row the individual
+        ``results`` yields the stored uploads, parsed, in upload (``_id``)
+        order — a list the memory store materializes, or a lazy parse of the
+        sharded store's ``stream_collection``. Per result the individual
         screen re-runs (it is deterministic, so this re-partitions the
         stream without storing a drop set), survivors are checked against
         the majority, and kept results fold into the controlled aggregator
@@ -320,11 +304,13 @@ class StreamingCampaignState:
         the batch pipeline's ``analyze_responses(report.kept, ...)`` and
         ``counts_from_results`` use.
         """
-        config = self.quality_config
+        control = self.screen.control
         apply_majority = (
-            config.enable_majority_vote and self.screen.survivors >= 3
+            self.screen.config.enable_majority_vote and self.screen.survivors >= 3
         )
-        majority = self.screen.majority_votes() if apply_majority else {}
+        majority = (
+            control.consensus(self.screen.majority_tallies) if apply_majority else {}
+        )
         controlled = StreamingAggregator(
             self.raw.question_ids,
             self.raw.version_ids,
@@ -333,41 +319,13 @@ class StreamingCampaignState:
         )
         majority_drops: List[DropRecord] = []
         kept_worker_ids: List[str] = []
-        for row in rows:
-            row = dict(row)
-            row.pop("_id", None)
-            result = ParticipantResult.from_dict(row)
-            if (
-                self.screen.control._screen_individual(
-                    result, self.expected_answers
-                )
-                is not None
-            ):
+        for result in results:
+            if control._screen_individual(result, self.expected_answers) is not None:
                 continue  # dropped at upload time; already recorded in order
             if apply_majority:
-                cells = 0
-                deviations = 0
-                for answer in result.answers:
-                    if answer.is_control:
-                        continue
-                    key = (answer.integrated_id, answer.question_id)
-                    consensus = majority.get(key)
-                    if consensus is None:
-                        continue
-                    cells += 1
-                    if answer.answer != consensus:
-                        deviations += 1
-                if (
-                    cells >= config.majority_min_cells
-                    and deviations / cells > config.majority_deviation_fraction
-                ):
-                    majority_drops.append(
-                        DropRecord(
-                            result.worker_id,
-                            "crowd-wisdom:deviates",
-                            f"deviates on {deviations}/{cells} cells",
-                        )
-                    )
+                drop = control.majority_drop(result, majority)
+                if drop is not None:
+                    majority_drops.append(drop)
                     continue
             kept_worker_ids.append(result.worker_id)
             controlled.fold(result)
@@ -380,7 +338,6 @@ class StreamingCampaignState:
             report=report,
             raw_analysis=self.raw.analysis_bundle(),
             controlled_analysis=controlled.analysis_bundle(),
-            raw_bt=self.raw.bt_counts,
             controlled_bt=controlled.bt_counts,
             uploaded=self.raw.participants,
             abandoned=self.raw.abandoned,

@@ -211,6 +211,7 @@ class TestCheckpointResume:
                 fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
                 retry_policy=RETRIES,
                 dropout_rate=0.15,
+                quality=QualityConfig(),
             ),
         )
         campaign.prepare(make_params(participants=8), make_documents())
@@ -218,19 +219,14 @@ class TestCheckpointResume:
 
     def test_resume_matches_uncrashed_run(self):
         workers = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=13, id_prefix="w")
-        config = QualityConfig()
 
         reference = self.build()
-        clean = reference.run_with_workers(
-            workers, make_judge(), quality_config=config
-        )
+        clean = reference.run_with_workers(workers, make_judge())
 
         crashed = self.build()
         judge = CrashingJudge(make_judge(), workers[4].worker_id)
         with pytest.raises(RuntimeError, match="simulated mid-campaign crash"):
-            crashed.run_with_workers(
-                workers, judge, quality_config=config
-            )
+            crashed.run_with_workers(workers, judge)
         # The crash left a checkpoint: the first participants' uploads landed.
         stored = crashed.server.uploaded_worker_ids("resilience-test")
         assert 0 < len(stored) < len(workers)
@@ -239,9 +235,7 @@ class TestCheckpointResume:
         crashed.config = crashed.config.replace(
             root_entropy=crashed.last_root_entropy
         )
-        resumed = crashed.run_with_workers(
-            workers, judge, quality_config=config
-        )
+        resumed = crashed.run_with_workers(workers, judge)
         assert fingerprint(resumed, crashed) == fingerprint(clean, reference)
 
     def test_resume_skips_completed_participants(self):
@@ -273,6 +267,7 @@ class TestSerializedResume:
                 fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
                 retry_policy=RETRIES,
                 dropout_rate=0.15,
+                quality=QualityConfig(),
             ),
         )
         campaign.prepare(make_params(participants=8), make_documents())
@@ -297,29 +292,21 @@ class TestSerializedResume:
         workers = generate_population(
             8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=13, id_prefix="w"
         )
-        config = QualityConfig()
         reference = self.build()
-        clean = reference.run_with_workers(
-            workers, make_judge(), quality_config=config
-        )
+        clean = reference.run_with_workers(workers, make_judge())
 
         crashed = self.build()
         judge = CrashingJudge(make_judge(), workers[4].worker_id)
         with pytest.raises(RuntimeError, match="simulated mid-campaign crash"):
-            crashed.run_with_workers(
-                workers, judge, quality_config=config
-            )
+            crashed.run_with_workers(workers, judge)
         # Conclude what landed: the serialized partial result is the whole
         # checkpoint — rows, recorded losses, and the RNG root entropy.
-        partial = crashed.conclude(
-            job=None, duration_days=0.0, quality_config=config
-        )
+        partial = crashed.conclude(job=None, duration_days=0.0)
         payload = partial.to_dict()
 
         fresh = self.build()
         resumed = fresh.run_with_workers(
-            workers, make_judge(), quality_config=config,
-            resume_from=payload,
+            workers, make_judge(), resume_from=payload
         )
         assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
 

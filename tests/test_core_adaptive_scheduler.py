@@ -274,9 +274,9 @@ class TestCampaignConfigScheduler:
         with pytest.raises(ValidationError):
             CampaignConfig(scheduler="quantum")
 
-    def test_scheduled_campaigns_incompatible_with_streaming(self):
-        with pytest.raises(ValidationError):
-            CampaignConfig(scheduler="adaptive", store="sharded-streaming")
+    def test_scheduled_campaigns_construct_on_streaming(self):
+        config = CampaignConfig(scheduler="adaptive", store="sharded-streaming")
+        assert config.streaming and config.scheduler == "adaptive"
 
     def test_scheduler_config_serializes(self):
         config = CampaignConfig(

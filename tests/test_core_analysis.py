@@ -182,7 +182,6 @@ class TestAnalyzeResponses:
         assert ("q1", "a", "b") in bundle.tallies
         assert len(bundle.tallies) == 3
         assert "q1" in bundle.rankings
-        assert bundle.behavior is not None
 
     def test_explicit_pairs(self):
         results = [result_with_answers("w", [("a", "b", "left")])]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig
@@ -90,14 +91,14 @@ class TestLifecycle:
             assert any(a.is_control for a in participant.answers)
 
     def test_custom_quality_config_respected(self):
-        campaign = Campaign(seed=8)
-        campaign.prepare(make_params(participants=10), make_documents())
         config = QualityConfig(
             enable_engagement=False,
             enable_control_questions=False,
             enable_majority_vote=False,
         )
-        result = campaign.run(make_judge(), quality_config=config)
+        campaign = Campaign(seed=8, config=CampaignConfig(quality=config))
+        campaign.prepare(make_params(participants=10), make_documents())
+        result = campaign.run(make_judge())
         # Only hard rules: everyone complete, so everyone kept.
         assert len(result.controlled_results) == 10
 

@@ -3,19 +3,23 @@
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.integrated import ORIENTATION_MIRRORED, ORIENTATION_NORMAL
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig
 from repro.crowd.judgment import ThurstoneChoiceModel
+from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.html.parser import parse_html
 from repro.core.integrated import frame_sources
 
 QUESTION = Question("q1", "Which is better?")
 
 
-def build_campaign(seed, randomize):
-    campaign = Campaign(seed=seed)
+def build_campaign(seed, randomize, quality=None, store="memory"):
+    campaign = Campaign(
+        seed=seed, config=CampaignConfig(quality=quality, store=store)
+    )
     params = TestParameters(
         test_id="orient",
         test_description="orientation",
@@ -87,20 +91,20 @@ class TestPositionBiasCancellation:
         return a_left, a_right
 
     def test_fixed_orientation_always_same_side(self):
-        campaign = build_campaign(2, randomize=False)
+        campaign = build_campaign(2, randomize=False, quality=NO_MAJORITY)
         judge = make_utility_judge(
             {"a": 0.0, "b": 0.0, "__contrast__": -9.0}, ThurstoneChoiceModel()
         )
-        result = campaign.run(judge, quality_config=NO_MAJORITY)
+        result = campaign.run(judge)
         a_left, a_right = self.left_version_counts(result)
         assert a_right == 0
 
     def test_randomized_orientation_splits_sides(self):
-        campaign = build_campaign(3, randomize=True)
+        campaign = build_campaign(3, randomize=True, quality=NO_MAJORITY)
         judge = make_utility_judge(
             {"a": 0.0, "b": 0.0, "__contrast__": -9.0}, ThurstoneChoiceModel()
         )
-        result = campaign.run(judge, quality_config=NO_MAJORITY)
+        result = campaign.run(judge)
         a_left, a_right = self.left_version_counts(result)
         assert a_left > 10
         assert a_right > 10
@@ -139,3 +143,42 @@ class TestPositionBiasCancellation:
         randomized = net_preference_for_a(randomize=True)
         assert fixed > 40  # the Left habit strongly favours the pinned side
         assert abs(randomized) < fixed / 3
+
+
+class TestAnswerValueBoundary:
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_unknown_answer_value_rejected_and_not_stored(self, store):
+        campaign = build_campaign(4, randomize=True, store=store)
+        judge = make_utility_judge(
+            {"a": 0.0, "b": 0.4, "__contrast__": -9.0}, ThurstoneChoiceModel()
+        )
+        workers = generate_population(5, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=4)
+        campaign.run_with_workers(workers, judge)
+        mirrored = next(
+            page
+            for page in campaign.prepared.orientations_of("a|b")
+            if page.orientation == ORIENTATION_MIRRORED
+        )
+        row = dict(campaign.resume_state()["rows"][0])
+        row["worker_id"] = "handcrafted"
+        row["answers"] = [
+            dict(
+                answer,
+                integrated_id=mirrored.integrated_id,
+                left_version=mirrored.left_version,
+                right_version=mirrored.right_version,
+                answer="maybe",
+            )
+            if not answer["is_control"]
+            else answer
+            for answer in row["answers"]
+        ]
+        response = campaign.network.post_json(
+            campaign.server.url("/responses"), row
+        )
+        assert response.status == 400
+        assert "maybe" in response.text
+        assert "handcrafted" not in campaign.server.uploaded_worker_ids("orient")
+        assert campaign._streaming_state.ingested == 5
+        result = campaign.conclude(job=None, duration_days=0.0)
+        assert result.participants == 5

@@ -10,6 +10,7 @@ from repro.core.btmodel import PairwiseCounts, fit_bradley_terry
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.quality import QualityConfig, QualityControl
 from repro.crowd.behavior import BehaviorTrace
+from repro.store import StreamingCampaignState
 
 version_sets = st.lists(
     st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=3),
@@ -140,3 +141,23 @@ class TestQualityControlProperties:
         first = QualityControl(config).apply(results, 1)
         second = QualityControl(config).apply(first.kept, 1)
         assert second.kept_ids == first.kept_ids
+
+    @given(st.lists(participant_results(), min_size=1, max_size=10), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_upload_fold_matches_batch_pass(self, results, engagement):
+        """Folding each upload, then concluding, makes the batch pass's
+        decisions: the same kept ids and the same drops, in order."""
+        for index, result in enumerate(results):
+            result.worker_id = f"w{index}"
+        config = QualityConfig(enable_engagement=engagement)
+        batch = QualityControl(config).apply(results, 1)
+        state = StreamingCampaignState(
+            "t", ["q1"], ["a", "b"], [("a", "b")], 1, quality=config
+        )
+        for result in results:
+            state.ingest(result)
+        folded = state.conclude(results).report
+        assert folded.kept_ids == batch.kept_ids
+        assert [(d.worker_id, d.reason, d.detail) for d in folded.dropped] == [
+            (d.worker_id, d.reason, d.detail) for d in batch.dropped
+        ]

@@ -1,16 +1,23 @@
 """Streaming aggregation tests: the `sharded-streaming` store mode must be
 decision-identical to the batch pipeline, across executors and crashes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from tests.test_core_campaign import make_documents, make_judge, make_params
 
+from repro.core.analysis import analyze_responses
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
-from repro.core.quality import QualityConfig
+from repro.core.extension import make_utility_judge
+from repro.core.parameters import Question, TestParameters, WebpageSpec
+from repro.core.quality import QualityConfig, QualityControl
+from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
-from repro.errors import CampaignError, ValidationError
+from repro.errors import CampaignError
+from repro.html.parser import parse_html
 
 
 def result_digest(result):
@@ -38,73 +45,121 @@ class Boom(Exception):
     pass
 
 
+def batch_reference(campaign, raw):
+    """The whole-batch pipeline over ``raw``: quality control, both
+    analyses and the Bradley-Terry counts, computed without the fold."""
+    prepared = campaign.prepared
+    question_ids = [q.question_id for q in prepared.parameters.question]
+    version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
+    expected = (len(prepared.comparison_pairs()) + 1) * len(question_ids)
+    report = QualityControl(campaign.config.quality).apply(raw, expected)
+    return SimpleNamespace(
+        report=report,
+        raw_analysis=analyze_responses(raw, question_ids, version_ids),
+        controlled_analysis=analyze_responses(
+            report.kept, question_ids, version_ids
+        ),
+        bt={
+            q: counts_from_results(report.kept, q, version_ids)
+            for q in question_ids
+        },
+    )
+
+
 class TestBatchStreamingIdentity:
+    """Both stores conclude from the upload-time fold; the reference is the
+    batch quality control and analysis over the memory run's raw results."""
+
     @pytest.fixture(scope="class")
-    def pair(self):
-        batch = run_campaign("memory", executor="thread", parallelism=2)
+    def runs(self):
+        memory = run_campaign("memory", executor="thread", parallelism=2)
         streaming = run_campaign(
             "sharded-streaming", executor="thread", parallelism=2
         )
-        return batch, streaming
+        return {"memory": memory, "sharded-streaming": streaming}
 
-    def test_conclusion_identical(self, pair):
-        (_, batch), (_, streaming) = pair
-        assert batch.conclusion.to_dict() == streaming.conclusion.to_dict()
-        assert batch.participants == streaming.participants
+    @pytest.fixture(scope="class")
+    def reference(self, runs):
+        campaign, result = runs["memory"]
+        return batch_reference(campaign, result.raw_results)
 
-    def test_quality_decisions_identical(self, pair):
-        (_, batch), (_, streaming) = pair
-        assert batch.quality_report.kept_count == streaming.quality_report.kept_count
-        assert batch.quality_report.kept_ids == streaming.quality_report.kept_ids
-        assert [
-            (d.worker_id, d.reason, d.detail)
-            for d in batch.quality_report.dropped
-        ] == [
-            (d.worker_id, d.reason, d.detail)
-            for d in streaming.quality_report.dropped
+    def test_conclusion_identical(self, runs):
+        _, memory = runs["memory"]
+        _, streaming = runs["sharded-streaming"]
+        assert memory.conclusion.to_dict() == streaming.conclusion.to_dict()
+        assert memory.participants == streaming.participants == 25
+        assert len(memory.raw_results) == 25
+
+    def test_quality_decisions_identical(self, runs, reference):
+        expected = [
+            (d.worker_id, d.reason, d.detail) for d in reference.report.dropped
         ]
+        for _, result in runs.values():
+            report = result.quality_report
+            assert report.kept_count == reference.report.kept_count
+            assert report.kept_ids == reference.report.kept_ids
+            assert [(d.worker_id, d.reason, d.detail) for d in report.dropped] == expected
+        _, memory = runs["memory"]
+        assert memory.quality_report.kept == reference.report.kept
 
-    def test_tallies_and_rankings_identical(self, pair):
-        (_, batch), (_, streaming) = pair
-        assert batch.raw_analysis.tallies == streaming.raw_analysis.tallies
-        assert (
-            batch.controlled_analysis.tallies
-            == streaming.controlled_analysis.tallies
-        )
-        for question_id, ranking in batch.raw_analysis.rankings.items():
+    def test_tallies_and_rankings_identical(self, runs, reference):
+        for _, result in runs.values():
+            assert result.raw_analysis.tallies == reference.raw_analysis.tallies
             assert (
-                ranking.matrix
-                == streaming.raw_analysis.rankings[question_id].matrix
+                result.controlled_analysis.tallies
+                == reference.controlled_analysis.tallies
             )
+            for question_id, ranking in reference.raw_analysis.rankings.items():
+                assert (
+                    ranking.matrix
+                    == result.raw_analysis.rankings[question_id].matrix
+                )
+                assert (
+                    reference.controlled_analysis.rankings[question_id].matrix
+                    == result.controlled_analysis.rankings[question_id].matrix
+                )
+
+    def test_bradley_terry_identical(self, runs, reference):
+        batch_counts = reference.bt["q1"]
+        for campaign, _ in runs.values():
+            folded = campaign.last_streaming.controlled_bt["q1"]
+            assert batch_counts.wins == folded.wins
             assert (
-                batch.controlled_analysis.rankings[question_id].matrix
-                == streaming.controlled_analysis.rankings[question_id].matrix
+                fit_bradley_terry(batch_counts).scores
+                == fit_bradley_terry(folded).scores
             )
 
-    def test_bradley_terry_identical(self, pair):
-        (batch_campaign, batch), (stream_campaign, _) = pair
-        version_ids = [
-            v for v in batch_campaign.prepared.version_ids if v != "__contrast__"
-        ]
-        batch_counts = counts_from_results(
-            batch.quality_report.kept, "q1", version_ids
-        )
-        stream_counts = stream_campaign.last_streaming.controlled_bt["q1"]
-        assert batch_counts.wins == stream_counts.wins
-        assert (
-            fit_bradley_terry(batch_counts).scores
-            == fit_bradley_terry(stream_counts).scores
-        )
-
-    def test_streaming_result_shape(self, pair):
-        _, (stream_campaign, streaming) = pair
+    def test_streaming_result_shape(self, runs):
+        stream_campaign, streaming = runs["sharded-streaming"]
         # Streaming never materializes participants: raw_results stays
         # empty, the counts come from the sufficient statistics.
         assert streaming.raw_results == []
+        assert streaming.quality_report.kept == []
         assert streaming.participants == 25
         assert streaming.participant_count == 25
         assert stream_campaign.last_streaming.uploaded == 25
         assert stream_campaign.database.stats()["spilled_documents"] > 0
+
+
+class TestOneConcludePath:
+    def test_memory_store_concludes_without_the_batch_pipeline(
+        self, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("conclude ran the batch pipeline")
+
+        monkeypatch.setattr(QualityControl, "apply", forbidden)
+        monkeypatch.setattr(
+            "repro.core.campaign.analyze_responses", forbidden
+        )
+        campaign, result = run_campaign("memory", participants=8, seed=3)
+        assert campaign.last_streaming is not None
+        assert campaign.last_streaming.uploaded == 8
+        assert result.participant_count == 8
+        assert len(result.raw_results) == 8
+        assert result.quality_report.kept_count + len(
+            result.quality_report.dropped
+        ) == 8
 
 
 class TestExecutorIdentity:
@@ -199,21 +254,51 @@ class TestCrashRecovery:
             )
 
 
-class TestStreamingGuards:
-    def test_adaptive_mode_rejected(self):
-        with pytest.raises(ValidationError, match="sharded-streaming"):
-            CampaignConfig(
-                seed=13, store="sharded-streaming", scheduler="adaptive"
+def scheduled_campaign(store, scheduler, seed=21):
+    """A four-version, one-question campaign under ``scheduler``."""
+    pages = ("p0", "p1", "p2", "p3")
+    campaign = Campaign(
+        config=CampaignConfig(
+            seed=seed, store=store, scheduler=scheduler, executor="serial"
+        )
+    )
+    campaign.prepare(
+        TestParameters(
+            test_id="scheduled-stream",
+            test_description="scheduled campaign on either store",
+            participant_num=8,
+            question=[Question("q1", "Which looks better?")],
+            webpages=[WebpageSpec(web_path=p, web_page_load=1000) for p in pages],
+        ),
+        {
+            p: parse_html(f"<html><body><p>{p} body</p></body></html>")
+            for p in pages
+        },
+    )
+    return campaign
+
+
+class TestScheduledStreaming:
+    @pytest.mark.parametrize("scheduler", ["adaptive", "merge"])
+    def test_sharded_store_concludes_like_memory(self, scheduler):
+        roster = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=21)
+        judge = make_utility_judge(
+            {"p0": 1.5, "p1": 0.6, "p2": -0.2, "p3": -1.0, "__contrast__": -5.0},
+            ThurstoneChoiceModel(),
+        )
+        outcomes = {}
+        for store in ("memory", "sharded-streaming"):
+            result = scheduled_campaign(store, scheduler).run_with_workers(
+                roster, judge
             )
+            early_stop = result.early_stop.to_dict() if result.early_stop else None
+            outcomes[store] = (result_digest(result), early_stop)
+        assert outcomes["sharded-streaming"] == outcomes["memory"]
+        if scheduler == "adaptive":
+            assert outcomes["memory"][1] is not None
 
-    def test_conclude_quality_config_conflict_rejected(self):
-        config = CampaignConfig(seed=14, store="sharded-streaming")
-        campaign = Campaign(config=config)
-        campaign.prepare(make_params(participants=4), make_documents())
-        conflicting = QualityConfig(enable_majority_vote=False)
-        with pytest.raises(CampaignError, match="quality"):
-            campaign.run(make_judge(), quality_config=conflicting)
 
+class TestStreamingGuards:
     def test_conclude_with_matching_quality_config_allowed(self):
         quality = QualityConfig(enable_majority_vote=False)
         config = CampaignConfig(
@@ -221,8 +306,9 @@ class TestStreamingGuards:
         )
         campaign = Campaign(config=config)
         campaign.prepare(make_params(participants=4), make_documents())
-        result = campaign.run(make_judge(), quality_config=quality)
+        result = campaign.run(make_judge())
         assert result.participants == 4
+        assert campaign._streaming_state.screen.config == quality
 
     def test_conclude_without_responses_rejected(self):
         config = CampaignConfig(seed=16, store="sharded-streaming")
