@@ -14,7 +14,7 @@ Three phases prove the adaptive Bradley-Terry scheduler (ISSUE 10):
   ground-truth ranking, clean and under chaos, with at most 40% of the
   full C(N,2) answer count (``--assert-savings`` exits nonzero otherwise).
 * **identity** — a small adaptive campaign concludes byte-identically
-  across serial / thread / process executors and a crash-resumed run
+  across the serial and process executors and a crash-resumed run
   (checkpoint mid-roster, resume on a fresh campaign), and the N=50 clean
   drive replays bit-identically through a JSON snapshot/restore at the
   halfway point.
@@ -275,7 +275,7 @@ def run_identity_phase(resume_at: int = 60) -> dict:
     digests = {}
     verdicts = set()
     for executor, parallelism in (
-        ("serial", 4), ("thread", 4), ("process", 2)
+        ("serial", 4), ("process", 2)
     ):
         campaign = _identity_campaign(executor, parallelism)
         result = campaign.run_with_workers(roster, judge)
@@ -376,8 +376,8 @@ def run_adaptive_benchmark(ns: Sequence[int] = DEFAULT_NS) -> dict:
             ),
             "savings_met": gate["met"] if gate else None,
             "identity_target": (
-                "adaptive conclusion byte-identical across serial/thread/"
-                "process executors and a crash-resumed run; scheduler "
+                "adaptive conclusion byte-identical across serial/process "
+                "executors and a crash-resumed run; scheduler "
                 "snapshot replay bit-identical"
             ),
             "identity_met": identity["met"],

@@ -16,7 +16,7 @@ admission control), and reports:
   its responses rot into timeout/retry storms (lost responses, burned
   client retry budgets);
 * **determinism** — the protected run's conclusion, metric snapshot and
-  traffic counters are **bit-identical** across serial / thread / process
+  traffic counters are **bit-identical** across the serial and process
   executors, and an overloaded fleet drains to identical per-run payloads
   at 1/2/4/8 workers.
 
@@ -87,8 +87,7 @@ def overload_config(protected: bool, participants: int) -> OverloadConfig:
 
 
 def make_campaign(protected: bool, participants: int,
-                  executor: str = "serial", parallelism: int = 1,
-                  chunk_size: Optional[int] = None) -> Campaign:
+                  executor: str = "serial", parallelism: int = 1) -> Campaign:
     config = CampaignConfig(
         seed=SEED,
         observe=True,
@@ -97,7 +96,6 @@ def make_campaign(protected: bool, participants: int,
         retry_policy=RETRY,
         executor=executor,
         parallelism=parallelism,
-        chunk_size=chunk_size,
     )
     campaign = Campaign(config=config)
     params = TestParameters(
@@ -124,12 +122,10 @@ def make_judge():
 
 
 def run_flash(protected: bool, participants: int,
-              executor: str = "serial", parallelism: int = 1,
-              chunk_size: Optional[int] = None) -> dict:
+              executor: str = "serial", parallelism: int = 1) -> dict:
     """One flash-crowd campaign; returns the full observable fingerprint."""
     campaign = make_campaign(
         protected, participants, executor=executor, parallelism=parallelism,
-        chunk_size=chunk_size,
     )
     wall_start = time.perf_counter()
     result = campaign.run(make_judge())
@@ -212,10 +208,8 @@ def run_determinism(participants: int) -> dict:
     """The protected flash run must be bit-identical on every backend."""
     cells = [
         ("serial-1", dict(executor="serial", parallelism=1)),
-        ("thread-4", dict(executor="thread", parallelism=4)),
         ("process-4", dict(executor="process", parallelism=4)),
-        ("process-2-chunk2", dict(executor="process", parallelism=2,
-                                  chunk_size=2)),
+        ("process-2", dict(executor="process", parallelism=2)),
     ]
     runs = {
         tag: run_flash(True, participants, **kwargs) for tag, kwargs in cells

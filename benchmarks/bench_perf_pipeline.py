@@ -10,7 +10,7 @@ participants by default) end to end in two configurations:
 * **optimized** — the shared :class:`~repro.render.artifacts.PageArtifactCache`
   renders each stored page once per campaign, the cascade goes through the
   :class:`~repro.html.cssom.RuleIndex`, and participants fan out across
-  worker threads on independent RNG substreams.
+  worker processes on independent RNG substreams.
 
 A third **lossy-network** scenario reruns the optimized configuration under
 a seeded :class:`~repro.net.faults.FaultPlan` (drops, timeouts, injected
@@ -58,7 +58,7 @@ from repro.experiments.fontsize import (
 from repro.net.faults import CircuitBreakerConfig, FaultPlan, RetryPolicy
 from repro.render.artifacts import PageArtifactCache
 from repro.util.executors import available_cpus, resolve_chunk_size
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
@@ -96,14 +96,35 @@ def _fresh_campaign(
     return campaign, experiment.make_personal_judge()
 
 
-def _run(participants: int, optimized: bool, parallelism: int) -> tuple:
-    """(result, wall_seconds, perf_snapshot) for one configuration."""
-    campaign, judge = _fresh_campaign(participants, optimized, parallelism)
+def _reset_metrics(campaign: Campaign) -> None:
+    """Forget prepare-time counts: the perf block covers the run only."""
+    campaign.metrics.reset()
     GLOBAL_METRICS.reset()
+
+
+def _perf_snapshot(campaign: Campaign) -> dict:
+    """The campaign's own registry plus the render-internal counters
+    (``cascade.*``, ``layout.*``) that only the process-global one sees."""
+    merged = MetricsRegistry()
+    merged.merge_state(GLOBAL_METRICS.export_state())
+    merged.merge_state(campaign.metrics.export_state())
+    return merged.snapshot()
+
+
+def _executor_used(campaign: Campaign) -> str:
+    """The roster path the last run actually took."""
+    pooled = campaign._last_fanout_pool > 1
+    return campaign.config.executor if pooled else "serial"
+
+
+def _run(participants: int, optimized: bool, parallelism: int) -> tuple:
+    """(campaign, result, wall_seconds, perf) for one configuration."""
+    campaign, judge = _fresh_campaign(participants, optimized, parallelism)
+    _reset_metrics(campaign)
     start = time.perf_counter()
     result = campaign.run(judge, reward_usd=REWARD_USD)
     elapsed = time.perf_counter() - start
-    return result, elapsed, GLOBAL_METRICS.snapshot()
+    return campaign, result, elapsed, _perf_snapshot(campaign)
 
 
 def _concluded_fingerprint(result: CampaignResult) -> List[dict]:
@@ -138,11 +159,11 @@ def _run_lossy(participants: int, parallelism: int) -> tuple:
         main_text_selector=MAIN_TEXT_SELECTOR,
         instructions=QUESTION.text,
     )
-    GLOBAL_METRICS.reset()
+    _reset_metrics(campaign)
     start = time.perf_counter()
     result = campaign.run(experiment.make_personal_judge(), reward_usd=REWARD_USD)
     elapsed = time.perf_counter() - start
-    return campaign, result, elapsed, GLOBAL_METRICS.snapshot()
+    return campaign, result, elapsed, _perf_snapshot(campaign)
 
 
 def run_lossy_benchmark(
@@ -275,16 +296,18 @@ def run_pipeline_benchmark(
     parallelism: int = DEFAULT_PARALLELISM,
 ) -> dict:
     """Run both configurations and return the report dictionary."""
-    baseline_result, baseline_s, baseline_perf = _run(
+    _, baseline_result, baseline_s, baseline_perf = _run(
         participants, optimized=False, parallelism=1
     )
-    optimized_result, optimized_s, optimized_perf = _run(
+    optimized_campaign, optimized_result, optimized_s, optimized_perf = _run(
         participants, optimized=True, parallelism=parallelism
     )
 
     # Determinism guarantee: the same seed concludes identically at every
     # parallelism level.
-    serial_result, serial_s, _ = _run(participants, optimized=True, parallelism=1)
+    _, serial_result, serial_s, _ = _run(
+        participants, optimized=True, parallelism=1
+    )
     deterministic = _concluded_fingerprint(serial_result) == _concluded_fingerprint(
         optimized_result
     )
@@ -301,7 +324,7 @@ def run_pipeline_benchmark(
             # Execution environment: the numbers below are wall-clock, so
             # they are only comparable for a known core count and executor.
             "cpu_count": available_cpus(),
-            "executor": "thread",
+            "executor": _executor_used(optimized_campaign),
             "chunk_size": resolve_chunk_size(participants, parallelism),
             # Store micro-benchmark: equality count()/distinct() answered
             # from the index bucket instead of a full collection scan.
@@ -366,7 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--parallelism", type=int, default=DEFAULT_PARALLELISM,
-        help="worker threads for the optimized configuration",
+        help="worker processes for the optimized configuration",
     )
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT,

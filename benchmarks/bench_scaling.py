@@ -1,13 +1,14 @@
-"""Scaling-curve benchmark: wall-clock vs worker count, thread vs process.
+"""Scaling-curve benchmark: wall-clock vs worker count, serial vs process.
 
 The deterministic fan-out makes participant simulation embarrassingly
 parallel; what limits it in-process is the GIL. This benchmark measures the
 same §IV-A font-size campaign (5 versions, C(5,2)=10 pairs) across the
 executor grid:
 
-* **executors** — ``serial`` (the inline fan-out loop), ``thread``
-  (``ThreadPoolExecutor``), ``process`` (chunked ``ProcessPoolExecutor``
-  per :mod:`repro.core.fanout`);
+* **executors** — ``serial`` (the inline fan-out loop) and ``process``
+  (chunked ``ProcessPoolExecutor`` per :mod:`repro.core.fanout`). A thread
+  pool was measured here too and never beat serial (0.73–1.12x in every
+  cell of the committed ``BENCH_scaling.json``), so it was deleted;
 * **worker counts** — 1 / 2 / 4 / 8 by default;
 * **participant scales** — 100 / 1 000 (and 10 000 with ``--full``);
 * **scenarios** — ``cached`` (shared artifact cache on: the fast path,
@@ -16,8 +17,8 @@ executor grid:
   regime the process pool exists for).
 
 Every cell runs the identical seeded campaign, so before timing anything
-the benchmark proves the executor contract: serial, thread and process
-runs conclude **bit-identically** at the smallest scale of each scenario.
+the benchmark proves the executor contract: serial and process runs
+conclude **bit-identically** at the smallest scale of each scenario.
 
 Wall-clock numbers are only meaningful together with the machine's core
 count, so the report's ``config`` block records ``cpu_count``, the executor
@@ -131,19 +132,12 @@ def _fingerprint(result) -> str:
 
 
 def check_determinism(participants: int, cached: bool, workers: int) -> bool:
-    """Serial vs thread(workers) vs process(workers): identical conclusions."""
+    """Serial vs process(workers): identical conclusions."""
     serial, _ = _run_cell(participants, cached, "serial", 1)
-    reference = _fingerprint(serial)
-    reference_conclusion = json.dumps(serial.conclusion.to_dict(), sort_keys=True)
-    for executor in ("thread", "process"):
-        result, _ = _run_cell(participants, cached, executor, workers)
-        if _fingerprint(result) != reference:
-            return False
-        if json.dumps(result.conclusion.to_dict(), sort_keys=True) != (
-            reference_conclusion
-        ):
-            return False
-    return True
+    pooled, _ = _run_cell(participants, cached, "process", workers)
+    return _fingerprint(pooled) == _fingerprint(serial) and json.dumps(
+        pooled.conclusion.to_dict(), sort_keys=True
+    ) == json.dumps(serial.conclusion.to_dict(), sort_keys=True)
 
 
 def run_scaling_benchmark(
@@ -170,17 +164,15 @@ def run_scaling_benchmark(
             cell = {
                 "serial_seconds": round(serial_s, 4),
                 "participants_uploaded": len(serial_result.raw_results),
-                "thread": {},
                 "process": {},
-                "speedup_vs_serial": {"thread": {}, "process": {}},
+                "speedup_vs_serial": {"process": {}},
             }
-            for executor in ("thread", "process"):
-                for count in workers:
-                    _, elapsed = _run_cell(participants, cached, executor, count)
-                    cell[executor][str(count)] = round(elapsed, 4)
-                    cell["speedup_vs_serial"][executor][str(count)] = (
-                        round(serial_s / elapsed, 2) if elapsed else None
-                    )
+            for count in workers:
+                _, elapsed = _run_cell(participants, cached, "process", count)
+                cell["process"][str(count)] = round(elapsed, 4)
+                cell["speedup_vs_serial"]["process"][str(count)] = (
+                    round(serial_s / elapsed, 2) if elapsed else None
+                )
             by_scale[str(participants)] = cell
         report_scenarios[name] = {
             "description": SCENARIOS[name]["description"],
@@ -196,7 +188,7 @@ def run_scaling_benchmark(
             "seed": SEED,
             "participant_scales": list(scales),
             "worker_counts": list(workers),
-            "executor_modes": ["serial", "thread", "process"],
+            "executor_modes": ["serial", "process"],
             "cpu_count": cpu_count,
             "chunk_size_policy": "pending / (workers * 4), floor 1",
             "chunk_size_at_target": resolve_chunk_size(
@@ -207,7 +199,7 @@ def run_scaling_benchmark(
         },
         "determinism": {
             "contract": (
-                "serial, thread and process runs of the same seed conclude "
+                "serial and process runs of the same seed conclude "
                 "bit-identically (raw results + conclusion)"
             ),
             "verified": determinism,
@@ -279,7 +271,7 @@ def test_scaling_smoke(report_writer):
     assert report["determinism"]["verified"]["cold_render"]
     config = report["config"]
     assert config["cpu_count"] >= 1
-    assert config["executor_modes"] == ["serial", "thread", "process"]
+    assert config["executor_modes"] == ["serial", "process"]
     cell = report["scenarios"]["cold_render"]["by_participants"]["12"]
     assert cell["participants_uploaded"] == 12
     assert cell["process"]["2"] > 0

@@ -10,12 +10,13 @@ Two phases prove the `sharded-streaming` store mode (ISSUE 9):
   streaming aggregator's sufficient-statistics size is O(pairs) — the cell
   count at 1M participants must equal the cell count of a tiny run.
 * **crosscheck** — a 10 000-participant campaign concludes byte-identically
-  on the in-memory store and the sharded streaming store, across serial /
-  thread / process executors and a crash-resume run (checkpoint
-  mid-fan-out, resume on a fresh campaign). Every campaign concludes from
-  the upload-time fold, so the reference is computed independently: the
-  whole-batch ``QualityControl.apply``, ``analyze_responses`` and
-  ``counts_from_results`` over the memory run's ``raw_results``. Identity
+  on the in-memory store and the sharded streaming store, across the
+  serial and process executors and a process crash-resume run (checkpoint
+  after half the chunks, resume on a fresh campaign). Every campaign
+  concludes from the upload-time fold, so the reference is computed
+  independently: the whole-batch ``QualityControl.apply``,
+  ``analyze_responses`` and ``counts_from_results`` over the memory run's
+  ``raw_results``. Identity
   covers the conclusion, quality keeps/drops, raw + controlled tallies,
   ranking matrices, and the Bradley-Terry fit.
 
@@ -57,7 +58,7 @@ from repro.core.quality import QualityControl
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.html.parser import parse_html
-from repro.util.executors import available_cpus
+from repro.util.executors import available_cpus, chunk_indices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_streaming.json"
@@ -331,7 +332,7 @@ def _crosscheck_campaign(store: str, participants: int, executor: str,
 def run_crosscheck_phase(
     participants: int,
     shards: int,
-    executors: Sequence[str] = ("serial", "thread", "process"),
+    executors: Sequence[str] = ("serial", "process"),
     parallelism: int = 4,
 ) -> dict:
     roster = generate_population(
@@ -354,11 +355,13 @@ def run_crosscheck_phase(
         result = campaign.run_with_workers(roster, judge)
         digests[f"streaming/{executor}"] = campaign_digest(campaign, result)
 
-    # Crash-resume: die at the fan-out's halfway checkpoint, then resume a
-    # fresh campaign from the serialized checkpoint.
-    crash_at = max(2, participants // 2)
+    # Crash-resume: die at the process fan-out's halfway checkpoint (one
+    # per merged chunk), then resume a fresh campaign from the serialized
+    # checkpoint.
+    chunks = chunk_indices(range(participants), parallelism)
+    crash_at = max(1, len(chunks) // 2)
     crashed = _crosscheck_campaign(
-        "sharded-streaming", participants, "thread", parallelism, shards
+        "sharded-streaming", participants, "process", parallelism, shards
     )
     seen = [0]
 
@@ -374,12 +377,12 @@ def run_crosscheck_phase(
         pass
     checkpoint = crashed.resume_state()
     resumed = _crosscheck_campaign(
-        "sharded-streaming", participants, "thread", parallelism, shards
+        "sharded-streaming", participants, "process", parallelism, shards
     )
     resumed_result = resumed.run_with_workers(
         roster, judge, resume_from=checkpoint
     )
-    digests["streaming/thread+crash-resume"] = campaign_digest(
+    digests["streaming/process+crash-resume"] = campaign_digest(
         resumed, resumed_result
     )
 
@@ -412,7 +415,7 @@ def run_streaming_benchmark(
     crosscheck_participants: int = DEFAULT_CROSSCHECK_PARTICIPANTS,
     shards: int = SHARDS,
     ceiling_mb: float = RSS_CEILING_MB,
-    executors: Sequence[str] = ("serial", "thread", "process"),
+    executors: Sequence[str] = ("serial", "process"),
 ) -> dict:
     crosscheck = run_crosscheck_phase(
         crosscheck_participants, shards, executors=executors
@@ -462,7 +465,7 @@ def test_streaming_smoke(report_writer):
     report = run_streaming_benchmark(
         rss_participants=4_000,
         crosscheck_participants=240,
-        executors=("serial", "thread"),
+        executors=("serial",),
     )
     assert report["crosscheck"]["identical"]
     assert report["bounded_rss"]["within_ceiling"]

@@ -76,8 +76,7 @@ def _prepare_campaign(args) -> Campaign:
     config = CampaignConfig(
         seed=args.seed,
         parallelism=parallelism,
-        executor=executor if executor is not None else "thread",
-        chunk_size=getattr(args, "chunk_size", None),
+        executor=executor or "process",
         observe=observe,
         arrival=getattr(args, "arrival", None),
         store=getattr(args, "store", None) or "memory",
@@ -319,15 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--executor", choices=sorted(EXECUTOR_MODES), default=None,
-        help="fan-out backend: 'thread' (default) overlaps participants on "
-        "a thread pool, 'process' side-steps the GIL by chunking them "
-        "across worker processes, 'serial' forces the inline loop; all "
-        "three produce bit-identical results for a fixed --seed",
-    )
-    run.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="participants per process-pool task (default: pending "
-        "participants / (workers * 4), amortizing spawn + pickle)",
+        help="fan-out backend: 'process' (default) chunks participants "
+        "across worker processes when --parallelism > 1, 'serial' forces "
+        "the inline loop; both produce bit-identical results for a fixed "
+        "--seed",
     )
     run.add_argument(
         "--arrival", default=None, metavar="MODE",

@@ -20,7 +20,6 @@ spans on virtual clocks, plus a metrics registry — exportable through
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,11 +69,7 @@ from repro.render.artifacts import PageArtifactCache
 from repro.sim.clock import SECONDS_PER_DAY, SimulationEnvironment
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
-from repro.util.executors import (
-    EXECUTOR_PROCESS,
-    EXECUTOR_SERIAL,
-    effective_pool_size,
-)
+from repro.util.executors import EXECUTOR_SERIAL, effective_pool_size
 from repro.util.rng import coerce_rng
 
 # Participants arrive on whatever access network they have; the replay
@@ -238,9 +233,9 @@ class Campaign:
         if network is not None:
             if config.fault_plan is not None:
                 self.network.faults = config.fault_plan
+            self.network.metrics = self.metrics
             if self.obs.enabled:
                 self.network.tracer = self.tracer
-                self.network.metrics = self.metrics
         if database is not None:
             self.database = database
         elif config.streaming:
@@ -282,10 +277,6 @@ class Campaign:
                 enabled=bool(config.artifact_cache),
                 metrics=self.metrics, tracer=self.tracer,
             )
-        self.retry_policy = config.retry_policy
-        self.breaker_config = config.breaker_config
-        self.dropout_rate = config.dropout_rate
-        self._resilient = config.resilient
         # (worker_id, reason) for every participant whose upload never landed.
         self.lost_uploads: List[Tuple[str, str]] = []
         # Entropy of the last roster run: re-running with the same value (and
@@ -293,7 +284,7 @@ class Campaign:
         # substreams, skipping participants whose uploads are stored.
         self.last_root_entropy: Optional[int] = None
         # Optional callable invoked with this campaign after every durable
-        # unit of roster progress (each upload in serial/thread mode, each
+        # unit of roster progress (each upload in the inline loop, each
         # merged chunk in process mode). The fleet worker installs one to
         # journal checkpoints and heartbeat its lease; it may raise to
         # simulate the worker dying at exactly that point.
@@ -319,7 +310,7 @@ class Campaign:
         self._shared_scheduler: Optional[Scheduler] = None
         self._scheduler_snapshot: Optional[dict] = None
         # Root span of the run in progress; participant subtrees are adopted
-        # under the innermost open span from the campaign thread.
+        # under the innermost open span, in roster order.
         self._root_span = None
         # Worker count the last fan-out actually used (after capping at the
         # pending roster size). Plain attribute, not a gauge: gauges land in
@@ -638,9 +629,8 @@ class Campaign:
     def _adopt(self, span) -> None:
         """Attach a finished participant subtree under the open span.
 
-        Must only be called from the campaign thread — that single rule keeps
-        child order (and every exported span id) independent of worker-thread
-        scheduling.
+        Called only in roster order — that single rule keeps child order
+        (and every exported span id) independent of pool scheduling.
         """
         if span is None:
             return
@@ -665,14 +655,14 @@ class Campaign:
         so the simulation is order-independent — what makes every executor
         conclude identically. ``session_start`` anchors the client's session
         clock (breaker cooldowns, outage windows); the roster pipeline passes
-        the pre-fan-out time so it is thread-order free. ``shared_scheduler``
-        serves the comparisons when the campaign pools one scheduler across
+        the pre-fan-out time so it is execution-order free.
+        ``shared_scheduler`` serves the comparisons when the campaign pools one scheduler across
         the roster; otherwise the configured mode builds a fresh one per
         participant (``"full"`` keeps the all-pairs page plan).
 
         Returns ``(result, client, participant_span)``; the span is a
         *detached* trace subtree (or the shared null span) that the caller
-        adopts into the campaign tree from the campaign thread.
+        adopts into the campaign tree in roster order.
 
         In resilient mode a :class:`~repro.errors.ParticipantAbandoned` is
         absorbed here: the partial result is marked ``abandoned`` and returned
@@ -683,10 +673,10 @@ class Campaign:
         profile = self._sample_profile(rng)
         client = Client(
             self.network, profile,
-            retry_policy=self.retry_policy,
+            retry_policy=self.config.retry_policy,
             client_id=worker.worker_id,
             rng=rng,
-            breaker_config=self.breaker_config,
+            breaker_config=self.config.breaker_config,
             session_start=session_start,
             tracer=self.tracer,
             metrics=self.metrics,
@@ -695,7 +685,7 @@ class Campaign:
         trace_clock: Optional[TraceClock] = None
         if self.obs.enabled:
             # The participant's own virtual timeline: session transfer +
-            # backoff time (thread-order free) plus locally-accumulated
+            # backoff time (execution-order free) plus locally-accumulated
             # page-viewing time added by the extension.
             trace_clock = TraceClock(lambda: client.session_now)
             client.trace_clock = trace_clock
@@ -710,7 +700,7 @@ class Campaign:
                     download=self._make_downloader(client),
                     artifacts=self.artifacts,
                     schedule_lookup=self._schedule_for_path,
-                    dropout_rate=self.dropout_rate,
+                    dropout_rate=self.config.dropout_rate,
                     tracer=self.tracer,
                     trace_clock=trace_clock,
                     metrics=self.metrics,
@@ -748,7 +738,7 @@ class Campaign:
                             control_pages=chosen,
                         )
                 except ParticipantAbandoned as exc:
-                    if not self._resilient:
+                    if not self.config.resilient:
                         raise
                     result = exc.result
                     if result is None:
@@ -801,7 +791,7 @@ class Campaign:
                     self.server.url("/responses"), result.as_dict()
                 )
             except NetworkError as exc:
-                if not self._resilient:
+                if not self.config.resilient:
                     raise
                 reason = f"network:{type(exc).__name__}"
                 if not detached:
@@ -815,7 +805,7 @@ class Campaign:
                 overloaded = bool(upload.headers.get(OVERLOAD_HEADER, ""))
                 pushback = overloaded and self.overload_pushback
                 if (
-                    self._resilient
+                    self.config.resilient
                     and not pushback
                     and (upload.status >= 500 or overloaded)
                 ):
@@ -917,7 +907,7 @@ class Campaign:
     def _checkpoint(self) -> None:
         """Fire the installed checkpoint hook after a durable progress unit.
 
-        Called after every roster-order upload in serial/thread fan-out and
+        Called after every roster-order upload in the inline loop and
         after every merged chunk in process fan-out — the points where the
         server-side row store (the real checkpoint) has just grown. A hook
         that raises kills the run exactly as a worker crash would, with the
@@ -1003,19 +993,19 @@ class Campaign:
         Each worker's stream comes from ``SeedSequence.spawn``, so no draw by
         one participant can perturb another — results are identical whether
         the roster runs serially or across ``parallelism`` workers. Uploads
-        happen from the calling thread in roster order, progressively as each
-        participant's simulation completes — so a crash mid-roster leaves a
+        land in roster order, progressively as each participant (or, in
+        process mode, each chunk) completes — so a crash mid-roster leaves a
         checkpoint of finished uploads on the server. Participant trace
         subtrees are adopted in the same roster order, which is what makes
         the exported timeline bit-identical at every parallelism level.
 
-        ``CampaignConfig.executor`` selects the backend: ``"serial"`` always
-        runs the inline loop; ``"thread"`` overlaps participants on a thread
-        pool; ``"process"`` chunks them across worker processes (see
-        :mod:`repro.core.fanout`). The pool is capped at the pending roster
-        size — idle workers are never spawned — and the capped size is
-        recorded in :attr:`_last_fanout_pool`. In process mode the crash
-        checkpoint is chunk-granular rather than participant-granular.
+        ``CampaignConfig.parallelism`` selects the backend: ``1`` runs the
+        inline loop; more chunks the roster across worker processes (see
+        :mod:`repro.core.fanout`), unless ``executor="serial"`` pins the
+        inline loop. The pool is capped at the pending roster size — idle
+        workers are never spawned — and the capped size is recorded in
+        :attr:`_last_fanout_pool`. In process mode the crash checkpoint is
+        chunk-granular rather than participant-granular.
 
         A shared scheduler (``scheduler="adaptive"``) makes the roster a
         sequential dependency chain — every pair it serves depends on all
@@ -1056,7 +1046,7 @@ class Campaign:
             i for i in range(len(workers)) if workers[i].worker_id not in done
         ]
         # Captured once before the fan-out so every client's session clock has
-        # the same thread-order-free anchor.
+        # the same execution-order-free anchor.
         session_start = self.env.now
         # The arrival schedule staggers session starts per *full-roster*
         # index (resume keeps alignment: a redelivered job derives the same
@@ -1116,7 +1106,7 @@ class Campaign:
             if cfg.executor == EXECUTOR_SERIAL or pool_size == 1:
                 for i in pending:
                     upload(i, *simulate(i))
-            elif cfg.executor == EXECUTOR_PROCESS:
+            else:
                 with self.metrics.timed("campaign.parallel_fanout"):
                     run_process_fanout(
                         self, workers, judge, controls_per_participant,
@@ -1126,13 +1116,6 @@ class Campaign:
                         in_lab=in_lab,
                         arrival_offsets=offsets,
                     )
-            else:
-                with self.metrics.timed("campaign.parallel_fanout"):
-                    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                        # pool.map yields in submission order, so uploads land
-                        # in roster order while later simulations overlap.
-                        for i, outcome in zip(pending, pool.map(simulate, pending)):
-                            upload(i, *outcome)
 
     def _make_downloader(self, client: Client):
         def download(storage_path: str) -> str:
@@ -1144,17 +1127,18 @@ class Campaign:
     def _prewarm_artifacts(self) -> None:
         """Build every integrated page's artifacts once, ahead of a fan-out.
 
-        Without this, the first wave of parallel participants would race to
-        build the same cache entries (harmless but wasteful, and it makes the
-        network log order depend on thread timing). One warm pass over the
-        C(N,2)+controls pages makes every later lookup a pure cache hit.
+        Without this, every worker process would build the same cache entries
+        on demand (wasteful, and it puts the builds' downloads in whichever
+        chunk's network log hit them first). One warm pass over the
+        C(N,2)+controls pages, shipped to the workers as a snapshot, makes
+        every later lookup a pure cache hit.
         """
         if self.artifacts is None or not self.artifacts.enabled:
             return
         prepared = self._require_prepared()
         client = Client(
             self.network, PROFILES["cable"],
-            retry_policy=self.retry_policy, client_id="prewarm",
+            retry_policy=self.config.retry_policy, client_id="prewarm",
             tracer=self.tracer, metrics=self.metrics,
         )
         if self.obs.enabled:
@@ -1169,7 +1153,7 @@ class Campaign:
                         fetch=download, schedule_lookup=self._schedule_for_path,
                     )
             except NetworkError:
-                if not self._resilient:
+                if not self.config.resilient:
                     raise
                 # Participants rebuild this page's artifacts on demand.
                 continue

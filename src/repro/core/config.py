@@ -30,7 +30,7 @@ from repro.core.scheduling import SCHEDULER_MODES, SchedulerConfig
 from repro.errors import ValidationError
 from repro.net.faults import CircuitBreakerConfig, FaultPlan, RetryPolicy
 from repro.net.overload import OverloadConfig
-from repro.util.executors import EXECUTOR_MODES
+from repro.util.executors import EXECUTOR_PROCESS, validate_executor_mode
 
 #: Default core-server hostname (the paper's single-server deployment).
 DEFAULT_HOST = "kaleidoscope.local"
@@ -61,9 +61,10 @@ class CampaignConfig:
     #: Campaign RNG seed (ignored when an explicit ``rng``/``seed`` is
     #: passed to the :class:`~repro.core.campaign.Campaign` constructor).
     seed: Optional[int] = None
-    #: Worker count for the roster pipeline; every participant simulates on
-    #: an independent RNG substream, so the conclusion is identical for
-    #: every ``n >= 1``.
+    #: Worker count for the roster pipeline: ``1`` runs the roster inline,
+    #: ``n > 1`` chunks it across a pool of ``n`` processes. Every
+    #: participant simulates on an independent RNG substream, so the
+    #: conclusion is identical for every ``n >= 1``.
     parallelism: int = 1
     #: Conclusion floor: minimum absolute count of complete participants.
     min_participants: Optional[int] = None
@@ -86,13 +87,10 @@ class CampaignConfig:
     breaker_config: Optional[CircuitBreakerConfig] = None
     #: Base per-page probability a participant walks away mid-test.
     dropout_rate: float = 0.0
-    #: Roster executor: ``"serial"`` runs the roster inline, ``"thread"``
-    #: (default) uses a thread pool, ``"process"`` a process pool. All three
-    #: conclude bit-identically for a fixed seed.
-    executor: str = "thread"
-    #: Participants per process-pool task (amortizes spawn + pickle
-    #: overhead); ``None`` picks ``ceil(pending / (workers * 4))``.
-    chunk_size: Optional[int] = None
+    #: Roster backend: ``"process"`` (default) leaves the choice to
+    #: ``parallelism``; ``"serial"`` pins the inline loop. Kept only because
+    #: the perfbench workloads pass ``executor="serial"``.
+    executor: str = EXECUTOR_PROCESS
     #: Record a deterministic trace + metrics for this campaign
     #: (``campaign.timeline()`` exports it).
     observe: bool = False
@@ -145,14 +143,7 @@ class CampaignConfig:
             )
         if self.controls_per_participant < 0:
             raise ValidationError("controls_per_participant must be >= 0")
-        if self.executor not in EXECUTOR_MODES:
-            raise ValidationError(
-                f"executor must be one of {EXECUTOR_MODES}, got {self.executor!r}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValidationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
+        validate_executor_mode(self.executor)
         if self.reward_usd < 0:
             raise ValidationError("reward_usd must be >= 0")
         if not self.host:
@@ -216,7 +207,6 @@ class CampaignConfig:
             "circuit_breaker": self.breaker_config is not None,
             "dropout_rate": self.dropout_rate,
             "executor": self.executor,
-            "chunk_size": self.chunk_size,
             "observe": self.observe,
             "host": self.host,
             "arrival": self.arrival,

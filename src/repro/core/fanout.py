@@ -1,19 +1,19 @@
-"""Process-pool participant fan-out: the GIL-free executor backend.
+"""Process-pool participant fan-out: the campaign's one parallel backend.
 
 The deterministic fan-out already makes every participant independent —
 each one simulates on its own ``SeedSequence`` substream, anchored to a
 shared pre-fan-out ``session_start``, and results are merged back in roster
-order. Threads exploit that independence for I/O-shaped overlap, but the
-hot path (parse → cascade → layout → replay per visited page) is pure
-Python compute, so a thread pool serializes on the GIL. This module runs
-the same fan-out across *processes*.
+order. The hot path (parse → cascade → layout → replay per visited page) is
+pure Python compute and the simulated network runs on a virtual clock, so
+threads would only serialize on the GIL with no real I/O to overlap. This
+module runs the fan-out across *processes* instead.
 
 What crosses the process boundary is a :class:`FanoutSpec` — a cheap,
 picklable description of the campaign, never the live ``Campaign`` /
 ``Tracer`` / server objects:
 
-* the frozen :class:`~repro.core.config.CampaignConfig` plus the campaign's
-  live resilience knobs (a caller may have overridden them post-init);
+* the frozen :class:`~repro.core.config.CampaignConfig`, from which each
+  worker rebuilds its campaign (fault plan, retries, dropout, artifacts);
 * the prepared test, the storage file snapshot and the test's database
   record — enough to rebuild a private core server per worker process;
 * the roster and the fan-out's ``root_entropy`` (workers re-derive every
@@ -24,7 +24,7 @@ picklable description of the campaign, never the live ``Campaign`` /
 
 Each worker process rebuilds a **real** :class:`~repro.core.campaign.
 Campaign` from the spec and drives the *same* ``_simulate_participant`` /
-``_upload_result`` code paths as the serial and thread modes — there is no
+``_upload_result`` code paths as the inline loop — there is no
 second simulation implementation to drift. A chunk of roster indices is
 simulated per task (amortizing spawn + pickle); the chunk ships back:
 
@@ -40,13 +40,13 @@ fold metrics, then replay each recorded clock advance through its own
 network. Replaying the individual advances (not per-chunk totals)
 reproduces the serial run's exact float-addition sequence, so the campaign
 clock — and with it ``duration_days`` and every later span timestamp — is
-bit-identical to the serial and thread modes at any worker count.
+bit-identical to the inline loop at any worker count.
 
 Failure semantics: a fatal participant error (non-resilient network fault,
 HTTP failure, duplicate upload) raises in the worker and propagates to the
 parent, aborting the fan-out. Chunks that completed earlier were already
 merged — the crash checkpoint is chunk-granular here, versus
-participant-granular in thread mode (documented in DESIGN.md §9).
+participant-granular in the inline loop (documented in DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ import numpy as np
 from repro.core.aggregator import RESPONSES_COLLECTION, TESTS_COLLECTION
 from repro.errors import CampaignError
 from repro.net.simnet import SimulatedNetwork, TrafficStats
-from repro.obs import Observability
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER
-from repro.render.artifacts import PageArtifactCache
 from repro.sim.clock import SimulationEnvironment
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
@@ -87,7 +83,7 @@ def ensure_picklable(obj: Any, what: str) -> None:
             f"executor='process' requires a picklable {what}; "
             f"{type(obj).__name__!s} failed to pickle ({exc}). Use a module-"
             "level class with instance state instead of a lambda or closure, "
-            "or run with executor='thread'."
+            "or run with parallelism=1."
         ) from exc
 
 
@@ -139,15 +135,7 @@ class FanoutSpec:
     arrival_offsets: tuple = ()
     in_lab: bool = False
     randomize_orientation: bool = False
-    # Live campaign knobs (may have been overridden after construction).
-    fault_plan: Any = None
-    retry_policy: Any = None
-    breaker_config: Any = None
-    dropout_rate: float = 0.0
-    resilient: bool = False
-    # None -> campaign renders nothing; else dict(enabled/use_style_index/
-    # viewport) mirroring the parent's live cache object.
-    artifact_settings: Optional[dict] = None
+    # The parent's prebuilt artifact cache entries (None: nothing to seed).
     artifact_entries: Optional[dict] = None
 
 
@@ -195,21 +183,10 @@ def build_spec(
             "prepare() must precede the fan-out"
         )
     test_record.pop("_id", None)
-    if campaign.artifacts is None:
-        artifact_settings = None
-        entries = None
-    else:
-        artifact_settings = {
-            "enabled": campaign.artifacts.enabled,
-            "use_style_index": campaign.artifacts.use_style_index,
-            "viewport": campaign.artifacts.viewport,
-        }
-        # Prebuilt once in the parent (batched prewarm); shipped read-only.
-        entries = (
-            campaign.artifacts.snapshot_entries()
-            if campaign.artifacts.enabled
-            else None
-        )
+    # Prebuilt once in the parent (batched prewarm); shipped read-only.
+    entries = None
+    if campaign.artifacts is not None and campaign.artifacts.enabled:
+        entries = campaign.artifacts.snapshot_entries()
     # Chunk campaigns always run the in-memory store: each worker process
     # holds only its chunk's rows (wiped after shipping), so sharded WALs
     # would journal state that is thrown away — the parent's store is the
@@ -228,12 +205,6 @@ def build_spec(
         arrival_offsets=tuple(arrival_offsets),
         in_lab=in_lab,
         randomize_orientation=getattr(campaign, "_randomize_orientation", False),
-        fault_plan=campaign.network.faults,
-        retry_policy=campaign.retry_policy,
-        breaker_config=campaign.breaker_config,
-        dropout_rate=campaign.dropout_rate,
-        resilient=campaign._resilient,
-        artifact_settings=artifact_settings,
         artifact_entries=entries,
     )
 
@@ -242,10 +213,9 @@ class _WorkerRuntime:
     """Per-process state: stores, substreams, and the shared artifact map.
 
     Built once per worker process by the pool initializer; every chunk the
-    process executes reuses the stores and the artifact entry map (exactly
-    as threads share the parent cache), but gets a **fresh** environment,
-    network and campaign so chunk results are independent of which process
-    ran them.
+    process executes reuses the stores and the artifact entry map, but gets
+    a **fresh** environment, network and campaign so chunk results are
+    independent of which process ran them.
     """
 
     def __init__(self, spec: FanoutSpec):
@@ -271,42 +241,15 @@ class _WorkerRuntime:
 
         spec = self.spec
         env = SimulationEnvironment(start=spec.session_start)
-        network = _RecordingNetwork(env, fault_plan=spec.fault_plan)
         campaign = Campaign(
             env=env,
-            network=network,
+            network=_RecordingNetwork(env),
             database=self.database,
             storage=self.storage,
             config=spec.config,
         )
-        if not campaign.obs.enabled:
-            # An unobserved campaign shares the process-global registry; give
-            # each chunk a private one instead so its delta can ship back and
-            # merge into the parent's global registry exactly once.
-            registry = MetricsRegistry()
-            campaign.obs = Observability(NULL_TRACER, registry)
-            campaign.tracer = NULL_TRACER
-            campaign.metrics = registry
-            network.metrics = registry
-        # The parent's live knobs are authoritative over the config (callers
-        # may have overridden attributes after construction).
-        network.faults = spec.fault_plan
-        campaign.retry_policy = spec.retry_policy
-        campaign.breaker_config = spec.breaker_config
-        campaign.dropout_rate = spec.dropout_rate
-        campaign._resilient = spec.resilient
-        if spec.artifact_settings is None:
-            campaign.artifacts = None
-        else:
-            campaign.artifacts = PageArtifactCache(
-                viewport=spec.artifact_settings["viewport"],
-                enabled=spec.artifact_settings["enabled"],
-                use_style_index=spec.artifact_settings["use_style_index"],
-                metrics=campaign.metrics,
-                tracer=campaign.tracer,
-            )
-            if self.entries is not None:
-                campaign.artifacts.seed_entries(self.entries)
+        if self.entries is not None:
+            campaign.artifacts.seed_entries(self.entries)
         campaign.prepared = spec.prepared
         campaign._randomize_orientation = spec.randomize_orientation
         # Rebuild the overload LoadSignal from the shipped arrival schedule:
@@ -458,7 +401,7 @@ def run_process_fanout(
         in_lab=in_lab,
         arrival_offsets=arrival_offsets,
     )
-    chunks = chunk_indices(pending, pool_size, campaign.config.chunk_size)
+    chunks = chunk_indices(pending, pool_size)
     max_workers = max(1, min(pool_size, len(chunks)))
     with ProcessPoolExecutor(
         max_workers=max_workers,

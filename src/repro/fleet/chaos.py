@@ -57,7 +57,7 @@ class WorkerChaos:
         """Which checkpoint this delivery dies at, or ``None`` for a clean run.
 
         ``checkpoints`` is how many checkpoint-hook firings the job expects
-        (the roster size in serial/thread mode, the chunk count in process
+        (the roster size in the inline loop, the chunk count in process
         mode). The returned ``k`` means: crash at the k-th firing, *before*
         its checkpoint is saved — so the durable state is everything up to
         firing ``k-1``, and resume genuinely has work left to do.

@@ -3,12 +3,13 @@
 A worker executes one delivery at a time on the fleet's virtual clock. For
 each claimed job it rebuilds the :class:`~repro.core.campaign.Campaign`
 from the pickled submission, loads any checkpoint a previous (crashed)
-delivery journaled, and drives the existing serial/thread/process executor
-paths via ``run_with_workers(resume_from=...)``. A checkpoint hook fires
-after every durable unit of campaign progress: it journals the campaign's
-resume state into the :class:`~repro.fleet.store.FleetStore` and heartbeats
-the queue lease — so a long campaign never times out while it is making
-progress, and a crashed one resumes from its last heartbeat's state.
+delivery journaled, and drives the campaign's roster pipeline (inline or
+process pool) via ``run_with_workers(resume_from=...)``. A checkpoint hook
+fires after every durable unit of campaign progress: it journals the
+campaign's resume state into the :class:`~repro.fleet.store.FleetStore` and
+heartbeats the queue lease — so a long campaign never times out while it
+is making progress, and a crashed one resumes from its last heartbeat's
+state.
 
 Failure taxonomy:
 

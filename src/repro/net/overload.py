@@ -382,7 +382,7 @@ class RateLimiter:
     the window's requests absorb the overflow. That is a stable hash
     lottery of ``(seed, window, token)`` against the window's reject
     fraction — a pure function, so admit/reject is identical no matter
-    which executor, thread, or redelivery presents the request.
+    which executor, worker process, or redelivery presents the request.
     """
 
     def __init__(self, config: OverloadConfig, signal: LoadSignal):

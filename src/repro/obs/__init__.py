@@ -4,7 +4,7 @@ Zero-dependency instrumentation for the campaign pipeline, driven by the
 *simulated* clock so every artifact is deterministic for a fixed seed:
 
 * :mod:`repro.obs.tracing` — nested spans (campaign → participant →
-  integrated page → exchange) with seeded-run-safe ids; worker threads
+  integrated page → exchange) with seeded-run-safe ids; participants
   build detached subtrees that are adopted in roster order, so the tree is
   bit-identical at any parallelism level.
 * :mod:`repro.obs.metrics` — counters, gauges, histograms and
@@ -14,11 +14,12 @@ Zero-dependency instrumentation for the campaign pipeline, driven by the
   report, and the schema validator CI runs over the artifact.
 
 :class:`Observability` is the bundle a campaign threads through its
-components: an enabled bundle carries a live :class:`~repro.obs.tracing.
-Tracer` and a campaign-private :class:`~repro.obs.metrics.MetricsRegistry`;
-a disabled bundle carries the shared :data:`~repro.obs.tracing.NULL_TRACER`
-and the process-global registry, making the tracing-off path byte-identical
-to the pre-observability pipeline.
+components. Either way it carries a campaign-private
+:class:`~repro.obs.metrics.MetricsRegistry`, so one campaign's counts never
+leak into another's; an enabled bundle adds a live :class:`~repro.obs.
+tracing.Tracer`, a disabled one the shared :data:`~repro.obs.tracing.
+NULL_TRACER`, making the tracing-off path byte-identical to the
+pre-observability pipeline.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class Observability:
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """The inert bundle: null tracer, process-global registry."""
-        return cls(NULL_TRACER, GLOBAL_METRICS)
+        """The untraced bundle: null tracer, private registry."""
+        return cls(NULL_TRACER, MetricsRegistry())
 
     def trace_root(self) -> Optional[Span]:
         """The run's single root span.

@@ -177,9 +177,9 @@ class PageArtifactCache:
         """Adopt a prebuilt entry map (worker-side of :meth:`snapshot_entries`).
 
         The mapping is adopted by reference: chunks running in the same
-        worker process share one map, exactly as threads share the parent
-        cache — any entry built on demand (e.g. after a resilient prewarm
-        skipped a page) is reused by later chunks.
+        worker process share one map — any entry built on demand (e.g.
+        after a resilient prewarm skipped a page) is reused by later
+        chunks.
         """
         with self._lock:
             self._entries = entries

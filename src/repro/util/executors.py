@@ -1,13 +1,12 @@
 """Executor selection and sizing for the participant fan-out.
 
-The campaign's roster pipeline can run a roster three ways —
-``serial`` (inline), ``thread`` (a :class:`~concurrent.futures.
-ThreadPoolExecutor`) or ``process`` (a :class:`~concurrent.futures.
-ProcessPoolExecutor`) — all concluding bit-identically for a fixed seed
-because every participant simulates on an independent RNG substream and
-results merge back in roster order. This module holds the shared sizing
-arithmetic so the campaign, the fan-out runtime and the scaling benchmark
-agree on it:
+The campaign's roster pipeline runs a roster one of two ways: inline
+(``parallelism == 1``, or ``executor="serial"``) or chunked across a
+:class:`~concurrent.futures.ProcessPoolExecutor` (``parallelism > 1``).
+Both conclude bit-identically for a fixed seed because every participant
+simulates on an independent RNG substream and results merge back in roster
+order. This module holds the shared sizing arithmetic so the campaign, the
+fan-out runtime and the scaling benchmark agree on it:
 
 * :func:`effective_pool_size` caps the worker count at the pending roster
   (``parallelism=8`` with 3 pending participants must not spawn idle
@@ -24,16 +23,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ValidationError
 
-#: The executor modes the campaign accepts (re-exported by
-#: :mod:`repro.core.config` as ``EXECUTOR_MODES``).
+#: The executor modes ``CampaignConfig.executor`` accepts.
 EXECUTOR_SERIAL = "serial"
-EXECUTOR_THREAD = "thread"
 EXECUTOR_PROCESS = "process"
-EXECUTOR_MODES = (EXECUTOR_SERIAL, EXECUTOR_THREAD, EXECUTOR_PROCESS)
+EXECUTOR_MODES = (EXECUTOR_SERIAL, EXECUTOR_PROCESS)
 
 #: Auto-chunking aims for this many tasks per pool worker: enough slack for
 #: load balancing without paying per-task pickle overhead per participant.
@@ -64,34 +61,22 @@ def effective_pool_size(requested: int, pending: int) -> int:
     return max(1, min(requested, pending))
 
 
-def resolve_chunk_size(
-    pending: int, pool_size: int, chunk_size: Optional[int] = None
-) -> int:
-    """Participants per pool task.
-
-    An explicit ``chunk_size`` wins; otherwise aim for
-    ``_TASKS_PER_WORKER`` tasks per worker so a slow chunk can be overlapped
-    by the rest of the pool.
-    """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-        return chunk_size
+def resolve_chunk_size(pending: int, pool_size: int) -> int:
+    """Participants per pool task: ``_TASKS_PER_WORKER`` tasks per worker,
+    so a slow chunk can be overlapped by the rest of the pool."""
     if pending <= 0:
         return 1
     return max(1, math.ceil(pending / (pool_size * _TASKS_PER_WORKER)))
 
 
-def chunk_indices(
-    indices: Sequence[int], pool_size: int, chunk_size: Optional[int] = None
-) -> List[List[int]]:
+def chunk_indices(indices: Sequence[int], pool_size: int) -> List[List[int]]:
     """Split ``indices`` into contiguous chunks, preserving order.
 
     The chunk sequence is deterministic for a given roster and sizing, which
     keeps the merge order (and therefore every derived artifact) independent
     of pool scheduling.
     """
-    size = resolve_chunk_size(len(indices), pool_size, chunk_size)
+    size = resolve_chunk_size(len(indices), pool_size)
     items = list(indices)
     return [items[i:i + size] for i in range(0, len(items), size)]
 

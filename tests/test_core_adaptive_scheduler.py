@@ -430,8 +430,8 @@ def _crash_and_resume(scheduler, roster, judge, crash_at=3):
 
 
 class TestCampaignAdaptiveDeterminism:
-    def test_serial_and_thread_conclusions_identical(self):
-        """Per scheduler mode, a thread pool and a crash-resume each equal
+    def test_serial_and_process_conclusions_identical(self):
+        """Per scheduler mode, a process pool and a crash-resume each equal
         the uninterrupted serial run."""
         roster = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=11)
         judge = make_utility_judge(
@@ -443,10 +443,10 @@ class TestCampaignAdaptiveDeterminism:
                 _adaptive_campaign("serial", scheduler=scheduler)
                 .run_with_workers(roster, judge)
             )
-            threaded = _adaptive_campaign(
-                "thread", 4, scheduler=scheduler
+            pooled = _adaptive_campaign(
+                "process", 4, scheduler=scheduler
             ).run_with_workers(roster, judge)
-            assert _roster_digest(threaded) == reference, scheduler
+            assert _roster_digest(pooled) == reference, scheduler
             resumed = _crash_and_resume(scheduler, roster, judge)
             assert _roster_digest(resumed) == reference, scheduler
 

@@ -1,8 +1,8 @@
-"""Executor-layer tests: serial / thread / process fan-out equivalence.
+"""Executor-layer tests: inline loop / process fan-out equivalence.
 
-The contract under test (ISSUE "Break the GIL"): at a fixed seed, the
-campaign's concluded results, deterministic metrics, and exported timeline
-are **byte-identical** across every executor backend and worker count —
+The contract under test: at a fixed seed, the campaign's concluded
+results, deterministic metrics, and exported timeline are
+**byte-identical** across both roster paths and every worker count —
 the process pool buys wall-clock speed, never a different answer. Plus the
 guardrails around the pool itself: worker counts cap at the pending roster,
 unpicklable user hooks fail with a clear :class:`CampaignError`, and the
@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+import repro.core.campaign as campaign_module
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
@@ -24,7 +25,6 @@ from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_populatio
 from repro.errors import CampaignError, ValidationError
 from repro.html.parser import parse_html
 from repro.net.faults import FaultPlan, RetryPolicy
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.util.executors import (
     EXECUTOR_MODES,
     available_cpus,
@@ -103,20 +103,19 @@ def fingerprint(campaign, result, tmp_path, tag):
 
 
 class TestCrossExecutorDeterminism:
-    def test_serial_thread_process_identical(self, tmp_path):
+    def test_serial_process_identical(self, tmp_path):
         base_campaign, base_result = run_campaign("serial", 1)
         base = fingerprint(base_campaign, base_result, tmp_path, "serial")
         base_rows = [r.as_dict() for r in base_result.raw_results]
-        for executor in ("thread", "process"):
-            campaign, result = run_campaign(executor, 4)
-            assert [r.as_dict() for r in result.raw_results] == base_rows
-            conclusion, snapshot, trace = fingerprint(
-                campaign, result, tmp_path, executor
-            )
-            assert conclusion == base[0]
-            assert snapshot == base[1]
-            assert trace == base[2]
-            assert result.duration_days == base_result.duration_days
+        campaign, result = run_campaign("process", 4)
+        assert [r.as_dict() for r in result.raw_results] == base_rows
+        conclusion, snapshot, trace = fingerprint(
+            campaign, result, tmp_path, "process"
+        )
+        assert conclusion == base[0]
+        assert snapshot == base[1]
+        assert trace == base[2]
+        assert result.duration_days == base_result.duration_days
 
     def test_process_identical_across_worker_counts(self, tmp_path):
         reference = None
@@ -135,33 +134,38 @@ class TestCrossExecutorDeterminism:
         base = fingerprint(base_campaign, base_result, tmp_path, "chaos-serial")
         base_rows = [r.as_dict() for r in base_result.raw_results]
         assert base_campaign.network.stats.faults_injected > 0
-        for executor in ("thread", "process"):
-            campaign, result = run_campaign(executor, 4, config=chaos_config())
-            assert [r.as_dict() for r in result.raw_results] == base_rows
-            assert campaign.lost_uploads == base_campaign.lost_uploads
-            assert campaign.network.stats == base_campaign.network.stats
-            fp = fingerprint(campaign, result, tmp_path, f"chaos-{executor}")
-            assert fp == base
-
-    def test_unobserved_global_metrics_merge(self):
-        GLOBAL_METRICS.reset()
-        _, base_result = run_campaign("serial", 1, config=CampaignConfig(seed=71))
-        base_snapshot = GLOBAL_METRICS.deterministic_snapshot()
-        base_rows = [r.as_dict() for r in base_result.raw_results]
-        GLOBAL_METRICS.reset()
-        _, result = run_campaign("process", 3, config=CampaignConfig(seed=71))
+        campaign, result = run_campaign("process", 4, config=chaos_config())
         assert [r.as_dict() for r in result.raw_results] == base_rows
-        assert GLOBAL_METRICS.deterministic_snapshot() == base_snapshot
-        GLOBAL_METRICS.reset()
+        assert campaign.lost_uploads == base_campaign.lost_uploads
+        assert campaign.network.stats == base_campaign.network.stats
+        assert fingerprint(campaign, result, tmp_path, "chaos-process") == base
 
-    def test_explicit_chunk_size_identical(self, tmp_path):
-        base_campaign, base_result = run_campaign("process", 3)
-        base = fingerprint(base_campaign, base_result, tmp_path, "chunk-auto")
-        campaign, result = run_campaign(
-            "process", 3,
-            config=CampaignConfig(seed=71, observe=True, chunk_size=2),
+    def test_unobserved_campaign_metrics_merge(self):
+        base_campaign, base_result = run_campaign(
+            "serial", 1, config=CampaignConfig(seed=71)
         )
-        assert fingerprint(campaign, result, tmp_path, "chunk-2") == base
+        campaign, result = run_campaign(
+            "process", 3, config=CampaignConfig(seed=71)
+        )
+        assert [r.as_dict() for r in result.raw_results] == [
+            r.as_dict() for r in base_result.raw_results
+        ]
+        # Every chunk's registry delta lands in the parent campaign's own
+        # registry, exactly once.
+        assert campaign.metrics.deterministic_snapshot() == (
+            base_campaign.metrics.deterministic_snapshot()
+        )
+        participants = campaign.metrics.counter("campaign.participants")
+        assert participants == PARTICIPANTS
+
+    def test_unobserved_campaigns_do_not_share_metrics(self):
+        first, _ = run_campaign("serial", 1, config=CampaignConfig(seed=71),
+                                participants=5)
+        second, _ = run_campaign("serial", 1, config=CampaignConfig(seed=71),
+                                 participants=5)
+        assert first.metrics is not second.metrics
+        assert first.metrics.counter("campaign.participants") == 5
+        assert second.metrics.counter("campaign.participants") == 5
 
 
 # -- checkpoint / resume across a process-executor crash ----------------------
@@ -191,10 +195,9 @@ class TestProcessCheckpointResume:
         workers = generate_population(
             PARTICIPANTS, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=7, id_prefix="w"
         )
-        # chunk_size=3 over 12 participants: 4 chunks, checkpoint after each.
-        config = CampaignConfig(
-            seed=71, chunk_size=3, parallelism=4, executor="process"
-        )
+        # Automatic chunking over 12 participants and 2 workers: 6 chunks of
+        # 2, checkpoint after each.
+        config = CampaignConfig(seed=71, parallelism=2)
         _, clean = self.run_reference(workers, config)
 
         crashed = Campaign(config=config)
@@ -231,9 +234,7 @@ class TestProcessCheckpointResume:
         workers = generate_population(
             PARTICIPANTS, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=7, id_prefix="w"
         )
-        config = CampaignConfig(
-            seed=71, chunk_size=3, parallelism=4, executor="process"
-        )
+        config = CampaignConfig(seed=71, parallelism=2)
         _, clean = self.run_reference(workers, config)
         campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
@@ -261,10 +262,6 @@ class TestPoolSizing:
         with pytest.raises(ValidationError):
             effective_pool_size(0, 10)
 
-    def test_fanout_records_capped_pool(self):
-        campaign, _ = run_campaign("thread", 64, participants=5)
-        assert campaign._last_fanout_pool == 5
-
     def test_process_fanout_records_capped_pool(self):
         campaign, _ = run_campaign("process", 64, participants=4)
         assert campaign._last_fanout_pool == 4
@@ -273,13 +270,11 @@ class TestPoolSizing:
         # default: pending / (workers * 4), at least 1
         assert resolve_chunk_size(100, 4) == 7
         assert resolve_chunk_size(3, 8) == 1
-        assert resolve_chunk_size(100, 4, chunk_size=25) == 25
-        with pytest.raises(ValidationError):
-            resolve_chunk_size(100, 4, chunk_size=0)
+        assert resolve_chunk_size(0, 4) == 1
 
     def test_chunk_indices_partition_in_order(self):
-        chunks = chunk_indices(list(range(10)), 3, chunk_size=4)
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        chunks = chunk_indices(list(range(10)), 1)
+        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
         assert chunk_indices([], 4) == []
         flat = [i for chunk in chunk_indices(list(range(23)), 4) for i in chunk]
         assert flat == list(range(23))
@@ -317,9 +312,31 @@ class TestModeValidation:
         with pytest.raises(ValidationError, match="executor"):
             CampaignConfig(executor="gpu")
 
+    def test_config_rejects_thread_executor(self):
+        with pytest.raises(ValidationError, match="executor"):
+            CampaignConfig(executor="thread")
+
     def test_config_rejects_bad_chunk_size(self):
-        with pytest.raises(ValidationError, match="chunk_size"):
-            CampaignConfig(chunk_size=0)
+        # Automatic chunking is the only policy: any chunk_size is refused.
+        with pytest.raises(TypeError, match="chunk_size"):
+            CampaignConfig(chunk_size=2)
+
+    def test_default_config_parallel_roster_uses_process_pool(
+        self, monkeypatch
+    ):
+        calls = []
+        real = campaign_module.run_process_fanout
+
+        def spy(*args, **kwargs):
+            calls.append(args[5])  # pool_size
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "run_process_fanout", spy)
+        campaign = Campaign(config=CampaignConfig(seed=71, parallelism=3))
+        campaign.prepare(make_params(6), make_documents())
+        result = campaign.run(make_judge())
+        assert calls == [3]
+        assert result.participants == 6
 
     def test_run_rejects_unknown_executor(self):
         campaign = Campaign(config=CampaignConfig(seed=71))
@@ -336,7 +353,7 @@ class TestModeValidation:
         assert available_cpus() >= 1
 
     def test_executor_in_config_dict(self):
-        config = CampaignConfig(executor="process", chunk_size=5)
-        payload = config.to_dict()
-        assert payload["executor"] == "process"
-        assert payload["chunk_size"] == 5
+        payload = CampaignConfig(executor="serial").to_dict()
+        assert payload["executor"] == "serial"
+        assert "chunk_size" not in payload
+        assert CampaignConfig().executor == "process"

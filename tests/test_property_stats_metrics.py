@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abtest.stats import (
@@ -17,39 +17,41 @@ from repro.render.paint import build_paint_timeline
 from repro.render.replay import UniformRandomSchedule
 from repro.util.statsutil import empirical_cdf
 
-counts = st.integers(0, 200)
 sizes = st.integers(1, 200)
+# (successes, trials) with successes <= trials, drawn directly rather than
+# filtered so hypothesis never discards an example.
+proportions = sizes.flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
 
 
 class TestStatsProperties:
-    @given(counts, sizes, counts, sizes)
+    @given(proportions, proportions)
     @settings(max_examples=200)
-    def test_p_value_in_unit_interval(self, s1, n1, s2, n2):
-        assume(s1 <= n1 and s2 <= n2)
+    def test_p_value_in_unit_interval(self, first, second):
+        (s1, n1), (s2, n2) = first, second
         for pooled in (True, False):
             for two_sided in (True, False):
                 result = two_proportion_z(s1, n1, s2, n2, pooled, two_sided)
                 assert 0.0 <= result.p_value <= 1.0
 
-    @given(counts, sizes)
+    @given(proportions)
     @settings(max_examples=100)
-    def test_symmetry_two_sided(self, s, n):
-        assume(s <= n)
+    def test_symmetry_two_sided(self, proportion):
+        s, n = proportion
         forward = two_proportion_z(s, n, n - s, n, two_sided=True)
         backward = two_proportion_z(n - s, n, s, n, two_sided=True)
         assert forward.p_value == pytest.approx(backward.p_value, abs=1e-12)
 
-    @given(counts, sizes)
+    @given(proportions)
     @settings(max_examples=100)
-    def test_binomial_p_in_unit_interval(self, s, n):
-        assume(s <= n)
+    def test_binomial_p_in_unit_interval(self, proportion):
+        s, n = proportion
         assert 0.0 <= binomial_test_p(s, n) <= 1.0
         assert 0.0 <= binomial_test_p(s, n, two_sided=False) <= 1.0
 
-    @given(counts, sizes)
+    @given(proportions)
     @settings(max_examples=100)
-    def test_wilson_interval_ordered_and_bounded(self, s, n):
-        assume(s <= n)
+    def test_wilson_interval_ordered_and_bounded(self, proportion):
+        s, n = proportion
         low, high = proportion_confidence_interval(s, n)
         assert 0.0 <= low <= high <= 1.0
         # Point estimate inside the interval.

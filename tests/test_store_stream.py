@@ -72,10 +72,8 @@ class TestBatchStreamingIdentity:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        memory = run_campaign("memory", executor="thread", parallelism=2)
-        streaming = run_campaign(
-            "sharded-streaming", executor="thread", parallelism=2
-        )
+        memory = run_campaign("memory", parallelism=2)
+        streaming = run_campaign("sharded-streaming", parallelism=2)
         return {"memory": memory, "sharded-streaming": streaming}
 
     @pytest.fixture(scope="class")
@@ -171,7 +169,7 @@ class TestExecutorIdentity:
         return result_digest(result)
 
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_every_executor_matches_serial_memory(
         self, baseline, store, executor
     ):
@@ -188,7 +186,9 @@ class TestCrashRecovery:
 
     @pytest.fixture(scope="class")
     def reference(self, roster):
-        config = CampaignConfig(seed=9, store="sharded-streaming", parallelism=2)
+        # The inline loop checkpoints after every upload, so the crash points
+        # below land mid-roster.
+        config = CampaignConfig(seed=9, store="sharded-streaming")
         campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
         result = campaign.run_with_workers(roster, make_judge())
