@@ -29,7 +29,7 @@ PARTICIPANTS = 60
 
 
 def build_campaign(seed, scheduler):
-    campaign = Campaign(seed=seed, config=CampaignConfig(scheduler=scheduler))
+    campaign = Campaign(config=CampaignConfig(seed=seed, scheduler=scheduler))
     params = TestParameters(
         test_id="adaptive-bench",
         test_description="full vs sorting-based",

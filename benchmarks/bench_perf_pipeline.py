@@ -76,6 +76,7 @@ def _fresh_campaign(
     campaign = Campaign(
         config=CampaignConfig(
             seed=experiment.seeds.seed("crowd-campaign"),
+            reward_usd=REWARD_USD,
             artifact_cache=optimized,
             parallelism=parallelism,
         )
@@ -122,7 +123,7 @@ def _run(participants: int, optimized: bool, parallelism: int) -> tuple:
     campaign, judge = _fresh_campaign(participants, optimized, parallelism)
     _reset_metrics(campaign)
     start = time.perf_counter()
-    result = campaign.run(judge, reward_usd=REWARD_USD)
+    result = campaign.run(judge)
     elapsed = time.perf_counter() - start
     return campaign, result, elapsed, _perf_snapshot(campaign)
 
@@ -138,6 +139,7 @@ def _run_lossy(participants: int, parallelism: int) -> tuple:
     campaign = Campaign(
         config=CampaignConfig(
             seed=experiment.seeds.seed("crowd-campaign"),
+            reward_usd=REWARD_USD,
             fault_plan=FaultPlan.lossy(
                 seed=SEED,
                 drop_rate=0.05,
@@ -161,7 +163,7 @@ def _run_lossy(participants: int, parallelism: int) -> tuple:
     )
     _reset_metrics(campaign)
     start = time.perf_counter()
-    result = campaign.run(experiment.make_personal_judge(), reward_usd=REWARD_USD)
+    result = campaign.run(experiment.make_personal_judge())
     elapsed = time.perf_counter() - start
     return campaign, result, elapsed, _perf_snapshot(campaign)
 
@@ -184,7 +186,7 @@ def run_lossy_benchmark(
     )
     counters = perf.get("counters", {})
     stats = campaign.network.stats
-    degraded = result.degraded.as_dict() if result.degraded else None
+    degraded = result.degraded.to_dict() if result.degraded else None
     abandoned = sum(1 for r in result.raw_results if r.abandoned)
     return {
         "description": (
@@ -223,6 +225,7 @@ def run_traced_campaign(
     campaign = Campaign(
         config=CampaignConfig(
             seed=experiment.seeds.seed("crowd-campaign"),
+            reward_usd=REWARD_USD,
             parallelism=parallelism,
             observe=True,
         )
@@ -236,7 +239,7 @@ def run_traced_campaign(
         instructions=QUESTION.text,
     )
     start = time.perf_counter()
-    result = campaign.run(experiment.make_personal_judge(), reward_usd=REWARD_USD)
+    result = campaign.run(experiment.make_personal_judge())
     elapsed = time.perf_counter() - start
     timeline = campaign.timeline()
     path = timeline.write_json(trace_out)

@@ -100,6 +100,7 @@ def _fresh_campaign(participants: int, cached: bool, executor: str, workers: int
     campaign = Campaign(
         config=CampaignConfig(
             seed=experiment.seeds.seed("crowd-campaign"),
+            reward_usd=REWARD_USD,
             artifact_cache=cached,
             executor=executor,
             parallelism=workers,
@@ -120,7 +121,7 @@ def _run_cell(participants: int, cached: bool, executor: str, workers: int):
     """(result, wall_seconds) for one grid cell — a fresh campaign each time."""
     campaign, judge = _fresh_campaign(participants, cached, executor, workers)
     start = time.perf_counter()
-    result = campaign.run(judge, reward_usd=REWARD_USD)
+    result = campaign.run(judge)
     elapsed = time.perf_counter() - start
     return result, elapsed
 

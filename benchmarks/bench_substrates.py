@@ -74,12 +74,13 @@ def test_bench_document_store_query(benchmark):
 def test_bench_participant_flow(benchmark):
     """One full participant pass: download, judge 11 pairs, upload."""
     from repro.core.campaign import Campaign
+    from repro.core.config import CampaignConfig
     from repro.core.extension import make_utility_judge
     from repro.core.parameters import Question, TestParameters, WebpageSpec
     from repro.crowd.judgment import ThurstoneChoiceModel
     from repro.crowd.workers import IN_LAB_MIX, generate_population
 
-    campaign = Campaign(seed=3)
+    campaign = Campaign(config=CampaignConfig(seed=3))
     params = TestParameters(
         test_id="bench-flow",
         test_description="bench",
@@ -104,7 +105,7 @@ def test_bench_participant_flow(benchmark):
     def one_participant():
         worker = next(workers)
         result, client, _ = campaign._simulate_participant(
-            worker, judge, 1, campaign.rng
+            worker, judge, campaign.rng
         )
         campaign._upload_result(client, worker, result)
 

@@ -7,7 +7,14 @@ campaign on the simulated platform, and prints the concluded result.
 Run: python examples/quickstart.py
 """
 
-from repro import Campaign, Question, TestParameters, WebpageSpec, make_utility_judge
+from repro import (
+    Campaign,
+    CampaignConfig,
+    Question,
+    TestParameters,
+    WebpageSpec,
+    make_utility_judge,
+)
 from repro.core.reporting import format_question_tally
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.html.mutations import VariantBuilder
@@ -49,7 +56,7 @@ def main() -> None:
     print("Table-I test parameters:")
     print(parameters.to_json())
 
-    campaign = Campaign(seed=7)
+    campaign = Campaign(config=CampaignConfig(seed=7, reward_usd=0.10))
     campaign.prepare(
         parameters,
         documents={"original": version_a, "prominent": version_b},
@@ -63,7 +70,7 @@ def main() -> None:
         {"original": 0.0, "prominent": 0.3, "__contrast__": -9.0},
         ThurstoneChoiceModel(),
     )
-    result = campaign.run(judge, reward_usd=0.10)
+    result = campaign.run(judge)
 
     tally = result.controlled_analysis.tallies[("q1", "original", "prominent")]
     print(f"\nRecruited {result.participants} participants "

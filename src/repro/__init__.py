@@ -8,7 +8,7 @@ network, document store, crowd and A/B simulators).
 
 Quickstart::
 
-    from repro import Campaign, TestParameters, Question, WebpageSpec
+    from repro import Campaign, CampaignConfig, TestParameters, Question, WebpageSpec
     from repro.core.extension import make_utility_judge
     from repro.crowd import ThurstoneChoiceModel
     from repro.html import parse_html
@@ -23,7 +23,7 @@ Quickstart::
             WebpageSpec(web_path="b", web_page_load=3000),
         ],
     )
-    campaign = Campaign(seed=7)
+    campaign = Campaign(config=CampaignConfig(seed=7, reward_usd=0.10))
     campaign.prepare(params, documents={"a": page_a, "b": page_b})
     judge = make_utility_judge({"a": 0.5, "b": 0.8}, ThurstoneChoiceModel())
     result = campaign.run(judge)

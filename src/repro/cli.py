@@ -75,6 +75,7 @@ def _prepare_campaign(args) -> Campaign:
     scheduler = getattr(args, "scheduler", None)
     config = CampaignConfig(
         seed=args.seed,
+        reward_usd=getattr(args, "reward", CampaignConfig.reward_usd),
         parallelism=parallelism,
         executor=executor or "process",
         observe=observe,
@@ -120,7 +121,7 @@ def cmd_run(args) -> int:
     spec = campaign.prepared.parameters
     utilities = _load_utilities(args.utilities, campaign)
     judge = make_utility_judge(utilities, ThurstoneChoiceModel())
-    result = campaign.run(judge, reward_usd=args.reward)
+    result = campaign.run(judge)
     print(f"Campaign {spec.test_id!r}: {result.participants} participants in "
           f"{result.duration_days * 24:.1f} h for ${result.total_cost_usd:.2f}; "
           f"quality control kept {result.quality_report.kept_count}.")
@@ -297,7 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("spec")
     run.add_argument("pages")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--reward", type=float, default=0.10)
+    run.add_argument(
+        "--reward", type=float, default=0.10,
+        help="reward per participant in USD; it also paces --arrival "
+             "(arrivals are reward-elastic)",
+    )
     run.add_argument("--main-text-selector", default="p")
     run.add_argument(
         "--utilities",

@@ -72,6 +72,9 @@ class PreparedTest:
     parameters: TestParameters
     webpages: List[TestWebpage]
     integrated: List[IntegratedWebpage] = field(default_factory=list)
+    #: Every pair is also stored in the swapped orientation
+    #: (``prepare(mirror_pairs=True)``), so each participant sees a random one.
+    mirrored: bool = False
 
     @property
     def test_id(self) -> str:
@@ -168,7 +171,9 @@ class Aggregator:
 
         with self.metrics.timed("aggregator.prepare"):
             webpages = self._compress_webpages(parameters, documents, fetcher, base_url)
-            prepared = PreparedTest(parameters=parameters, webpages=webpages)
+            prepared = PreparedTest(
+                parameters=parameters, webpages=webpages, mirrored=mirror_pairs
+            )
             self._store_webpages(prepared)
             # One shared two-iframe template serves every composition below
             # (pairs, mirrored orientations, controls): only the id and the

@@ -19,7 +19,6 @@ spans on virtual clocks, plus a metrics registry — exportable through
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ from repro.core.fanout import run_process_fanout
 from repro.core.integrated import IntegratedWebpage
 from repro.core.parameters import TestParameters
 from repro.core.adaptive import EarlyStoppedConclusion
-from repro.core.quality import QualityControl, QualityReport, record_report
+from repro.core.quality import QualityReport, record_report
 from repro.core.scheduling import (
     SCHEDULER_FULL,
     Scheduler,
@@ -59,7 +58,6 @@ from repro.net.http import Request
 from repro.net.overload import (
     OVERLOAD_HEADER,
     RETRY_AFTER_HEADER,
-    InflightLimiter,
     LoadSignal,
 )
 from repro.net.profiles import PROFILES, NetworkProfile
@@ -180,14 +178,12 @@ class Campaign:
         database: Optional[DocumentStore] = None,
         storage: Optional[FileStore] = None,
         platform: Optional[CrowdPlatform] = None,
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
         config: Optional[CampaignConfig] = None,
     ):
         """Build a campaign over (optionally shared) infrastructure.
 
         Every setting lives in ``config`` (a :class:`~repro.core.config.
-        CampaignConfig`).
+        CampaignConfig`), the seed included.
 
         ``config.artifact_cache`` controls participant-side page rendering:
         ``True`` (default) renders each downloaded page through a shared
@@ -205,9 +201,7 @@ class Campaign:
         if config is None:
             config = CampaignConfig()
         self.config = config
-        if seed is None:
-            seed = config.seed
-        self.rng = coerce_rng(rng, seed)
+        self.rng = coerce_rng(None, config.seed)
         self.env = env if env is not None else SimulationEnvironment()
         self.obs = (
             Observability.enabled_for(lambda: self.env.now)
@@ -290,19 +284,14 @@ class Campaign:
         # simulate the worker dying at exactly that point.
         self.checkpoint_hook = None
         # Overload control plane: the LoadSignal built from the arrival
-        # schedule (attached to the server's admission controller before
-        # the first session), and the shared client-side backpressure gate.
+        # schedule, attached to the server's admission controller before
+        # the first session.
         # ``overload_pushback=True`` (set by the fleet worker) makes a
         # terminally rejected upload raise :class:`ServerOverloaded` — so
         # the job queue can requeue the campaign for the server-suggested
         # Retry-After — instead of recording a degraded-mode loss.
         self.overload_pushback = False
         self._overload_signal: Optional[LoadSignal] = None
-        self._inflight = (
-            InflightLimiter(config.overload.max_in_flight_per_host)
-            if config.overload is not None
-            else None
-        )
         # Shared comparison scheduler (scheduler="adaptive"): one instance
         # serves the whole roster, carrying the cross-participant tally.
         # The snapshot slot holds a resume checkpoint's scheduler state
@@ -331,10 +320,10 @@ class Campaign:
         """Run the aggregator; must precede :meth:`run`.
 
         ``randomize_orientation`` stores every pair in both left/right
-        orientations and shows each participant a random one — the standard
-        counterbalancing against position bias.
+        orientations (:attr:`PreparedTest.mirrored`) and shows each
+        participant a random one — the standard counterbalancing against
+        position bias.
         """
-        self._randomize_orientation = randomize_orientation
         if self.config.streaming and isinstance(
             self.database, ShardedDocumentStore
         ):
@@ -423,37 +412,30 @@ class Campaign:
 
     # -- step 2+3: post task, recruit, run participants ---------------------------
 
-    def run(
-        self,
-        judge: JudgeFunction,
-        reward_usd: Optional[float] = None,
-        participants: Optional[int] = None,
-        controls_per_participant: Optional[int] = None,
-    ) -> CampaignResult:
+    def run(self, judge: JudgeFunction) -> CampaignResult:
         """Execute the campaign to completion and conclude the results.
 
-        Posts the task, lets the platform recruit the roster, runs it through
+        Posts the task for the test's ``participant_num`` at the config's
+        ``reward_usd``, lets the platform recruit the roster, runs it through
         the roster pipeline (:meth:`_run_roster`) and concludes. Everything
-        else — executor, worker count, conclusion floors, root entropy —
-        comes from the campaign's :class:`~repro.core.config.CampaignConfig`
-        (derive a variant with ``config.replace(...)``). The concluded result
-        is bit-identical for every executor and ``parallelism`` at a fixed
-        seed.
+        else — executor, worker count, controls, conclusion floors, root
+        entropy — comes from the campaign's :class:`~repro.core.config.
+        CampaignConfig` (derive a variant with ``config.replace(...)``). The
+        concluded result is bit-identical for every executor and
+        ``parallelism`` at a fixed seed.
         """
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
-        if reward_usd is None:
-            reward_usd = self.config.reward_usd
-        needed = participants or prepared.parameters.participant_num
+        needed = prepared.parameters.participant_num
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="recruited", participants=needed,
         ) as root:
             self._root_span = root
-            job = self._post_task(prepared, needed, reward_usd)
+            job = self._post_task(prepared, needed)
             start_time = self.env.now
             roster = self._recruit(job)
-            self._run_roster(roster, judge, controls_per_participant)
+            self._run_roster(roster, judge)
             duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
             return self.conclude(job=job, duration_days=duration_days)
 
@@ -465,7 +447,6 @@ class Campaign:
         alpha: float = 0.01,
         batch_size: int = 10,
         max_participants: int = 400,
-        reward_usd: Optional[float] = None,
     ) -> CampaignResult:
         """Recruit in batches until a pair's preference reaches significance.
 
@@ -497,14 +478,12 @@ class Campaign:
                 f"{self.config.scheduler!r}: a shared scheduler stops on its "
                 "own certificate; use run() or run_with_workers()"
             )
-        if reward_usd is None:
-            reward_usd = self.config.reward_usd
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="sequential",
         ) as root:
             self._root_span = root
-            job = self._post_task(prepared, max_participants, reward_usd)
+            job = self._post_task(prepared, max_participants)
             start_time = self.env.now
             roster: List[WorkerProfile] = []
             root_entropy = None
@@ -535,7 +514,6 @@ class Campaign:
         self,
         workers: Sequence[WorkerProfile],
         judge: JudgeFunction,
-        controls_per_participant: Optional[int] = None,
         in_lab: bool = False,
         resume_from: Optional[dict] = None,
     ) -> CampaignResult:
@@ -571,8 +549,7 @@ class Campaign:
         ) as root:
             self._root_span = root
             self._run_roster(
-                list(workers), judge, controls_per_participant,
-                in_lab=in_lab, root_entropy=root_entropy,
+                list(workers), judge, in_lab=in_lab, root_entropy=root_entropy,
             )
             return self.conclude(job=None, duration_days=0.0)
 
@@ -597,10 +574,9 @@ class Campaign:
             return False
         return bool(scheduler_class(self.config.scheduler).shared)
 
-    def _post_task(
-        self, prepared: PreparedTest, needed: int, reward_usd: float
-    ) -> CrowdJob:
-        """Post the task to the platform through the core server."""
+    def _post_task(self, prepared: PreparedTest, needed: int) -> CrowdJob:
+        """Post the task to the platform through the core server, at the
+        config's reward (the same reward that paces the arrivals)."""
         with self.tracer.span("post_task", category="campaign", participants=needed):
             post = self.network.exchange(
                 Request.post_json(
@@ -608,7 +584,7 @@ class Campaign:
                     {
                         "test_id": prepared.test_id,
                         "participants_needed": needed,
-                        "reward_usd": reward_usd,
+                        "reward_usd": self.config.reward_usd,
                     },
                 )
             )[0]
@@ -642,7 +618,6 @@ class Campaign:
         self,
         worker: WorkerProfile,
         judge: JudgeFunction,
-        controls_per_participant: int,
         rng: np.random.Generator,
         in_lab: bool = False,
         session_start: Optional[float] = None,
@@ -680,7 +655,6 @@ class Campaign:
             session_start=session_start,
             tracer=self.tracer,
             metrics=self.metrics,
-            inflight=self._inflight,
         )
         trace_clock: Optional[TraceClock] = None
         if self.obs.enabled:
@@ -716,9 +690,7 @@ class Campaign:
                     )
                 try:
                     if scheduler is None:
-                        pages = self._pages_for_participant(
-                            prepared, controls_per_participant, rng
-                        )
+                        pages = self._pages_for_participant(prepared, rng)
                         result = extension.run_test(
                             prepared.test_id, prepared.parameters.question, pages
                         )
@@ -729,7 +701,10 @@ class Campaign:
                         }
                         controls = list(prepared.control_pairs())
                         order = rng.permutation(len(controls))
-                        chosen = [controls[i] for i in order[:controls_per_participant]]
+                        chosen = [
+                            controls[i]
+                            for i in order[: self.config.controls_per_participant]
+                        ]
                         result = extension.run_adaptive_test(
                             prepared.test_id,
                             prepared.parameters.question[0],
@@ -958,32 +933,10 @@ class Campaign:
                     answer.left_version, answer.right_version, answer.answer
                 )
 
-    def _screen_scheduled_upload(self, result: ParticipantResult) -> bool:
-        """Per-upload quality screen for shared-scheduler campaigns: True
-        when this participant's answers should be retracted.
-
-        Runs only when the campaign has a ``CampaignConfig.quality``.
-        Population-relative layers are disabled (hard-rule
-        completeness is undefined for adaptive budgets; majority vote needs
-        a population), leaving the per-participant engagement and
-        control-question layers.
-        """
-        quality = self.config.quality
-        if quality is None:
-            return False
-        screen = dataclasses.replace(
-            quality, enable_hard_rules=False, enable_majority_vote=False
-        )
-        report = QualityControl(
-            screen, metrics=self.metrics, tracer=self.tracer
-        ).apply([result], 1)
-        return bool(report.dropped)
-
     def _run_roster(
         self,
         workers: Sequence[WorkerProfile],
         judge: JudgeFunction,
-        controls_per_participant: Optional[int] = None,
         in_lab: bool = False,
         root_entropy: Optional[int] = None,
     ) -> None:
@@ -1026,8 +979,6 @@ class Campaign:
         :attr:`last_root_entropy`.
         """
         cfg = self.config
-        if controls_per_participant is None:
-            controls_per_participant = cfg.controls_per_participant
         prepared = self._require_prepared()
         with self.tracer.span("prewarm", category="campaign"):
             self._prewarm_artifacts()
@@ -1071,8 +1022,7 @@ class Campaign:
 
         def simulate(index: int):
             return self._simulate_participant(
-                workers[index], judge, controls_per_participant,
-                streams[index], in_lab=in_lab,
+                workers[index], judge, streams[index], in_lab=in_lab,
                 session_start=session_start + (
                     offsets[index] if index < len(offsets) else 0.0
                 ),
@@ -1088,11 +1038,12 @@ class Campaign:
                 scheduler.release(worker.worker_id)
             _, lost_reason = self._upload_result(client, worker, result)
             if scheduler is not None and (
-                lost_reason is not None or self._screen_scheduled_upload(result)
+                lost_reason is not None
+                or worker.worker_id in self._streaming_state.screen.dropped_ids
             ):
-                # Answers that were never stored, or that the screen drops,
-                # are not evidence: remove them so scheduling and conclude
-                # see the same data.
+                # Answers that were never stored, or that the server's
+                # upload-time screen dropped, are not evidence: remove them
+                # so scheduling and conclude see the same data.
                 self._retract_from_scheduler(scheduler, result)
             self._checkpoint()
 
@@ -1109,8 +1060,7 @@ class Campaign:
             else:
                 with self.metrics.timed("campaign.parallel_fanout"):
                     run_process_fanout(
-                        self, workers, judge, controls_per_participant,
-                        pending, pool_size,
+                        self, workers, judge, pending, pool_size,
                         session_start=session_start,
                         root_entropy=root_entropy,
                         in_lab=in_lab,
@@ -1180,7 +1130,6 @@ class Campaign:
     def _pages_for_participant(
         self,
         prepared: PreparedTest,
-        controls_per_participant: int,
         rng: np.random.Generator,
     ) -> List[IntegratedWebpage]:
         """Shuffled comparison pairs plus randomly-placed control pair(s).
@@ -1191,7 +1140,7 @@ class Campaign:
         its two stored orientations.
         """
         pages = list(prepared.comparison_pairs())
-        if getattr(self, "_randomize_orientation", False):
+        if prepared.mirrored:
             pages = [
                 page
                 if rng.uniform() < 0.5
@@ -1202,7 +1151,10 @@ class Campaign:
         pages = [pages[i] for i in order]
         controls = list(prepared.control_pairs())
         control_order = rng.permutation(len(controls))
-        chosen = [controls[i] for i in control_order[:controls_per_participant]]
+        chosen = [
+            controls[i]
+            for i in control_order[: self.config.controls_per_participant]
+        ]
         for control in chosen:
             position = int(rng.integers(0, len(pages) + 1))
             pages.insert(position, control)

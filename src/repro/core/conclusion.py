@@ -84,9 +84,6 @@ class Conclusion:
             "quorum_met": self.quorum_met,
         }
 
-    #: Back-compat alias — historical callers used ``as_dict()``.
-    as_dict = to_dict
-
 
 @dataclass
 class DegradedConclusion(Conclusion):

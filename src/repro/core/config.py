@@ -3,19 +3,20 @@
 The campaign entrypoints accreted knobs PR by PR — parallelism, conclusion
 floors, fault plans, retry policies, dropout, checkpoint entropy, and now
 observability. :class:`CampaignConfig` consolidates them into a single
-frozen, validated dataclass that :class:`~repro.core.campaign.Campaign`,
-:class:`~repro.core.server.CoreServer` and
-:class:`~repro.core.extension.BrowserExtension` all accept::
+frozen, validated dataclass that :class:`~repro.core.campaign.Campaign`
+and :class:`~repro.core.server.CoreServer` accept::
 
-    config = CampaignConfig(parallelism=4, min_participants=10,
+    config = CampaignConfig(seed=7, parallelism=4, min_participants=10,
                             observe=True)
     campaign = Campaign(config=config)
 
-The config is the single source of truth: the run entry points take no
-per-call overrides of its fields.
+The config is the single source of truth: the constructors and run entry
+points take no per-call overrides of its fields (seed, reward, controls,
+host, dropout). Only :meth:`~repro.core.campaign.Campaign.prepare`'s test
+inputs sit beside it.
 
 The object is immutable (hashable, safely shareable between a campaign and
-its server/extension); derive variants with :meth:`CampaignConfig.replace`.
+its server); derive variants with :meth:`CampaignConfig.replace`.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class CampaignConfig:
     ``None`` means "component default" throughout.
     """
 
-    #: Campaign RNG seed (ignored when an explicit ``rng``/``seed`` is
-    #: passed to the :class:`~repro.core.campaign.Campaign` constructor).
+    #: Campaign RNG seed: recruitment, the roster's root entropy and the
+    #: arrival schedule all derive from it.
     seed: Optional[int] = None
     #: Worker count for the roster pipeline: ``1`` runs the roster inline,
     #: ``n > 1`` chunks it across a pool of ``n`` processes. Every
@@ -74,7 +75,8 @@ class CampaignConfig:
     root_entropy: Optional[int] = None
     #: Control pages shown per participant.
     controls_per_participant: int = 1
-    #: Reward offered per participant when posting the task.
+    #: Reward offered per participant when posting the task; it also
+    #: paces the ``arrival`` schedule (arrivals are reward-elastic).
     reward_usd: float = 0.10
     #: ``True`` = shared artifact cache, ``False`` = rebuild per visit,
     #: ``None`` = skip participant-side rendering entirely.

@@ -156,8 +156,7 @@ class BrowserExtension:
         download=None,
         artifacts=None,
         schedule_lookup=None,
-        dropout_rate: Optional[float] = None,
-        config=None,
+        dropout_rate: float = 0.0,
         tracer=None,
         trace_clock=None,
         metrics=None,
@@ -173,12 +172,10 @@ class BrowserExtension:
         ``schedule_lookup(storage_path)`` resolves a version page's injected
         replay schedule for the reveal-time computation.
 
-        ``config`` is the campaign's :class:`~repro.core.config.
-        CampaignConfig`; the extension takes its dropout rate from it unless
-        ``dropout_rate`` overrides it explicitly. ``dropout_rate`` is the
-        base per-page probability the participant walks away mid-test
-        (scaled by worker type and attention); 0 (the default) draws nothing
-        from the RNG, keeping the historical stream.
+        ``dropout_rate`` (the campaign passes its config's) is the base
+        per-page probability the participant walks away mid-test (scaled by
+        worker type and attention); 0 (the default) draws nothing from the
+        RNG, keeping the historical stream.
 
         ``tracer`` / ``trace_clock`` / ``metrics`` are the campaign's
         observability hooks: page spans and answer events are recorded
@@ -192,8 +189,6 @@ class BrowserExtension:
         self.download = download
         self.artifacts = artifacts
         self.schedule_lookup = schedule_lookup
-        if dropout_rate is None:
-            dropout_rate = config.dropout_rate if config is not None else 0.0
         self.dropout_rate = float(dropout_rate)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_clock = trace_clock
@@ -243,27 +238,19 @@ class BrowserExtension:
         integrated page; when the stored orientation is mirrored relative
         to the scheduler's request, the answer is mirrored back.
 
-        Schedulers that track per-participant state (the redesigned
-        :class:`~repro.core.scheduling.Scheduler` protocol, marked by
-        ``accepts_participants``) are addressed by worker id, so one shared
-        campaign-level scheduler can serve many participants; pre-protocol
-        scheduler objects keep the historical no-argument calls.
+        The scheduler is addressed by worker id, so one shared
+        campaign-level scheduler can serve many participants.
         """
         result = ParticipantResult(
             test_id=test_id,
             worker_id=self.worker.worker_id,
             demographics=self.worker.demographics.as_dict(),
         )
-        participant = (
-            (self.worker.worker_id,)
-            if getattr(scheduler, "accepts_participants", False)
-            else ()
-        )
         for control in control_pages:
             self._visit_page(control, [question], result)
         pages_seen = len(control_pages)
         while True:
-            pair = scheduler.next_pair(*participant)
+            pair = scheduler.next_pair(self.worker.worker_id)
             if pair is None:
                 break
             self._maybe_drop_out(pages_seen, result)
@@ -277,7 +264,7 @@ class BrowserExtension:
             answer = result.answers[before].answer
             if (page.left_version, page.right_version) == (want_right, want_left):
                 answer = {"left": "right", "right": "left", "same": "same"}[answer]
-            scheduler.report(answer, *participant)
+            scheduler.report(answer, self.worker.worker_id)
         return result
 
     # -- one integrated webpage ----------------------------------------------

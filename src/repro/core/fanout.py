@@ -13,9 +13,11 @@ picklable description of the campaign, never the live ``Campaign`` /
 ``Tracer`` / server objects:
 
 * the frozen :class:`~repro.core.config.CampaignConfig`, from which each
-  worker rebuilds its campaign (fault plan, retries, dropout, artifacts);
-* the prepared test, the storage file snapshot and the test's database
-  record — enough to rebuild a private core server per worker process;
+  worker rebuilds its campaign (fault plan, retries, dropout, controls,
+  artifacts);
+* the prepared test (its stored orientations included), the storage file
+  snapshot and the test's database record — enough to rebuild a private
+  core server per worker process;
 * the roster and the fan-out's ``root_entropy`` (workers re-derive every
   substream, keeping stream *alignment* with the serial run);
 * a read-only snapshot of the prebuilt :class:`~repro.render.artifacts.
@@ -127,14 +129,12 @@ class FanoutSpec:
     storage_files: Dict[str, str]    # FileStore snapshot
     workers: tuple                   # full roster (alignment, not just pending)
     judge: Any                       # picklable user hook
-    controls_per_participant: int
     root_entropy: int
     session_start: float
     # Per-roster-index arrival offsets (seconds after session_start); also
     # the offered-load schedule the overload LoadSignal is rebuilt from.
     arrival_offsets: tuple = ()
     in_lab: bool = False
-    randomize_orientation: bool = False
     # The parent's prebuilt artifact cache entries (None: nothing to seed).
     artifact_entries: Optional[dict] = None
 
@@ -166,7 +166,6 @@ def build_spec(
     campaign,
     workers: Sequence,
     judge,
-    controls_per_participant: int,
     root_entropy: int,
     session_start: float,
     in_lab: bool = False,
@@ -199,12 +198,10 @@ def build_spec(
         storage_files=dict(campaign.storage.iter_items()),
         workers=tuple(workers),
         judge=judge,
-        controls_per_participant=controls_per_participant,
         root_entropy=root_entropy,
         session_start=session_start,
         arrival_offsets=tuple(arrival_offsets),
         in_lab=in_lab,
-        randomize_orientation=getattr(campaign, "_randomize_orientation", False),
         artifact_entries=entries,
     )
 
@@ -251,7 +248,6 @@ class _WorkerRuntime:
         if self.entries is not None:
             campaign.artifacts.seed_entries(self.entries)
         campaign.prepared = spec.prepared
-        campaign._randomize_orientation = spec.randomize_orientation
         # Rebuild the overload LoadSignal from the shipped arrival schedule:
         # a pure function of (offsets, session_start, frozen config), so
         # every worker process derives the identical admission series.
@@ -276,7 +272,6 @@ class _WorkerRuntime:
                 result, client, pspan = campaign._simulate_participant(
                     worker,
                     spec.judge,
-                    spec.controls_per_participant,
                     rng,
                     in_lab=spec.in_lab,
                     session_start=spec.session_start + offset,
@@ -375,7 +370,6 @@ def run_process_fanout(
     campaign,
     workers: Sequence,
     judge,
-    controls_per_participant: int,
     pending: Sequence[int],
     pool_size: int,
     session_start: float,
@@ -395,7 +389,6 @@ def run_process_fanout(
         campaign,
         workers,
         judge,
-        controls_per_participant,
         root_entropy=root_entropy,
         session_start=session_start,
         in_lab=in_lab,

@@ -164,9 +164,6 @@ class Scheduler:
     #: True when one instance serves the whole campaign (cross-participant
     #: state); False when the campaign builds one instance per participant.
     shared = False
-    #: Marker the browser extension checks before passing participant ids
-    #: (pre-redesign scheduler objects took no arguments).
-    accepts_participants = True
 
     def __init__(
         self,

@@ -54,24 +54,22 @@ class CoreServer:
         self,
         database: Optional[DocumentStore] = None,
         storage: Optional[FileStore] = None,
-        host: Optional[str] = None,
         platform=None,
         config=None,
         metrics=None,
     ):
         """``config`` is the campaign's :class:`~repro.core.config.
-        CampaignConfig`; the server takes its hostname from it unless
-        ``host`` overrides it explicitly. ``metrics`` is the campaign's
-        registry for the server-side counters (uploads, dedupe hits,
-        resource reads); without an explicitly injected registry the
-        counters are skipped, keeping the per-request path free of even
-        no-op accounting."""
+        CampaignConfig`; the server takes its hostname from it
+        (:data:`~repro.core.config.DEFAULT_HOST` without one). ``metrics``
+        is the campaign's registry for the server-side counters (uploads,
+        dedupe hits, resource reads); without an explicitly injected
+        registry the counters are skipped, keeping the per-request path
+        free of even no-op accounting."""
         if database is None:
             raise ValidationError("CoreServer requires a database")
         if storage is None:
             raise ValidationError("CoreServer requires a storage FileStore")
-        if host is None:
-            host = config.host if config is not None else DEFAULT_HOST
+        host = config.host if config is not None else DEFAULT_HOST
         self.database = database
         #: Streaming campaign state attached by a ``sharded-streaming``
         #: campaign; every accepted upload is folded into it at ingest time.

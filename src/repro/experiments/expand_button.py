@@ -27,6 +27,7 @@ from repro.abtest.experiment import ABExperiment, ABResult
 from repro.abtest.traffic import SiteTrafficModel
 from repro.core.analysis import QuestionTally
 from repro.core.campaign import Campaign, CampaignResult
+from repro.core.config import CampaignConfig
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.experiments.datasets import build_group_page_variant, group_resources_for
@@ -139,7 +140,11 @@ class ExpandButtonExperiment:
         participants: int = CROWD_PARTICIPANTS,
     ) -> CampaignResult:
         """The Kaleidoscope arm."""
-        campaign = Campaign(seed=self.seeds.seed("kaleidoscope"))
+        campaign = Campaign(
+            config=CampaignConfig(
+                seed=self.seeds.seed("kaleidoscope"), reward_usd=REWARD_USD
+            )
+        )
         documents = {
             VERSION_A: build_group_page_variant("A"),
             VERSION_B: build_group_page_variant("B"),
@@ -154,7 +159,7 @@ class ExpandButtonExperiment:
             instructions="Compare the two versions of our group webpage.",
         )
         judge = make_multi_question_judge(self.choice_model)
-        return campaign.run(judge, reward_usd=REWARD_USD)
+        return campaign.run(judge)
 
     def run_ab(self, visitors: int = AB_VISITORS) -> Tuple[ABResult, ABExperiment]:
         """The A/B arm on simulated live traffic."""

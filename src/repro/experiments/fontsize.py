@@ -213,9 +213,11 @@ class FontSizeExperiment:
         configurations.
         """
         campaign = Campaign(
-            seed=self.seeds.seed("crowd-campaign"),
             config=CampaignConfig(
-                parallelism=parallelism, artifact_cache=artifact_cache
+                seed=self.seeds.seed("crowd-campaign"),
+                reward_usd=REWARD_USD,
+                parallelism=parallelism,
+                artifact_cache=artifact_cache,
             ),
         )
         documents = build_font_variants()
@@ -229,7 +231,7 @@ class FontSizeExperiment:
             instructions=QUESTION.text,
         )
         judge = self.make_personal_judge()
-        return campaign.run(judge, reward_usd=REWARD_USD)
+        return campaign.run(judge)
 
     def run_inlab(self, participants: int = INLAB_PARTICIPANTS) -> Tuple[CampaignResult, float]:
         """The in-lab arm: same configuration, trusted walked-through pool.
@@ -237,7 +239,9 @@ class FontSizeExperiment:
         Returns (result, duration_days); recruitment takes about a week.
         """
         env = SimulationEnvironment()
-        campaign = Campaign(env=env, seed=self.seeds.seed("inlab-campaign"))
+        campaign = Campaign(
+            env=env, config=CampaignConfig(seed=self.seeds.seed("inlab-campaign"))
+        )
         documents = build_font_variants()
         parameters = build_parameters(participants)
         fetcher = wikipedia_resources_for(documents.keys())

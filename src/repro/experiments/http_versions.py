@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 from repro.core.analysis import QuestionTally
 from repro.core.campaign import Campaign, CampaignResult
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_uplt_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import UPLTPerceptionModel
@@ -137,7 +138,11 @@ class HttpVersionsExperiment:
         participants: int = CROWD_PARTICIPANTS,
     ) -> HttpVersionsOutcome:
         schedules = self.build_schedules()
-        campaign = Campaign(seed=self.seeds.seed("http-campaign"))
+        campaign = Campaign(
+            config=CampaignConfig(
+                seed=self.seeds.seed("http-campaign"), reward_usd=REWARD_USD
+            )
+        )
         base = build_wikipedia_page()
         documents = {VERSION_H1: base.clone(), VERSION_H2: base.clone()}
         parameters = self.build_parameters(schedules, participants)
@@ -155,7 +160,7 @@ class HttpVersionsExperiment:
             "__contrast__": region_times_of(schedules["http1"]),
         }
         judge = make_uplt_judge(region_times, self.perception)
-        result = campaign.run(judge, reward_usd=REWARD_USD)
+        result = campaign.run(judge)
         raw = result.raw_analysis.tallies[(QUESTION.question_id, VERSION_H1, VERSION_H2)]
         controlled = result.controlled_analysis.tallies[
             (QUESTION.question_id, VERSION_H1, VERSION_H2)

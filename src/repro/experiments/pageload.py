@@ -22,6 +22,7 @@ from typing import Dict, Optional
 
 from repro.core.analysis import QuestionTally
 from repro.core.campaign import Campaign, CampaignResult
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_uplt_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import UPLTPerceptionModel
@@ -156,7 +157,11 @@ class PageLoadExperiment:
         participants: int = CROWD_PARTICIPANTS,
     ) -> PageLoadOutcome:
         """Run the crowd campaign and assemble the Figure 9 data."""
-        campaign = Campaign(seed=self.seeds.seed("pageload"))
+        campaign = Campaign(
+            config=CampaignConfig(
+                seed=self.seeds.seed("pageload"), reward_usd=REWARD_USD
+            )
+        )
         base = build_wikipedia_page()
         documents = {VERSION_A: base.clone(), VERSION_B: base.clone()}
         parameters = build_parameters(participants)
@@ -169,7 +174,7 @@ class PageLoadExperiment:
             instructions=QUESTION.text,
         )
         judge = make_uplt_judge(measured_region_times(), self.perception)
-        result = campaign.run(judge, reward_usd=REWARD_USD)
+        result = campaign.run(judge)
         raw_tally = result.raw_analysis.tallies[
             (QUESTION.question_id, VERSION_A, VERSION_B)
         ]

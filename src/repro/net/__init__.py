@@ -24,7 +24,6 @@ from repro.net.faults import (
 from repro.net.overload import (
     AdmissionController,
     AdmissionDecision,
-    InflightLimiter,
     LoadSignal,
     OverloadConfig,
     RateLimiter,
@@ -52,7 +51,6 @@ __all__ = [
     "RetryPolicy",
     "AdmissionController",
     "AdmissionDecision",
-    "InflightLimiter",
     "LoadSignal",
     "OverloadConfig",
     "RateLimiter",

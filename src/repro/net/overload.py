@@ -23,9 +23,7 @@ deterministic overload control plane:
   with ``Retry-After``), computes ``Retry-After`` from current queue
   occupancy, and — in the *unprotected* baseline — models the collapse an
   unbounded queue produces (queue delay growing without bound until
-  responses time out in flight);
-* :class:`InflightLimiter` — client-side backpressure: a bounded
-  in-flight-per-host gate shared by a campaign's clients.
+  responses time out in flight).
 
 Determinism is the same contract as :mod:`repro.net.faults`: no decision
 ever reads a shared RNG or depends on request *order*. Window membership is
@@ -126,9 +124,6 @@ class OverloadConfig:
     #: Unprotected baseline only: queue delay beyond this loses the response
     #: in flight (the client times out; the server's side effects stand).
     timeout_seconds: float = 30.0
-    #: Client-side backpressure: bound on concurrent in-flight requests per
-    #: host across a campaign's clients.
-    max_in_flight_per_host: int = 8
     #: ``False`` disables the ladder and the queue bound — the collapse
     #: baseline the flash-crowd benchmark measures against.
     protected: bool = True
@@ -162,8 +157,6 @@ class OverloadConfig:
             )
         if self.timeout_seconds <= 0:
             raise ValidationError("timeout_seconds must be positive")
-        if self.max_in_flight_per_host < 1:
-            raise ValidationError("max_in_flight_per_host must be >= 1")
 
     def replace(self, **changes) -> "OverloadConfig":
         import dataclasses
@@ -187,7 +180,6 @@ class OverloadConfig:
             "requests_per_participant": self.requests_per_participant,
             "session_seconds": self.session_seconds,
             "timeout_seconds": self.timeout_seconds,
-            "max_in_flight_per_host": self.max_in_flight_per_host,
             "protected": self.protected,
             "seed": self.seed,
         }
@@ -548,66 +540,3 @@ class AdmissionController:
             )
         return response
 
-
-class InflightLimiter:
-    """Client-side backpressure: a bounded in-flight gate per host.
-
-    Shared by every client of a campaign; :meth:`held` blocks (real
-    threads, never virtual time) until a slot frees, so a thread-pool
-    fan-out can never pile more than ``max_in_flight`` concurrent requests
-    onto one host. Purely a concurrency bound: it does not touch the
-    virtual clock, so determinism is unaffected.
-    """
-
-    def __init__(self, max_in_flight: int = 8):
-        import threading
-
-        if max_in_flight < 1:
-            raise ValidationError("max_in_flight must be >= 1")
-        self.max_in_flight = int(max_in_flight)
-        self._condition = threading.Condition()
-        self._inflight: Dict[str, int] = {}
-        self._peaks: Dict[str, int] = {}
-
-    def acquire(self, host: str) -> None:
-        host = host.lower()
-        with self._condition:
-            while self._inflight.get(host, 0) >= self.max_in_flight:
-                self._condition.wait()
-            current = self._inflight.get(host, 0) + 1
-            self._inflight[host] = current
-            if current > self._peaks.get(host, 0):
-                self._peaks[host] = current
-
-    def release(self, host: str) -> None:
-        host = host.lower()
-        with self._condition:
-            current = self._inflight.get(host, 0)
-            if current <= 1:
-                self._inflight.pop(host, None)
-            else:
-                self._inflight[host] = current - 1
-            self._condition.notify()
-
-    def held(self, host: str):
-        """Context manager holding one in-flight slot for ``host``."""
-        limiter = self
-
-        class _Held:
-            def __enter__(self):
-                limiter.acquire(host)
-                return self
-
-            def __exit__(self, *exc):
-                limiter.release(host)
-                return False
-
-        return _Held()
-
-    def inflight(self, host: str) -> int:
-        with self._condition:
-            return self._inflight.get(host.lower(), 0)
-
-    def peak(self, host: str) -> int:
-        with self._condition:
-            return self._peaks.get(host.lower(), 0)

@@ -433,7 +433,6 @@ class Client:
         metrics=None,
         breaker_registry=None,
         breaker_scope: Optional[str] = None,
-        inflight=None,
     ):
         self.network = network
         self.profile = profile
@@ -456,10 +455,6 @@ class Client:
         # The participant's TraceClock (session time + viewing time); set by
         # the campaign on observed runs, used as the exchange spans' clock.
         self.trace_clock = None
-        # Optional shared InflightLimiter: bounds this client's (and its
-        # siblings') concurrent in-flight requests per host — backpressure
-        # against the server, applied before the exchange ever starts.
-        self.inflight = inflight
         self.total_transfer_seconds = 0.0
         self.backoff_seconds = 0.0
         self.requests_made = 0
@@ -513,17 +508,10 @@ class Client:
                 method=request.method, path=request.path, attempt=attempt,
             ) as span:
                 try:
-                    if self.inflight is not None:
-                        with self.inflight.held(host):
-                            response, elapsed = self.network.exchange(
-                                request, self.profile, now=self.session_now,
-                                fault_token=token,
-                            )
-                    else:
-                        response, elapsed = self.network.exchange(
-                            request, self.profile, now=self.session_now,
-                            fault_token=token,
-                        )
+                    response, elapsed = self.network.exchange(
+                        request, self.profile, now=self.session_now,
+                        fault_token=token,
+                    )
                 except NetworkError as exc:
                     # The failed attempt still consumed the participant's time.
                     self.requests_made += 1

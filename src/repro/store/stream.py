@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.analysis import (
     RANK_LABELS,
@@ -193,7 +193,8 @@ class OnlineQualityScreen:
 
     Runs :class:`~repro.core.quality.QualityControl`'s individual screening
     layers on each result as it arrives (the batch code path itself, so the
-    decision is the batch decision), records drops in upload order, and
+    decision is the batch decision), records drops in upload order (and
+    their worker ids, the one per-upload verdict every reader shares), and
     accumulates the majority-vote tallies over survivors' non-control
     answers. The majority *verdicts* are only read at conclude time, when
     the tallies are final — identical to the batch pass, because the
@@ -206,6 +207,7 @@ class OnlineQualityScreen:
         self.config = self.control.config
         self.expected_answers = expected_answers
         self.individual_drops: List[DropRecord] = []
+        self.dropped_ids: Set[str] = set()
         self.survivors = 0
         self.majority_tallies: Dict[Tuple[str, str], Counter] = {}
 
@@ -214,6 +216,7 @@ class OnlineQualityScreen:
         drop = self.control._screen_individual(result, self.expected_answers)
         if drop is not None:
             self.individual_drops.append(drop)
+            self.dropped_ids.add(result.worker_id)
             return drop
         self.survivors += 1
         if self.config.enable_majority_vote:
@@ -296,15 +299,15 @@ class StreamingCampaignState:
 
         ``results`` yields the stored uploads, parsed, in upload (``_id``)
         order — a list the memory store materializes, or a lazy parse of the
-        sharded store's ``stream_collection``. Per result the individual
-        screen re-runs (it is deterministic, so this re-partitions the
-        stream without storing a drop set), survivors are checked against
-        the majority, and kept results fold into the controlled aggregator
+        sharded store's ``stream_collection``. Results the upload-time screen
+        dropped are skipped by worker id, survivors are checked against the
+        majority, and kept results fold into the controlled aggregator
         and Bradley-Terry counts in kept order — the same iteration order
         the batch pipeline's ``analyze_responses(report.kept, ...)`` and
         ``counts_from_results`` use.
         """
         control = self.screen.control
+        dropped_ids = self.screen.dropped_ids
         apply_majority = (
             self.screen.config.enable_majority_vote and self.screen.survivors >= 3
         )
@@ -320,7 +323,7 @@ class StreamingCampaignState:
         majority_drops: List[DropRecord] = []
         kept_worker_ids: List[str] = []
         for result in results:
-            if control._screen_individual(result, self.expected_answers) is not None:
+            if result.worker_id in dropped_ids:
                 continue  # dropped at upload time; already recorded in order
             if apply_majority:
                 drop = control.majority_drop(result, majority)

@@ -1,20 +1,25 @@
 """Tests for the unified CampaignConfig API and the uniform Conclusion."""
 
 import dataclasses
+import inspect
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.campaign import Campaign
 from repro.core.config import DEFAULT_HOST, CampaignConfig
 from repro.core.conclusion import Conclusion, DegradedConclusion
 from repro.core.extension import BrowserExtension, make_utility_judge
+from repro.core.fanout import FanoutSpec
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.server import CoreServer
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.errors import ValidationError
 from repro.html.parser import parse_html
 from repro.net.faults import FaultPlan, RetryPolicy
+from repro.net.overload import OverloadConfig
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 
@@ -99,35 +104,74 @@ class TestConfigObject:
         assert data["fault_plan"]["seed"] == 1
 
 
-class TestLegacyKwargShim:
-    """Settings reach a campaign only through its config."""
+class TestOneDoor:
+    """Settings reach a campaign only through its config (and prepare()'s
+    test inputs): no constructor or run argument shadows a config field."""
 
-    def test_config_path_does_not_warn(self):
+    def test_signatures_take_no_shadowing_arguments(self):
+        def params(fn):
+            return set(inspect.signature(fn).parameters)
+
+        assert not params(Campaign.__init__) & {"seed", "rng"}
+        assert not params(Campaign.run) & {
+            "reward_usd", "participants", "controls_per_participant",
+        }
+        assert "reward_usd" not in params(Campaign.run_until_significant)
+        assert "controls_per_participant" not in params(Campaign.run_with_workers)
+        assert "config" not in params(BrowserExtension.__init__)
+        assert "host" not in params(CoreServer.__init__)
+        overload_fields = {f.name for f in dataclasses.fields(OverloadConfig)}
+        assert "max_in_flight_per_host" not in overload_fields
+        spec_fields = {f.name for f in dataclasses.fields(FanoutSpec)}
+        assert not spec_fields & {"controls_per_participant", "randomize_orientation"}
+
+    def test_removed_names_are_gone_from_the_package(self):
+        gone = (
+            "InflightLimiter", "_randomize_orientation",
+            "_screen_scheduled_upload", "accepts_participants",
+        )
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            for name in gone:
+                assert name not in text, f"{name} in {path.relative_to(root)}"
+
+    def test_removed_arguments_raise_type_error(self):
+        import numpy as np
+
+        from repro.crowd.workers import IN_LAB_MIX, generate_population
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Campaign(config=CampaignConfig(seed=5, dropout_rate=0.02))
         with pytest.raises(TypeError):
-            Campaign(seed=5, dropout_rate=0.02)
-
-    def test_legacy_and_config_runs_match(self):
-        # The constructor's seed kwarg and CampaignConfig.seed are one knob.
-        plan = FaultPlan.lossy(seed=9, drop_rate=0.05)
-        policy = RetryPolicy(max_attempts=3, backoff_base_seconds=0.5)
-        by_kwarg = Campaign(
-            seed=9, config=CampaignConfig(fault_plan=plan, retry_policy=policy)
-        )
-        by_kwarg.prepare(make_params(), make_documents())
-        kwarg_result = by_kwarg.run(make_judge())
-
-        modern = Campaign(
-            config=CampaignConfig(seed=9, fault_plan=plan, retry_policy=policy)
-        )
-        modern.prepare(make_params(), make_documents())
-        modern_result = modern.run(make_judge())
-
-        assert [r.as_dict() for r in kwarg_result.raw_results] == [
-            r.as_dict() for r in modern_result.raw_results
-        ]
+            Campaign(seed=5)
+        with pytest.raises(TypeError):
+            Campaign(rng=np.random.default_rng(5))
+        campaign = Campaign(config=CampaignConfig(seed=5))
+        campaign.prepare(make_params(), make_documents())
+        worker = generate_population(1, IN_LAB_MIX, seed=0)[0]
+        with pytest.raises(TypeError):
+            campaign.run(make_judge(), reward_usd=0.5)
+        with pytest.raises(TypeError):
+            campaign.run(make_judge(), participants=4)
+        with pytest.raises(TypeError):
+            campaign.run(make_judge(), controls_per_participant=2)
+        with pytest.raises(TypeError):
+            campaign.run_until_significant(
+                make_judge(), "q1", ("a", "b"), reward_usd=0.5
+            )
+        with pytest.raises(TypeError):
+            campaign.run_with_workers(
+                [worker], make_judge(), controls_per_participant=2
+            )
+        with pytest.raises(TypeError):
+            CoreServer(DocumentStore(), FileStore(), host="direct.example")
+        with pytest.raises(TypeError):
+            BrowserExtension(
+                worker, make_judge(), seed=0,
+                config=CampaignConfig(dropout_rate=0.25),
+            )
 
 
 class TestConfigReachesComponents:
@@ -146,31 +190,33 @@ class TestConfigReachesComponents:
             database, storage, config=CampaignConfig(host="qoe.example")
         )
         assert configured.host == "qoe.example"
-        explicit = CoreServer(
-            database, storage, host="direct.example",
-            config=CampaignConfig(host="qoe.example"),
-        )
-        assert explicit.host == "direct.example"
+        campaign = Campaign(config=CampaignConfig(host="qoe.example"))
+        assert campaign.server.host == "qoe.example"
 
-    def test_extension_dropout_from_config(self):
+    def test_extension_dropout_from_config(self, monkeypatch):
+        import repro.core.campaign as campaign_module
+
+        rates = []
+
+        class SpyExtension(BrowserExtension):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rates.append(self.dropout_rate)
+
+        monkeypatch.setattr(campaign_module, "BrowserExtension", SpyExtension)
+        campaign = Campaign(config=CampaignConfig(seed=5, dropout_rate=0.25))
+        campaign.prepare(make_params(), make_documents())
+        campaign.run(make_judge())
+        assert rates == [0.25] * 8
         from repro.crowd.workers import IN_LAB_MIX, generate_population
 
         worker = generate_population(1, IN_LAB_MIX, seed=0)[0]
-        ext = BrowserExtension(
-            worker, make_judge(), seed=0,
-            config=CampaignConfig(dropout_rate=0.25),
-        )
-        assert ext.dropout_rate == 0.25
-        override = BrowserExtension(
-            worker, make_judge(), seed=0, dropout_rate=0.5,
-            config=CampaignConfig(dropout_rate=0.25),
-        )
-        assert override.dropout_rate == 0.5
+        assert BrowserExtension(worker, make_judge(), seed=0).dropout_rate == 0.0
 
 
 class TestUniformConclusion:
     def test_clean_run_gets_base_conclusion(self):
-        campaign = Campaign(seed=21)
+        campaign = Campaign(config=CampaignConfig(seed=21))
         campaign.prepare(make_params(), make_documents())
         result = campaign.run(make_judge())
         assert isinstance(result.conclusion, Conclusion)
@@ -180,7 +226,7 @@ class TestUniformConclusion:
         assert result.conclusion.complete == result.conclusion.recruited == 8
 
     def test_floors_mark_conclusion_degraded_subclass(self):
-        campaign = Campaign(seed=22, config=CampaignConfig(min_participants=1))
+        campaign = Campaign(config=CampaignConfig(seed=22, min_participants=1))
         campaign.prepare(make_params(), make_documents())
         result = campaign.run(make_judge())
         assert isinstance(result.conclusion, DegradedConclusion)
@@ -188,7 +234,7 @@ class TestUniformConclusion:
         assert result.degraded is result.conclusion
 
     def test_conclusion_to_dict(self):
-        campaign = Campaign(seed=23)
+        campaign = Campaign(config=CampaignConfig(seed=23))
         campaign.prepare(make_params(), make_documents())
         result = campaign.run(make_judge())
         data = result.conclusion.to_dict()
@@ -196,11 +242,9 @@ class TestUniformConclusion:
         assert data["recruited"] == 8
         assert data["quorum_met"] is True
         assert all("/" in key for key in data["pair_coverage"])
-        # as_dict stays as the historical alias.
-        assert result.conclusion.as_dict() == data
 
     def test_campaign_result_to_dict_embeds_conclusion(self):
-        campaign = Campaign(seed=24)
+        campaign = Campaign(config=CampaignConfig(seed=24))
         campaign.prepare(make_params(), make_documents())
         result = campaign.run(make_judge())
         data = result.to_dict()

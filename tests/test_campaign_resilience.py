@@ -52,7 +52,7 @@ def fingerprint(result, campaign):
     return (
         [r.as_dict() for r in result.raw_results],
         sorted(campaign.lost_uploads),
-        result.degraded.as_dict() if result.degraded else None,
+        result.degraded.to_dict() if result.degraded else None,
     )
 
 
@@ -60,7 +60,7 @@ class TestDefaultUnchanged:
     def test_none_plan_bit_identical_to_no_plan(self):
         def run(fault_plan):
             campaign = Campaign(
-                seed=11, config=CampaignConfig(fault_plan=fault_plan)
+                config=CampaignConfig(seed=11, fault_plan=fault_plan)
             )
             campaign.prepare(make_params(), make_documents())
             result = campaign.run(make_judge())
@@ -77,8 +77,8 @@ class TestDefaultUnchanged:
     def test_none_plan_bit_identical_across_parallelism(self):
         def run(parallelism, fault_plan):
             campaign = Campaign(
-                seed=12,
                 config=CampaignConfig(
+                    seed=12,
                     fault_plan=fault_plan, parallelism=parallelism
                 ),
             )
@@ -98,8 +98,8 @@ class TestDefaultUnchanged:
 class TestDegradedConclusion:
     def lossy_campaign(self, seed=21, dropout=0.25, participants=10, **floors):
         campaign = Campaign(
-            seed=seed,
             config=CampaignConfig(
+                seed=seed,
                 fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
                 retry_policy=RETRIES,
                 dropout_rate=dropout,
@@ -142,7 +142,7 @@ class TestDegradedConclusion:
         assert set(degraded.pair_coverage) == {("q1", "a", "b")}
         assert 0 < degraded.coverage_fraction <= 1.0
         assert degraded.min_pair_coverage == degraded.pair_coverage[("q1", "a", "b")]
-        payload = degraded.as_dict()
+        payload = degraded.to_dict()
         assert payload["pair_coverage"] == {"q1/a/b": degraded.min_pair_coverage}
         assert payload["quorum_met"] is True
 
@@ -166,8 +166,8 @@ class TestDegradedConclusion:
 class TestLossyDeterminism:
     def run_lossy(self, parallelism, seed=31):
         campaign = Campaign(
-            seed=seed,
             config=CampaignConfig(
+                seed=seed,
                 fault_plan=FaultPlan.lossy(
                     seed=seed, drop_rate=0.08, error_rate=0.03, latency_rate=0.05
                 ),
@@ -206,8 +206,8 @@ class CrashingJudge:
 class TestCheckpointResume:
     def build(self, seed=41):
         campaign = Campaign(
-            seed=seed,
             config=CampaignConfig(
+                seed=seed,
                 fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
                 retry_policy=RETRIES,
                 dropout_rate=0.15,
@@ -262,8 +262,8 @@ class TestSerializedResume:
 
     def build(self, seed=44):
         campaign = Campaign(
-            seed=seed,
             config=CampaignConfig(
+                seed=seed,
                 fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
                 retry_policy=RETRIES,
                 dropout_rate=0.15,
@@ -277,7 +277,7 @@ class TestSerializedResume:
         workers = generate_population(
             6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=15, id_prefix="w"
         )
-        campaign = Campaign(seed=43)
+        campaign = Campaign(config=CampaignConfig(seed=43))
         campaign.prepare(make_params(participants=6), make_documents())
         result = campaign.run_with_workers(workers, make_judge())
         resume = result.to_dict()["resume"]
@@ -314,8 +314,8 @@ class TestSerializedResume:
 class TestResumeAfterLostUploads:
     def build(self):
         campaign = Campaign(
-            seed=1,
             config=CampaignConfig(
+                seed=1,
                 fault_plan=FaultPlan(seed=1).with_rule(
                     FaultRule(FAULT_DROP, 0.5, path_prefix="/responses")
                 ),
@@ -360,8 +360,8 @@ class TestLostUploads:
         # test but cannot upload; a resilient campaign records losses and
         # still concludes from the survivors.
         campaign = Campaign(
-            seed=51,
             config=CampaignConfig(
+                seed=51,
                 fault_plan=FaultPlan(seed=51).with_rule(
                     FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")
                 ),

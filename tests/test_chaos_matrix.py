@@ -41,8 +41,8 @@ def scenario_kwargs(name, seed):
 
 def run_cell(name, seed, parallelism):
     campaign = Campaign(
-        seed=seed,
         config=CampaignConfig(
+            seed=seed,
             parallelism=parallelism, **scenario_kwargs(name, seed)
         ),
     )
@@ -74,7 +74,7 @@ def run_cell(name, seed, parallelism):
     return (
         [r.as_dict() for r in result.raw_results],
         sorted(campaign.lost_uploads),
-        result.degraded.as_dict() if result.degraded else None,
+        result.degraded.to_dict() if result.degraded else None,
     )
 
 

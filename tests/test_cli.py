@@ -106,6 +106,37 @@ class TestRun:
         assert "va vs vb" in out
         assert "p-value" in out
 
+    def test_reward_paces_arrivals(self, workspace, capsys, monkeypatch):
+        import repro.core.campaign as campaign_module
+
+        rewards = []
+        real = campaign_module.arrival_offsets
+
+        def spy(*args, **kwargs):
+            rewards.append(kwargs["reward_usd"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "arrival_offsets", spy)
+        code = main(
+            [
+                "run",
+                str(workspace / "spec.json"),
+                str(workspace / "pages"),
+                "--seed",
+                "5",
+                "--reward",
+                "0.5",
+                "--arrival",
+                "uniform",
+                "--utilities",
+                str(workspace / "utils.json"),
+            ]
+        )
+        assert code == 0
+        # The job is posted, and its arrivals paced, at the one reward.
+        assert rewards == [0.5]
+        assert "for $4.00" in capsys.readouterr().out
+
     def test_neutral_utilities_default(self, workspace, capsys):
         code = main(
             ["run", str(workspace / "spec.json"), str(workspace / "pages"), "--seed", "6"]

@@ -86,7 +86,7 @@ class TestExtensionAdaptive:
 
 class TestCampaignAdaptive:
     def build(self, seed=31, scheduler="insertion"):
-        campaign = Campaign(seed=seed, config=CampaignConfig(scheduler=scheduler))
+        campaign = Campaign(config=CampaignConfig(seed=seed, scheduler=scheduler))
         params = TestParameters(
             test_id="adaptive",
             test_description="adaptive scheduling",
@@ -128,7 +128,7 @@ class TestCampaignAdaptive:
         assert ranking.modal_version_at_rank("A") == "v3"
 
     def test_multi_question_test_rejected(self):
-        campaign = Campaign(seed=34, config=CampaignConfig(scheduler="insertion"))
+        campaign = Campaign(config=CampaignConfig(seed=34, scheduler="insertion"))
         params = TestParameters(
             test_id="multi",
             test_description="two questions",

@@ -25,6 +25,7 @@ from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
+from repro.core.quality import QualityConfig
 from repro.core.scheduling import (
     MergeSortScheduler,
     SchedulerConfig,
@@ -451,7 +452,9 @@ class TestCampaignAdaptiveDeterminism:
             assert _roster_digest(resumed) == reference, scheduler
 
     def test_result_serializes_early_stop(self):
-        roster = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=11)
+        # The default screen drops two of the first six uploads and the
+        # scheduler retracts their answers, so the stop needs an eighth.
+        roster = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=11)
         judge = make_utility_judge(
             {"p0": 1.5, "p1": 0.2, "p2": -1.0, "__contrast__": -5.0},
             ThurstoneChoiceModel(),
@@ -460,6 +463,52 @@ class TestCampaignAdaptiveDeterminism:
         payload = json.loads(json.dumps(result.to_dict(), default=str))
         assert payload["early_stop"] is not None
         assert payload["early_stop"]["reason"] in ("stable", "budget")
+
+
+def _screened_adaptive_run(quality, observe=False):
+    """A 5-version adaptive roster of 16 whose upload-time screen drops two
+    participants; returns ``(campaign, result)``."""
+    pages = tuple(f"p{i}" for i in range(5))
+    campaign = Campaign(
+        config=CampaignConfig(
+            seed=3, scheduler="adaptive", quality=quality, observe=observe,
+            artifact_cache=None,
+        )
+    )
+    spec = TestParameters(
+        test_id="adaptive-screen",
+        test_description="one per-upload screen verdict",
+        participant_num=16,
+        question=[Question("q1", "Which looks better?")],
+        webpages=[WebpageSpec(web_path=p, web_page_load=1000) for p in pages],
+    )
+    documents = {
+        p: parse_html(f"<html><body><p>{p} body</p></body></html>") for p in pages
+    }
+    campaign.prepare(spec, documents)
+    judge = make_utility_judge(
+        {**{p: 0.3 * i for i, p in enumerate(pages)}, "__contrast__": -5.0},
+        ThurstoneChoiceModel(),
+    )
+    roster = generate_population(16, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=3)
+    return campaign, campaign.run_with_workers(roster, judge)
+
+
+class TestAdaptiveQualityScreen:
+    """The server's upload-time screen is the one verdict: the scheduler
+    retracts exactly the uploads it drops, and conclude agrees."""
+
+    def test_default_quality_equals_explicit_default(self):
+        _, implicit = _screened_adaptive_run(None)
+        _, explicit = _screened_adaptive_run(QualityConfig())
+        assert implicit.quality_report.dropped  # the screen has work to do
+        assert _roster_digest(implicit) == _roster_digest(explicit)
+
+    def test_quality_counters_match_the_conclusion(self):
+        campaign, result = _screened_adaptive_run(QualityConfig(), observe=True)
+        report = result.quality_report
+        assert campaign.metrics.counter("quality.kept") == report.kept_count
+        assert campaign.metrics.counter("quality.dropped") == len(report.dropped)
 
 
 answers = st.lists(

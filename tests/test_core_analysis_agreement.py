@@ -90,12 +90,13 @@ class TestDemographicBreakdown:
 class TestSequentialCampaign:
     def test_stops_early_on_clear_preference(self):
         from repro.core.campaign import Campaign
+        from repro.core.config import CampaignConfig
         from repro.core.extension import make_utility_judge
         from repro.core.parameters import Question, TestParameters, WebpageSpec
         from repro.crowd.judgment import ThurstoneChoiceModel
         from repro.html.parser import parse_html
 
-        campaign = Campaign(seed=21)
+        campaign = Campaign(config=CampaignConfig(seed=21))
         params = TestParameters(
             test_id="seq",
             test_description="sequential",
@@ -123,12 +124,13 @@ class TestSequentialCampaign:
 
     def test_runs_to_cap_when_no_preference(self):
         from repro.core.campaign import Campaign
+        from repro.core.config import CampaignConfig
         from repro.core.extension import make_utility_judge
         from repro.core.parameters import Question, TestParameters, WebpageSpec
         from repro.crowd.judgment import ThurstoneChoiceModel
         from repro.html.parser import parse_html
 
-        campaign = Campaign(seed=22)
+        campaign = Campaign(config=CampaignConfig(seed=22))
         params = TestParameters(
             test_id="seq2",
             test_description="sequential null",

@@ -41,40 +41,40 @@ def make_judge():
 
 class TestLifecycle:
     def test_run_before_prepare_rejected(self):
-        campaign = Campaign(seed=1)
+        campaign = Campaign(config=CampaignConfig(seed=1))
         with pytest.raises(CampaignError):
             campaign.run(make_judge())
 
     def test_full_run_collects_everyone(self):
-        campaign = Campaign(seed=2)
+        campaign = Campaign(config=CampaignConfig(seed=2))
         campaign.prepare(make_params(), make_documents())
-        result = campaign.run(make_judge(), reward_usd=0.1)
+        result = campaign.run(make_judge())
         assert result.participants == 12
         assert result.duration_days > 0
         assert result.total_cost_usd == pytest.approx(1.2)
 
     def test_conclude_without_responses_rejected(self):
-        campaign = Campaign(seed=3)
+        campaign = Campaign(config=CampaignConfig(seed=3))
         campaign.prepare(make_params(), make_documents())
         with pytest.raises(CampaignError):
             campaign.conclude(job=None, duration_days=0)
 
     def test_b_wins_with_utility_gap(self):
-        campaign = Campaign(seed=4)
+        campaign = Campaign(config=CampaignConfig(seed=4))
         campaign.prepare(make_params(participants=30), make_documents())
         result = campaign.run(make_judge())
         tally = result.raw_analysis.tallies[("q1", "a", "b")]
         assert tally.right_count > tally.left_count
 
     def test_quality_report_produced(self):
-        campaign = Campaign(seed=5)
+        campaign = Campaign(config=CampaignConfig(seed=5))
         campaign.prepare(make_params(participants=25), make_documents())
         result = campaign.run(make_judge())
         assert len(result.controlled_results) <= result.participants
         assert result.controlled_analysis.participants == len(result.controlled_results)
 
     def test_responses_travel_through_server(self):
-        campaign = Campaign(seed=6)
+        campaign = Campaign(config=CampaignConfig(seed=6))
         campaign.prepare(make_params(participants=5), make_documents())
         campaign.run(make_judge())
         # Every upload hit the /responses route over the simulated network.
@@ -84,7 +84,7 @@ class TestLifecycle:
         assert len(downloads) >= 5  # each participant downloads pages
 
     def test_each_participant_sees_control_pair(self):
-        campaign = Campaign(seed=7)
+        campaign = Campaign(config=CampaignConfig(seed=7))
         campaign.prepare(make_params(participants=6), make_documents())
         result = campaign.run(make_judge())
         for participant in result.raw_results:
@@ -96,7 +96,7 @@ class TestLifecycle:
             enable_control_questions=False,
             enable_majority_vote=False,
         )
-        campaign = Campaign(seed=8, config=CampaignConfig(quality=config))
+        campaign = Campaign(config=CampaignConfig(seed=8, quality=config))
         campaign.prepare(make_params(participants=10), make_documents())
         result = campaign.run(make_judge())
         # Only hard rules: everyone complete, so everyone kept.
@@ -105,7 +105,7 @@ class TestLifecycle:
 
 class TestFixedRoster:
     def test_run_with_workers(self):
-        campaign = Campaign(seed=9)
+        campaign = Campaign(config=CampaignConfig(seed=9))
         campaign.prepare(make_params(), make_documents())
         workers = generate_population(8, IN_LAB_MIX, seed=1, id_prefix="lab")
         result = campaign.run_with_workers(workers, make_judge(), in_lab=True)
@@ -114,7 +114,7 @@ class TestFixedRoster:
         assert result.total_cost_usd == 0.0
 
     def test_in_lab_durations_capped(self):
-        campaign = Campaign(seed=10)
+        campaign = Campaign(config=CampaignConfig(seed=10))
         campaign.prepare(make_params(), make_documents())
         workers = generate_population(10, IN_LAB_MIX, seed=2, id_prefix="lab")
         result = campaign.run_with_workers(workers, make_judge(), in_lab=True)
@@ -126,7 +126,7 @@ class TestFixedRoster:
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
         def run(seed):
-            campaign = Campaign(seed=seed)
+            campaign = Campaign(config=CampaignConfig(seed=seed))
             campaign.prepare(make_params(participants=8), make_documents())
             result = campaign.run(make_judge())
             tally = result.raw_analysis.tallies[("q1", "a", "b")]
@@ -136,7 +136,7 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         def run(seed):
-            campaign = Campaign(seed=seed)
+            campaign = Campaign(config=CampaignConfig(seed=seed))
             campaign.prepare(make_params(participants=8), make_documents())
             result = campaign.run(make_judge())
             return result.duration_days

@@ -18,7 +18,7 @@ QUESTION = Question("q1", "Which is better?")
 
 def build_campaign(seed, randomize, quality=None, store="memory"):
     campaign = Campaign(
-        seed=seed, config=CampaignConfig(quality=quality, store=store)
+        config=CampaignConfig(seed=seed, quality=quality, store=store)
     )
     params = TestParameters(
         test_id="orient",

@@ -79,13 +79,19 @@ def chaos_config(**overrides):
     return CampaignConfig(**settings)
 
 
-def run_campaign(executor, parallelism, config=None, participants=PARTICIPANTS):
+def run_campaign(
+    executor, parallelism, config=None, participants=PARTICIPANTS,
+    randomize_orientation=False,
+):
     if config is None:
         config = CampaignConfig(seed=71, observe=True)
     campaign = Campaign(
         config=config.replace(parallelism=parallelism, executor=executor)
     )
-    campaign.prepare(make_params(participants), make_documents())
+    campaign.prepare(
+        make_params(participants), make_documents(),
+        randomize_orientation=randomize_orientation,
+    )
     result = campaign.run(make_judge())
     return campaign, result
 
@@ -104,18 +110,33 @@ def fingerprint(campaign, result, tmp_path, tag):
 
 class TestCrossExecutorDeterminism:
     def test_serial_process_identical(self, tmp_path):
-        base_campaign, base_result = run_campaign("serial", 1)
-        base = fingerprint(base_campaign, base_result, tmp_path, "serial")
-        base_rows = [r.as_dict() for r in base_result.raw_results]
-        campaign, result = run_campaign("process", 4)
-        assert [r.as_dict() for r in result.raw_results] == base_rows
-        conclusion, snapshot, trace = fingerprint(
-            campaign, result, tmp_path, "process"
-        )
-        assert conclusion == base[0]
-        assert snapshot == base[1]
-        assert trace == base[2]
-        assert result.duration_days == base_result.duration_days
+        # Mirrored orientations ride the prepared test into every worker
+        # process; nothing else carries the flag across the pool boundary.
+        for randomize in (False, True):
+            base_campaign, base_result = run_campaign(
+                "serial", 1, randomize_orientation=randomize
+            )
+            base = fingerprint(
+                base_campaign, base_result, tmp_path, f"serial-{randomize}"
+            )
+            base_rows = [r.as_dict() for r in base_result.raw_results]
+            shown_mirrored = any(
+                answer.integrated_id.endswith("-m")
+                for r in base_result.raw_results
+                for answer in r.answers
+            )
+            assert shown_mirrored == randomize
+            campaign, result = run_campaign(
+                "process", 4, randomize_orientation=randomize
+            )
+            assert [r.as_dict() for r in result.raw_results] == base_rows
+            conclusion, snapshot, trace = fingerprint(
+                campaign, result, tmp_path, f"process-{randomize}"
+            )
+            assert conclusion == base[0]
+            assert snapshot == base[1]
+            assert trace == base[2]
+            assert result.duration_days == base_result.duration_days
 
     def test_process_identical_across_worker_counts(self, tmp_path):
         reference = None
@@ -328,7 +349,7 @@ class TestModeValidation:
         real = campaign_module.run_process_fanout
 
         def spy(*args, **kwargs):
-            calls.append(args[5])  # pool_size
+            calls.append(args[4])  # pool_size
             return real(*args, **kwargs)
 
         monkeypatch.setattr(campaign_module, "run_process_fanout", spy)

@@ -8,6 +8,7 @@ asserting the invariants that only hold when every seam lines up.
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.loadscript import extract_schedule
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -53,13 +54,13 @@ def make_params(load=2500):
 
 @pytest.fixture(scope="module")
 def finished_campaign():
-    campaign = Campaign(seed=99)
+    campaign = Campaign(config=CampaignConfig(seed=99))
     documents, resources = build_site()
     campaign.prepare(make_params(), documents, fetcher=resources)
     judge = make_utility_judge(
         {"va": 0.0, "vb": 0.4, "__contrast__": -9.0}, ThurstoneChoiceModel()
     )
-    result = campaign.run(judge, reward_usd=0.1)
+    result = campaign.run(judge)
     return campaign, result
 
 

@@ -8,6 +8,7 @@ submissions, and crashed judges all get distinct, diagnosable behaviour.
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import BrowserExtension, make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -20,7 +21,7 @@ from tests.conftest import make_worker
 
 
 def build_campaign(seed=50, test_id="fault"):
-    campaign = Campaign(seed=seed)
+    campaign = Campaign(config=CampaignConfig(seed=seed))
     params = TestParameters(
         test_id=test_id,
         test_description="fault injection",

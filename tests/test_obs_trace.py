@@ -93,7 +93,7 @@ class TestSpanTree:
         assert len(answers) == expected
 
     def test_timeline_requires_observation(self):
-        campaign = Campaign(seed=1)
+        campaign = Campaign(config=CampaignConfig(seed=1))
         with pytest.raises(CampaignError):
             campaign.timeline()
 

@@ -40,7 +40,6 @@ from repro.net.overload import (
     STATE_REJECT,
     TIMED_OUT_HEADER,
     AdmissionController,
-    InflightLimiter,
     LoadSignal,
     OverloadConfig,
     RateLimiter,
@@ -86,7 +85,6 @@ class TestOverloadConfig:
             dict(smoothing=1.5),
             dict(qc_sample_rate=1.2),
             dict(timeout_seconds=0.0),
-            dict(max_in_flight_per_host=0),
             # Ladder must be non-decreasing.
             dict(shed_detail_at=0.9, sample_qc_at=0.8),
             dict(defer_at=2.0, reject_at=1.0),
@@ -325,18 +323,6 @@ class TestClientPushback:
         assert client.backoff_seconds == 10.0
         # Budget exhausted: no further waits.
         assert not client._backoff(policy, attempt=2, retry_after=1.0)
-
-    def test_inflight_limiter_bounds_and_peaks(self):
-        limiter = InflightLimiter(max_in_flight=2)
-        limiter.acquire("H")
-        with limiter.held("h"):
-            assert limiter.inflight("h") == 2
-        assert limiter.inflight("h") == 1
-        limiter.release("h")
-        assert limiter.inflight("h") == 0
-        assert limiter.peak("h") == 2
-        with pytest.raises(ValidationError):
-            InflightLimiter(max_in_flight=0)
 
 
 # -- arrival schedules --------------------------------------------------------

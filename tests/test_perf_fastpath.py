@@ -354,13 +354,13 @@ def make_judge():
 
 def run_campaign(parallelism, seed=7, artifact_cache=True):
     campaign = Campaign(
-        seed=seed,
         config=CampaignConfig(
+            seed=seed,
             parallelism=parallelism, artifact_cache=artifact_cache
         ),
     )
     campaign.prepare(make_params(), make_documents())
-    return campaign.run(make_judge(), reward_usd=0.1)
+    return campaign.run(make_judge())
 
 
 def fingerprints(result):
@@ -391,7 +391,7 @@ class TestParallelEquivalence:
         ]
 
     def test_invalid_parallelism_rejected(self):
-        campaign = Campaign(seed=7)
+        campaign = Campaign(config=CampaignConfig(seed=7))
         with pytest.raises(ValidationError):
             campaign.config.replace(parallelism=0)
 
@@ -405,7 +405,7 @@ class TestParallelEquivalence:
 
         def result_for(parallelism):
             campaign = Campaign(
-                seed=11, config=CampaignConfig(parallelism=parallelism)
+                config=CampaignConfig(seed=11, parallelism=parallelism)
             )
             campaign.prepare(make_params(), make_documents())
             workers = generate_population(8, IN_LAB_MIX, seed=5)
@@ -414,9 +414,9 @@ class TestParallelEquivalence:
         assert fingerprints(result_for(1)) == fingerprints(result_for(3))
 
     def test_participants_render_pages(self):
-        campaign = Campaign(seed=7, config=CampaignConfig(parallelism=2))
+        campaign = Campaign(config=CampaignConfig(seed=7, parallelism=2))
         campaign.prepare(make_params(), make_documents())
-        campaign.run(make_judge(), reward_usd=0.1)
+        campaign.run(make_judge())
         assert campaign.artifacts is not None
         # Every stored page (integrated + versions) rendered exactly once.
         assert campaign.artifacts.misses == len(campaign.artifacts)

@@ -83,6 +83,7 @@ class TestServerRestartScenario:
     def test_results_survive_restart(self):
         """Responses collected before a 'restart' are analyzable after."""
         from repro.core.campaign import Campaign
+        from repro.core.config import CampaignConfig
         from repro.core.extension import make_utility_judge
         from repro.core.parameters import Question, TestParameters, WebpageSpec
         from repro.core.server import CoreServer
@@ -91,7 +92,7 @@ class TestServerRestartScenario:
         from repro.html.parser import parse_html
         from repro.storage.filestore import FileStore
 
-        campaign = Campaign(seed=71)
+        campaign = Campaign(config=CampaignConfig(seed=71))
         params = TestParameters(
             test_id="durable",
             test_description="restart test",

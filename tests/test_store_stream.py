@@ -37,7 +37,7 @@ def run_campaign(store, participants=25, seed=7, **config_kwargs):
     config = CampaignConfig(seed=seed, store=store, **config_kwargs)
     campaign = Campaign(config=config)
     campaign.prepare(make_params(participants=participants), make_documents())
-    result = campaign.run(make_judge(), reward_usd=0.1)
+    result = campaign.run(make_judge())
     return campaign, result
 
 
@@ -281,7 +281,9 @@ def scheduled_campaign(store, scheduler, seed=21):
 class TestScheduledStreaming:
     @pytest.mark.parametrize("scheduler", ["adaptive", "merge"])
     def test_sharded_store_concludes_like_memory(self, scheduler):
-        roster = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=21)
+        # The default screen drops three of the first eight uploads and the
+        # adaptive scheduler retracts their answers, so the stop needs ten.
+        roster = generate_population(10, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=21)
         judge = make_utility_judge(
             {"p0": 1.5, "p1": 0.6, "p2": -0.2, "p3": -1.0, "__contrast__": -5.0},
             ThurstoneChoiceModel(),
