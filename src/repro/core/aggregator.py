@@ -139,7 +139,13 @@ class Aggregator:
         # Index lookups by test id are the server's hot path.
         self.database.collection(TESTS_COLLECTION).create_index("test_id", unique=True)
         self.database.collection(INTEGRATED_COLLECTION).create_index("test_id")
-        self.database.collection(RESPONSES_COLLECTION).create_index("test_id")
+        # Every upload's retry and duplicate checks are served by the
+        # worker_id / idempotency_key buckets, not a walk of the whole test.
+        # Non-unique: a worker can upload to several tests, and rows sent
+        # without a token carry no key.
+        responses = self.database.collection(RESPONSES_COLLECTION)
+        for field in ("test_id", "worker_id", "idempotency_key"):
+            responses.create_index(field)
 
     # -- main entry ----------------------------------------------------------
 

@@ -7,7 +7,8 @@ Implements the subset of MongoDB the Kaleidoscope core server relies on:
   ``$eq $ne $gt $gte $lt $lte $in $nin $exists $regex $and $or $not``;
 * ``update`` with ``$set $unset $inc $push $pull`` (and whole-document
   replacement);
-* unique and non-unique single-field indexes (equality lookups use them);
+* unique and non-unique single-field indexes (equality lookups use the
+  most selective one);
 * sort / skip / limit, ``count``, ``distinct``, and ``delete``.
 
 Documents are deep-copied on the way in and out, so callers can never mutate
@@ -144,50 +145,80 @@ def match_document(document: dict, query: dict) -> bool:
 
 
 class _Index:
-    """A single-field index: value -> set of _id."""
+    """A single-field index: value -> set of _id.
+
+    Missing and ``None`` values are not indexed. Unhashable values (arrays,
+    embedded documents) cannot be bucketed either, but an array matches an
+    equality on any of its elements, so their ids are kept in
+    ``unhashable`` and every index-served read treats them as candidates.
+    """
 
     def __init__(self, field: str, unique: bool):
         self.field = field
         self.unique = unique
         self.entries: Dict[Any, set] = {}
-
-    def _key(self, document: dict):
-        value = get_path(document, self.field)
-        if value is _MISSING:
-            return None
-        try:
-            hash(value)
-        except TypeError:
-            return None  # unhashable values are simply not indexed
-        return value
+        self.unhashable: set = set()
 
     def add(self, document: dict) -> None:
-        key = self._key(document)
-        if key is None:
+        value = get_path(document, self.field)
+        if value is _MISSING or value is None:
             return
-        bucket = self.entries.setdefault(key, set())
+        if not _hashable(value):
+            self.unhashable.add(document["_id"])
+            return
+        bucket = self.entries.setdefault(value, set())
         if self.unique and bucket and document["_id"] not in bucket:
             raise DuplicateKeyError(
-                f"duplicate value {key!r} for unique index on {self.field!r}"
+                f"duplicate value {value!r} for unique index on {self.field!r}"
             )
         bucket.add(document["_id"])
 
     def remove(self, document: dict) -> None:
-        key = self._key(document)
-        if key is None:
+        self.unhashable.discard(document["_id"])
+        value = get_path(document, self.field)
+        if value is _MISSING or value is None or not _hashable(value):
             return
-        bucket = self.entries.get(key)
+        bucket = self.entries.get(value)
         if bucket is not None:
             bucket.discard(document["_id"])
             if not bucket:
-                del self.entries[key]
+                del self.entries[value]
 
     def lookup(self, value) -> Optional[set]:
-        try:
-            hash(value)
-        except TypeError:
+        if not _hashable(value):
             return None
         return self.entries.get(value, set())
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def distinct_values(values: Iterable) -> List:
+    """``values`` without repeats, in first-seen order, in linear time.
+
+    Hashable values are deduplicated through a set. Unhashable ones (arrays,
+    embedded documents) fall back to a list scan; that split is exact
+    because no JSON array or object equals a hashable value.
+    """
+    distinct: List = []
+    hashed: set = set()
+    unhashed: List = []
+    for value in values:
+        if _hashable(value):
+            if value in hashed:
+                continue
+            hashed.add(value)
+        else:
+            if value in unhashed:
+                continue
+            unhashed.append(value)
+        distinct.append(value)
+    return distinct
 
 
 class Collection:
@@ -330,25 +361,41 @@ class Collection:
 
     # -- reads ------------------------------------------------------------
 
-    def _candidate_ids(self, query: dict) -> Optional[Iterable[int]]:
-        """Use an index for a top-level equality clause when one exists."""
+    def _candidate_ids(self, query: dict) -> Optional[List]:
+        """Ids that may match ``query``, served by its most selective index.
+
+        Every top-level scalar equality clause on an indexed field names a
+        bucket; the smallest one wins. Its ids plus the index's
+        unhashable-valued documents hold every match, and come back in
+        ascending ``_id`` order, the order a full scan yields. A ``None``
+        condition is never served: it also matches documents that lack the
+        field, which no bucket holds. ``None`` means "scan everything".
+        """
+        best = None
         for key, condition in query.items():
-            if key in self._indexes and not isinstance(condition, dict):
-                bucket = self._indexes[key].lookup(condition)
-                if bucket is not None:
-                    return sorted(bucket)
-        return None
+            index = self._indexes.get(key)
+            if index is None or condition is None:
+                continue
+            bucket = index.lookup(condition)  # None for operator documents
+            if bucket is None:
+                continue
+            size = len(bucket) + len(index.unhashable)
+            if best is None or size < best[0]:
+                best = (size, bucket, index.unhashable)
+        if best is None:
+            return None
+        _, bucket, unhashable = best
+        return sorted(bucket | unhashable)
 
     def _indexed_equality_bucket(self, query: dict) -> Optional[set]:
         """The index bucket that *fully* answers ``query``, or ``None``.
 
         Only a single-clause scalar equality match on an indexed field
-        qualifies: then the bucket's members are exactly the matching
-        documents (index buckets hold only hashable scalar values, with
-        the same array-field semantics ``_candidate_ids`` already uses),
-        so ``count``/``distinct`` can skip per-document matching entirely.
-        A ``None`` condition never qualifies — it also matches documents
-        missing the field, which the index cannot see.
+        qualifies, and only while no document holds an unhashable value
+        there: then the bucket's members are exactly the matching
+        documents, so ``count``/``distinct`` can skip per-document matching
+        entirely. A ``None`` condition never qualifies — it also matches
+        documents missing the field, which the index cannot see.
         """
         if len(query) != 1:
             return None
@@ -357,7 +404,10 @@ class Collection:
             return None
         if isinstance(condition, (dict, list)):
             return None
-        return self._indexes[key].lookup(condition)
+        index = self._indexes[key]
+        if index.unhashable:
+            return None
+        return index.lookup(condition)
 
     def _iter_matching(self, query: dict):
         candidates = self._candidate_ids(query)
@@ -424,14 +474,10 @@ class Collection:
             )
         else:
             documents = self._iter_matching(query)
-        seen = []
-        for document in documents:
-            value = get_path(document, field)
-            if value is _MISSING:
-                continue
-            if value not in seen:
-                seen.append(value)
-        return deep_copy_json(seen)
+        values = (get_path(document, field) for document in documents)
+        return deep_copy_json(
+            distinct_values(value for value in values if value is not _MISSING)
+        )
 
 
 class DocumentStore:

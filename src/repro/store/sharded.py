@@ -44,6 +44,7 @@ from repro.errors import StorageError
 from repro.storage.documentstore import (
     _MISSING,
     DocumentStore,
+    distinct_values,
     get_path,
     highest_numeric_id,
     match_document,
@@ -605,11 +606,7 @@ class ShardedCollection:
                     if value is not _MISSING:
                         pairs.append((doc["_id"], value))
         pairs.sort(key=lambda item: item[0])
-        seen: List = []
-        for _, value in pairs:
-            if value not in seen:
-                seen.append(value)
-        return deep_copy_json(seen)
+        return deep_copy_json(distinct_values(value for _, value in pairs))
 
     def __len__(self) -> int:
         return self.count({})

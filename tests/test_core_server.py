@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.storage.documentstore
 from repro.core.aggregator import Aggregator, RESPONSES_COLLECTION
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -191,6 +192,45 @@ class TestIdempotency:
         self.post(server, network, "w1:1", worker_id="w1")
         self.post(server, network, "w2:1", worker_id="w2")
         assert sorted(server.uploaded_worker_ids("srv-test")) == ["w1", "w2"]
+
+
+class TestUploadDedupeCost:
+    """Each upload's retry and duplicate checks are index lookups: the
+    documents they examine stay flat as the responses table grows."""
+
+    @staticmethod
+    def upload(server, worker_id, token):
+        request = Request.post_json(
+            server.url("/responses"),
+            upload_payload(worker_id=worker_id),
+            **{IDEMPOTENCY_HEADER: token},
+        )
+        return server.http.handle(request)
+
+    @pytest.mark.parametrize("uploads", [100, 1000])
+    def test_docs_examined_per_upload_is_flat(self, stack, monkeypatch, uploads):
+        server = stack[0]
+        examined = []
+        original = repro.storage.documentstore.match_document
+
+        def counting(document, query):
+            examined.append(1)
+            return original(document, query)
+
+        monkeypatch.setattr(repro.storage.documentstore, "match_document", counting)
+        for i in range(uploads):
+            assert self.upload(server, f"w{i}", f"w{i}:1").status == 201
+        assert len(examined) / uploads <= 4
+        # A retry of a stored upload dedupes on its token; a new token from
+        # a worker who already uploaded is a duplicate. Both stay O(1).
+        examined.clear()
+        replay = self.upload(server, "w0", "w0:1")
+        assert replay.status == 200 and replay.json()["deduplicated"] is True
+        assert len(examined) <= 4
+        examined.clear()
+        assert self.upload(server, "w1", "w1:2").status == 409
+        assert len(examined) <= 4
+        assert server.response_count("srv-test") == uploads
 
 
 class TestGetResults:

@@ -1,6 +1,8 @@
 """Tests for the Mongo-like embedded document store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DuplicateKeyError, QueryError
 from repro.storage.documentstore import Collection, DocumentStore, match_document
@@ -187,6 +189,126 @@ class TestIndexes:
         people.create_index("name")
         people.delete_many({"name": "ada"})
         assert people.find({"name": "ada"}) == []
+
+    def test_smallest_bucket_serves_the_query(self):
+        collection = Collection("c")
+        collection.create_index("test_id")
+        collection.create_index("worker_id")
+        for i in range(50):
+            collection.insert_one({"test_id": "t", "worker_id": f"w{i}"})
+        candidates = collection._candidate_ids({"test_id": "t", "worker_id": "w7"})
+        assert candidates == [8]
+        assert collection.find_one({"test_id": "t", "worker_id": "w7"})["_id"] == 8
+
+    def test_none_condition_is_not_served_from_the_index(self):
+        collection = Collection("c")
+        collection.create_index("test_id")
+        collection.create_index("idempotency_key")
+        collection.insert_one({"test_id": "t", "worker_id": "w1"})
+        collection.insert_one({"test_id": "t", "idempotency_key": None})
+        query = {"test_id": "t", "idempotency_key": None}
+        assert [d["_id"] for d in collection.find(query)] == [1, 2]
+        assert collection.count({"idempotency_key": None}) == 2
+
+    def test_array_values_stay_visible_through_the_index(self):
+        collection = Collection("c")
+        collection.insert_one({"a": [1, 2]})
+        collection.insert_one({"a": 1})
+        collection.create_index("a")
+        assert [d["_id"] for d in collection.find({"a": 1})] == [1, 2]
+        assert collection.count({"a": 1}) == 2
+        assert collection.distinct("_id", {"a": 2}) == [1]
+        collection.update_one({"_id": 1}, {"$set": {"a": 3}})
+        assert [d["_id"] for d in collection.find({"a": 1})] == [2]
+        assert collection.count({"a": 3}) == 1
+
+
+# -- an index never changes a query's answer --------------------------------
+
+INDEXED_FIELDS = ("a", "b", "c.d")
+SCALARS = st.one_of(
+    st.none(), st.integers(0, 2), st.sampled_from(["x", "y"]), st.booleans()
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+@st.composite
+def documents(draw):
+    document = {}
+    for field in ("a", "b"):
+        if draw(st.booleans()):
+            document[field] = draw(VALUES)
+    shape = draw(st.sampled_from(["missing", "scalar", "nested"]))
+    if shape == "scalar":
+        document["c"] = draw(SCALARS)
+    elif shape == "nested":
+        document["c"] = {"d": draw(VALUES)} if draw(st.booleans()) else {}
+    return document
+
+
+QUERIES = st.dictionaries(
+    st.sampled_from(INDEXED_FIELDS),
+    st.one_of(SCALARS, st.lists(SCALARS, max_size=2)),
+    min_size=1,
+    max_size=3,
+)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_one"), documents()),
+        st.tuples(
+            st.just("update_many"),
+            QUERIES,
+            st.fixed_dictionaries({"$set": st.dictionaries(
+                st.sampled_from(INDEXED_FIELDS), VALUES, min_size=1, max_size=2
+            )}),
+        ),
+        st.tuples(
+            st.just("update_one"),
+            QUERIES,
+            st.fixed_dictionaries({"$unset": st.dictionaries(
+                st.sampled_from(INDEXED_FIELDS), st.just(""), min_size=1, max_size=1
+            )}),
+        ),
+        st.tuples(st.just("replace_one"), QUERIES, documents()),
+        st.tuples(st.just("delete_many"), QUERIES),
+    ),
+    max_size=25,
+)
+
+
+class TestIndexNeverChangesAnswers:
+    """An indexed collection answers every query exactly as a full scan."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        initial=st.lists(documents(), max_size=12),
+        operations=OPERATIONS,
+        queries=st.lists(QUERIES, min_size=1, max_size=6),
+    )
+    def test_indexed_collection_matches_unindexed(self, initial, operations, queries):
+        plain, indexed = Collection("plain"), Collection("indexed")
+        for field in INDEXED_FIELDS:
+            indexed.create_index(field)
+        for document in initial:
+            plain.insert_one(document)
+            indexed.insert_one(document)
+        for method, *args in operations:
+            assert getattr(indexed, method)(*args) == getattr(plain, method)(*args)
+        assert indexed.find() == plain.find()
+        for query in queries:
+            assert indexed.find(query) == plain.find(query)
+            assert indexed.find_one(query) == plain.find_one(query)
+            assert indexed.count(query) == plain.count(query)
+            for field in INDEXED_FIELDS + ("_id",):
+                assert indexed.distinct(field, query) == plain.distinct(field, query)
+
+
+class TestDistinct:
+    def test_first_seen_order_with_mixed_hashability(self):
+        collection = Collection("c")
+        values = [2, [1], "x", 2, {"k": 1}, [1], "x", {"k": 1}, None, 1, [2]]
+        collection.insert_many([{"v": v} for v in values] + [{"w": 0}])
+        assert collection.distinct("v") == [2, [1], "x", {"k": 1}, None, 1, [2]]
 
 
 class TestMatchDocument:

@@ -83,6 +83,13 @@ class TestCrud:
         c.insert_many([{"v": v} for v in ("b", "a", "b", "c", "a")])
         assert c.distinct("v") == ["b", "a", "c"]
 
+    def test_distinct_first_seen_order_with_mixed_hashability(self):
+        store = make_store()
+        c = store.collection("items")
+        values = [2, [1], "x", 2, {"k": 1}, [1], "x", {"k": 1}, None, 1, [2]]
+        c.insert_many([{"v": v} for v in values])
+        assert c.distinct("v") == [2, [1], "x", {"k": 1}, None, 1, [2]]
+
     def test_drop_collection(self):
         store = make_store()
         store.collection("tmp").insert_one({"a": 1})
