@@ -12,7 +12,9 @@ Three phases prove the adaptive Bradley-Terry scheduler (ISSUE 10):
   drop, shared-tally schedulers only — the campaign's retraction path).
 * **savings gate** — at N=50 the adaptive scheduler must recover the
   ground-truth ranking, clean and under chaos, with at most 40% of the
-  full C(N,2) answer count (``--assert-savings`` exits nonzero otherwise).
+  full C(N,2) answer count, and no Bradley-Terry refit anywhere in the
+  sweep may stop unconverged (``--assert-savings`` exits nonzero
+  otherwise).
 * **identity** — a small adaptive campaign concludes byte-identically
   across the serial and process executors and a crash-resumed run
   (checkpoint mid-roster, resume on a fresh campaign), and the N=50 clean
@@ -56,6 +58,7 @@ from repro.core.scheduling import (
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.html.parser import parse_html
+from repro.obs import MetricsRegistry
 from repro.util.executors import available_cpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -118,13 +121,17 @@ def drive_run(
     scheduler rotates participants whenever a session budget is exhausted,
     exactly as the campaign's roster does. ``resume_at`` replays the run
     through a JSON snapshot/restore once that many answers are in
-    (checkpoint/resume identity check).
+    (checkpoint/resume identity check). Refit convergence is counted
+    through ``btmodel.*`` metrics.
     """
     version_ids = [f"v{i:03d}" for i in range(n)]
     perm = np.random.default_rng([seed, n, 17]).permutation(n)
     truth = [version_ids[i] for i in perm]
     rank = {v: i for i, v in enumerate(truth)}
-    scheduler = make_scheduler(mode, version_ids, SchedulerConfig(seed=seed))
+    metrics = MetricsRegistry()
+    scheduler = make_scheduler(
+        mode, version_ids, SchedulerConfig(seed=seed), metrics=metrics
+    )
     rng = np.random.default_rng([seed, n, 1 if chaos else 0])
     noise = CHAOS_NOISE if chaos else 0.0
     abandon = CHAOS_ABANDON if chaos else 0.0
@@ -159,7 +166,7 @@ def drive_run(
             retracted = True
         if resume_at is not None and not resumed and len(scheduler.history) >= resume_at:
             payload = json.loads(json.dumps(scheduler.snapshot()))
-            scheduler = scheduler_from_snapshot(payload)
+            scheduler = scheduler_from_snapshot(payload, metrics=metrics)
             resumed = True
     ranking = scheduler.ranking()
     full = full_pair_count(n)
@@ -178,6 +185,7 @@ def drive_run(
         "participants_used": participant + 1,
         "retracted_session": retracted,
         "early_stop": conclusion.to_dict() if conclusion is not None else None,
+        "unconverged_refits": int(metrics.counter("btmodel.unconverged")),
         "resumed_mid_run": resumed if resume_at is not None else None,
     }
 
@@ -195,7 +203,8 @@ def run_recovery_phase(ns: Sequence[int]) -> dict:
 
 def savings_gate(rows: List[dict], n: int = GATE_N) -> dict:
     """The acceptance criterion at N=50: recovered, clean and under chaos,
-    at <= 40% of the full C(N,2) answer count."""
+    at <= 40% of the full C(N,2) answer count, with every refit of the
+    sweep converged."""
     gate = {}
     for condition in ("clean", "chaos"):
         row = next(
@@ -214,7 +223,11 @@ def savings_gate(rows: List[dict], n: int = GATE_N) -> dict:
         }
     gate["n"] = n
     gate["ceiling"] = SAVINGS_CEILING
-    gate["met"] = gate["clean"]["met"] and gate["chaos"]["met"]
+    gate["unconverged_refits"] = sum(r["unconverged_refits"] for r in rows)
+    gate["met"] = (
+        gate["clean"]["met"] and gate["chaos"]["met"]
+        and gate["unconverged_refits"] == 0
+    )
     return gate
 
 
@@ -372,7 +385,8 @@ def run_adaptive_benchmark(ns: Sequence[int] = DEFAULT_NS) -> dict:
             "savings_target": (
                 f"adaptive recovers the ground-truth ranking at N={GATE_N}, "
                 f"clean and under chaos, with <= {SAVINGS_CEILING:.0%} of "
-                "the full C(N,2) answers"
+                "the full C(N,2) answers, and no refit of the sweep "
+                "unconverged"
             ),
             "savings_met": gate["met"] if gate else None,
             "identity_target": (
@@ -419,7 +433,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--assert-savings", action="store_true",
         help=f"exit nonzero unless adaptive recovers the ranking at "
         f"N={GATE_N} with <= {SAVINGS_CEILING:.0%} of full-pair answers, "
-        "clean and under chaos",
+        "clean and under chaos, and every refit converged",
     )
     parser.add_argument(
         "--assert-identity", action="store_true",
@@ -445,7 +459,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 "ERROR: savings gate failed: "
                 + json.dumps(
-                    {c: gate[c] for c in ("clean", "chaos")}, indent=2
+                    {
+                        c: gate[c]
+                        for c in ("clean", "chaos", "unconverged_refits")
+                    },
+                    indent=2,
                 )
             )
             failed = True
@@ -455,7 +473,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{gate['clean']['answers']} (clean) / "
                 f"{gate['chaos']['answers']} (chaos) of "
                 f"{gate['clean']['full_pairs']} full-pair answers at "
-                f"N={GATE_N}"
+                f"N={GATE_N}; no refit unconverged"
             )
     if args.assert_identity:
         identity = report["identity"]

@@ -6,9 +6,9 @@ never pooled until conclude time. :class:`AdaptiveScheduler` pools it
 *while scheduling*. One instance serves the whole campaign, maintaining a
 shared cross-participant :class:`~repro.core.btmodel.PairwiseCounts` tally;
 after every ``refit_every`` absorbed answers it refits the Bradley-Terry
-model incrementally (warm-started from the previous fit, so a refit costs
-a handful of MM iterations) and serves each participant the currently most
-informative pair.
+model (a cold-started Newton fit of well under a millisecond at N = 8,
+which depends on the tally alone) and serves each participant the
+currently most informative pair.
 
 **Phases.** A fresh scheduler first serves a shared merge-sort schedule
 (~N log N answers locates the approximate order; posterior-only
@@ -203,9 +203,8 @@ class AdaptiveScheduler(Scheduler):
         )
         # Frequent refits keep the ranking-position discount in _best_pair
         # current, so a misplaced version is moved (and its new neighborhood
-        # probed) within a few answers instead of a few dozen; warm-started
-        # MM refits converge in a handful of iterations, so the cadence is
-        # cheap.
+        # probed) within a few answers instead of a few dozen; a Newton
+        # refit converges in about eight steps, so the cadence is cheap.
         self.refit_every = (
             cfg.refit_every if cfg.refit_every is not None else max(2, n // 10)
         )
@@ -358,11 +357,9 @@ class AdaptiveScheduler(Scheduler):
     def _refit(self, check_stability: bool = True) -> None:
         self.refits += 1
         self._since_refit = 0
-        warm = self._fit.scores if self._fit is not None else None
         self._fit = fit_bradley_terry(
             self.tally,
             regularization=self.config.regularization,
-            initial_scores=warm,
             metrics=self.metrics,
         )
         ranking = self._fit.ranking()
@@ -446,7 +443,6 @@ class AdaptiveScheduler(Scheduler):
             fit = fit_bradley_terry(
                 perturbed,
                 regularization=self.config.regularization,
-                initial_scores=self._fit.scores,
             )
             if fit.ranking() != ranking:
                 return False

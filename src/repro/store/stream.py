@@ -66,7 +66,7 @@ class StreamingAggregator:
     :func:`repro.core.analysis.analyze_responses` field-for-field (tallies,
     rankings, participants) and :attr:`bt_counts` reproduces
     :func:`repro.core.btmodel.counts_from_results` including the wins-dict
-    insertion order the MM fit iterates in.
+    insertion order.
     """
 
     def __init__(

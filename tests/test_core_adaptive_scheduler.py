@@ -38,6 +38,7 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.errors import ValidationError
 from repro.html.parser import parse_html
+from repro.obs import MetricsRegistry
 from repro.net.simnet import SimulatedNetwork
 from repro.sim.clock import SimulationEnvironment
 from repro.storage.documentstore import DocumentStore
@@ -247,6 +248,7 @@ class TestAdaptiveScheduler:
         # A dead heat (true "Same" pair) passes: order is arbitrary.
         scheduler.tally.wins[("c", "b")] = 2.0
         assert scheduler._boundaries_certified(ranking)
+
 
 
 class TestSchedulerRegistry:
@@ -509,6 +511,41 @@ class TestAdaptiveQualityScreen:
         report = result.quality_report
         assert campaign.metrics.counter("quality.kept") == report.kept_count
         assert campaign.metrics.counter("quality.dropped") == len(report.dropped)
+
+
+def assert_refits_converged(metrics):
+    """Every refit converged, in a handful of Newton steps on average."""
+    refits = metrics.counter("btmodel.refits")
+    assert refits > 0
+    assert metrics.counter("btmodel.unconverged") == 0
+    assert metrics.counter("btmodel.iterations") <= 15 * refits
+
+
+class TestRefitConvergence:
+    def test_stable_run(self):
+        metrics = MetricsRegistry()
+        scheduler = drive(
+            AdaptiveScheduler(VERSIONS, SchedulerConfig(seed=7), metrics=metrics)
+        )
+        assert scheduler.stop_reason == STOP_STABLE
+        assert metrics.counter("btmodel.refits") == scheduler.refits
+        assert_refits_converged(metrics)
+
+    def test_contradictory_judge_run(self):
+        metrics = MetricsRegistry()
+        flipper = {"flip": False}
+
+        def coin(left, right):
+            flipper["flip"] = not flipper["flip"]
+            return "left" if flipper["flip"] else "right"
+
+        drive(AdaptiveScheduler(VERSIONS, SchedulerConfig(seed=7), metrics=metrics), coin)
+        assert_refits_converged(metrics)
+
+    def test_campaign_with_screen_retractions(self):
+        campaign, result = _screened_adaptive_run(QualityConfig())
+        assert result.quality_report.dropped  # refits after retractions too
+        assert_refits_converged(campaign.metrics)
 
 
 answers = st.lists(
