@@ -150,7 +150,7 @@ def run_correctness(campaigns: int, poison: int) -> dict:
     index = {run_id: i for i, run_id in enumerate(run_ids)}
     resumed_match_reference = all(
         manager.result(run_id)
-        == make_submission(SEED + index[run_id]).reference_run().to_dict()
+        == make_submission(SEED + index[run_id]).reference_run()
         for run_id in sampled
     )
     return {

@@ -102,7 +102,8 @@ class CampaignResult:
     conclusion.DegradedConclusion` subclass whenever participants were lost
     or conclusion floors were requested. The historical ``degraded``
     attribute survives as a property with its exact old contract (``None``
-    unless a degradation report was warranted).
+    unless a degradation report was warranted). A result is not a
+    checkpoint: resuming takes :meth:`Campaign.resume_state`.
     """
 
     test_id: str
@@ -113,17 +114,11 @@ class CampaignResult:
     job: Optional[CrowdJob]
     duration_days: float
     total_cost_usd: float
-    conclusion: Optional[Conclusion] = None
-    #: Checkpoint payload for driving a resume from the serialized result:
-    #: ``root_entropy``, the completed-participant ids, the stored rows, and
-    #: any recorded upload losses. Every run records one; it is ``None``
-    #: only for a result concluded before any roster ran.
-    resume_state: Optional[dict] = None
+    conclusion: Conclusion
     #: Uploaded-participant count. Sharded-store conclusions keep
     #: ``raw_results`` empty by design (the rows were folded into
-    #: sufficient statistics, never materialized), so this is the count;
-    #: ``None`` falls back to ``len(raw_results)``.
-    participant_count: Optional[int] = None
+    #: sufficient statistics, never materialized), so this is the count.
+    participant_count: int
     #: The adaptive scheduler's structured stopping verdict (ranking,
     #: answers used, stability evidence); ``None`` for every other
     #: scheduler mode, and for adaptive campaigns concluded before the
@@ -136,9 +131,7 @@ class CampaignResult:
 
     @property
     def participants(self) -> int:
-        if self.participant_count is not None:
-            return self.participant_count
-        return len(self.raw_results)
+        return self.participant_count
 
     @property
     def degraded(self) -> Optional[DegradedConclusion]:
@@ -150,7 +143,7 @@ class CampaignResult:
     @property
     def is_degraded(self) -> bool:
         """True when the campaign concluded on partial data."""
-        return self.conclusion is not None and self.conclusion.is_degraded
+        return self.conclusion.is_degraded
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (CLI output, timeline metadata, reports)."""
@@ -162,9 +155,8 @@ class CampaignResult:
             "duration_days": round(self.duration_days, 4),
             "total_cost_usd": round(self.total_cost_usd, 2),
             "degraded": self.is_degraded,
-            "conclusion": self.conclusion.to_dict() if self.conclusion else None,
+            "conclusion": self.conclusion.to_dict(),
             "early_stop": self.early_stop.to_dict() if self.early_stop else None,
-            "resume": self.resume_state,
         }
 
 
@@ -273,9 +265,8 @@ class Campaign:
             )
         # (worker_id, reason) for every participant whose upload never landed.
         self.lost_uploads: List[Tuple[str, str]] = []
-        # Entropy of the last roster run: re-running with the same value (and
-        # the same roster) resumes a crashed campaign on identical RNG
-        # substreams, skipping participants whose uploads are stored.
+        # Entropy of the last roster run; resume_state() carries it so a
+        # resume replays a crashed campaign's RNG substreams.
         self.last_root_entropy: Optional[int] = None
         # Optional callable invoked with this campaign after every durable
         # unit of roster progress (each upload in the inline loop, each
@@ -522,25 +513,20 @@ class Campaign:
         Skips platform recruitment; the roster goes straight through the
         roster pipeline (:meth:`_run_roster`), every knob coming from the
         campaign's :class:`~repro.core.config.CampaignConfig`.
-        ``CampaignConfig.root_entropy`` replays a previous run's RNG
-        substreams — a crashed campaign's ``last_root_entropy`` resumes it:
-        workers whose uploads are already stored (or recorded lost) are
-        skipped, the rest re-simulate on exactly the streams they would
-        have had.
 
-        ``resume_from`` is the serialized-checkpoint convenience: pass a
-        previous :meth:`CampaignResult.to_dict` payload (or its ``"resume"``
-        entry, or a fleet checkpoint of the same shape) and this campaign
-        seeds its database with the stored rows, carries over recorded upload
-        losses, and replays the payload's ``root_entropy`` — so a resume can
-        be driven across process boundaries from nothing but the serialized
-        result.
+        ``resume_from`` is the one way to resume: pass a crashed campaign's
+        :meth:`resume_state` checkpoint (as is, or after a JSON round-trip —
+        a fleet worker journals exactly this payload). This campaign seeds
+        its database with the stored rows, carries over recorded upload
+        losses and the scheduler state, and replays the checkpoint's
+        ``root_entropy``: workers already stored (or recorded lost) are
+        skipped, the rest re-simulate on exactly the streams they would
+        have had. A bare ``{"root_entropy": e}`` replays a roster's streams
+        with nothing to seed.
         """
         root_entropy = None
         if resume_from is not None:
-            root_entropy = self._apply_resume_state(
-                resume_from, self.config.root_entropy
-            )
+            root_entropy = self._apply_resume_state(resume_from)
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
         with self.tracer.span(
@@ -816,31 +802,22 @@ class Campaign:
             uspan.set_attr("status", upload.status)
         return uspan, None
 
-    def _apply_resume_state(
-        self, resume_from: dict, root_entropy: Optional[int]
-    ) -> int:
-        """Seed this campaign from a serialized checkpoint; returns the
-        entropy to replay.
+    def _apply_resume_state(self, payload: dict) -> int:
+        """Seed this campaign from a :meth:`resume_state` checkpoint;
+        returns the entropy to replay.
 
-        Accepts either a full :meth:`CampaignResult.to_dict` payload or just
-        its ``"resume"`` entry. Stored rows are inserted for every completed
-        participant the server does not already hold, and recorded upload
-        losses are carried over, so the roster pipeline skips both — without
-        the losses a resumed resilient run would re-simulate those workers
-        and conclude differently from an uncrashed one.
+        Stored rows are inserted for every completed participant the server
+        does not already hold, and recorded upload losses are carried over,
+        so the roster pipeline skips both — without the losses a resumed
+        resilient run would re-simulate those workers and conclude
+        differently from an uncrashed one.
         """
-        payload = resume_from.get("resume", resume_from)
         if not isinstance(payload, dict) or payload.get("root_entropy") is None:
             raise CampaignError(
-                "resume_from must be a CampaignResult.to_dict() payload (or "
-                "its 'resume' entry) carrying a root_entropy"
+                "resume_from must be a Campaign.resume_state() checkpoint "
+                "carrying a root_entropy"
             )
         entropy = int(payload["root_entropy"])
-        if root_entropy is not None and int(root_entropy) != entropy:
-            raise CampaignError(
-                f"resume_from carries root_entropy {entropy} but "
-                f"root_entropy={root_entropy} was also passed; pass only one"
-            )
         prepared = self._require_prepared()
         store_digest = payload.get("store")
         if (
@@ -969,21 +946,19 @@ class Campaign:
         scheduler state rides the checkpoint (:meth:`resume_state`), and a
         resumed campaign restores it before continuing.
 
-        ``root_entropy`` (default: ``CampaignConfig.root_entropy``, else a
-        draw from the campaign RNG) replays a previous roster: substreams are
-        spawned from it for *every* roster slot, keeping stream alignment,
-        and workers whose uploads the server already stores, or whose loss
-        is already recorded, are skipped — the resume path after a crash,
-        and how :meth:`run_until_significant` grows its roster batch by
-        batch. The entropy actually used is recorded in
-        :attr:`last_root_entropy`.
+        ``root_entropy`` (default: a draw from the campaign RNG) replays a
+        previous roster: substreams are spawned from it for *every* roster
+        slot, keeping stream alignment, and workers whose uploads the server
+        already stores, or whose loss is already recorded, are skipped — the
+        resume path after a crash (fed from a :meth:`resume_state`
+        checkpoint by :meth:`run_with_workers`), and how
+        :meth:`run_until_significant` grows its roster batch by batch. The
+        entropy actually used is recorded in :attr:`last_root_entropy`.
         """
         cfg = self.config
         prepared = self._require_prepared()
         with self.tracer.span("prewarm", category="campaign"):
             self._prewarm_artifacts()
-        if root_entropy is None:
-            root_entropy = cfg.root_entropy
         if root_entropy is None:
             root_entropy = int(self.rng.integers(0, 2**63))
         self.last_root_entropy = root_entropy
@@ -1209,13 +1184,14 @@ class Campaign:
         :meth:`run_until_significant` defers to its final batch).
 
         Finishes the fold the server ran on every accepted upload: one pass
-        over the stored rows completes the quality screen (majority votes
-        need the final tallies) and folds the controlled aggregates. The
-        stores differ only in materialisation. The in-memory store parses
-        its rows into a list once and keeps it as ``raw_results`` (and the
-        kept ones as ``quality_report.kept``); the sharded store parses its
-        WAL replay lazily and leaves both empty, so its memory stays
-        O(pairs), not O(participants).
+        over the stored rows — the only read of the store, no checkpoint is
+        built — completes the quality screen (majority votes need the final
+        tallies) and folds the controlled aggregates. The stores differ
+        only in materialisation. The in-memory store keeps that pass,
+        parsed, as ``raw_results`` (and the kept ones as
+        ``quality_report.kept``); the sharded store parses its WAL replay
+        lazily and leaves both empty, so its memory stays O(pairs), not
+        O(participants).
         """
         prepared = self._require_prepared()
         cfg = self.config
@@ -1223,14 +1199,13 @@ class Campaign:
         with self.tracer.span("conclude", category="campaign") as cspan:
             if state.ingested == 0:
                 raise CampaignError("no responses collected; nothing to conclude")
-            if cfg.streaming:
-                raw_results: List[ParticipantResult] = []
-                results = (
-                    ParticipantResult.from_dict(row)
-                    for row in self._stream_rows(prepared.test_id)
-                )
-            else:
-                raw_results = results = self.server.stored_results(prepared.test_id)
+            results = (
+                ParticipantResult.from_dict(row)
+                for row in self._stream_rows(prepared.test_id)
+            )
+            raw_results: List[ParticipantResult] = []
+            if not cfg.streaming:
+                raw_results = results = list(results)
             with self.tracer.span(
                 "quality", category="campaign", participants=state.ingested
             ) as qspan:
@@ -1302,7 +1277,6 @@ class Campaign:
                 duration_days=duration_days,
                 total_cost_usd=job.total_cost_usd if job is not None else 0.0,
                 conclusion=conclusion,
-                resume_state=self.resume_state(),
                 participant_count=data.uploaded,
                 early_stop=early_stop,
             )
@@ -1400,7 +1374,8 @@ class Campaign:
         ``root_entropy``, the ids and stored rows of completed participants,
         and the recorded upload losses — exactly what
         :meth:`run_with_workers`'s ``resume_from`` consumes to continue the
-        campaign elsewhere.
+        campaign elsewhere. Each call reads every stored row, so it runs
+        only on request, never inside :meth:`conclude`.
         """
         if self.last_root_entropy is None:
             return None

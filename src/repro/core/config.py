@@ -1,10 +1,10 @@
 """Unified campaign configuration: one frozen object instead of kwarg soup.
 
 The campaign entrypoints accreted knobs PR by PR — parallelism, conclusion
-floors, fault plans, retry policies, dropout, checkpoint entropy, and now
-observability. :class:`CampaignConfig` consolidates them into a single
-frozen, validated dataclass that :class:`~repro.core.campaign.Campaign`
-and :class:`~repro.core.server.CoreServer` accept::
+floors, fault plans, retry policies, dropout, and now observability.
+:class:`CampaignConfig` consolidates them into a single frozen, validated
+dataclass that :class:`~repro.core.campaign.Campaign` and
+:class:`~repro.core.server.CoreServer` accept::
 
     config = CampaignConfig(seed=7, parallelism=4, min_participants=10,
                             observe=True)
@@ -71,8 +71,6 @@ class CampaignConfig:
     min_participants: Optional[int] = None
     #: Conclusion floor: minimum completed fraction of the recruited roster.
     quorum: Optional[float] = None
-    #: Replay a previous fan-out's RNG substreams (checkpoint/resume).
-    root_entropy: Optional[int] = None
     #: Control pages shown per participant.
     controls_per_participant: int = 1
     #: Reward offered per participant when posting the task; it also
@@ -192,7 +190,6 @@ class CampaignConfig:
             "parallelism": self.parallelism,
             "min_participants": self.min_participants,
             "quorum": self.quorum,
-            "root_entropy": self.root_entropy,
             "controls_per_participant": self.controls_per_participant,
             "reward_usd": self.reward_usd,
             "artifact_cache": self.artifact_cache,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from repro.core.campaign import Campaign, CampaignResult
+from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.parameters import TestParameters
 from repro.crowd.workers import (
@@ -92,17 +92,22 @@ class CampaignSubmission:
 
     def execute(
         self, resume_from: Optional[dict] = None, campaign: Optional[Campaign] = None
-    ) -> CampaignResult:
-        """Run (or resume) the campaign to a concluded result."""
+    ) -> dict:
+        """Run (or resume) the campaign to its result record: the
+        concluded ``CampaignResult.to_dict()`` plus the finished campaign's
+        ``resume_state()`` under ``"resume"``, so comparing two records
+        compares every stored row too."""
         if campaign is None:
             campaign = self.build_campaign()
-        return campaign.run_with_workers(
+        record = campaign.run_with_workers(
             self.roster(), self.judge, resume_from=resume_from
-        )
+        ).to_dict()
+        record["resume"] = campaign.resume_state()
+        return record
 
-    def reference_run(self) -> CampaignResult:
-        """An uncrashed, un-fleeted run — the correctness oracle the bench
-        compares crashed-and-resumed fleet results against."""
+    def reference_run(self) -> dict:
+        """An uncrashed, un-fleeted run's record — the correctness oracle
+        the bench compares crashed-and-resumed fleet results against."""
         return self.execute()
 
     def with_seed(self, seed: int) -> "CampaignSubmission":

@@ -10,12 +10,14 @@ tree rather than in object attributes:
   the journal in order rebuilds the queue's full state.
 * ``<root>/jobs/<job_id>.payload`` — the pickled submission payload
   (base64 text, because the file store is a text store).
-* ``<root>/checkpoints/<job_id>.json`` — the job's latest campaign
-  checkpoint: ``root_entropy``, completed participant ids, stored rows,
-  recorded upload losses. Written by the worker's checkpoint hook; consumed
-  by whoever gets the job redelivered.
-* ``<root>/results/<job_id>.json`` — the concluded
-  :meth:`~repro.core.campaign.CampaignResult.to_dict` payload.
+* ``<root>/checkpoints/<job_id>.json`` — the job's latest
+  :meth:`~repro.core.campaign.Campaign.resume_state` checkpoint. Written by
+  the worker's checkpoint hook; consumed as ``resume_from`` by whoever gets
+  the job redelivered.
+* ``<root>/results/<job_id>.json`` — the
+  :meth:`~repro.fleet.jobs.CampaignSubmission.execute` record: the
+  concluded ``CampaignResult.to_dict()`` plus the final checkpoint under
+  ``"resume"``.
 * ``<root>/dead/<job_id>.json`` — the dead-letter record: the full failure
   chain, delivery count, and the time the job was poisoned out.
 """

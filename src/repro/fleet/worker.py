@@ -254,7 +254,7 @@ class FleetWorker:
             return failed
 
         done = now + campaign.env.now + DISPATCH_OVERHEAD_SECONDS
-        self.store.save_result(record.job_id, result.to_dict())
+        self.store.save_result(record.job_id, result)
         self.store.clear_checkpoint(record.job_id)
         jspan.set_attr("participants", len(roster))
         completed = outcome("completed", done)

@@ -731,7 +731,9 @@ class ShardedDocumentStore:
     ) -> Iterator[dict]:
         """Every document of ``name`` in global insertion (``_id``) order,
         streamed — spilled shards replay their WAL lazily, so memory stays
-        O(shards), not O(documents)."""
+        O(shards), not O(documents). Each replay decodes its documents
+        fresh from the log, so only the in-memory collections are copied
+        before the caller may mutate them."""
         query = query or {}
         spilled = name in self._config.spill
 
@@ -739,7 +741,7 @@ class ShardedDocumentStore:
             if spilled:
                 for doc in shard.scan_spilled(name):
                     if match_document(doc, query):
-                        yield deep_copy_json(doc)
+                        yield doc
             elif name in shard.store._collections:
                 collection = shard.store.collection(name)
                 for doc in collection._iter_matching(query):

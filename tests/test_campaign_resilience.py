@@ -1,5 +1,7 @@
 """Tests for graceful campaign degradation under injected faults."""
 
+import json
+
 import pytest
 
 from repro.core.campaign import Campaign
@@ -232,10 +234,9 @@ class TestCheckpointResume:
         assert 0 < len(stored) < len(workers)
 
         judge.armed = False
-        crashed.config = crashed.config.replace(
-            root_entropy=crashed.last_root_entropy
+        resumed = crashed.run_with_workers(
+            workers, judge, resume_from=crashed.resume_state()
         )
-        resumed = crashed.run_with_workers(workers, judge)
         assert fingerprint(resumed, crashed) == fingerprint(clean, reference)
 
     def test_resume_skips_completed_participants(self):
@@ -256,9 +257,10 @@ class TestCheckpointResume:
 
 
 class TestSerializedResume:
-    """Resume state travels inside ``CampaignResult.to_dict()`` — a crashed
-    campaign's partial conclusion is enough to finish the run on a fresh
-    campaign object (the fleet's crash-recovery path, minus the queue)."""
+    """The checkpoint is :meth:`Campaign.resume_state` — a JSON round-trip
+    of it is enough to finish a crashed run on a fresh campaign object (the
+    fleet's crash-recovery path, minus the queue). A concluded result is
+    not a checkpoint."""
 
     def build(self, seed=44):
         campaign = Campaign(
@@ -273,22 +275,23 @@ class TestSerializedResume:
         campaign.prepare(make_params(participants=8), make_documents())
         return campaign
 
-    def test_result_payload_carries_resume_state(self):
+    def test_checkpoint_carries_entropy_rows_and_losses(self):
         workers = generate_population(
             6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=15, id_prefix="w"
         )
         campaign = Campaign(config=CampaignConfig(seed=43))
         campaign.prepare(make_params(participants=6), make_documents())
         result = campaign.run_with_workers(workers, make_judge())
-        resume = result.to_dict()["resume"]
+        resume = campaign.resume_state()
         assert resume["root_entropy"] == campaign.last_root_entropy
         assert sorted(resume["completed_worker_ids"]) == sorted(
             w.worker_id for w in workers
         )
         assert len(resume["rows"]) == len(workers)
         assert resume["lost_uploads"] == []
+        assert "resume" not in result.to_dict()
 
-    def test_resume_from_serialized_result_on_fresh_campaign(self):
+    def test_resume_from_json_checkpoint_on_fresh(self):
         workers = generate_population(
             8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=13, id_prefix="w"
         )
@@ -299,16 +302,27 @@ class TestSerializedResume:
         judge = CrashingJudge(make_judge(), workers[4].worker_id)
         with pytest.raises(RuntimeError, match="simulated mid-campaign crash"):
             crashed.run_with_workers(workers, judge)
-        # Conclude what landed: the serialized partial result is the whole
-        # checkpoint — rows, recorded losses, and the RNG root entropy.
-        partial = crashed.conclude(job=None, duration_days=0.0)
-        payload = partial.to_dict()
+        # The serialized checkpoint is the whole resume: rows, recorded
+        # losses, and the RNG root entropy.
+        payload = json.loads(json.dumps(crashed.resume_state()))
 
         fresh = self.build()
         resumed = fresh.run_with_workers(
             workers, make_judge(), resume_from=payload
         )
         assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
+
+    def test_result_payload_is_rejected_as_checkpoint(self):
+        workers = generate_population(
+            6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=15, id_prefix="w"
+        )
+        done = Campaign(config=CampaignConfig(seed=43))
+        done.prepare(make_params(participants=6), make_documents())
+        payload = done.run_with_workers(workers, make_judge()).to_dict()
+        fresh = Campaign(config=CampaignConfig(seed=43))
+        fresh.prepare(make_params(participants=6), make_documents())
+        with pytest.raises(CampaignError, match=r"Campaign\.resume_state\(\)"):
+            fresh.run_with_workers(workers, make_judge(), resume_from=payload)
 
 
 class TestResumeAfterLostUploads:

@@ -403,10 +403,12 @@ def _adaptive_campaign(executor, parallelism=1, scheduler="adaptive"):
     return campaign
 
 
-def _roster_digest(result):
-    """Conclusion, early stop, checkpoint (rows, losses, scheduler state),
-    quality decisions and controlled tallies of one concluded run."""
+def _roster_digest(campaign, result):
+    """Conclusion, early stop, checkpoint (rows, losses, scheduler state,
+    from ``campaign.resume_state()``), quality decisions and controlled
+    tallies of one concluded run."""
     payload = result.to_dict()
+    payload["checkpoint"] = campaign.resume_state()
     payload["kept"] = sorted(r.worker_id for r in result.quality_report.kept)
     payload["tallies"] = repr(sorted(result.controlled_analysis.tallies.items()))
     return json.dumps(payload, sort_keys=True, default=str)
@@ -429,7 +431,7 @@ def _crash_and_resume(scheduler, roster, judge, crash_at=3):
     checkpoint = crashed.resume_state()
     assert len(checkpoint["rows"]) == crash_at
     fresh = _adaptive_campaign("serial", scheduler=scheduler)
-    return fresh.run_with_workers(roster, judge, resume_from=checkpoint)
+    return fresh, fresh.run_with_workers(roster, judge, resume_from=checkpoint)
 
 
 class TestCampaignAdaptiveDeterminism:
@@ -442,16 +444,18 @@ class TestCampaignAdaptiveDeterminism:
             ThurstoneChoiceModel(),
         )
         for scheduler in ("full", "merge", "adaptive"):
+            serial = _adaptive_campaign("serial", scheduler=scheduler)
             reference = _roster_digest(
-                _adaptive_campaign("serial", scheduler=scheduler)
-                .run_with_workers(roster, judge)
+                serial, serial.run_with_workers(roster, judge)
             )
-            pooled = _adaptive_campaign(
-                "process", 4, scheduler=scheduler
-            ).run_with_workers(roster, judge)
-            assert _roster_digest(pooled) == reference, scheduler
-            resumed = _crash_and_resume(scheduler, roster, judge)
-            assert _roster_digest(resumed) == reference, scheduler
+            assert '"checkpoint": {' in reference, scheduler
+            pooled = _adaptive_campaign("process", 4, scheduler=scheduler)
+            assert _roster_digest(
+                pooled, pooled.run_with_workers(roster, judge)
+            ) == reference, scheduler
+            assert _roster_digest(
+                *_crash_and_resume(scheduler, roster, judge)
+            ) == reference, scheduler
 
     def test_result_serializes_early_stop(self):
         # The default screen drops two of the first six uploads and the
@@ -501,10 +505,10 @@ class TestAdaptiveQualityScreen:
     retracts exactly the uploads it drops, and conclude agrees."""
 
     def test_default_quality_equals_explicit_default(self):
-        _, implicit = _screened_adaptive_run(None)
-        _, explicit = _screened_adaptive_run(QualityConfig())
-        assert implicit.quality_report.dropped  # the screen has work to do
-        assert _roster_digest(implicit) == _roster_digest(explicit)
+        implicit = _screened_adaptive_run(None)
+        explicit = _screened_adaptive_run(QualityConfig())
+        assert implicit[1].quality_report.dropped  # the screen has work to do
+        assert _roster_digest(*implicit) == _roster_digest(*explicit)
 
     def test_quality_counters_match_the_conclusion(self):
         campaign, result = _screened_adaptive_run(QualityConfig(), observe=True)

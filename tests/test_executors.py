@@ -251,7 +251,7 @@ class TestProcessCheckpointResume:
         uploads = fresh.server.uploaded_worker_ids("executor-test")
         assert len(uploads) == len(set(uploads)) == PARTICIPANTS
 
-    def test_resume_on_same_campaign_via_root_entropy(self):
+    def test_resume_on_same_campaign_via_checkpoint(self):
         workers = generate_population(
             PARTICIPANTS, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=7, id_prefix="w"
         )
@@ -263,10 +263,9 @@ class TestProcessCheckpointResume:
         with pytest.raises(RuntimeError, match="between chunks"):
             campaign.run_with_workers(workers, make_judge())
         campaign.checkpoint_hook = None
-        campaign.config = campaign.config.replace(
-            root_entropy=campaign.last_root_entropy
+        resumed = campaign.run_with_workers(
+            workers, make_judge(), resume_from=campaign.resume_state()
         )
-        resumed = campaign.run_with_workers(workers, make_judge())
         assert [r.as_dict() for r in resumed.raw_results] == [
             r.as_dict() for r in clean.raw_results
         ]

@@ -75,7 +75,7 @@ class TestCleanFleet:
         assert report.completed == 4 and report.dead == 0
         assert report.crashes == 0 and report.redeliveries == 0
         for run_id, sub in zip(run_ids, subs):
-            assert manager.result(run_id) == sub.reference_run().to_dict()
+            assert manager.result(run_id) == sub.reference_run()
 
     def test_results_identical_across_worker_counts(self):
         payloads = []
@@ -115,7 +115,11 @@ class TestCrashRecovery:
         assert report.redeliveries == 4
         assert report.completed == 4 and report.dead == 0
         for run_id, sub in zip(run_ids, subs):
-            assert manager.result(run_id) == sub.reference_run().to_dict()
+            record = manager.result(run_id)
+            assert record == sub.reference_run()
+            # The record carries every stored row, so the identity above
+            # covers what was stored, not just the conclusion.
+            assert len(record["resume"]["rows"]) == record["participants"] > 0
 
     def test_resume_starts_from_checkpoint_not_scratch(self):
         store = FleetStore()
@@ -220,7 +224,7 @@ class TestControlPlaneRecovery:
         report = revived.run_fleet(num_workers=2)
         assert report.completed == 3
         for run_id, sub in zip(run_ids, subs):
-            assert revived.result(run_id) == sub.reference_run().to_dict()
+            assert revived.result(run_id) == sub.reference_run()
 
 
 class TestValidation:

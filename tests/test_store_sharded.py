@@ -129,6 +129,22 @@ class TestSpill:
         rows = list(store.stream_collection(RESPONSES_COLLECTION))
         assert [r["seq"] for r in rows] == list(range(20))
 
+    @pytest.mark.parametrize("spill", [(RESPONSES_COLLECTION,), ()])
+    def test_mutating_a_streamed_document_leaves_the_next_stream(self, spill):
+        # Spilled documents decode fresh from the WAL on every replay;
+        # in-memory ones are copied. Either way the store is untouched.
+        store = make_store(spill=spill)
+        responses = store.collection(RESPONSES_COLLECTION)
+        for i in range(6):
+            responses.insert_one(response_row(f"w{i}", seq=i, tags=["a"]))
+        before = list(store.stream_collection(RESPONSES_COLLECTION))
+        for doc in store.stream_collection(RESPONSES_COLLECTION):
+            doc["seq"] = -1
+            doc["tags"].append("mutated")
+            doc.pop("_id")
+        assert list(store.stream_collection(RESPONSES_COLLECTION)) == before
+        assert [r["seq"] for r in before] == list(range(6))
+
     def test_identity_point_lookups_served_from_index(self):
         store = make_store(spill=(RESPONSES_COLLECTION,))
         responses = store.collection(RESPONSES_COLLECTION)

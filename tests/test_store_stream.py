@@ -1,12 +1,14 @@
 """Streaming aggregation tests: the `sharded-streaming` store mode must be
 decision-identical to the batch pipeline, across executors and crashes."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
 
 from tests.test_core_campaign import make_documents, make_judge, make_params
 
+from repro.core.aggregator import RESPONSES_COLLECTION
 from repro.core.analysis import analyze_responses
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
@@ -18,6 +20,7 @@ from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.errors import CampaignError
 from repro.html.parser import parse_html
+from repro.store.sharded import ShardedDocumentStore
 
 
 def result_digest(result):
@@ -179,6 +182,30 @@ class TestExecutorIdentity:
         assert result_digest(result) == baseline
 
 
+class TestConcludeReadsOnce:
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_one_conclude_streams_the_responses_once(self, store, monkeypatch):
+        """Conclude reads the stored responses in one pass: it builds no
+        checkpoint on the side (resume_state() reads only when asked)."""
+        campaign, result = run_campaign(store, participants=6, seed=5)
+        if isinstance(campaign.database, ShardedDocumentStore):
+            owner, name = campaign.database, "stream_collection"
+        else:
+            owner = campaign.database.collection(RESPONSES_COLLECTION)
+            name = "find"
+        reads = []
+        read = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        again = campaign.conclude(job=None, duration_days=0.0)
+        assert len(reads) == 1
+        assert result_digest(again) == result_digest(result)
+
+
 class TestCrashRecovery:
     @pytest.fixture(scope="class")
     def roster(self):
@@ -192,10 +219,10 @@ class TestCrashRecovery:
         campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
         result = campaign.run_with_workers(roster, make_judge())
-        return config, result
+        return config, campaign, result
 
-    def crash_after(self, config, roster, entropy, checkpoints):
-        campaign = Campaign(config=config.replace(root_entropy=entropy))
+    def crash_after(self, config, roster, checkpoints):
+        campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
         seen = [0]
 
@@ -210,12 +237,13 @@ class TestCrashRecovery:
         return campaign
 
     def test_checkpoint_resume_identical(self, roster, reference):
-        config, ref = reference
-        crashed = self.crash_after(
-            config, roster, ref.resume_state["root_entropy"], checkpoints=5
-        )
-        checkpoint = crashed.resume_state()
+        config, ref_campaign, ref = reference
+        crashed = self.crash_after(config, roster, checkpoints=5)
+        # The same seed draws the same roster entropy.
+        assert crashed.last_root_entropy == ref_campaign.last_root_entropy
+        checkpoint = json.loads(json.dumps(crashed.resume_state()))
         assert checkpoint["store"]["shards"] == config.store_shards
+        assert len(checkpoint["rows"]) == 5
         resumed = Campaign(config=config)
         resumed.prepare(make_params(), make_documents())
         result = resumed.run_with_workers(
@@ -226,25 +254,23 @@ class TestCrashRecovery:
     def test_disk_wal_recovery_refolds_and_resumes(
         self, roster, reference, tmp_path
     ):
-        config, ref = reference
-        entropy = ref.resume_state["root_entropy"]
+        config, _, ref = reference
         disk_config = config.replace(store_directory=tmp_path)
-        crashed = self.crash_after(disk_config, roster, entropy, checkpoints=7)
+        crashed = self.crash_after(disk_config, roster, checkpoints=7)
         crashed.database.close()
         del crashed
         # A new campaign over the same directory recovers the WALs and
-        # re-folds the stored rows before resuming the fan-out.
-        revived = Campaign(config=disk_config.replace(root_entropy=entropy))
+        # re-folds the stored rows; its seed replays the crashed roster's
+        # entropy, so the fan-out resumes where the crash left it.
+        revived = Campaign(config=disk_config)
         revived.prepare(make_params(), make_documents())
         assert revived._streaming_state.ingested == 7
         result = revived.run_with_workers(roster, make_judge())
         assert result_digest(result) == result_digest(ref)
 
     def test_shard_count_mismatch_rejected(self, roster, reference):
-        config, ref = reference
-        crashed = self.crash_after(
-            config, roster, ref.resume_state["root_entropy"], checkpoints=5
-        )
+        config, _, _ = reference
+        crashed = self.crash_after(config, roster, checkpoints=5)
         checkpoint = crashed.resume_state()
         mismatched = Campaign(config=config.replace(store_shards=8))
         mismatched.prepare(make_params(), make_documents())
