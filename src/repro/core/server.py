@@ -174,8 +174,9 @@ class CoreServer:
         except (KeyError, TypeError, ValueError) as exc:
             return Response.bad_request(f"malformed response upload: {exc}")
         tests = self.database.collection(TESTS_COLLECTION)
-        record = tests.find_one({"test_id": result.test_id})
-        if record is None:
+        # The unique test_id index answers the existence check without
+        # copying the test record; only the quality screen reads it.
+        if not tests.count({"test_id": result.test_id}):
             return Response.bad_request(f"unknown test {result.test_id!r}")
         # Ladder rung 2: the deep upload-time quality screen runs whenever
         # an admission controller is installed, but under the "sample-qc"
@@ -189,6 +190,7 @@ class CoreServer:
             else:
                 if self._counting:
                     self.metrics.add("server.qc_checks", 1)
+                record = tests.find_one({"test_id": result.test_id})
                 problem = self._screen_upload(result, record)
                 if problem:
                     if self._counting:

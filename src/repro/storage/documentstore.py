@@ -13,7 +13,10 @@ Implements the subset of MongoDB the Kaleidoscope core server relies on:
 
 Documents are deep-copied on the way in and out, so callers can never mutate
 stored state through aliasing — the same isolation a real client/server
-boundary provides.
+boundary provides. A copy is what a JSON encode/decode round trip would
+return (tuples become lists, non-``str`` keys become strings), made by
+:func:`~repro.util.jsonutil.deep_copy_json` walking the document rather
+than encoding it.
 """
 
 from __future__ import annotations
@@ -507,7 +510,9 @@ class DocumentStore:
 
         Index definitions travel with the data so :meth:`load` restores an
         equivalent store — the durability a real MongoDB gives the core
-        server across restarts.
+        server across restarts. Each document is copied once, by
+        :meth:`Collection.find`, so mutating the snapshot leaves the store
+        unchanged.
         """
         snapshot: Dict[str, dict] = {}
         for name, collection in self._collections.items():
@@ -518,7 +523,7 @@ class DocumentStore:
                     for index in collection._indexes.values()
                 ],
             }
-        return deep_copy_json(snapshot)
+        return snapshot
 
     @classmethod
     def load(cls, snapshot: dict) -> "DocumentStore":

@@ -754,6 +754,11 @@ class ShardedDocumentStore:
     # -- persistence (DocumentStore.dump/load parity) ------------------------
 
     def dump(self) -> dict:
+        """A :meth:`DocumentStore.dump`-shaped snapshot of every collection.
+
+        Each document is copied once: :meth:`stream_collection` copies the
+        in-memory ones and decodes the spilled ones fresh from the WAL.
+        """
         snapshot: Dict[str, dict] = {}
         for name in self.collection_names():
             index_defs: Dict[str, bool] = {}
@@ -771,7 +776,7 @@ class ShardedDocumentStore:
                     for field, unique in sorted(index_defs.items())
                 ],
             }
-        return deep_copy_json(snapshot)
+        return snapshot
 
     @classmethod
     def load(cls, snapshot: dict, **kwargs) -> "ShardedDocumentStore":

@@ -3,7 +3,11 @@
 import pytest
 
 import repro.storage.documentstore
-from repro.core.aggregator import Aggregator, RESPONSES_COLLECTION
+from repro.core.aggregator import (
+    Aggregator,
+    RESPONSES_COLLECTION,
+    TESTS_COLLECTION,
+)
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.server import CoreServer
@@ -11,18 +15,19 @@ from repro.crowd.behavior import BehaviorTrace
 from repro.crowd.platform import CrowdPlatform
 from repro.html.parser import parse_html
 from repro.net.http import IDEMPOTENCY_HEADER, Request
+from repro.net.overload import AdmissionController, OverloadConfig
 from repro.net.simnet import SimulatedNetwork
 from repro.sim.clock import SimulationEnvironment
-from repro.storage.documentstore import DocumentStore
+from repro.storage.documentstore import Collection, DocumentStore
 from repro.storage.filestore import FileStore
+from repro.store.sharded import ShardedDocumentStore
 
 TRACE = BehaviorTrace(0.5, 0, 2).as_dict()
 
 
-@pytest.fixture
-def stack():
-    """Prepared test + server + network."""
-    database, storage = DocumentStore(), FileStore()
+def make_stack(database):
+    """Prepared test + server + network over ``database``."""
+    storage = FileStore()
     aggregator = Aggregator(database, storage)
     params = TestParameters(
         test_id="srv-test",
@@ -44,6 +49,12 @@ def stack():
     network = SimulatedNetwork(env)
     network.attach(server.http)
     return server, network, prepared, database
+
+
+@pytest.fixture
+def stack():
+    """Prepared test + server + network on the in-memory store."""
+    return make_stack(DocumentStore())
 
 
 def upload_payload(worker_id="w1", test_id="srv-test"):
@@ -231,6 +242,94 @@ class TestUploadDedupeCost:
         assert self.upload(server, "w1", "w1:2").status == 409
         assert len(examined) <= 4
         assert server.response_count("srv-test") == uploads
+
+
+class TestUploadTestRecordReads:
+    """The existence check is an index count; only the quality screen reads
+    the test record."""
+
+    @staticmethod
+    def count_test_reads(monkeypatch):
+        reads = []
+        original = Collection.find_one
+
+        def counting(self, query=None):
+            if self.name == TESTS_COLLECTION:
+                reads.append(query)
+            return original(self, query)
+
+        monkeypatch.setattr(Collection, "find_one", counting)
+        return reads
+
+    def test_unscreened_upload_never_reads_the_test_record(self, stack, monkeypatch):
+        server, network, _, _ = stack
+        reads = self.count_test_reads(monkeypatch)
+        for worker in ("w1", "w2", "w3"):
+            response = network.post_json(
+                server.url("/responses"), upload_payload(worker_id=worker)
+            )
+            assert response.status == 201
+        assert reads == []
+
+    def test_screened_upload_reads_the_test_record_once(self, stack, monkeypatch):
+        server, network, _, _ = stack
+        server.http.admission = AdmissionController(OverloadConfig())
+        reads = self.count_test_reads(monkeypatch)
+        response = network.post_json(server.url("/responses"), upload_payload())
+        assert response.status == 201
+        assert reads == [{"test_id": "srv-test"}]
+
+    def test_screen_still_rejects_an_undeclared_question(self, stack):
+        server, network, _, _ = stack
+        server.http.admission = AdmissionController(OverloadConfig())
+        payload = upload_payload()
+        payload["answers"][0]["question_id"] = "q9"
+        response = network.post_json(server.url("/responses"), payload)
+        assert response.status == 400
+        assert response.json()["detail"] == "quality screen: unknown question 'q9'"
+        assert server.response_count("srv-test") == 0
+
+
+class FoldRecorder:
+    """A streaming state stand-in that records every folded upload."""
+
+    def __init__(self, test_id):
+        self.test_id = test_id
+        self.folded = []
+
+    def ingest(self, result):
+        self.folded.append(result.worker_id)
+
+
+class TestUnknownTestRejection:
+    """An upload for a test nobody registered is a 400 before any screen,
+    store write or streaming fold, on either store."""
+
+    @pytest.fixture(params=["memory", "sharded"])
+    def database(self, request):
+        if request.param == "memory":
+            return DocumentStore()
+        return ShardedDocumentStore(shards=2, spill=(RESPONSES_COLLECTION,))
+
+    @pytest.mark.parametrize("screened", [False, True])
+    def test_unknown_test_is_rejected_and_nothing_lands(self, database, screened):
+        server, network, _, _ = make_stack(database)
+        if screened:
+            server.http.admission = AdmissionController(OverloadConfig())
+        recorder = FoldRecorder("ghost")
+        server.attach_streaming(recorder)
+        request = Request.post_json(
+            server.url("/responses"),
+            upload_payload(test_id="ghost"),
+            **{IDEMPOTENCY_HEADER: "w1:1"},
+        )
+        response = network.exchange(request)[0]
+        assert response.status == 400
+        assert response.json()["detail"] == "unknown test 'ghost'"
+        responses = database.collection(RESPONSES_COLLECTION)
+        assert responses.count({}) == 0
+        assert recorder.folded == []
+        assert server.response_count("ghost") == 0
 
 
 class TestGetResults:

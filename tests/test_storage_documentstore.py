@@ -1,11 +1,16 @@
 """Tests for the Mongo-like embedded document store."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateKeyError, QueryError
 from repro.storage.documentstore import Collection, DocumentStore, match_document
+from repro.store.sharded import ShardedDocumentStore
+from repro.util.jsonutil import dumps_canonical
 
 
 @pytest.fixture
@@ -340,3 +345,147 @@ class TestDocumentStore:
         store.collection("b")
         store.collection("a")
         assert store.collection_names() == ["a", "b"]
+
+
+def count_json_encodes(monkeypatch):
+    """Count every ``json.dumps`` call made while the test runs."""
+    calls = []
+    original = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    return calls
+
+
+def response_document(i):
+    return {
+        "test_id": "t1",
+        "worker_id": f"w{i}",
+        "answers": [{"answer": "left", "score": i / 7, "ok": True, "note": None}],
+        "demographics": {"age_range": "25-34", "tech_ability": 4},
+    }
+
+
+class TestCopyCost:
+    """Plain JSON documents cross the store boundary without an encode: the
+    copy walks them. The sharded store encodes each insert once, for its
+    WAL line."""
+
+    def test_memory_store_never_encodes(self, monkeypatch):
+        collection = Collection("responses")
+        collection.create_index("worker_id")
+        encodes = count_json_encodes(monkeypatch)
+        for i in range(5):
+            collection.insert_one(response_document(i))
+        assert collection.find_one({"worker_id": "w3"})["answers"][0]["score"] == 3 / 7
+        assert len(collection.find({"test_id": "t1"})) == 5
+        assert encodes == []
+
+    @pytest.mark.parametrize("spill", [(), ("responses",)])
+    def test_sharded_insert_encodes_its_wal_line_only(self, monkeypatch, spill):
+        store = ShardedDocumentStore(shards=2, spill=spill)
+        collection = store.collection("responses")
+        encodes = count_json_encodes(monkeypatch)
+        for i in range(5):
+            collection.insert_one(response_document(i))
+            assert len(encodes) == i + 1
+        assert store.stats()["wal_records"] == 5
+
+
+def fill_fixed_store(store):
+    """A small store exercising indexes, updates, unicode and float edges."""
+    tests = store.collection("tests")
+    tests.create_index("test_id", unique=True)
+    tests.insert_one(
+        {
+            "test_id": "t1",
+            "parameters": {"question": [{"question_id": "q1", "text": "Which?"}]},
+            "version_ids": ["a", "b"],
+        }
+    )
+    responses = store.collection("responses")
+    responses.create_index("worker_id")
+    for i in range(12):
+        responses.insert_one(
+            {
+                "test_id": "t1",
+                "worker_id": f"w{i}",
+                "answers": [
+                    {
+                        "answer": ["left", "right"][i % 2],
+                        "score": i / 7,
+                        "ok": i % 3 == 0,
+                        "note": None,
+                    }
+                ],
+                "total_minutes": -0.0 if i == 0 else i * 0.25,
+                "label": "é☃",
+            }
+        )
+    tests.update_one(
+        {"test_id": "t1"}, {"$set": {"flag": (1, 2)}, "$inc": {"revisits": 2}}
+    )
+    return store
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestDump:
+    """``dump()`` copies each document once: the snapshot is detached from
+    the store, and its canonical bytes are pinned."""
+
+    MEMORY_DUMP_SHA = "394ee119a10558f53abd56df45222ca0e572df44139c263b35e4a7504899c36c"
+    SHARDED_DUMP_SHA = "646533920b135c4bfed7941c0050248281f39d054cb3d343f52da3bcadaf5051"
+    SHARD_SNAPSHOT_SHAS = [
+        "9804275c9942c6d98b1d0ce66d2b24006feaa57f5580790908c0921adea11ca3",
+        "2c3068ddaa7c1db7910feb4925be97409416fb002c59541a2c272f5c3e45ec14",
+    ]
+
+    @staticmethod
+    def stores():
+        return [
+            fill_fixed_store(DocumentStore()),
+            fill_fixed_store(
+                ShardedDocumentStore(shards=2, shard_keys={"responses": "worker_id"})
+            ),
+            fill_fixed_store(
+                ShardedDocumentStore(
+                    shards=3,
+                    shard_keys={"responses": "worker_id"},
+                    spill=("responses",),
+                    spill_identity={"responses": (("test_id", "worker_id"),)},
+                )
+            ),
+        ]
+
+    def test_mutating_a_dump_leaves_the_store(self):
+        for store in self.stores():
+            before = dumps_canonical(store.dump())
+            snapshot = store.dump()
+            for payload in snapshot.values():
+                payload["indexes"].clear()
+                for document in payload["documents"]:
+                    document["test_id"] = "mutated"
+                    for answer in document.get("answers", []):
+                        answer["answer"] = "mutated"
+                payload["documents"].append({"_id": 999})
+            assert dumps_canonical(store.dump()) == before
+
+    def test_dump_bytes_are_pinned(self):
+        memory, sharded, spilled = self.stores()
+        assert sha256(dumps_canonical(memory.dump())) == self.MEMORY_DUMP_SHA
+        assert sha256(dumps_canonical(sharded.dump())) == self.SHARDED_DUMP_SHA
+        assert sha256(dumps_canonical(spilled.dump())) == self.SHARDED_DUMP_SHA
+
+    def test_shard_snapshot_bytes_are_pinned(self):
+        sharded = self.stores()[1]
+        written = []
+        for shard in sharded._shards:
+            shard.write_snapshot(sharded._peek_next_id())
+            written.append(sha256(shard.backend.read_snapshot()))
+        assert written == self.SHARD_SNAPSHOT_SHAS
