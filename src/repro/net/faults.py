@@ -20,7 +20,7 @@ Determinism is the design constraint throughout: a fault decision is a pure
 hash of ``(plan seed, client id, request sequence, attempt, route)`` — never
 a draw from a shared RNG stream — so the same seed and plan produce the same
 faults for every participant at any ``parallelism`` level, regardless of
-thread interleaving.
+the order in which participants' exchanges run.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ class CircuitBreaker:
 
     Timestamps come from the owning client's session clock (its own
     accumulated transfer + backoff time), which keeps tripping and cooling
-    deterministic regardless of how threads interleave on the shared
-    simulated network.
+    deterministic regardless of how other clients' exchanges interleave on
+    the shared simulated network.
     """
 
     CLOSED = "closed"

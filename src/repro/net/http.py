@@ -42,7 +42,13 @@ IDEMPOTENCY_HEADER = "x-idempotency-key"
 
 @dataclass
 class Request:
-    """A simulated HTTP request."""
+    """A simulated HTTP request.
+
+    The URL is parsed once, at construction: :attr:`host` (lower-cased) and
+    :attr:`path` (query stripped) are plain attributes that every layer of
+    an exchange reads. Do not mutate ``url`` afterwards; build a new
+    request instead.
+    """
 
     method: str
     url: str
@@ -52,20 +58,14 @@ class Request:
 
     def __post_init__(self):
         self.method = self.method.upper()
-
-    @property
-    def path(self) -> str:
-        """Path component of the URL (query stripped)."""
         rest = self.url.split("://", 1)[-1]
         slash = rest.find("/")
-        path = rest[slash:] if slash != -1 else "/"
-        return path.split("?", 1)[0]
-
-    @property
-    def host(self) -> str:
-        """Host component of the URL."""
-        rest = self.url.split("://", 1)[-1]
-        return rest.split("/", 1)[0].lower()
+        if slash == -1:
+            self.host = rest.lower()
+            self.path = "/"
+        else:
+            self.host = rest[:slash].lower()
+            self.path = rest[slash:].split("?", 1)[0]
 
     @property
     def query(self) -> Dict[str, str]:

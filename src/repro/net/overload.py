@@ -195,7 +195,7 @@ class LoadSignal:
     all before the first request arrives. Every accessor is a pure function
     of virtual time, which is what keeps admission decisions identical
     across executor modes, worker counts, and fleet redeliveries: no shared
-    mutable bucket exists for thread interleaving to perturb.
+    mutable bucket exists for request order to perturb.
     """
 
     #: Backstop on drain extension after the last arrival's window.

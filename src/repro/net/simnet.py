@@ -20,7 +20,6 @@ top.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -100,7 +99,12 @@ class TrafficStats:
 
 
 class SimulatedNetwork:
-    """Routes requests to hosts and accounts for transfer time."""
+    """Routes requests to hosts and accounts for transfer time.
+
+    A network belongs to one process and runs one exchange at a time (the
+    fan-out is by process, each worker with its own network), so the log,
+    the stats and the clock take no lock.
+    """
 
     def __init__(
         self,
@@ -125,11 +129,6 @@ class SimulatedNetwork:
         self.log = [] if log_limit is None else deque(maxlen=log_limit)
         self.stats = TrafficStats()
         self._exchange_seq = 0
-        # Exchanges mutate the log, the stats and the virtual clock; the
-        # campaign's parallel participant mode issues them from worker
-        # threads, so one exchange must complete atomically. Compute between
-        # exchanges (judgment, rendering) still runs concurrently.
-        self._lock = threading.RLock()
 
     # -- topology ---------------------------------------------------------
 
@@ -177,118 +176,123 @@ class SimulatedNetwork:
         burned.
         """
         profile = profile or get_profile("cable")
-        host = request.host.lower()
-        with self._lock:
-            server = self._hosts.get(host)
-            if server is None:
-                self.stats.errors += 1
-                raise NetworkError(f"no route to host {host!r}")
-            clock_now = self.env.now if self.env is not None else 0.0
-            when = now if now is not None else clock_now
-            if fault_token is None:
-                self._exchange_seq += 1
-                fault_token = f"net|{self._exchange_seq}"
-            decision = self.faults.decide(request, when, fault_token)
+        host = request.host
+        server = self._hosts.get(host)
+        if server is None:
+            self.stats.errors += 1
+            raise NetworkError(f"no route to host {host!r}")
+        clock_now = self.env.now if self.env is not None else 0.0
+        when = now if now is not None else clock_now
+        if fault_token is None:
+            self._exchange_seq += 1
+            fault_token = f"net|{self._exchange_seq}"
+        decision = self.faults.decide(request, when, fault_token)
 
-            if decision is not None and decision.kind in (FAULT_DROP, FAULT_OUTAGE):
-                # Connection-level failure: the server never saw the request.
-                elapsed = profile.rtt_ms / 1000.0
-                self._record_fault(request, host, elapsed, decision.kind)
-                self.stats.drops += 1
-                self._advance(elapsed)
-                raise ConnectionDropped(
-                    f"connection to {host!r} dropped"
-                    + (" (outage window)" if decision.kind == FAULT_OUTAGE else ""),
-                    elapsed_seconds=elapsed,
-                )
-            if decision is not None and decision.kind == FAULT_5XX:
-                # An overloaded front end answers without reaching the app.
-                response = Response.json_response(
-                    {"error": "injected fault", "detail": "service unavailable"},
-                    status=decision.rule.status,
-                )
-                return self._commit(request, host, response, profile, fault=FAULT_5XX)
-
-            try:
-                response = server.handle(request, now=when, token=fault_token)
-            except NetworkError as exc:
-                # Connection refused (closed server): burns one RTT.
-                elapsed = profile.rtt_ms / 1000.0
-                exc.elapsed_seconds = elapsed
-                self.stats.errors += 1
-                self.log.append(
-                    ExchangeRecord(
-                        time=clock_now,
-                        host=host,
-                        method=request.method,
-                        path=request.path,
-                        status=0,
-                        elapsed_seconds=elapsed,
-                        request_bytes=request.size_bytes,
-                        response_bytes=0,
-                        fault="refused",
-                    )
-                )
-                self._advance(elapsed)
-                raise
-
-            if decision is not None and decision.kind == FAULT_TIMEOUT:
-                # The server handled it; the response was lost in flight.
-                elapsed = max(
-                    profile.request_seconds(request.size_bytes, response.size_bytes),
-                    decision.rule.timeout_seconds,
-                )
-                self._record_fault(request, host, elapsed, FAULT_TIMEOUT)
-                self.stats.timeouts += 1
-                self._advance(elapsed)
-                raise errors.TimeoutError(
-                    f"request to {host}{request.path} timed out after {elapsed:.1f}s",
-                    elapsed_seconds=elapsed,
-                )
-            timeout_ms = response.headers.get(TIMED_OUT_HEADER)
-            if timeout_ms is not None:
-                # The unprotected admission queue grew past the client's
-                # patience: the server handled the request (side effects
-                # stand) but the response is lost in flight, exactly like an
-                # injected timeout — the shape of queue collapse.
-                elapsed = (
-                    profile.request_seconds(request.size_bytes, response.size_bytes)
-                    + int(timeout_ms) / 1000.0
-                )
-                self.log.append(
-                    ExchangeRecord(
-                        time=clock_now,
-                        host=host,
-                        method=request.method,
-                        path=request.path,
-                        status=0,
-                        elapsed_seconds=elapsed,
-                        request_bytes=request.size_bytes,
-                        response_bytes=0,
-                        fault="overload-timeout",
-                    )
-                )
-                self.stats.requests += 1
-                self.stats.bytes_up += request.size_bytes
-                self.stats.errors += 1
-                self.stats.timeouts += 1
-                self.stats.overload_timeouts += 1
-                self.metrics.add("net.overload.timeout", 1)
-                self.tracer.event("overload:timeout", host=host, path=request.path)
-                self._advance(elapsed)
-                raise errors.TimeoutError(
-                    f"request to {host}{request.path} timed out in the "
-                    f"overloaded queue after {elapsed:.1f}s",
-                    elapsed_seconds=elapsed,
-                )
-            latency_fault = decision is not None and decision.kind == FAULT_LATENCY
-            return self._commit(
-                request, host, response, profile,
-                fault=FAULT_LATENCY if latency_fault else "",
-                latency_multiplier=(
-                    decision.rule.latency_multiplier if latency_fault else 1.0
-                ),
+        if decision is not None and decision.kind in (FAULT_DROP, FAULT_OUTAGE):
+            # Connection-level failure: the server never saw the request.
+            elapsed = profile.rtt_ms / 1000.0
+            self._record_fault(
+                request, host, elapsed, decision.kind, request.size_bytes
             )
+            self.stats.drops += 1
+            self._advance(elapsed)
+            raise ConnectionDropped(
+                f"connection to {host!r} dropped"
+                + (" (outage window)" if decision.kind == FAULT_OUTAGE else ""),
+                elapsed_seconds=elapsed,
+            )
+        if decision is not None and decision.kind == FAULT_5XX:
+            # An overloaded front end answers without reaching the app.
+            response = Response.json_response(
+                {"error": "injected fault", "detail": "service unavailable"},
+                status=decision.rule.status,
+            )
+            return self._commit(request, host, response, profile, fault=FAULT_5XX)
+
+        try:
+            response = server.handle(request, now=when, token=fault_token)
+        except NetworkError as exc:
+            # Connection refused (closed server): burns one RTT.
+            elapsed = profile.rtt_ms / 1000.0
+            exc.elapsed_seconds = elapsed
+            self.stats.errors += 1
+            self.log.append(
+                ExchangeRecord(
+                    time=clock_now,
+                    host=host,
+                    method=request.method,
+                    path=request.path,
+                    status=0,
+                    elapsed_seconds=elapsed,
+                    request_bytes=request.size_bytes,
+                    response_bytes=0,
+                    fault="refused",
+                )
+            )
+            self._advance(elapsed)
+            raise
+
+        if decision is not None and decision.kind == FAULT_TIMEOUT:
+            # The server handled it; the response was lost in flight.
+            request_bytes = request.size_bytes
+            elapsed = max(
+                profile.request_seconds(request_bytes, response.size_bytes),
+                decision.rule.timeout_seconds,
+            )
+            self._record_fault(
+                request, host, elapsed, FAULT_TIMEOUT, request_bytes
+            )
+            self.stats.timeouts += 1
+            self._advance(elapsed)
+            raise errors.TimeoutError(
+                f"request to {host}{request.path} timed out after {elapsed:.1f}s",
+                elapsed_seconds=elapsed,
+            )
+        timeout_ms = response.headers.get(TIMED_OUT_HEADER)
+        if timeout_ms is not None:
+            # The unprotected admission queue grew past the client's
+            # patience: the server handled the request (side effects
+            # stand) but the response is lost in flight, exactly like an
+            # injected timeout — the shape of queue collapse.
+            request_bytes = request.size_bytes
+            elapsed = (
+                profile.request_seconds(request_bytes, response.size_bytes)
+                + int(timeout_ms) / 1000.0
+            )
+            self.log.append(
+                ExchangeRecord(
+                    time=clock_now,
+                    host=host,
+                    method=request.method,
+                    path=request.path,
+                    status=0,
+                    elapsed_seconds=elapsed,
+                    request_bytes=request_bytes,
+                    response_bytes=0,
+                    fault="overload-timeout",
+                )
+            )
+            self.stats.requests += 1
+            self.stats.bytes_up += request_bytes
+            self.stats.errors += 1
+            self.stats.timeouts += 1
+            self.stats.overload_timeouts += 1
+            self.metrics.add("net.overload.timeout", 1)
+            self.tracer.event("overload:timeout", host=host, path=request.path)
+            self._advance(elapsed)
+            raise errors.TimeoutError(
+                f"request to {host}{request.path} timed out in the "
+                f"overloaded queue after {elapsed:.1f}s",
+                elapsed_seconds=elapsed,
+            )
+        latency_fault = decision is not None and decision.kind == FAULT_LATENCY
+        return self._commit(
+            request, host, response, profile,
+            fault=FAULT_LATENCY if latency_fault else "",
+            latency_multiplier=(
+                decision.rule.latency_multiplier if latency_fault else 1.0
+            ),
+        )
 
     def _commit(
         self,
@@ -299,8 +303,10 @@ class SimulatedNetwork:
         fault: str = "",
         latency_multiplier: float = 1.0,
     ) -> Tuple[Response, float]:
-        """Account for one completed exchange (called under the lock)."""
-        elapsed = profile.request_seconds(request.size_bytes, response.size_bytes)
+        """Account for one completed exchange."""
+        request_bytes = request.size_bytes
+        response_bytes = response.size_bytes
+        elapsed = profile.request_seconds(request_bytes, response_bytes)
         elapsed *= latency_multiplier
         # Virtual time the request spent in the server's admission queue.
         queue_delay_ms = int(response.headers.get(QUEUE_DELAY_MS_HEADER, "0") or 0)
@@ -313,14 +319,14 @@ class SimulatedNetwork:
                 path=request.path,
                 status=response.status,
                 elapsed_seconds=elapsed,
-                request_bytes=request.size_bytes,
-                response_bytes=response.size_bytes,
+                request_bytes=request_bytes,
+                response_bytes=response_bytes,
                 fault=fault,
             )
         )
         self.stats.requests += 1
-        self.stats.bytes_up += request.size_bytes
-        self.stats.bytes_down += response.size_bytes
+        self.stats.bytes_up += request_bytes
+        self.stats.bytes_down += response_bytes
         if not response.ok:
             self.stats.errors += 1
         self.stats.queue_delay_ms += queue_delay_ms
@@ -349,9 +355,14 @@ class SimulatedNetwork:
         return response, elapsed
 
     def _record_fault(
-        self, request: Request, host: str, elapsed: float, kind: str
+        self,
+        request: Request,
+        host: str,
+        elapsed: float,
+        kind: str,
+        request_bytes: int,
     ) -> None:
-        """Log a response-less faulted exchange (called under the lock)."""
+        """Log a response-less faulted exchange."""
         self.log.append(
             ExchangeRecord(
                 time=self.env.now if self.env is not None else 0.0,
@@ -360,13 +371,13 @@ class SimulatedNetwork:
                 path=request.path,
                 status=0,
                 elapsed_seconds=elapsed,
-                request_bytes=request.size_bytes,
+                request_bytes=request_bytes,
                 response_bytes=0,
                 fault=kind,
             )
         )
         self.stats.requests += 1
-        self.stats.bytes_up += request.size_bytes
+        self.stats.bytes_up += request_bytes
         self.stats.errors += 1
         self.stats.faults_injected += 1
         self.metrics.add("net.faults", 1)
@@ -374,18 +385,20 @@ class SimulatedNetwork:
         self.tracer.event(f"fault:{kind}", host=host, path=request.path)
 
     def _advance(self, elapsed: float) -> None:
+        """Move the virtual clock ``elapsed`` seconds forward.
+
+        Callbacks due inside the window (or at its end) fire at their own
+        times; no event is pushed just to move the clock.
+        """
         if self.env is not None and elapsed > 0:
-            self.env.schedule_in(elapsed, lambda: None, label="net-transfer")
             self.env.run(until=self.env.now + elapsed)
 
     def wait(self, seconds: float) -> None:
         """Advance the virtual clock by ``seconds`` (client retry backoff)."""
-        if seconds <= 0:
-            return
-        with self._lock:
-            if self.env is not None:
-                self.env.schedule_in(seconds, lambda: None, label="net-backoff")
-                self.env.run(until=self.env.now + seconds)
+        # Not through ``_advance``: the process fan-out's recording network
+        # journals transfers and waits through both hooks, once each.
+        if self.env is not None and seconds > 0:
+            self.env.run(until=self.env.now + seconds)
 
     def get(self, url: str, profile: Optional[NetworkProfile] = None) -> Response:
         """Convenience GET; returns just the response."""

@@ -29,7 +29,6 @@ campaign runs.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -94,9 +93,8 @@ class PageArtifacts:
 class PageArtifactCache:
     """Content-addressed cache of :class:`PageArtifacts`.
 
-    Thread-safe: the parallel participant mode hits it from worker threads.
-    A miss builds outside the lock, so two threads racing on the same key may
-    both build; the artifacts are deterministic, so last-write-wins is safe.
+    One cache serves one process and needs no lock: the process fan-out
+    ships a prebuilt snapshot to each worker (see :meth:`snapshot_entries`).
     With ``enabled=False`` every lookup rebuilds — the brute-force
     per-participant pipeline, kept as the benchmark baseline.
     """
@@ -116,12 +114,10 @@ class PageArtifactCache:
         self.misses = 0
         self.metrics = metrics if metrics is not None else GLOBAL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._lock = threading.Lock()
         self._entries: Dict[Tuple[str, str], PageArtifacts] = {}
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     # -- lookup --------------------------------------------------------------
 
@@ -140,8 +136,7 @@ class PageArtifactCache:
         digest = content_hash(html)
         key = (storage_path, digest)
         if self.enabled:
-            with self._lock:
-                entry = self._entries.get(key)
+            entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
                 self.metrics.add("artifacts.hits", 1)
@@ -156,8 +151,7 @@ class PageArtifactCache:
                     storage_path, html, digest, fetch, schedule_lookup
                 )
         if self.enabled:
-            with self._lock:
-                self._entries[key] = entry
+            self._entries[key] = entry
         return entry
 
     def snapshot_entries(self) -> Dict[Tuple[str, str], PageArtifacts]:
@@ -168,8 +162,7 @@ class PageArtifactCache:
         (pure functions of the page bytes), so sharing the
         :class:`PageArtifacts` objects themselves is safe.
         """
-        with self._lock:
-            return dict(self._entries)
+        return dict(self._entries)
 
     def seed_entries(
         self, entries: Dict[Tuple[str, str], PageArtifacts]
@@ -181,8 +174,7 @@ class PageArtifactCache:
         after a resilient prewarm skipped a page) is reused by later
         chunks.
         """
-        with self._lock:
-            self._entries = entries
+        self._entries = entries
 
     def invalidate(self, storage_path: Optional[str] = None) -> int:
         """Drop cached artifacts; returns how many entries were removed.
@@ -190,15 +182,14 @@ class PageArtifactCache:
         With a ``storage_path`` only that page's entries go (all content
         versions of it); without one the cache is emptied.
         """
-        with self._lock:
-            if storage_path is None:
-                removed = len(self._entries)
-                self._entries.clear()
-                return removed
-            stale = [key for key in self._entries if key[0] == storage_path]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
+        if storage_path is None:
+            removed = len(self._entries)
+            self._entries.clear()
+            return removed
+        stale = [key for key in self._entries if key[0] == storage_path]
+        for key in stale:
+            del self._entries[key]
+        return len(stale)
 
     # -- construction --------------------------------------------------------
 

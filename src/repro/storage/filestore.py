@@ -12,17 +12,22 @@ generated HTML in a browser.
 
 from __future__ import annotations
 
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Dict, Iterator, List
 
 from repro.errors import StorageError
 
 
 def _normalize(path: str) -> str:
-    """Normalize a store path: POSIX separators, no leading slash, no '..'."""
-    pure = PurePosixPath(str(path).replace("\\", "/"))
-    parts = [p for p in pure.parts if p not in (".", "/")]
-    if any(p == ".." for p in parts):
+    """Normalize a store path: POSIX separators, no empty or '.' segments
+    (so no leading slash), no '..'.
+
+    ``//t/x``, ``t//x``, ``./t/./x`` and ``t\\x`` all name ``t/x``.
+    """
+    parts = [
+        p for p in str(path).replace("\\", "/").split("/") if p and p != "."
+    ]
+    if ".." in parts:
         raise StorageError(f"path escapes the store: {path!r}")
     if not parts:
         raise StorageError("empty path")

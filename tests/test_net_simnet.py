@@ -1,9 +1,27 @@
 """Tests for the simulated network."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import NetworkError
+import repro.errors as errors
+from repro.errors import ConnectionDropped, NetworkError
+from repro.net.faults import (
+    FAULT_5XX,
+    FAULT_DROP,
+    FAULT_LATENCY,
+    FAULT_TIMEOUT,
+    FaultPlan,
+    FaultRule,
+    RetryPolicy,
+)
 from repro.net.http import HttpServer, Request, Response
+from repro.net.overload import (
+    OVERLOAD_HEADER,
+    QUEUE_DELAY_MS_HEADER,
+    RETRY_AFTER_HEADER,
+    TIMED_OUT_HEADER,
+)
 from repro.net.profiles import get_profile
 from repro.net.simnet import Client, SimulatedNetwork
 from repro.sim.clock import SimulationEnvironment
@@ -128,3 +146,242 @@ class TestHostCaseNormalization:
         assert network.hosts() == []
         with pytest.raises(NetworkError):
             network.get("http://example.com/hello")
+
+
+def _counting_size(counts, original):
+    """A ``size_bytes`` property that tallies reads per message object."""
+
+    def read(message):
+        counts[id(message)] = counts.get(id(message), 0) + 1
+        return original.fget(message)
+
+    return property(read)
+
+
+class _CountingUrl(str):
+    """A URL string that tallies the splitting calls made on it."""
+
+    calls = 0
+
+    def _counted(name):
+        def method(self, *args):
+            type(self).calls += 1
+            return getattr(str, name)(self, *args)
+
+        return method
+
+    split = _counted("split")
+    rsplit = _counted("rsplit")
+    partition = _counted("partition")
+    rpartition = _counted("rpartition")
+    find = _counted("find")
+    rfind = _counted("rfind")
+    del _counted
+
+
+class TestExchangeCost:
+    """One exchange does its bookkeeping once: each message is sized once,
+    the URL is split once, and the clock moves without touching the event
+    queue."""
+
+    def _exchange_both(self, network):
+        network.exchange(Request.get("http://srv.local/hello"))
+        network.exchange(Request.post_json("http://srv.local/echo", {"a": [1, 2]}))
+
+    def test_each_message_sized_once(self, monkeypatch):
+        requests, responses = {}, {}
+        monkeypatch.setattr(
+            Request, "size_bytes", _counting_size(requests, Request.size_bytes)
+        )
+        monkeypatch.setattr(
+            Response, "size_bytes", _counting_size(responses, Response.size_bytes)
+        )
+        network = SimulatedNetwork(SimulationEnvironment())
+        network.attach(make_server())
+        self._exchange_both(network)
+        assert sorted(requests.values()) == [1, 1]
+        assert sorted(responses.values()) == [1, 1]
+        assert network.stats.bytes_up > 0 and network.stats.bytes_down > 0
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_url_split_once_per_request(self, method):
+        network = SimulatedNetwork(SimulationEnvironment())
+        network.attach(make_server())
+        client = Client(network, get_profile("3g"))
+        _CountingUrl.calls = 0
+        if method == "GET":
+            response = client.get(_CountingUrl("http://srv.local/hello"))
+        else:
+            response = client.post_json(_CountingUrl("http://srv.local/echo"), {"a": 1})
+        assert response.ok
+        assert _CountingUrl.calls == 1
+        assert [(r.host, r.path) for r in network.log] == [
+            ("srv.local", "/hello" if method == "GET" else "/echo")
+        ]
+
+    def test_event_queue_untouched(self, monkeypatch):
+        env = SimulationEnvironment()
+        network = SimulatedNetwork(env)
+        network.attach(make_server())
+        pushes = []
+        original_push = env.queue.push
+        monkeypatch.setattr(
+            env.queue, "push", lambda *a, **k: pushes.append(a) or original_push(*a, **k)
+        )
+        before = env.schedule_in(1000.0, lambda: None)
+        self._exchange_both(network)
+        network.wait(0.25)
+        after = env.schedule_in(1000.0, lambda: None)
+        assert len(pushes) == 2  # only the two probes above
+        assert after.sequence == before.sequence + 1
+        assert len(env.queue) == 2
+        assert env.now > 0.25
+
+
+def _identity_server():
+    """A host whose routes drive every branch of ``SimulatedNetwork.exchange``."""
+    server = make_server()
+    router = server.router
+    for path in ("/spike", "/boom", "/drop", "/slow"):
+        router.get(path, lambda r: Response.text_response("x" * 700))
+
+    def queued(request):
+        response = Response.text_response("queued")
+        response.headers[QUEUE_DELAY_MS_HEADER] = "250"
+        return response
+
+    def collapse(request):
+        response = Response.text_response("lost")
+        response.headers[TIMED_OUT_HEADER] = "2500"
+        return response
+
+    busy_calls = []
+
+    def busy(request):
+        busy_calls.append(request.path)
+        if len(busy_calls) == 1:
+            response = Response.json_response({"error": "busy"}, status=429)
+            response.headers[OVERLOAD_HEADER] = "reject"
+            response.headers[RETRY_AFTER_HEADER] = "1.5"
+            return response
+        return Response.text_response("ok")
+
+    router.get("/queued", queued)
+    router.get("/collapse", collapse)
+    router.get("/busy", busy)
+    return server
+
+
+def _identity_script():
+    """Run one exchange down every path; return what the parent pinned."""
+    plan = FaultPlan(
+        seed=3,
+        rules=[
+            FaultRule(FAULT_LATENCY, 1.0, path_prefix="/spike", latency_multiplier=4.0),
+            FaultRule(FAULT_5XX, 1.0, path_prefix="/boom", status=502),
+            FaultRule(FAULT_DROP, 1.0, path_prefix="/drop"),
+            FaultRule(FAULT_TIMEOUT, 1.0, path_prefix="/slow", timeout_seconds=3.0),
+        ],
+    )
+    env = SimulationEnvironment(start=2.5)
+    network = SimulatedNetwork(env, fault_plan=plan)
+    network.attach(_identity_server())
+    down = network.attach(HttpServer("down.local"))
+    down.close()
+    for name in ("fiber", "3g", "2g"):
+        network.exchange(Request.get("http://srv.local/hello"), get_profile(name))
+    network.exchange(
+        Request.post_json("http://srv.local/echo", {"q": "a", "v": [1, 2, 3]}),
+        get_profile("dsl"),
+    )
+    network.exchange(Request.get("http://srv.local/spike"), get_profile("4g"))
+    network.exchange(Request.get("http://srv.local/boom"), get_profile("cable"))
+    network.exchange(Request.get("http://srv.local/queued"), get_profile("cable"))
+    for url, error in (
+        ("http://srv.local/drop", ConnectionDropped),
+        ("http://srv.local/slow", errors.TimeoutError),
+        ("http://srv.local/collapse", errors.TimeoutError),
+        ("http://down.local/x", NetworkError),
+    ):
+        with pytest.raises(error):
+            network.exchange(Request.get(url), get_profile("3g"))
+    client = Client(
+        network,
+        get_profile("3g-slow"),
+        retry_policy=RetryPolicy(max_attempts=3, jitter_fraction=0.0),
+    )
+    assert client.get("http://srv.local/busy").ok
+    network.wait(0.125)
+    log = [
+        (r.time, r.elapsed_seconds, r.request_bytes, r.response_bytes, r.status, r.fault)
+        for r in network.log
+    ]
+    return env.now, log, dataclasses.asdict(network.stats), client.backoff_seconds
+
+
+# ``_identity_script`` as it ran when every transfer and backoff still
+# pushed a no-op event onto the simulation heap to move the clock.
+PINNED_NOW = 12.483269977777777
+PINNED_LOG = [
+    (2.5, 0.0040096, 57, 63, 200, ""),
+    (2.5040096, 0.15090875, 57, 63, 200, ""),
+    (2.65491835, 0.80358125, 57, 63, 200, ""),
+    (3.4584996, 0.052745, 110, 85, 200, ""),
+    (3.5112446, 0.2828977777777778, 57, 758, 200, "latency"),
+    (3.794142377777778, 0.0286416, 56, 121, 502, "5xx"),
+    (3.8227839777777777, 0.278616, 58, 95, 200, ""),
+    (4.101399977777778, 0.15, 56, 0, 0, "drop"),
+    (4.251399977777778, 3.0, 56, 0, 0, "timeout"),
+    (7.251399977777778, 2.65107, 60, 0, 0, "overload-timeout"),
+    (9.902469977777777, 0.15, 54, 0, 0, "refused"),
+    (10.052469977777777, 0.40348, 56, 118, 429, ""),
+    (11.955949977777777, 0.40232, 56, 60, 200, ""),
+]
+PINNED_STATS = {
+    "requests": 12, "bytes_up": 736, "bytes_down": 1426, "errors": 6,
+    "faults_injected": 4, "drops": 1, "timeouts": 2, "injected_errors": 1,
+    "latency_spikes": 1, "rejections": 1, "deferrals": 0, "shed_responses": 0,
+    "overload_timeouts": 1, "queue_delay_ms": 250,
+}
+
+
+class TestVirtualTimeIdentity:
+    """The clock, the log and the traffic counters of a scripted run,
+    pinned before the exchange stopped pushing an event per transfer."""
+
+    def test_script_reproduces_pinned_timeline(self):
+        now, log, stats, backoff = _identity_script()
+        assert now == PINNED_NOW
+        assert log == PINNED_LOG
+        assert stats == PINNED_STATS
+        assert backoff == 1.5
+
+    def test_callbacks_inside_and_at_end_of_transfer_fire_in_order(self):
+        probe = SimulatedNetwork()
+        probe.attach(make_server())
+        profile = get_profile("2g")
+        _, elapsed = probe.exchange(Request.get("http://srv.local/hello"), profile)
+
+        env = SimulationEnvironment(start=10.0)
+        network = SimulatedNetwork(env)
+        network.attach(make_server())
+        fired = []
+
+        def record(label):
+            return lambda: fired.append((label, env.now))
+
+        start = env.now
+        end = start + elapsed
+        env.schedule_at(start + elapsed / 2, record("inside"))
+        env.schedule_at(end, lambda: (fired.append(("end", env.now)),
+                                      env.schedule_at(end, record("chained"))))
+        env.schedule_at(end + 1.0, record("after"))
+        _, got = network.exchange(Request.get("http://srv.local/hello"), profile)
+        assert got == elapsed
+        assert fired == [
+            ("inside", start + elapsed / 2), ("end", end), ("chained", end)
+        ]
+        assert env.now == end
+        network.wait(2.0)
+        assert fired[-1] == ("after", end + 1.0)
+        assert env.now == end + 2.0

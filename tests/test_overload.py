@@ -1,11 +1,10 @@
 """Overload control plane: admission, rate limiting, the shedding ladder,
 client/queue pushback handling, and cross-executor determinism.
 
-The contract under test (ISSUE "Overload control plane"): every admission
-decision is a pure function of ``(seed, quantized virtual time, request
-token)`` — never of request order or shared mutable state — so a flash
-crowd concludes bit-identically across serial / thread / process executors
-and fleet redeliveries; 429s carry ``Retry-After`` that clients honor
+The contract under test: every admission decision is a pure function of
+``(seed, quantized virtual time, request token)`` — never of request order
+or shared mutable state — so a flash crowd concludes bit-identically across
+the serial and process executors and fleet redeliveries; 429s carry ``Retry-After`` that clients honor
 without tripping circuit breakers; the unprotected baseline collapses.
 """
 

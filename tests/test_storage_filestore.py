@@ -1,9 +1,15 @@
 """Tests for the in-memory file store."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.filestore import FileStore
+from repro.storage.filestore import FileStore, _normalize
+
+# Path pieces mixing real names with every separator form the store folds.
+_PIECES = st.sampled_from(["t", "x", "page.html", "a b", ".", "", "/", "\\", "//"])
+_SEPARATORS = st.sampled_from(["/", "\\", "//", "/./"])
 
 
 class TestWriteRead:
@@ -49,6 +55,18 @@ class TestPathNormalization:
         store.write("a/./b.txt", "v")
         assert store.read("a/b.txt") == "v"
 
+    @pytest.mark.parametrize(
+        "path",
+        ["t/x", "/t/x", "//t/x", "///t/x", "t//x", "./t/./x", "t/x/", "t\\x",
+         "\\t\\x", "\\\\t/x"],
+    )
+    def test_separator_forms_name_one_file(self, path):
+        assert _normalize(path) == "t/x"
+        store = FileStore()
+        store.write(path, "v")
+        assert store.read("t/x") == "v"
+        assert store.list_files() == ["t/x"]
+
     def test_escape_rejected(self):
         with pytest.raises(StorageError):
             FileStore().write("../evil.txt", "v")
@@ -56,6 +74,30 @@ class TestPathNormalization:
     def test_empty_rejected(self):
         with pytest.raises(StorageError):
             FileStore().write("", "v")
+
+    @pytest.mark.parametrize("path", ["../evil.txt", "t/../../x", "t/..", "..\\x"])
+    def test_escape_forms_rejected(self, path):
+        with pytest.raises(StorageError, match="escapes"):
+            FileStore().write(path, "v")
+
+    @pytest.mark.parametrize("path", ["", "/", "//", ".", "./.", "\\"])
+    def test_empty_forms_rejected(self, path):
+        with pytest.raises(StorageError, match="empty path"):
+            FileStore().write(path, "v")
+
+    @given(first=_PIECES, rest=st.lists(st.tuples(_SEPARATORS, _PIECES), max_size=6))
+    def test_normalizing_is_idempotent_and_reads_back(self, first, rest):
+        path = first + "".join(sep + piece for sep, piece in rest)
+        try:
+            normal = _normalize(path)
+        except StorageError:
+            return
+        assert _normalize(normal) == normal
+        assert not normal.startswith("/") and "//" not in normal
+        store = FileStore()
+        assert store.write(path, "v") == normal
+        assert store.read(normal) == "v"
+        assert normal in store
 
 
 class TestTreeOperations:
