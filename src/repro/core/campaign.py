@@ -68,6 +68,7 @@ from repro.sim.clock import SECONDS_PER_DAY, SimulationEnvironment
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 from repro.util.executors import EXECUTOR_SERIAL, effective_pool_size
+from repro.util.jsonutil import deep_copy_json
 from repro.util.rng import coerce_rng
 
 # Participants arrive on whatever access network they have; the replay
@@ -388,16 +389,20 @@ class Campaign:
         self.server.attach_streaming(state)
 
     def _stream_rows(self, test_id: str):
-        """Stored response rows in global ``_id`` (upload) order, streamed.
+        """Stored response rows in global ``_id`` (upload) order, streamed,
+        for reading only.
 
         Uses the sharded store's lazy WAL replay when available; a plain
-        :class:`DocumentStore` yields its (already ``_id``-ordered) copies.
+        :class:`DocumentStore` yields its stored documents uncopied through
+        :meth:`~repro.storage.documentstore.Collection.scan`. Callers parse
+        the rows and must not mutate them (:meth:`resume_state` copies the
+        rows it hands out).
         """
         stream = getattr(self.database, "stream_collection", None)
         if stream is not None:
             yield from stream(RESPONSES_COLLECTION, {"test_id": test_id})
         else:
-            yield from self.database.collection(RESPONSES_COLLECTION).find(
+            yield from self.database.collection(RESPONSES_COLLECTION).scan(
                 {"test_id": test_id}
             )
 
@@ -1187,11 +1192,12 @@ class Campaign:
         over the stored rows — the only read of the store, no checkpoint is
         built — completes the quality screen (majority votes need the final
         tallies) and folds the controlled aggregates. The stores differ
-        only in materialisation. The in-memory store keeps that pass,
-        parsed, as ``raw_results`` (and the kept ones as
-        ``quality_report.kept``); the sharded store parses its WAL replay
-        lazily and leaves both empty, so its memory stays O(pairs), not
-        O(participants).
+        only in materialisation. The in-memory store parses its stored
+        documents in place, copying none, and keeps them, parsed, as
+        ``raw_results`` (and the kept ones as ``quality_report.kept``); the
+        sharded store parses its WAL replay lazily, skips the rows the
+        upload-time screen dropped before parsing them, and leaves both
+        empty, so its memory stays O(pairs), not O(participants).
         """
         prepared = self._require_prepared()
         cfg = self.config
@@ -1199,13 +1205,19 @@ class Campaign:
         with self.tracer.span("conclude", category="campaign") as cspan:
             if state.ingested == 0:
                 raise CampaignError("no responses collected; nothing to conclude")
-            results = (
-                ParticipantResult.from_dict(row)
-                for row in self._stream_rows(prepared.test_id)
-            )
+            rows = self._stream_rows(prepared.test_id)
             raw_results: List[ParticipantResult] = []
-            if not cfg.streaming:
-                raw_results = results = list(results)
+            if cfg.streaming:
+                dropped_ids = state.screen.dropped_ids
+                results = (
+                    ParticipantResult.from_dict(row)
+                    for row in rows
+                    if row["worker_id"] not in dropped_ids
+                )
+            else:
+                raw_results = results = [
+                    ParticipantResult.from_dict(row) for row in rows
+                ]
             with self.tracer.span(
                 "quality", category="campaign", participants=state.ingested
             ) as qspan:
@@ -1382,6 +1394,7 @@ class Campaign:
         prepared = self._require_prepared()
         rows = []
         for row in self._stream_rows(prepared.test_id):
+            row = deep_copy_json(row)  # the caller owns what it is handed
             row.pop("_id", None)
             rows.append(row)
         state = {

@@ -103,14 +103,10 @@ class _RecordingNetwork(SimulatedNetwork):
         self.advances: List[float] = []
 
     def _advance(self, elapsed: float) -> None:
+        # The one clock hook: transfers and ``wait`` backoffs both land here.
         if self.env is not None and elapsed > 0:
             self.advances.append(elapsed)
         super()._advance(elapsed)
-
-    def wait(self, seconds: float) -> None:
-        if self.env is not None and seconds > 0:
-            self.advances.append(seconds)
-        super().wait(seconds)
 
 
 @dataclass

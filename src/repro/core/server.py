@@ -377,13 +377,10 @@ class CoreServer:
     # -- direct (non-HTTP) reads used by the campaign ----------------------------
 
     def stored_results(self, test_id: str) -> List[ParticipantResult]:
-        """All uploaded participant results for a test."""
-        rows = self.database.collection(RESPONSES_COLLECTION).find({"test_id": test_id})
-        results = []
-        for row in rows:
-            row.pop("_id", None)
-            results.append(ParticipantResult.from_dict(row))
-        return results
+        """All uploaded participant results for a test, parsed from the
+        stored rows in place (the parse copies what it keeps)."""
+        rows = self.database.collection(RESPONSES_COLLECTION).scan({"test_id": test_id})
+        return [ParticipantResult.from_dict(row) for row in rows]
 
     def response_count(self, test_id: str) -> int:
         """Number of uploads so far."""

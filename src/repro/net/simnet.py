@@ -394,11 +394,13 @@ class SimulatedNetwork:
             self.env.run(until=self.env.now + elapsed)
 
     def wait(self, seconds: float) -> None:
-        """Advance the virtual clock by ``seconds`` (client retry backoff)."""
-        # Not through ``_advance``: the process fan-out's recording network
-        # journals transfers and waits through both hooks, once each.
-        if self.env is not None and seconds > 0:
-            self.env.run(until=self.env.now + seconds)
+        """Advance the virtual clock by ``seconds`` (client retry backoff).
+
+        Goes through :meth:`_advance`, the one clock hook: a subclass that
+        journals the clock (the process fan-out's recording network)
+        overrides that alone and sees every transfer and backoff once.
+        """
+        self._advance(seconds)
 
     def get(self, url: str, profile: Optional[NetworkProfile] = None) -> Response:
         """Convenience GET; returns just the response."""

@@ -11,19 +11,25 @@ Implements the subset of MongoDB the Kaleidoscope core server relies on:
   most selective one);
 * sort / skip / limit, ``count``, ``distinct``, and ``delete``.
 
-Documents are deep-copied on the way in and out, so callers can never mutate
-stored state through aliasing — the same isolation a real client/server
-boundary provides. A copy is what a JSON encode/decode round trip would
-return (tuples become lists, non-``str`` keys become strings), made by
-:func:`~repro.util.jsonutil.deep_copy_json` walking the document rather
-than encoding it.
+Documents are deep-copied on the way in and out (copy-in/copy-out), so
+callers can never mutate stored state through aliasing — the same isolation
+a real client/server boundary provides. A copy is what a JSON encode/decode
+round trip would return (tuples become lists, non-``str`` keys become
+strings), made by :func:`~repro.util.jsonutil.deep_copy_json` walking the
+document rather than encoding it.
+
+The one read-only exception is :meth:`Collection.scan`: it yields the stored
+documents themselves, for callers that only parse them (the campaign's
+conclude pass reads every stored response once and would otherwise copy
+each just to throw the copy away). What it yields must not be mutated; use
+:meth:`Collection.find` for a copy the caller owns.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DuplicateKeyError, QueryError
 from repro.util.jsonutil import deep_copy_json
@@ -421,6 +427,15 @@ class Collection:
         for document in documents:
             if match_document(document, query):
                 yield document
+
+    def scan(self, query: Optional[dict] = None) -> Iterator[dict]:
+        """Matching documents in ``_id`` order, *uncopied*.
+
+        Yields the stored documents themselves: do not mutate them, and do
+        not write the collection while the scan is open. Use :meth:`find`
+        for copies the caller owns.
+        """
+        return self._iter_matching(query or {})
 
     def find(
         self,

@@ -482,19 +482,21 @@ class ShardedCollection:
 
     # -- reads --------------------------------------------------------------
 
-    def _iter_merged(self, query: dict) -> Iterator[dict]:
+    def scan(self, query: Optional[dict] = None) -> Iterator[dict]:
         """Matching documents across shards, merged in global ``_id``
-        (insertion) order — the exact order a single Collection yields."""
+        (insertion) order — the exact order a single Collection yields —
+        uncopied, under :meth:`Collection.scan`'s read-only contract.
+        Spilled documents are decoded fresh from the WAL; in-memory ones are
+        the stored documents themselves."""
+        query = query or {}
 
         def shard_iter(shard: _Shard) -> Iterator[dict]:
             if self._spilled:
                 for doc in shard.scan_spilled(self.name):
                     if match_document(doc, query):
-                        yield deep_copy_json(doc)
+                        yield doc
             elif self.name in shard.store._collections:
-                collection = shard.store.collection(self.name)
-                for doc in collection._iter_matching(query):
-                    yield deep_copy_json(doc)
+                yield from shard.store.collection(self.name).scan(query)
 
         iterators = [shard_iter(s) for s in self._shards_for_query(query)]
         if len(iterators) == 1:
@@ -510,7 +512,7 @@ class ShardedCollection:
         limit: Optional[int] = None,
     ) -> List[dict]:
         query = query or {}
-        results = list(self._iter_merged(query))
+        results = [deep_copy_json(doc) for doc in self.scan(query)]
         if sort:
             for field, direction in reversed(sort):
                 results.sort(
@@ -534,8 +536,8 @@ class ShardedCollection:
                 return None
             if hit is not None:
                 return hit
-        for document in self._iter_merged(query):
-            return document
+        for document in self.scan(query):
+            return deep_copy_json(document)
         return None
 
     def _spill_lookup(self, query: dict):
@@ -601,7 +603,7 @@ class ShardedCollection:
                 pairs.extend(served)
             elif self.name in shard.store._collections:
                 collection = shard.store.collection(self.name)
-                for doc in collection._iter_matching(query):
+                for doc in collection.scan(query):
                     value = get_path(doc, field)
                     if value is not _MISSING:
                         pairs.append((doc["_id"], value))
@@ -734,22 +736,9 @@ class ShardedDocumentStore:
         O(shards), not O(documents). Each replay decodes its documents
         fresh from the log, so only the in-memory collections are copied
         before the caller may mutate them."""
-        query = query or {}
         spilled = name in self._config.spill
-
-        def shard_iter(shard: _Shard) -> Iterator[dict]:
-            if spilled:
-                for doc in shard.scan_spilled(name):
-                    if match_document(doc, query):
-                        yield doc
-            elif name in shard.store._collections:
-                collection = shard.store.collection(name)
-                for doc in collection._iter_matching(query):
-                    yield deep_copy_json(doc)
-
-        yield from heapq.merge(
-            *[shard_iter(s) for s in self._shards], key=lambda d: d["_id"]
-        )
+        for doc in self.collection(name).scan(query):
+            yield doc if spilled else deep_copy_json(doc)
 
     # -- persistence (DocumentStore.dump/load parity) ------------------------
 

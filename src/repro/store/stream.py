@@ -24,12 +24,14 @@ batch :class:`~repro.core.quality.QualityControl`:
    order, then majority drops in survivor order.
 
 Every campaign concludes this way, whatever its store. The stores differ
-only in how the second pass gets its rows: the in-memory store parses them
-into a list once (the campaign keeps it as ``raw_results``), while the
-sharded store parses
+only in how the second pass gets its rows: the in-memory store parses its
+stored documents in place, uncopied through
+:meth:`~repro.storage.documentstore.Collection.scan`, into a list (the
+campaign keeps it as ``raw_results``), while the sharded store parses
 :meth:`~repro.store.sharded.ShardedDocumentStore.stream_collection`'s lazy
-WAL replay one row at a time — so its conclude stays out of
-O(participants) memory even at a million uploads.
+WAL replay one row at a time, skipping rows the upload-time screen dropped
+before parsing them — so its conclude stays out of O(participants) memory
+even at a million uploads.
 """
 
 from __future__ import annotations
@@ -299,8 +301,9 @@ class StreamingCampaignState:
 
         ``results`` yields the stored uploads, parsed, in upload (``_id``)
         order — a list the memory store materializes, or a lazy parse of the
-        sharded store's ``stream_collection``. Results the upload-time screen
-        dropped are skipped by worker id, survivors are checked against the
+        sharded store's ``stream_collection`` (which may already leave out
+        the rows the upload-time screen dropped). Results the upload-time
+        screen dropped are skipped by worker id, survivors are checked against the
         majority, and kept results fold into the controlled aggregator
         and Bradley-Terry counts in kept order — the same iteration order
         the batch pipeline's ``analyze_responses(report.kept, ...)`` and

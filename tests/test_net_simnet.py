@@ -272,7 +272,7 @@ def _identity_server():
     return server
 
 
-def _identity_script():
+def _identity_script(network_cls=SimulatedNetwork):
     """Run one exchange down every path; return what the parent pinned."""
     plan = FaultPlan(
         seed=3,
@@ -284,7 +284,7 @@ def _identity_script():
         ],
     )
     env = SimulationEnvironment(start=2.5)
-    network = SimulatedNetwork(env, fault_plan=plan)
+    network = network_cls(env, fault_plan=plan)
     network.attach(_identity_server())
     down = network.attach(HttpServer("down.local"))
     down.close()
@@ -355,6 +355,34 @@ class TestVirtualTimeIdentity:
         assert log == PINNED_LOG
         assert stats == PINNED_STATS
         assert backoff == 1.5
+
+    def test_one_clock_hook_sees_each_transfer_and_backoff_once(self):
+        """A subclass overriding only ``_advance`` journals every transfer
+        and every wait exactly once, and replaying its journal reproduces
+        the clock bit for bit (what the process fan-out relies on)."""
+        journals = []
+
+        class Journaling(SimulatedNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.journal = []
+                journals.append(self.journal)
+
+            def _advance(self, elapsed):
+                self.journal.append(elapsed)
+                super()._advance(elapsed)
+
+        now, log, _, backoff = _identity_script(Journaling)
+        (journal,) = journals
+        transfers = [entry[1] for entry in log]
+        # The 429's Retry-After backoff sits between it and its retry; the
+        # script's closing ``wait(0.125)`` comes last.
+        assert journal == transfers[:-1] + [backoff] + transfers[-1:] + [0.125]
+        replay = SimulationEnvironment(start=2.5)
+        plain = SimulatedNetwork(replay)
+        for elapsed in journal:
+            plain.wait(elapsed)
+        assert replay.now == now == PINNED_NOW
 
     def test_callbacks_inside_and_at_end_of_transfer_fire_in_order(self):
         probe = SimulatedNetwork()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateKeyError, QueryError
+from repro.storage import documentstore
 from repro.storage.documentstore import Collection, DocumentStore, match_document
 from repro.store.sharded import ShardedDocumentStore
 from repro.util.jsonutil import dumps_canonical
@@ -308,6 +309,33 @@ class TestIndexNeverChangesAnswers:
                 assert indexed.distinct(field, query) == plain.distinct(field, query)
 
 
+class TestScanMatchesFind:
+    """``scan`` yields what ``find`` copies: the same documents, in the same
+    order, whether or not an index serves the query."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        indexed=st.booleans(),
+        initial=st.lists(documents(), max_size=12),
+        operations=OPERATIONS,
+        queries=st.lists(QUERIES, min_size=1, max_size=6),
+    )
+    def test_scan_equals_find(self, indexed, initial, operations, queries):
+        collection = Collection("scanned")
+        if indexed:
+            for field in INDEXED_FIELDS:
+                collection.create_index(field)
+        for document in initial:
+            collection.insert_one(document)
+        for method, *args in operations:
+            getattr(collection, method)(*args)
+        assert list(collection.scan()) == collection.find()
+        for query in queries:
+            scanned = list(collection.scan(query))
+            assert scanned == collection.find(query)
+            assert [d["_id"] for d in scanned] == sorted(d["_id"] for d in scanned)
+
+
 class TestDistinct:
     def test_first_seen_order_with_mixed_hashability(self):
         collection = Collection("c")
@@ -367,6 +395,38 @@ def response_document(i):
         "answers": [{"answer": "left", "score": i / 7, "ok": True, "note": None}],
         "demographics": {"age_range": "25-34", "tech_ability": 4},
     }
+
+
+class TestScan:
+    """``scan`` is the one read that hands out stored documents uncopied."""
+
+    def test_memory_scan_yields_the_stored_documents(self, monkeypatch):
+        collection = Collection("responses")
+        collection.create_index("worker_id")
+        for i in range(5):
+            collection.insert_one(response_document(i))
+        copies = []
+        monkeypatch.setattr(
+            documentstore, "deep_copy_json", lambda d: copies.append(d) or d
+        )
+        (first,) = collection.scan({"worker_id": "w3"})
+        (second,) = collection.scan({"worker_id": "w3"})
+        assert first is second
+        assert [d["worker_id"] for d in collection.scan()] == [f"w{i}" for i in range(5)]
+        assert copies == []
+
+    @pytest.mark.parametrize("spill", [(), ("responses",)])
+    def test_sharded_scan_merges_in_id_order(self, spill):
+        store = ShardedDocumentStore(
+            shards=3, shard_keys={"responses": "worker_id"}, spill=spill
+        )
+        collection = store.collection("responses")
+        for i in range(9):
+            collection.insert_one(response_document(i))
+        scanned = list(collection.scan({"test_id": "t1"}))
+        assert scanned == collection.find({"test_id": "t1"})
+        assert [d["worker_id"] for d in scanned] == [f"w{i}" for i in range(9)]
+        assert list(collection.scan({"worker_id": "w4"})) == [scanned[4]]
 
 
 class TestCopyCost:

@@ -13,14 +13,16 @@ from repro.core.analysis import analyze_responses
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
-from repro.core.extension import make_utility_judge
+from repro.core.extension import ParticipantResult, make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig, QualityControl
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.errors import CampaignError
 from repro.html.parser import parse_html
+from repro.storage import documentstore
 from repro.store.sharded import ShardedDocumentStore
+from repro.util.jsonutil import dumps_canonical
 
 
 def result_digest(result):
@@ -186,24 +188,98 @@ class TestConcludeReadsOnce:
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
     def test_one_conclude_streams_the_responses_once(self, store, monkeypatch):
         """Conclude reads the stored responses in one pass: it builds no
-        checkpoint on the side (resume_state() reads only when asked)."""
+        checkpoint on the side (resume_state() reads only when asked). On
+        the memory store that pass is one uncopied ``scan``: no ``find``
+        and no document copy."""
         campaign, result = run_campaign(store, participants=6, seed=5)
+        calls = {}
+
+        def count_calls(owner, name):
+            calls[name] = 0
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
         if isinstance(campaign.database, ShardedDocumentStore):
-            owner, name = campaign.database, "stream_collection"
+            count_calls(campaign.database, "stream_collection")
+            expected = {"stream_collection": 1}
         else:
-            owner = campaign.database.collection(RESPONSES_COLLECTION)
-            name = "find"
-        reads = []
-        read = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            reads.append(args)
-            return read(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+            count_calls(campaign.database.collection(RESPONSES_COLLECTION), "find")
+            count_calls(campaign.database.collection(RESPONSES_COLLECTION), "scan")
+            count_calls(documentstore, "deep_copy_json")
+            expected = {"find": 0, "scan": 1, "deep_copy_json": 0}
         again = campaign.conclude(job=None, duration_days=0.0)
-        assert len(reads) == 1
+        assert calls == expected
         assert result_digest(again) == result_digest(result)
+
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_sharded_conclude_parses_only_screen_survivors(self, store, monkeypatch):
+        """The sharded conclude skips rows the upload-time screen dropped
+        before parsing them; the memory store parses every row, because it
+        keeps them all as ``raw_results``."""
+        campaign, result = run_campaign(store, participants=25, seed=5)
+        dropped = len(campaign._streaming_state.screen.dropped_ids)
+        assert dropped > 0
+        parsed = []
+        original = ParticipantResult.from_dict.__func__
+
+        def counted(cls, row):
+            parsed.append(row["worker_id"])
+            return original(cls, row)
+
+        monkeypatch.setattr(ParticipantResult, "from_dict", classmethod(counted))
+        again = campaign.conclude(job=None, duration_days=0.0)
+        expected = 25 if store == "memory" else 25 - dropped
+        assert len(parsed) == expected
+        assert result_digest(again) == result_digest(result)
+
+
+def dump_text(campaign):
+    return dumps_canonical(campaign.database.dump())
+
+
+class TestStoredRowsStayPrivate:
+    """The conclude pass reads stored rows uncopied; nothing it, the
+    streaming re-fold or ``stored_results`` hands out may alias them."""
+
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_read_paths_leave_the_store_unchanged(self, store):
+        campaign, result = run_campaign(store, participants=6, seed=5)
+        before = dump_text(campaign)
+        again = campaign.conclude(job=None, duration_days=0.0)
+        campaign._ensure_streaming()
+        stored = campaign.server.stored_results(campaign.prepared.test_id)
+        assert len(stored) == again.participant_count == 6
+        assert dump_text(campaign) == before
+        assert result_digest(campaign.conclude(job=None, duration_days=0.0)) == (
+            result_digest(result)
+        )
+
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_mutating_handed_out_rows_and_results(self, store):
+        campaign, result = run_campaign(store, participants=6, seed=5)
+        before = dump_text(campaign)
+        raw_before = dumps_canonical([r.as_dict() for r in result.raw_results])
+        checkpoint = campaign.resume_state()
+        assert len(checkpoint["rows"]) == 6
+        for row in checkpoint["rows"]:
+            row["worker_id"] = "mallory"
+            row["demographics"]["country"] = "XX"
+            row["answers"][0]["answer"] = "same"
+            row["answers"][0]["behavior"]["duration_minutes"] = 99.0
+            row["answers"].append({})
+        stored = campaign.server.stored_results(campaign.prepared.test_id)
+        for parsed in list(result.raw_results) + stored:
+            parsed.demographics.clear()
+        assert dump_text(campaign) == before
+        again = campaign.conclude(job=None, duration_days=0.0)
+        assert result_digest(again) == result_digest(result)
+        assert dumps_canonical([r.as_dict() for r in again.raw_results]) == raw_before
+        assert len(again.raw_results) == (6 if store == "memory" else 0)
 
 
 class TestCrashRecovery:
