@@ -58,7 +58,6 @@ from repro.experiments.fontsize import (
 from repro.net.faults import CircuitBreakerConfig, FaultPlan, RetryPolicy
 from repro.render.artifacts import PageArtifactCache
 from repro.util.executors import available_cpus, resolve_chunk_size
-from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
@@ -84,7 +83,9 @@ def _fresh_campaign(
     if not optimized:
         # Full brute force: re-render per visit *and* cascade without the
         # rule index.
-        campaign.artifacts = PageArtifactCache(enabled=False, use_style_index=False)
+        campaign.artifacts = PageArtifactCache(
+            enabled=False, use_style_index=False, metrics=campaign.metrics
+        )
     documents = build_font_variants()
     parameters = build_parameters(participants)
     campaign.prepare(
@@ -97,21 +98,6 @@ def _fresh_campaign(
     return campaign, experiment.make_personal_judge()
 
 
-def _reset_metrics(campaign: Campaign) -> None:
-    """Forget prepare-time counts: the perf block covers the run only."""
-    campaign.metrics.reset()
-    GLOBAL_METRICS.reset()
-
-
-def _perf_snapshot(campaign: Campaign) -> dict:
-    """The campaign's own registry plus the render-internal counters
-    (``cascade.*``, ``layout.*``) that only the process-global one sees."""
-    merged = MetricsRegistry()
-    merged.merge_state(GLOBAL_METRICS.export_state())
-    merged.merge_state(campaign.metrics.export_state())
-    return merged.snapshot()
-
-
 def _executor_used(campaign: Campaign) -> str:
     """The roster path the last run actually took."""
     pooled = campaign._last_fanout_pool > 1
@@ -121,11 +107,12 @@ def _executor_used(campaign: Campaign) -> str:
 def _run(participants: int, optimized: bool, parallelism: int) -> tuple:
     """(campaign, result, wall_seconds, perf) for one configuration."""
     campaign, judge = _fresh_campaign(participants, optimized, parallelism)
-    _reset_metrics(campaign)
+    # Forget prepare-time counts: the perf block covers the run only.
+    campaign.metrics.reset()
     start = time.perf_counter()
     result = campaign.run(judge)
     elapsed = time.perf_counter() - start
-    return campaign, result, elapsed, _perf_snapshot(campaign)
+    return campaign, result, elapsed, campaign.metrics.snapshot()
 
 
 def _concluded_fingerprint(result: CampaignResult) -> List[dict]:
@@ -161,11 +148,12 @@ def _run_lossy(participants: int, parallelism: int) -> tuple:
         main_text_selector=MAIN_TEXT_SELECTOR,
         instructions=QUESTION.text,
     )
-    _reset_metrics(campaign)
+    # Forget prepare-time counts: the perf block covers the run only.
+    campaign.metrics.reset()
     start = time.perf_counter()
     result = campaign.run(experiment.make_personal_judge())
     elapsed = time.perf_counter() - start
-    return campaign, result, elapsed, _perf_snapshot(campaign)
+    return campaign, result, elapsed, campaign.metrics.snapshot()
 
 
 def run_lossy_benchmark(

@@ -39,7 +39,7 @@ from repro.html.dom import Document
 from repro.html.inliner import Inliner, InlineReport, is_self_contained
 from repro.html.mutations import set_font_size
 from repro.html.serializer import serialize
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 
@@ -135,7 +135,7 @@ class Aggregator:
     ):
         self.database = database
         self.storage = storage
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Index lookups by test id are the server's hot path.
         self.database.collection(TESTS_COLLECTION).create_index("test_id", unique=True)
         self.database.collection(INTEGRATED_COLLECTION).create_index("test_id")

@@ -232,7 +232,7 @@ class Campaign:
                 shards=config.store_shards,
                 directory=config.store_directory,
                 spill=(RESPONSES_COLLECTION,),
-                metrics=self.metrics if self.obs.enabled else None,
+                metrics=self.metrics,
             )
         else:
             self.database = DocumentStore()
@@ -253,7 +253,7 @@ class Campaign:
         self.server = CoreServer(
             self.database, self.storage, platform=self.platform,
             config=config,
-            metrics=self.metrics if self.obs.enabled else None,
+            metrics=self.metrics,
         )
         self.network.attach(self.server.http)
         self.prepared: Optional[PreparedTest] = None

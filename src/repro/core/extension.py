@@ -35,7 +35,7 @@ from repro.crowd.behavior import BehaviorTrace, dropout_probability, sample_beha
 from repro.crowd.judgment import judge_contrast_pair, judge_identical_pair
 from repro.crowd.workers import WorkerProfile
 from repro.errors import ExtensionError, NetworkError, ParticipantAbandoned
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.util.rng import coerce_rng
 
@@ -192,7 +192,7 @@ class BrowserExtension:
         self.dropout_rate = float(dropout_rate)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_clock = trace_clock
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Precomputed so the per-page/per-answer hot path pays one attribute
         # check, not a no-op call chain, when the campaign is unobserved.
         self._observed = bool(getattr(self.tracer, "enabled", False))

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.extension import ANSWER_VALUES, ParticipantResult
 from repro.errors import ValidationError
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 
 REASON_INCOMPLETE = "hard-rule:incomplete"
@@ -95,9 +95,9 @@ class QualityReport:
 class QualityControl:
     """Applies the configured layers to a batch of participant results.
 
-    ``metrics`` / ``tracer`` are optional observability hooks (an observed
-    campaign passes its own): each pass records kept/dropped counters (with
-    a per-reason breakdown) under a ``quality`` span.
+    ``metrics`` / ``tracer`` are optional observability hooks (a campaign
+    passes its own): each pass records kept/dropped counters (with a
+    per-reason breakdown) under a ``quality`` span.
     """
 
     def __init__(
@@ -107,7 +107,7 @@ class QualityControl:
         tracer=None,
     ):
         self.config = config or QualityConfig()
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def apply(

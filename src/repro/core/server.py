@@ -42,7 +42,7 @@ from repro.core.extension import ParticipantResult
 from repro.errors import StorageError, ValidationError
 from repro.net.http import IDEMPOTENCY_HEADER, HttpServer, Request, Response, Router
 from repro.net.overload import AdmissionController
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 
@@ -62,9 +62,9 @@ class CoreServer:
         CampaignConfig`; the server takes its hostname from it
         (:data:`~repro.core.config.DEFAULT_HOST` without one). ``metrics``
         is the campaign's registry for the server-side counters (uploads,
-        dedupe hits, resource reads); without an explicitly injected
-        registry the counters are skipped, keeping the per-request path
-        free of even no-op accounting."""
+        dedupe hits, resource reads) and the admission controller's
+        ``server.overload.*`` counters; without one the server counts into
+        a registry of its own."""
         if database is None:
             raise ValidationError("CoreServer requires a database")
         if storage is None:
@@ -80,8 +80,7 @@ class CoreServer:
         self.storage = storage
         self.platform = platform
         self.config = config
-        self._counting = metrics is not None
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         streaming = bool(getattr(config, "streaming", False))
         self.http = HttpServer(
             host,
@@ -97,7 +96,7 @@ class CoreServer:
         # participant session.
         overload = getattr(config, "overload", None) if config is not None else None
         if overload is not None:
-            self.http.admission = AdmissionController(overload, metrics=metrics)
+            self.http.admission = AdmissionController(overload, metrics=self.metrics)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -160,7 +159,7 @@ class CoreServer:
             return Response.not_found(path)
         decision = getattr(request, "admission", None)
         # Ladder rung 1: shed optional per-request accounting detail first.
-        if self._counting and (decision is None or not decision.shed_detail):
+        if decision is None or not decision.shed_detail:
             self.metrics.add("server.resource_reads", 1)
         content_type = "text/html" if path.endswith(".html") else "text/plain"
         return Response.text_response(content, content_type)
@@ -185,16 +184,13 @@ class CoreServer:
         decision = getattr(request, "admission", None)
         if decision is not None:
             if decision.qc_skipped:
-                if self._counting:
-                    self.metrics.add("server.qc_skipped", 1)
+                self.metrics.add("server.qc_skipped", 1)
             else:
-                if self._counting:
-                    self.metrics.add("server.qc_checks", 1)
+                self.metrics.add("server.qc_checks", 1)
                 record = tests.find_one({"test_id": result.test_id})
                 problem = self._screen_upload(result, record)
                 if problem:
-                    if self._counting:
-                        self.metrics.add("server.qc_rejects", 1)
+                    self.metrics.add("server.qc_rejects", 1)
                     return Response.bad_request(f"quality screen: {problem}")
         responses = self.database.collection(RESPONSES_COLLECTION)
         # Idempotent replay: a retried upload whose first ack was lost in
@@ -206,8 +202,7 @@ class CoreServer:
                 {"test_id": result.test_id, "idempotency_key": token}
             )
             if replay is not None:
-                if self._counting:
-                    self.metrics.add("server.dedupe_hits", 1)
+                self.metrics.add("server.dedupe_hits", 1)
                 return Response.json_response(
                     {
                         "status": "stored",
@@ -220,8 +215,7 @@ class CoreServer:
             {"test_id": result.test_id, "worker_id": result.worker_id}
         )
         if duplicate is not None:
-            if self._counting:
-                self.metrics.add("server.duplicates", 1)
+            self.metrics.add("server.duplicates", 1)
             return Response.json_response(
                 {"error": "duplicate submission", "worker_id": result.worker_id},
                 status=409,
@@ -235,8 +229,7 @@ class CoreServer:
         # the streaming sufficient statistics exactly once.
         if self.streaming is not None and result.test_id == self.streaming.test_id:
             self.streaming.ingest(result)
-        if self._counting:
-            self.metrics.add("server.uploads", 1)
+        self.metrics.add("server.uploads", 1)
         return Response.json_response(
             {"status": "stored", "worker_id": result.worker_id}, status=201
         )
@@ -293,8 +286,7 @@ class CoreServer:
             self.scheduler.report(payload["answer"], payload["worker_id"])
         except ValidationError as exc:
             return Response.bad_request(str(exc))
-        if self._counting:
-            self.metrics.add("server.schedule_answers", 1)
+        self.metrics.add("server.schedule_answers", 1)
         return Response.json_response(
             {"status": "recorded", "done": self.scheduler.done}, status=201
         )

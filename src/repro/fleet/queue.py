@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FleetError, LeaseError
 from repro.fleet.store import FleetStore
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 
 #: Job states. A job is born QUEUED, cycles QUEUED <-> IN_FLIGHT while it is
 #: being attempted, and ends in exactly one of COMPLETED or DEAD — terminal
@@ -100,11 +100,11 @@ class JobQueue:
         self.backoff_cap_seconds = float(backoff_cap_seconds)
         self.max_in_flight_per_resource = max_in_flight_per_resource
         self.store = store if store is not None else FleetStore()
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._records: Dict[str, JobRecord] = {}
         self._seq = 0
-        # Running totals (also available as metrics; kept here so reports
-        # don't depend on a shared registry).
+        # Running totals for the fleet report (each also counted in
+        # ``metrics``).
         self.lease_expiries = 0
         self.redeliveries = 0
         self.stale_acks = 0

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.html.dom import Document, Element
 from repro.html.selectors import Selector, compile_selector_list
-from repro.obs.metrics import GLOBAL_METRICS
 
 # Properties whose computed value transfers from parent to child.
 INHERITED_PROPERTIES = frozenset(
@@ -298,6 +297,11 @@ class StyleResolver:
         # dead element's style leak onto an unrelated new one. Holding the
         # node as the key both prevents the reuse and keeps lookups O(1).
         self._cache: Dict[Element, Dict[str, str]] = {}
+        # Work tallies (the page-artifact cache records them as the
+        # ``cascade.*`` metrics): elements whose style was computed, and
+        # (rule, selector) candidates match-tested by the cascade.
+        self.elements_resolved = 0
+        self.candidates_tested = 0
 
     def _cascaded(self, element: Element) -> Dict[str, str]:
         """Declared values after the cascade, before inheritance."""
@@ -324,7 +328,7 @@ class StyleResolver:
                 current = best_by_rule.get(id(rule))
                 if current is None or specificity > current[1]:
                     best_by_rule[id(rule)] = (rule, specificity)
-            GLOBAL_METRICS.add("cascade.candidates_tested", candidates)
+            self.candidates_tested += candidates
             for rule, best in best_by_rule.values():
                 for declaration in rule.declarations:
                     consider(
@@ -335,9 +339,7 @@ class StyleResolver:
                         rule.source_order,
                     )
         else:
-            GLOBAL_METRICS.add(
-                "cascade.candidates_tested", len(self.sheet.rules)
-            )
+            self.candidates_tested += len(self.sheet.rules)
             for rule in self.sheet.rules:
                 matched = [s for s in rule.selectors if s.matches(element)]
                 if not matched:
@@ -365,7 +367,7 @@ class StyleResolver:
         cached = self._cache.get(element)
         if cached is not None:
             return cached
-        GLOBAL_METRICS.add("cascade.elements", 1)
+        self.elements_resolved += 1
         parent_style: Dict[str, str] = {}
         if element.parent is not None:
             parent_style = self.computed_style(element.parent)

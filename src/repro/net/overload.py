@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.net.http import Request, Response
+from repro.obs.metrics import MetricsRegistry
 
 #: Ladder states, in escalation order. Each rung keeps the server answering
 #: while giving up progressively more: trace detail, per-upload QC depth,
@@ -416,34 +417,23 @@ class AdmissionController:
 
     Built from the frozen config alone (so every executor-mode worker
     rebuilds an identical one); inert until :meth:`attach_signal` installs
-    the campaign's :class:`LoadSignal`. Counters here are per-instance
-    conveniences for tests and reports; cross-executor-mergeable counts
-    live in :class:`~repro.net.simnet.TrafficStats` and the metrics
-    registry.
+    the campaign's :class:`LoadSignal`. Each verdict increments a
+    ``server.overload.<verdict>`` counter in ``metrics`` — the server's
+    registry, or one of the controller's own when none is given.
     """
 
     def __init__(self, config: OverloadConfig, metrics=None):
         self.config = config
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.signal: Optional[LoadSignal] = None
         self.limiter: Optional[RateLimiter] = None
-        self.counts: Dict[str, int] = {
-            "admitted": 0,
-            "rejected": 0,
-            "deferred": 0,
-            "shed": 0,
-            "qc_skipped": 0,
-            "timed_out": 0,
-        }
 
     def attach_signal(self, signal: LoadSignal) -> None:
         self.signal = signal
         self.limiter = RateLimiter(self.config, signal)
 
     def _count(self, key: str) -> None:
-        self.counts[key] += 1
-        if self.metrics is not None:
-            self.metrics.add(f"server.overload.{key}", 1)
+        self.metrics.add(f"server.overload.{key}", 1)
 
     def _pushback(
         self, verdict: str, status: int, state: str, retry_after: float

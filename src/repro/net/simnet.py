@@ -46,7 +46,7 @@ from repro.net.overload import (
     TIMED_OUT_HEADER,
 )
 from repro.net.profiles import NetworkProfile, get_profile
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.clock import SimulationEnvironment
 
@@ -116,11 +116,11 @@ class SimulatedNetwork:
     ):
         self.env = env
         self.faults = fault_plan if fault_plan is not None else FaultPlan.none()
-        # Observability sinks: an observed campaign swaps in its own tracer
-        # and registry; the defaults are the shared no-op tracer and the
-        # process-global metrics, so bare networks behave exactly as before.
+        # Observability sinks: a campaign passes its own tracer and
+        # registry; a bare network gets the shared no-op tracer and a
+        # registry of its own.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hosts: Dict[str, HttpServer] = {}
         # ``log_limit`` bounds the exchange log to the most recent N records
         # (aggregate counts live in ``stats`` regardless) — a
@@ -464,9 +464,7 @@ class Client:
         self.tracer = tracer if tracer is not None else getattr(
             network, "tracer", NULL_TRACER
         )
-        self.metrics = metrics if metrics is not None else getattr(
-            network, "metrics", GLOBAL_METRICS
-        )
+        self.metrics = metrics if metrics is not None else network.metrics
         # The participant's TraceClock (session time + viewing time); set by
         # the campaign on observed runs, used as the exchange spans' clock.
         self.trace_clock = None

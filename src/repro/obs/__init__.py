@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     NULL_TRACER,
     NullTracer,
@@ -97,7 +97,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "GLOBAL_METRICS",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",

@@ -19,9 +19,12 @@ Wall-clock timers are inherently nondeterministic, so
 histograms) that are bit-identical for a fixed seed at any parallelism —
 the contract the end-to-end trace tests pin.
 
-All operations are thread-safe (the parallel participant mode reports from
-worker threads) and cheap enough for per-call hot-path use: one lock
-acquisition and a dict update.
+There is no process-wide registry. A campaign owns one and hands it to
+each of its parts; a component built without one makes its own.
+
+All operations are thread-safe (one registry may be shared by threads) and
+cheap enough for per-call hot-path use: one lock acquisition and a dict
+update.
 """
 
 from __future__ import annotations
@@ -281,22 +284,11 @@ class MetricsRegistry:
                 mine[0] += seconds
                 mine[1] += calls
 
-    def reset(self, prefix: Optional[str] = None) -> None:
-        """Clear every section (or only the names under ``prefix``)."""
+    def reset(self) -> None:
+        """Clear every section."""
         with self._lock:
-            if prefix is None:
-                self._counters.clear()
-                self._gauges.clear()
-                self._histograms.clear()
-                self._timers.clear()
-                self._open.clear()
-                return
-            for store in (self._counters, self._gauges, self._histograms,
-                          self._timers, self._open):
-                for name in [n for n in store if n.startswith(prefix)]:
-                    del store[name]
-
-
-#: The process-global default registry. Components fall back to it when no
-#: campaign-scoped registry is injected.
-GLOBAL_METRICS = MetricsRegistry()
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
+            self._timers.clear()
+            self._open.clear()

@@ -37,7 +37,7 @@ import numpy as np
 from repro.html.dom import Document
 from repro.html.parser import parse_html
 from repro.render.box import DEFAULT_VIEWPORT, Viewport
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.render.layout import LayoutEngine, LayoutResult
 from repro.render.replay import RevealSchedule, compute_reveal_times
@@ -112,7 +112,7 @@ class PageArtifactCache:
         self.use_style_index = use_style_index
         self.hits = 0
         self.misses = 0
-        self.metrics = metrics if metrics is not None else GLOBAL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._entries: Dict[Tuple[str, str], PageArtifacts] = {}
 
@@ -205,7 +205,11 @@ class PageArtifactCache:
         layout: Optional[LayoutResult] = None
         if document.body is not None:
             engine = LayoutEngine(self.viewport, use_style_index=self.use_style_index)
-            layout = engine.layout(document)
+            with self.metrics.timed("layout.pass"):
+                layout = engine.layout(document)
+            self.metrics.add("cascade.elements", engine.elements_resolved)
+            self.metrics.add("cascade.candidates_tested", engine.candidates_tested)
+            self.metrics.add("layout.boxes", engine.boxes)
         artifacts = PageArtifacts(
             storage_path=storage_path,
             content_hash=digest,

@@ -30,7 +30,6 @@ from repro.errors import LayoutError
 from repro.html.cssom import StyleResolver, parse_length
 from repro.html.dom import Document, Element, Text
 from repro.render.box import Box, Viewport, DEFAULT_VIEWPORT
-from repro.obs.metrics import GLOBAL_METRICS
 
 # Tags that never generate boxes.
 NON_RENDERED_TAGS = frozenset(
@@ -106,21 +105,26 @@ class LayoutEngine:
         every-rule cascade instead of the rule index (benchmark baseline)."""
         self.viewport = viewport
         self.use_style_index = use_style_index
+        # Work tallies over every pass of this engine (see StyleResolver).
+        self.elements_resolved = 0
+        self.candidates_tested = 0
+        self.boxes = 0
 
     def layout(self, document: Document) -> LayoutResult:
         """Lay out ``document`` and return the element geometry."""
         body = document.body
         if body is None:
             raise LayoutError("document has no <body> to lay out")
-        with GLOBAL_METRICS.timed("layout.pass"):
-            resolver = StyleResolver(document, use_index=self.use_style_index)
-            result = LayoutResult(viewport=self.viewport)
-            content_width = self.viewport.width
-            height = self._layout_block(body, 0.0, 0.0, content_width, resolver, result)
-            result.page_height = height
-            result.boxes[id(body)] = Box(0.0, 0.0, content_width, height)
-            result.elements[id(body)] = body
-        GLOBAL_METRICS.add("layout.boxes", len(result.boxes))
+        resolver = StyleResolver(document, use_index=self.use_style_index)
+        result = LayoutResult(viewport=self.viewport)
+        content_width = self.viewport.width
+        height = self._layout_block(body, 0.0, 0.0, content_width, resolver, result)
+        result.page_height = height
+        result.boxes[id(body)] = Box(0.0, 0.0, content_width, height)
+        result.elements[id(body)] = body
+        self.elements_resolved += resolver.elements_resolved
+        self.candidates_tested += resolver.candidates_tested
+        self.boxes += len(result.boxes)
         return result
 
     # -- internals ----------------------------------------------------------

@@ -41,6 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.core.aggregator import RESPONSES_COLLECTION
 from repro.errors import StorageError
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.documentstore import (
     _MISSING,
     DocumentStore,
@@ -413,9 +414,9 @@ class ShardedCollection:
         # return), and replayed records always apply cleanly.
         shard.apply({**record, "seq": shard.next_seq}, replay=False)
         shard.journal(record)
-        self._store._count("store.inserts")
+        self._store.metrics.add("store.inserts", 1)
         if self._spilled:
-            self._store._count("store.spilled_docs")
+            self._store.metrics.add("store.spilled_docs", 1)
         self._store._after_write(shard)
         return stored["_id"]
 
@@ -504,6 +505,16 @@ class ShardedCollection:
             return
         yield from heapq.merge(*iterators, key=lambda d: d["_id"])
 
+    def _owned(self, query: Optional[dict] = None) -> Iterator[dict]:
+        """:meth:`scan`, but each document is the caller's to mutate.
+
+        A spilled document is decoded fresh from the WAL on every scan, so
+        it is already a private copy; only in-memory documents are copied.
+        """
+        if self._spilled:
+            return self.scan(query)
+        return (deep_copy_json(doc) for doc in self.scan(query))
+
     def find(
         self,
         query: Optional[dict] = None,
@@ -511,8 +522,7 @@ class ShardedCollection:
         skip: int = 0,
         limit: Optional[int] = None,
     ) -> List[dict]:
-        query = query or {}
-        results = [deep_copy_json(doc) for doc in self.scan(query)]
+        results = list(self._owned(query))
         if sort:
             for field, direction in reversed(sort):
                 results.sort(
@@ -536,9 +546,7 @@ class ShardedCollection:
                 return None
             if hit is not None:
                 return hit
-        for document in self.scan(query):
-            return deep_copy_json(document)
-        return None
+        return next(self._owned(query), None)
 
     def _spill_lookup(self, query: dict):
         """Index-served point lookup on a spilled collection.
@@ -621,7 +629,9 @@ class ShardedDocumentStore:
     small campaigns); a path gives each shard an on-disk backend under
     ``directory/shard-NN/`` and makes the store crash-recoverable: building
     a new store over the same directory (same shard count and policy)
-    replays snapshot + WAL back to the acknowledged state.
+    replays snapshot + WAL back to the acknowledged state. ``metrics``
+    receives the ``store.*`` write counters (a registry of the store's own
+    without one).
     """
 
     def __init__(
@@ -644,7 +654,7 @@ class ShardedDocumentStore:
         self.shard_count = shards
         self.directory = directory
         self.snapshot_every = snapshot_every
-        self._metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._config = _StoreConfig(
             shard_keys, spill, spill_identity, spill_count_fields
         )
@@ -661,18 +671,12 @@ class ShardedDocumentStore:
         self._id_counter = itertools.count(1)
         self.recover()
 
-    # -- metrics ------------------------------------------------------------
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._metrics is not None:
-            self._metrics.add(name, amount)
-
     def _after_write(self, shard: _Shard) -> None:
-        self._count("store.wal_records")
+        self.metrics.add("store.wal_records", 1)
         if shard.records_since_snapshot >= self.snapshot_every:
             shard.compact(self._peek_next_id())
-            self._count("store.snapshots")
-            self._count("store.compactions")
+            self.metrics.add("store.snapshots", 1)
+            self.metrics.add("store.compactions", 1)
 
     def _peek_next_id(self) -> int:
         value = next(self._id_counter)
@@ -711,8 +715,8 @@ class ShardedDocumentStore:
         """Force a snapshot + compaction on every shard (checkpointing)."""
         for shard in self._shards:
             shard.compact(self._peek_next_id())
-            self._count("store.snapshots")
-            self._count("store.compactions")
+            self.metrics.add("store.snapshots", 1)
+            self.metrics.add("store.compactions", 1)
 
     def recover(self) -> None:
         """(Re)build in-memory state from each shard's snapshot + WAL.
@@ -733,12 +737,9 @@ class ShardedDocumentStore:
     ) -> Iterator[dict]:
         """Every document of ``name`` in global insertion (``_id``) order,
         streamed — spilled shards replay their WAL lazily, so memory stays
-        O(shards), not O(documents). Each replay decodes its documents
-        fresh from the log, so only the in-memory collections are copied
-        before the caller may mutate them."""
-        spilled = name in self._config.spill
-        for doc in self.collection(name).scan(query):
-            yield doc if spilled else deep_copy_json(doc)
+        O(shards), not O(documents). Each document is the caller's to
+        mutate (see :meth:`ShardedCollection._owned`)."""
+        yield from self.collection(name)._owned(query)
 
     # -- persistence (DocumentStore.dump/load parity) ------------------------
 

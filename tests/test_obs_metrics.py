@@ -123,15 +123,18 @@ class TestSnapshots:
         assert det["gauges"] == {"g": 2}
         assert det["histograms"]["h"]["count"] == 1
 
-    def test_reset_prefix(self):
+    def test_reset_clears_every_section(self):
         m = MetricsRegistry()
-        m.add("net.retries", 3)
         m.add("campaign.participants", 5)
-        m.reset("net.")
-        assert m.counter("net.retries") == 0
-        assert m.counter("campaign.participants") == 5
+        m.set_gauge("campaign.roster", 5)
+        m.observe("participant.virtual_seconds", 1.0)
+        with m.timed("campaign.participant"):
+            pass
         m.reset()
         assert m.counter("campaign.participants") == 0
+        assert m.snapshot() == {
+            "counters": {}, "timers": {}, "gauges": {}, "histograms": {}
+        }
 
 
 class TestThreadSafety:

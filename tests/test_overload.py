@@ -288,8 +288,8 @@ class TestAdmissionController:
         controller.decide(
             Request.post_json("http://h/responses", {}), now=now, token=token
         )
-        assert controller.counts["deferred"] == 1
-        assert controller.counts["rejected"] == 1
+        assert controller.metrics.counter("server.overload.deferred") == 1
+        assert controller.metrics.counter("server.overload.rejected") == 1
 
 
 # -- client-side behaviour ----------------------------------------------------

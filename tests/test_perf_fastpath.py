@@ -28,7 +28,7 @@ from repro.html.cssom import RuleIndex, StyleResolver, parse_stylesheet
 from repro.html.dom import Document, Element, Text
 from repro.html.parser import parse_html
 from repro.render.artifacts import PageArtifactCache, content_hash
-from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 # -- indexed cascade == brute-force cascade ---------------------------------
@@ -303,23 +303,17 @@ class TestPerfRegistry:
         assert snap["counters"]["c"] == 5
         assert snap["timers"]["t"]["calls"] == 1
 
-    def test_reset_by_prefix(self):
-        perf = MetricsRegistry()
-        perf.add("cascade.elements", 1)
-        perf.add("layout.boxes", 1)
-        perf.reset(prefix="cascade.")
-        assert perf.counter("cascade.elements") == 0
-        assert perf.counter("layout.boxes") == 1
-
-    def test_global_registry_wired_into_cascade(self):
-        GLOBAL_METRICS.reset(prefix="cascade.")
-        document = parse_html(
+    def test_artifact_cache_records_cascade_counts(self):
+        registry = MetricsRegistry()
+        cache = PageArtifactCache(metrics=registry)
+        cache.get_or_build(
+            "page.html",
             "<html><head><style>p { color: red }</style></head>"
-            "<body><p>x</p></body></html>"
+            "<body><p>x</p></body></html>",
         )
-        resolver = StyleResolver(document)
-        resolver.computed_style(document.body.element_children[0])
-        assert GLOBAL_METRICS.counter("cascade.elements") >= 1
+        assert registry.counter("cascade.elements") >= 1
+        assert registry.counter("layout.boxes") >= 1
+        assert registry.timer_calls("layout.pass") == 1
 
 
 # -- parallel participant simulation ----------------------------------------
@@ -421,3 +415,41 @@ class TestParallelEquivalence:
         # Every stored page (integrated + versions) rendered exactly once.
         assert campaign.artifacts.misses == len(campaign.artifacts)
         assert campaign.artifacts.hits > 0
+
+
+# -- one metrics owner per campaign -----------------------------------------
+
+def run_counted(participants, observe, parallelism=1, artifact_cache=True):
+    """The registry of one finished campaign."""
+    campaign = Campaign(
+        config=CampaignConfig(
+            seed=7, observe=observe, parallelism=parallelism,
+            artifact_cache=artifact_cache,
+        ),
+    )
+    campaign.prepare(make_params(participants), make_documents())
+    campaign.run(make_judge())
+    return campaign.metrics
+
+
+class TestOneMetricsOwner:
+    """Every count lands in the registry of the campaign that did the work,
+    observed or not."""
+
+    def test_back_to_back_campaigns_keep_their_own_counts(self):
+        runs = [(4, False), (6, False), (5, True), (7, True)]
+        registries = [run_counted(n, observe) for n, observe in runs]
+        for (participants, observe), registry in zip(runs, registries):
+            assert registry.counter("server.uploads") == participants
+            alone = run_counted(participants, observe)
+            assert registry.counter("cascade.elements") == (
+                alone.counter("cascade.elements")
+            )
+            assert registry.counter("cascade.elements") > 0
+
+    def test_render_counts_cross_the_process_fanout(self):
+        serial = run_counted(6, False, parallelism=1, artifact_cache=False)
+        pooled = run_counted(6, False, parallelism=2, artifact_cache=False)
+        for name in ("cascade.elements", "cascade.candidates_tested", "layout.boxes"):
+            assert pooled.counter(name) == serial.counter(name)
+            assert serial.counter(name) > 0

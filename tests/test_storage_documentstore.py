@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import DuplicateKeyError, QueryError
 from repro.storage import documentstore
 from repro.storage.documentstore import Collection, DocumentStore, match_document
+from repro.store import sharded
 from repro.store.sharded import ShardedDocumentStore
 from repro.util.jsonutil import dumps_canonical
 
@@ -453,6 +454,37 @@ class TestCopyCost:
             collection.insert_one(response_document(i))
             assert len(encodes) == i + 1
         assert store.stats()["wal_records"] == 5
+
+    @pytest.mark.parametrize("spill", [(), ("responses",)])
+    def test_sharded_reads_copy_only_in_memory_documents(self, monkeypatch, spill):
+        store = ShardedDocumentStore(
+            shards=2, shard_keys={"responses": "worker_id"}, spill=spill
+        )
+        collection = store.collection("responses")
+        for i in range(5):
+            collection.insert_one(response_document(i))
+        copies = []
+        real_copy = sharded.deep_copy_json
+        monkeypatch.setattr(
+            sharded, "deep_copy_json", lambda d: copies.append(d) or real_copy(d)
+        )
+        found = collection.find({"test_id": "t1"})
+        first = collection.find_one({})
+        hit = collection.find_one({"worker_id": "w3", "demographics.tech_ability": 4})
+        # A spilled document is decoded fresh from its WAL line: that decode
+        # is its one copy. In-memory documents are copied once each.
+        assert len(copies) == (0 if spill else 5 + 1 + 1)
+        assert [d["worker_id"] for d in found] == [f"w{i}" for i in range(5)]
+        assert first["worker_id"] == "w0" and hit["worker_id"] == "w3"
+        before = collection.find({"test_id": "t1"})
+        for document in found + [first, hit]:
+            document["answers"][0]["score"] = -1.0
+            document["demographics"].clear()
+            document["worker_id"] = "mutated"
+        assert collection.find({"test_id": "t1"}) == before
+        assert [d["worker_id"] for d in store.stream_collection("responses")] == [
+            f"w{i}" for i in range(5)
+        ]
 
 
 def fill_fixed_store(store):
