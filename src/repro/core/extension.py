@@ -20,8 +20,9 @@ attentiveness, not on the stimulus dimension under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +46,17 @@ JudgeFunction = Callable[..., str]
 #: Every value a comparison answer may take.
 ANSWER_VALUES = ("left", "right", "same")
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class Answer:
-    """One (integrated webpage, question) response with its behaviour trace."""
+
+class Answer(NamedTuple):
+    """One (integrated webpage, question) response with its behaviour trace.
+
+    A named tuple, like :class:`BehaviorTrace` and for the same reason:
+    immutable, hashable, picklable, without an instance ``__dict__``, and
+    cheap to build for the server's upload parse and the conclude parse.
+    Its wire form is :meth:`as_dict`.
+    """
 
     integrated_id: str
     question_id: str
@@ -71,20 +79,26 @@ class Answer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Answer":
-        """Parse one answer; an answer value outside :data:`ANSWER_VALUES`
-        raises ``ValueError`` (the server rejects that upload with a 400)."""
-        if data["answer"] not in ANSWER_VALUES:
-            raise ValueError(
-                f"answer must be one of {ANSWER_VALUES}, got {data['answer']!r}"
-            )
-        return cls(
-            integrated_id=data["integrated_id"],
-            question_id=data["question_id"],
-            answer=data["answer"],
-            left_version=data["left_version"],
-            right_version=data["right_version"],
-            is_control=bool(data["is_control"]),
-            behavior=BehaviorTrace.from_dict(data["behavior"]),
+        """Parse one answer; an answer value outside :data:`ANSWER_VALUES`,
+        a non-boolean ``is_control`` or a malformed behaviour trace raises
+        ``ValueError`` (the server rejects that upload with a 400)."""
+        answer = data["answer"]
+        if answer not in ANSWER_VALUES:
+            raise ValueError(f"answer must be one of {ANSWER_VALUES}, got {answer!r}")
+        is_control = data["is_control"]
+        if is_control is not True and is_control is not False:
+            raise ValueError(f"is_control must be a boolean, got {is_control!r}")
+        return _new_tuple(
+            cls,
+            (
+                data["integrated_id"],
+                data["question_id"],
+                answer,
+                data["left_version"],
+                data["right_version"],
+                is_control,
+                BehaviorTrace.from_dict(data["behavior"]),
+            ),
         )
 
 
@@ -123,13 +137,24 @@ class ParticipantResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParticipantResult":
+        """Parse one upload; a malformed answer, a non-finite or negative
+        ``total_minutes`` or a negative ``revisits`` raises ``ValueError``
+        (the server rejects that upload with a 400)."""
+        total_minutes = float(data.get("total_minutes", 0.0))
+        if not 0.0 <= total_minutes < math.inf:
+            raise ValueError(
+                f"total_minutes must be finite and >= 0, got {total_minutes!r}"
+            )
+        revisits = int(data.get("revisits", 0))
+        if revisits < 0:
+            raise ValueError(f"revisits must be >= 0, got {revisits}")
         return cls(
             test_id=data["test_id"],
             worker_id=data["worker_id"],
             demographics=dict(data["demographics"]),
             answers=[Answer.from_dict(a) for a in data["answers"]],
-            total_minutes=float(data.get("total_minutes", 0.0)),
-            revisits=int(data.get("revisits", 0)),
+            total_minutes=total_minutes,
+            revisits=revisits,
             abandoned=bool(data.get("abandoned", False)),
             abandon_reason=str(data.get("abandon_reason", "")),
         )

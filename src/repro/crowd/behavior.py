@@ -15,18 +15,26 @@ their distributions must separate worker types the way real traces do:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.crowd.workers import WorkerProfile, WorkerType
 from repro.util.rng import coerce_rng
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class BehaviorTrace:
-    """Monitoring data for one side-by-side comparison."""
+
+class BehaviorTrace(NamedTuple):
+    """Monitoring data for one side-by-side comparison.
+
+    An immutable, hashable, picklable value without an instance
+    ``__dict__``. It is a named tuple, not a frozen dataclass, because every
+    stored upload is parsed into one per answer, twice, and a frozen
+    dataclass's ``__init__`` sets each field through ``object.__setattr__``
+    (DESIGN.md, "Parsed answers"). Its wire form is :meth:`as_dict`.
+    """
 
     duration_minutes: float
     created_tabs: int
@@ -41,10 +49,16 @@ class BehaviorTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorTrace":
-        return cls(
-            duration_minutes=float(data["duration_minutes"]),
-            created_tabs=int(data["created_tabs"]),
-            active_tab_switches=int(data["active_tab_switches"]),
+        """Parse one trace; a non-finite or negative duration, or a negative
+        tab count, raises ``ValueError`` (the server rejects that upload)."""
+        duration = float(data["duration_minutes"])
+        created = int(data["created_tabs"])
+        switches = int(data["active_tab_switches"])
+        if 0.0 <= duration < math.inf and created >= 0 and switches >= 0:
+            return _new_tuple(cls, (duration, created, switches))
+        raise ValueError(
+            "behaviour needs a finite duration >= 0 and tab counts >= 0, got "
+            f"{duration!r} minutes, {created} created, {switches} switches"
         )
 
 

@@ -103,11 +103,6 @@ class JobQueue:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._records: Dict[str, JobRecord] = {}
         self._seq = 0
-        # Running totals for the fleet report (each also counted in
-        # ``metrics``).
-        self.lease_expiries = 0
-        self.redeliveries = 0
-        self.stale_acks = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -119,6 +114,16 @@ class JobQueue:
 
     def job_ids(self) -> List[str]:
         return sorted(self._records)
+
+    @property
+    def lease_expiries(self) -> int:
+        """Leases reaped so far (the ``fleet.lease_expiries`` counter)."""
+        return int(self.metrics.counter("fleet.lease_expiries"))
+
+    @property
+    def redeliveries(self) -> int:
+        """Claims of an already-delivered job (``fleet.redeliveries``)."""
+        return int(self.metrics.counter("fleet.redeliveries"))
 
     def snapshot(self) -> Dict[str, Tuple[str, int]]:
         """``{job_id: (state, deliveries)}`` — the invariant-checking view."""
@@ -242,7 +247,6 @@ class JobQueue:
             )
             self.metrics.add("fleet.claims", 1)
             if record.deliveries > 1:
-                self.redeliveries += 1
                 self.metrics.add("fleet.redeliveries", 1)
             self._update_depth()
             return dataclasses.replace(record, failures=list(record.failures))
@@ -308,7 +312,6 @@ class JobQueue:
         expired.sort(key=lambda r: r.seq)
         reaped = []
         for record in expired:
-            self.lease_expiries += 1
             self.metrics.add("fleet.lease_expiries", 1)
             self._fail_delivery(
                 record, now,
@@ -325,7 +328,6 @@ class JobQueue:
     ) -> JobRecord:
         record = self.record(job_id)
         if record.state != IN_FLIGHT or record.lease_token != lease_token:
-            self.stale_acks += 1
             self.metrics.add("fleet.stale_leases", 1)
             raise LeaseError(
                 f"cannot {verb} job {job_id!r}: lease {lease_token!r} is "
@@ -335,8 +337,6 @@ class JobQueue:
         if record.lease_expires_at <= now:
             # The worker outlived its lease without heartbeating: reap it
             # now rather than letting a zombie ack race a redelivery.
-            self.lease_expiries += 1
-            self.stale_acks += 1
             self.metrics.add("fleet.lease_expiries", 1)
             self.metrics.add("fleet.stale_leases", 1)
             self._fail_delivery(

@@ -1,6 +1,11 @@
 """Tests for the browser-extension participant flow."""
 
+import json
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.extension import (
     Answer,
@@ -18,6 +23,7 @@ from repro.core.parameters import Question
 from repro.crowd.behavior import BehaviorTrace
 from repro.crowd.judgment import ThurstoneChoiceModel, UPLTPerceptionModel
 from repro.errors import ExtensionError
+from repro.util.jsonutil import dumps_canonical
 
 from tests.conftest import make_worker
 
@@ -170,3 +176,118 @@ class TestAnswerRecord:
             behavior=BehaviorTrace(0.5, 1, 3),
         )
         assert Answer.from_dict(answer.as_dict()) == answer
+
+
+def fixed_result():
+    """One upload built positionally, so a change of field order shows."""
+    return ParticipantResult(
+        test_id="t",
+        worker_id="w7",
+        demographics={"country": "US", "tech_ability": 4},
+        answers=[
+            Answer(
+                "t-pair-000", "q1", "left", "10pt", "12pt", False,
+                BehaviorTrace(0.8125, 1, 4),
+            ),
+            Answer(
+                "t-ctrl", "q1", "same", "12pt", "12pt", True,
+                BehaviorTrace(0.25, 0, 2),
+            ),
+        ],
+        total_minutes=1.0625,
+        revisits=2,
+        abandoned=True,
+        abandon_reason="dropout",
+    )
+
+
+#: ``fixed_result()`` on the wire, as the frozen-dataclass types encoded it.
+FIXED_WIRE = (
+    '{"abandon_reason":"dropout","abandoned":true,"answers":['
+    '{"answer":"left","behavior":{"active_tab_switches":4,"created_tabs":1,'
+    '"duration_minutes":0.8125},"integrated_id":"t-pair-000","is_control":false,'
+    '"left_version":"10pt","question_id":"q1","right_version":"12pt"},'
+    '{"answer":"same","behavior":{"active_tab_switches":2,"created_tabs":0,'
+    '"duration_minutes":0.25},"integrated_id":"t-ctrl","is_control":true,'
+    '"left_version":"12pt","question_id":"q1","right_version":"12pt"}],'
+    '"demographics":{"country":"US","tech_ability":4},"revisits":2,'
+    '"test_id":"t","total_minutes":1.0625,"worker_id":"w7"}'
+)
+
+names = st.text(max_size=8)
+minutes = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=0, max_value=50)
+traces = st.builds(BehaviorTrace, minutes, counts, counts)
+answers = st.builds(
+    Answer, names, names, st.sampled_from(["left", "right", "same"]),
+    names, names, st.booleans(), traces,
+)
+
+
+@st.composite
+def participant_results(draw):
+    abandoned = draw(st.booleans())
+    return ParticipantResult(
+        test_id=draw(names),
+        worker_id=draw(names),
+        demographics=draw(
+            st.dictionaries(names, st.one_of(names, st.integers()), max_size=4)
+        ),
+        answers=draw(st.lists(answers, max_size=6)),
+        total_minutes=draw(minutes),
+        revisits=draw(counts),
+        abandoned=abandoned,
+        abandon_reason=draw(names) if abandoned else "",
+    )
+
+
+class TestValueTypes:
+    """``Answer`` and ``BehaviorTrace`` are immutable, slot-free values whose
+    wire format is the one the stored responses already use."""
+
+    @given(participant_results())
+    @settings(max_examples=150, deadline=None)
+    def test_wire_round_trip(self, result):
+        wire = dumps_canonical(result.as_dict())
+        restored = ParticipantResult.from_dict(json.loads(wire))
+        assert restored == result
+        assert dumps_canonical(restored.as_dict()) == wire
+
+    def test_canonical_encoding_is_pinned(self):
+        assert dumps_canonical(fixed_result().as_dict()) == FIXED_WIRE
+        restored = ParticipantResult.from_dict(json.loads(FIXED_WIRE))
+        assert restored == fixed_result()
+
+    @pytest.mark.parametrize(
+        "value, field_name",
+        [
+            pytest.param(value, name, id=f"{type(value).__name__}.{name}")
+            for value in (fixed_result().answers[0], BehaviorTrace(0.5, 1, 2))
+            for name in type(value)._fields
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, value, field_name):
+        before = getattr(value, field_name)
+        with pytest.raises(AttributeError):
+            setattr(value, field_name, before)
+        assert getattr(value, field_name) is before
+
+    @pytest.mark.parametrize(
+        "value", [fixed_result().answers[1], BehaviorTrace(0.5, 1, 2)],
+        ids=["answer", "trace"],
+    )
+    def test_hashable_and_picklable(self, value):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert type(copy) is type(value)
+            assert copy == value and hash(copy) == hash(value)
+        assert len({value, pickle.loads(pickle.dumps(value))}) == 1
+
+    @pytest.mark.parametrize(
+        "value", [fixed_result().answers[0], BehaviorTrace(0.5, 1, 2)],
+        ids=["answer", "trace"],
+    )
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.extra = 1

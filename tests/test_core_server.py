@@ -166,6 +166,91 @@ class TestPostResponse:
         assert server.uploaded_worker_ids("srv-test") == []
 
 
+def set_behavior(key, value):
+    def mutate(payload):
+        payload["answers"][0]["behavior"] = {**TRACE, key: value}
+
+    return mutate
+
+
+def set_answer(key, value):
+    def mutate(payload):
+        payload["answers"][0][key] = value
+
+    return mutate
+
+
+def set_result(key, value):
+    def mutate(payload):
+        payload[key] = value
+
+    return mutate
+
+
+class TestMalformedBehaviourRejected:
+    """Behaviour that no extension can record is a malformed upload: a NaN
+    duration would slip through every engagement threshold, since each
+    comparison against NaN is false."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            set_behavior("duration_minutes", float("nan")),
+            set_behavior("duration_minutes", float("inf")),
+            set_behavior("duration_minutes", -0.5),
+            set_behavior("created_tabs", -1),
+            set_behavior("active_tab_switches", -2),
+            set_answer("is_control", "false"),
+            set_answer("is_control", 0),
+            set_answer("is_control", None),
+            set_result("total_minutes", float("nan")),
+            set_result("total_minutes", float("-inf")),
+            set_result("total_minutes", -1.0),
+            set_result("revisits", -1),
+        ],
+        ids=[
+            "duration-nan",
+            "duration-inf",
+            "duration-negative",
+            "created-tabs-negative",
+            "switches-negative",
+            "is-control-string",
+            "is-control-int",
+            "is-control-null",
+            "total-minutes-nan",
+            "total-minutes-minus-inf",
+            "total-minutes-negative",
+            "revisits-negative",
+        ],
+    )
+    def test_rejected_with_400_and_not_stored(self, stack, mutate):
+        server, network, _, database = stack
+        payload = upload_payload()
+        mutate(payload)
+        response = network.post_json(server.url("/responses"), payload)
+        assert response.status == 400
+        assert response.json()["detail"].startswith("malformed response upload")
+        assert database.collection(RESPONSES_COLLECTION).count({}) == 0
+        assert server.metrics.counter("server.uploads") == 0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            set_behavior("duration_minutes", 0.0),
+            set_behavior("created_tabs", 0),
+            set_answer("is_control", True),
+            set_result("total_minutes", 0.0),
+        ],
+        ids=["duration-zero", "no-tabs", "control", "no-minutes"],
+    )
+    def test_boundary_values_still_stored(self, stack, mutate):
+        server, network, _, database = stack
+        payload = upload_payload()
+        mutate(payload)
+        assert network.post_json(server.url("/responses"), payload).status == 201
+        assert database.collection(RESPONSES_COLLECTION).count({}) == 1
+
+
 class TestIdempotency:
     def post(self, server, network, token, worker_id="w1"):
         request = Request.post_json(
