@@ -36,7 +36,6 @@ or as a pytest smoke check (small scales)::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import platform
 from pathlib import Path
@@ -45,6 +44,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -264,17 +264,6 @@ def _identity_campaign(executor: str, parallelism: int) -> Campaign:
     return campaign
 
 
-def _identity_digest(result) -> str:
-    payload = {
-        "conclusion": result.conclusion.to_dict(),
-        "early_stop": result.early_stop.to_dict() if result.early_stop else None,
-        "kept": result.quality_report.kept_ids,
-        "participants": result.participants,
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 class _Crash(Exception):
     pass
 
@@ -292,7 +281,7 @@ def run_identity_phase(resume_at: int = 60) -> dict:
     ):
         campaign = _identity_campaign(executor, parallelism)
         result = campaign.run_with_workers(roster, judge)
-        digests[f"adaptive/{executor}"] = _identity_digest(result)
+        digests[f"adaptive/{executor}"] = conclusion_digest(campaign, result)
         verdicts.add(
             (result.early_stop.reason, tuple(result.early_stop.ranking))
         )
@@ -317,7 +306,9 @@ def run_identity_phase(resume_at: int = 60) -> dict:
     checkpoint = json.loads(json.dumps(crashed.resume_state()))
     resumed = _identity_campaign("serial", 1)
     resumed_result = resumed.run_with_workers(roster, judge, resume_from=checkpoint)
-    digests["adaptive/crash-resume"] = _identity_digest(resumed_result)
+    digests["adaptive/crash-resume"] = conclusion_digest(
+        resumed, resumed_result
+    )
     verdicts.add(
         (resumed_result.early_stop.reason,
          tuple(resumed_result.early_stop.ranking))
@@ -337,7 +328,10 @@ def run_identity_phase(resume_at: int = 60) -> dict:
         "participants": IDENTITY_PARTICIPANTS,
         "versions": len(IDENTITY_PAGES),
         "digest_covers": [
-            "conclusion", "early_stop", "quality kept ids", "participants",
+            "result summary (conclusion, early stop, counts)",
+            "quality kept/dropped", "raw + controlled tallies", "rankings",
+            "bradley-terry wins + fit",
+            "checkpoint (root entropy, stored rows, scheduler state)",
         ],
         "digests": digests,
         "crash_resume_checkpoint": crash_at,

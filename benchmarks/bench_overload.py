@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -153,7 +154,7 @@ def run_flash(protected: bool, participants: int,
             signal.peak_offered_rps() / CAPACITY_RPS, 2
         ),
         "ladder_transitions": signal.transitions(),
-        "conclusion": json.dumps(result.conclusion.to_dict(), sort_keys=True),
+        "conclusion": conclusion_digest(campaign, result),
         "metrics_snapshot": json.dumps(
             campaign.metrics.deterministic_snapshot(), sort_keys=True
         ),
@@ -331,7 +332,7 @@ def run_overload_benchmark(
         "survival": survival,
         "determinism": determinism,
         "fleet": fleet,
-        "protected_conclusion_sha": _sha(fingerprint[0]),
+        "protected_conclusion_sha": fingerprint[0][:16],
         "protected_metrics_sha": _sha(fingerprint[1]),
     }
 

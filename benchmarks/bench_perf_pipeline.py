@@ -44,7 +44,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core.campaign import Campaign, CampaignResult
+from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.experiments.fontsize import (
     MAIN_TEXT_SELECTOR,
@@ -115,11 +116,6 @@ def _run(participants: int, optimized: bool, parallelism: int) -> tuple:
     return campaign, result, elapsed, campaign.metrics.snapshot()
 
 
-def _concluded_fingerprint(result: CampaignResult) -> List[dict]:
-    """Everything the conclusion depends on, as comparable plain data."""
-    return [r.as_dict() for r in result.raw_results]
-
-
 def _run_lossy(participants: int, parallelism: int) -> tuple:
     """One lossy-network campaign: seeded faults, retries, dropout."""
     experiment = FontSizeExperiment(seed=SEED)
@@ -168,9 +164,8 @@ def run_lossy_benchmark(
     """
     campaign, result, elapsed, perf = _run_lossy(participants, parallelism)
     serial_campaign, serial_result, _, _ = _run_lossy(participants, 1)
-    deterministic = (
-        _concluded_fingerprint(result) == _concluded_fingerprint(serial_result)
-        and campaign.lost_uploads == serial_campaign.lost_uploads
+    deterministic = conclusion_digest(campaign, result) == conclusion_digest(
+        serial_campaign, serial_result
     )
     counters = perf.get("counters", {})
     stats = campaign.network.stats
@@ -296,12 +291,12 @@ def run_pipeline_benchmark(
 
     # Determinism guarantee: the same seed concludes identically at every
     # parallelism level.
-    _, serial_result, serial_s, _ = _run(
+    serial_campaign, serial_result, serial_s, _ = _run(
         participants, optimized=True, parallelism=1
     )
-    deterministic = _concluded_fingerprint(serial_result) == _concluded_fingerprint(
-        optimized_result
-    )
+    deterministic = conclusion_digest(
+        serial_campaign, serial_result
+    ) == conclusion_digest(optimized_campaign, optimized_result)
 
     question_id = QUESTION.question_id
     return {

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.experiments.fontsize import (
     MAIN_TEXT_SELECTOR,
@@ -118,27 +119,22 @@ def _fresh_campaign(participants: int, cached: bool, executor: str, workers: int
 
 
 def _run_cell(participants: int, cached: bool, executor: str, workers: int):
-    """(result, wall_seconds) for one grid cell — a fresh campaign each time."""
+    """(campaign, result, wall_seconds) for one grid cell — a fresh
+    campaign each time."""
     campaign, judge = _fresh_campaign(participants, cached, executor, workers)
     start = time.perf_counter()
     result = campaign.run(judge)
     elapsed = time.perf_counter() - start
-    return result, elapsed
-
-
-def _fingerprint(result) -> str:
-    return json.dumps(
-        [r.as_dict() for r in result.raw_results], sort_keys=True
-    )
+    return campaign, result, elapsed
 
 
 def check_determinism(participants: int, cached: bool, workers: int) -> bool:
     """Serial vs process(workers): identical conclusions."""
-    serial, _ = _run_cell(participants, cached, "serial", 1)
-    pooled, _ = _run_cell(participants, cached, "process", workers)
-    return _fingerprint(pooled) == _fingerprint(serial) and json.dumps(
-        pooled.conclusion.to_dict(), sort_keys=True
-    ) == json.dumps(serial.conclusion.to_dict(), sort_keys=True)
+    serial, serial_result, _ = _run_cell(participants, cached, "serial", 1)
+    pooled, pooled_result, _ = _run_cell(participants, cached, "process", workers)
+    return conclusion_digest(pooled, pooled_result) == conclusion_digest(
+        serial, serial_result
+    )
 
 
 def run_scaling_benchmark(
@@ -159,7 +155,7 @@ def run_scaling_benchmark(
         )
         by_scale = {}
         for participants in scales:
-            serial_result, serial_s = _run_cell(
+            _, serial_result, serial_s = _run_cell(
                 participants, cached, "serial", 1
             )
             cell = {
@@ -169,7 +165,9 @@ def run_scaling_benchmark(
                 "speedup_vs_serial": {"process": {}},
             }
             for count in workers:
-                _, elapsed = _run_cell(participants, cached, "process", count)
+                _, _, elapsed = _run_cell(
+                    participants, cached, "process", count
+                )
                 cell["process"][str(count)] = round(elapsed, 4)
                 cell["speedup_vs_serial"]["process"][str(count)] = (
                     round(serial_s / elapsed, 2) if elapsed else None
@@ -201,7 +199,7 @@ def run_scaling_benchmark(
         "determinism": {
             "contract": (
                 "serial and process runs of the same seed conclude "
-                "bit-identically (raw results + conclusion)"
+                "to the same conclusion_digest"
             ),
             "verified": determinism,
         },

@@ -16,9 +16,9 @@ Two phases prove the `sharded-streaming` store mode (ISSUE 9):
   concludes from the upload-time fold, so the reference is computed
   independently: the whole-batch ``QualityControl.apply``,
   ``analyze_responses`` and ``counts_from_results`` over the memory run's
-  ``raw_results``. Identity
-  covers the conclusion, quality keeps/drops, raw + controlled tallies,
-  ranking matrices, and the Bradley-Terry fit.
+  ``raw_results``. Identity is ``conclusion_digest``: the result summary,
+  quality keeps/drops, raw + controlled tallies, ranking matrices, the
+  Bradley-Terry fit and the durable checkpoint.
 
 Results land in ``BENCH_streaming.json`` at the repo root.
 
@@ -36,7 +36,6 @@ or as a pytest smoke check (small scales)::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -49,8 +48,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core.analysis import analyze_responses
-from repro.core.btmodel import counts_from_results, fit_bradley_terry
+from repro.core.btmodel import counts_from_results
 from repro.core.campaign import Campaign
+from repro.core.conclusion import (
+    conclusion_digest,
+    conclusion_payload,
+    payload_digest,
+)
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -245,68 +249,29 @@ def run_rss_phase(participants: int, shards: int, ceiling_mb: float) -> dict:
 # -- phase 2: batch reference vs both stores ---------------------------------
 
 
-def conclusion_digest(
-    conclusion, report, raw_analysis, controlled_analysis, bt, question_ids
-) -> str:
-    """SHA-256 over everything the acceptance criterion names: conclusion,
-    quality keeps/drops, per-pair stats, rankings, and the BT fit."""
-    payload = {
-        "conclusion": conclusion.to_dict(),
-        "kept": report.kept_ids,
-        "dropped": [(d.worker_id, d.reason, d.detail) for d in report.dropped],
-        "raw_tallies": sorted(
-            (list(key), (t.left_count, t.right_count, t.same_count))
-            for key, t in raw_analysis.tallies.items()
-        ),
-        "controlled_tallies": sorted(
-            (list(key), (t.left_count, t.right_count, t.same_count))
-            for key, t in controlled_analysis.tallies.items()
-        ),
-        "rankings": {
-            q: controlled_analysis.rankings[q].matrix for q in question_ids
-        },
-        "bt": {
-            q: {
-                "wins": sorted(
-                    (list(pair), wins) for pair, wins in bt[q].wins.items()
-                ),
-                "scores": fit_bradley_terry(bt[q]).scores,
-            }
-            for q in question_ids
-        },
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _question_ids(campaign: Campaign) -> List[str]:
-    return [q.question_id for q in campaign.prepared.parameters.question]
-
-
-def campaign_digest(campaign: Campaign, result) -> str:
-    """The digest of what a campaign concluded from its upload-time fold."""
-    return conclusion_digest(
-        result.conclusion, result.quality_report, result.raw_analysis,
-        result.controlled_analysis, campaign.last_streaming.controlled_bt,
-        _question_ids(campaign),
-    )
-
-
 def reference_digest(campaign: Campaign, result) -> str:
-    """The digest of the whole-batch pipeline over ``result.raw_results``
-    (the fold is not consulted, except for the conclusion record)."""
+    """The digest of the whole-batch pipeline over ``result.raw_results``:
+    quality control, both analyses and the Bradley-Terry counts are
+    recomputed without the fold, and hashed in the form
+    :func:`~repro.core.conclusion.conclusion_digest` hashes the fold's."""
     prepared = campaign.prepared
-    question_ids = _question_ids(campaign)
+    question_ids = [q.question_id for q in prepared.parameters.question]
     version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
     raw = result.raw_results
     expected = (len(prepared.comparison_pairs()) + 1) * len(question_ids)
     report = QualityControl(campaign.config.quality).apply(raw, expected)
     bt = {q: counts_from_results(report.kept, q, version_ids) for q in question_ids}
-    return conclusion_digest(
-        result.conclusion, report,
-        analyze_responses(raw, question_ids, version_ids),
-        analyze_responses(report.kept, question_ids, version_ids),
-        bt, question_ids,
+    checkpoint = campaign.resume_state()
+    checkpoint.pop("store", None)
+    return payload_digest(
+        conclusion_payload(
+            result.to_dict(),
+            report,
+            analyze_responses(raw, question_ids, version_ids),
+            analyze_responses(report.kept, question_ids, version_ids),
+            bt,
+            checkpoint,
+        )
     )
 
 
@@ -345,7 +310,7 @@ def run_crosscheck_phase(
 
     digests = {
         "batch-reference": reference_digest(memory, memory_result),
-        "memory/serial": campaign_digest(memory, memory_result),
+        "memory/serial": conclusion_digest(memory, memory_result),
     }
     kept = memory_result.quality_report.kept_count
     for executor in executors:
@@ -353,7 +318,7 @@ def run_crosscheck_phase(
             "sharded-streaming", participants, executor, parallelism, shards
         )
         result = campaign.run_with_workers(roster, judge)
-        digests[f"streaming/{executor}"] = campaign_digest(campaign, result)
+        digests[f"streaming/{executor}"] = conclusion_digest(campaign, result)
 
     # Crash-resume: die at the process fan-out's halfway checkpoint (one
     # per merged chunk), then resume a fresh campaign from the serialized
@@ -382,7 +347,7 @@ def run_crosscheck_phase(
     resumed_result = resumed.run_with_workers(
         roster, judge, resume_from=checkpoint
     )
-    digests["streaming/process+crash-resume"] = campaign_digest(
+    digests["streaming/process+crash-resume"] = conclusion_digest(
         resumed, resumed_result
     )
 
@@ -395,11 +360,12 @@ def run_crosscheck_phase(
             "counts_from_results over the serial memory run's raw_results)"
         ),
         "digest_covers": [
-            "conclusion",
+            "result summary (conclusion, early stop, counts)",
             "quality kept/dropped (ids, reasons, details, order)",
             "raw + controlled tallies",
             "ranking matrices",
             "bradley-terry wins + fit",
+            "checkpoint (root entropy, stored rows, losses)",
         ],
         "digests": digests,
         "crash_resume_checkpoint": crash_at,

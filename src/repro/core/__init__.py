@@ -33,7 +33,11 @@ from repro.core.analysis import (
     analyze_responses,
 )
 from repro.core.campaign import Campaign, CampaignResult
-from repro.core.conclusion import Conclusion, DegradedConclusion
+from repro.core.conclusion import (
+    Conclusion,
+    DegradedConclusion,
+    conclusion_digest,
+)
 from repro.core.config import CampaignConfig
 from repro.core.btmodel import BradleyTerryFit, fit_bradley_terry, fit_from_results
 
@@ -75,4 +79,5 @@ __all__ = [
     "CampaignResult",
     "Conclusion",
     "DegradedConclusion",
+    "conclusion_digest",
 ]

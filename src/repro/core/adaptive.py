@@ -51,8 +51,12 @@ consecutive stable rounds the scheduler stops and exposes a structured
 pathological (e.g. coin-flip judge) campaigns, concluding with
 ``reason="budget"``.
 
+**Sessions.** A participant is served at most ``session_pairs`` pairs,
+each at most once: when the best pair is one the participant has already
+compared, their session ends and the pair goes to the next participant.
+
 **Determinism and checkpointing.** All scheduling state — tally, fit,
-per-participant session budgets, stability streak — is plain JSON-able
+per-participant served pairs, stability streak — is plain JSON-able
 data; perturbation randomness comes from ``default_rng([seed, refit, r])``
 so it depends only on the (seed, refit-counter) coordinates, never on call
 history. Absorbing the same answers in the same order therefore yields
@@ -78,6 +82,7 @@ from repro.core.scheduling import (
     all_pairs,
     register_scheduler,
 )
+from repro.errors import ValidationError
 
 STOP_STABLE = "stable"
 STOP_BUDGET = "budget"
@@ -225,7 +230,8 @@ class AdaptiveScheduler(Scheduler):
         self._seed_sort: Optional[MergeSortScheduler] = MergeSortScheduler(
             list(self.version_ids)
         )
-        self._served: Dict[str, int] = {}
+        #: Pairs served in each participant's session, in serving order.
+        self._served: Dict[str, List[Tuple[str, str]]] = {}
         self._fit: Optional[BradleyTerryFit] = None
         self._answers = 0
         self._since_refit = 0
@@ -239,7 +245,8 @@ class AdaptiveScheduler(Scheduler):
     def _advance(self, participant_id: str) -> Optional[Tuple[str, str]]:
         if self._stop_reason is not None:
             return None
-        if self._served.get(participant_id, 0) >= self.session_pairs:
+        served = self._served.get(participant_id, [])
+        if len(served) >= self.session_pairs:
             return None
         pair = None
         if self._seed_sort is not None:
@@ -253,7 +260,12 @@ class AdaptiveScheduler(Scheduler):
             pair = self._best_pair()
         if pair is None:
             return None
-        self._served[participant_id] = self._served.get(participant_id, 0) + 1
+        if pair in served or pair[::-1] in served:
+            # A session shows each page once (the server's upload screen
+            # rejects a repeated page), so the pair goes to the next
+            # participant instead.
+            return None
+        self._served[participant_id] = served + [pair]
         return pair
 
     def _best_pair(self) -> Optional[Tuple[str, str]]:
@@ -496,7 +508,10 @@ class AdaptiveScheduler(Scheduler):
                 None if self._seed_sort is None or self._seed_sort.done
                 else self._seed_sort.snapshot()
             ),
-            "served": dict(sorted(self._served.items())),
+            "served": {
+                pid: [list(pair) for pair in pairs]
+                for pid, pairs in sorted(self._served.items())
+            },
             "answers": self._answers,
             "since_refit": self._since_refit,
             "refits": self.refits,
@@ -520,7 +535,15 @@ class AdaptiveScheduler(Scheduler):
         else:
             self._seed_sort = MergeSortScheduler(list(self.version_ids))
             self._seed_sort.restore(seed)
-        self._served = {pid: int(n) for pid, n in state["served"].items()}
+        if not all(isinstance(pairs, list) for pairs in state["served"].values()):
+            raise ValidationError(
+                "snapshot predates per-session served pairs (it holds a "
+                "count per participant) and cannot be resumed"
+            )
+        self._served = {
+            pid: [(left, right) for left, right in pairs]
+            for pid, pairs in state["served"].items()
+        }
         self._answers = int(state["answers"])
         self._since_refit = int(state["since_refit"])
         self.refits = int(state["refits"])

@@ -138,16 +138,26 @@ class ParticipantResult:
     @classmethod
     def from_dict(cls, data: dict) -> "ParticipantResult":
         """Parse one upload; a malformed answer, a non-finite or negative
-        ``total_minutes`` or a negative ``revisits`` raises ``ValueError``
-        (the server rejects that upload with a 400)."""
+        ``total_minutes``, a ``revisits`` that is not an ``int`` >= 0, an
+        ``abandoned`` that is not a JSON boolean or an ``abandon_reason``
+        that is not a string raises ``ValueError`` (the server rejects that
+        upload with a 400). Types are checked, never converted."""
         total_minutes = float(data.get("total_minutes", 0.0))
         if not 0.0 <= total_minutes < math.inf:
             raise ValueError(
                 f"total_minutes must be finite and >= 0, got {total_minutes!r}"
             )
-        revisits = int(data.get("revisits", 0))
-        if revisits < 0:
-            raise ValueError(f"revisits must be >= 0, got {revisits}")
+        revisits = data.get("revisits", 0)
+        if type(revisits) is not int or revisits < 0:
+            raise ValueError(f"revisits must be an int >= 0, got {revisits!r}")
+        abandoned = data.get("abandoned", False)
+        if abandoned is not True and abandoned is not False:
+            raise ValueError(f"abandoned must be a boolean, got {abandoned!r}")
+        abandon_reason = data.get("abandon_reason", "")
+        if type(abandon_reason) is not str:
+            raise ValueError(
+                f"abandon_reason must be a string, got {abandon_reason!r}"
+            )
         return cls(
             test_id=data["test_id"],
             worker_id=data["worker_id"],
@@ -155,8 +165,8 @@ class ParticipantResult:
             answers=[Answer.from_dict(a) for a in data["answers"]],
             total_minutes=total_minutes,
             revisits=revisits,
-            abandoned=bool(data.get("abandoned", False)),
-            abandon_reason=str(data.get("abandon_reason", "")),
+            abandoned=abandoned,
+            abandon_reason=abandon_reason,
         )
 
     def answers_for(self, question_id: str, include_controls: bool = False) -> List[Answer]:

@@ -23,8 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.extension import ANSWER_VALUES, ParticipantResult
 from repro.errors import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER
 
 REASON_INCOMPLETE = "hard-rule:incomplete"
 REASON_ABANDONED = "hard-rule:abandoned"
@@ -95,20 +93,15 @@ class QualityReport:
 class QualityControl:
     """Applies the configured layers to a batch of participant results.
 
-    ``metrics`` / ``tracer`` are optional observability hooks (a campaign
-    passes its own): each pass records kept/dropped counters (with a
-    per-reason breakdown) under a ``quality`` span.
+    A campaign never runs this batch pass: its server screens each upload
+    as it arrives and conclude finishes the screen (see
+    :mod:`repro.store.stream`), recording the pass with
+    :func:`record_report`. The batch pass serves the experiments, the
+    ablations and the cross-checks against that fold.
     """
 
-    def __init__(
-        self,
-        config: Optional[QualityConfig] = None,
-        metrics=None,
-        tracer=None,
-    ):
+    def __init__(self, config: Optional[QualityConfig] = None):
         self.config = config or QualityConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def apply(
         self,
@@ -117,22 +110,18 @@ class QualityControl:
     ) -> QualityReport:
         """Filter ``results``; ``expected_answers_per_page`` is the number of
         (page, question) answers a complete participant must have uploaded."""
-        with self.tracer.span(
-            "quality", category="campaign", participants=len(results)
-        ) as span:
-            report = QualityReport()
-            survivors: List[ParticipantResult] = []
-            for result in results:
-                drop = self._screen_individual(result, expected_answers_per_page)
-                if drop is not None:
-                    report.dropped.append(drop)
-                else:
-                    survivors.append(result)
-            if self.config.enable_majority_vote:
-                survivors = self._majority_filter(survivors, report)
-            report.kept = survivors
-            record_report(report, span, self.metrics, self.tracer)
-            return report
+        report = QualityReport()
+        survivors: List[ParticipantResult] = []
+        for result in results:
+            drop = self._screen_individual(result, expected_answers_per_page)
+            if drop is not None:
+                report.dropped.append(drop)
+            else:
+                survivors.append(result)
+        if self.config.enable_majority_vote:
+            survivors = self._majority_filter(survivors, report)
+        report.kept = survivors
+        return report
 
     # -- layers 1-3: individual screening ----------------------------------
 

@@ -49,16 +49,24 @@ class BehaviorTrace(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorTrace":
-        """Parse one trace; a non-finite or negative duration, or a negative
-        tab count, raises ``ValueError`` (the server rejects that upload)."""
+        """Parse one trace; a non-finite or negative duration, or a tab
+        count that is not an ``int`` >= 0 (a bool, float or string is not
+        converted), raises ``ValueError`` (the server rejects that upload)."""
         duration = float(data["duration_minutes"])
-        created = int(data["created_tabs"])
-        switches = int(data["active_tab_switches"])
-        if 0.0 <= duration < math.inf and created >= 0 and switches >= 0:
+        created = data["created_tabs"]
+        switches = data["active_tab_switches"]
+        if (
+            0.0 <= duration < math.inf
+            and type(created) is int
+            and type(switches) is int
+            and created >= 0
+            and switches >= 0
+        ):
             return _new_tuple(cls, (duration, created, switches))
         raise ValueError(
-            "behaviour needs a finite duration >= 0 and tab counts >= 0, got "
-            f"{duration!r} minutes, {created} created, {switches} switches"
+            "behaviour needs a finite duration >= 0 and integer tab counts "
+            f">= 0, got {duration!r} minutes, {created!r} created, "
+            f"{switches!r} switches"
         )
 
 

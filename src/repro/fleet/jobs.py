@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.parameters import TestParameters
 from repro.crowd.workers import (
@@ -94,15 +95,18 @@ class CampaignSubmission:
         self, resume_from: Optional[dict] = None, campaign: Optional[Campaign] = None
     ) -> dict:
         """Run (or resume) the campaign to its result record: the
-        concluded ``CampaignResult.to_dict()`` plus the finished campaign's
-        ``resume_state()`` under ``"resume"``, so comparing two records
-        compares every stored row too."""
+        concluded ``CampaignResult.to_dict()``, the finished campaign's
+        ``resume_state()`` under ``"resume"`` and its
+        :func:`conclusion_digest` under ``"digest"``, so comparing two
+        records compares every stored row and the whole conclusion."""
         if campaign is None:
             campaign = self.build_campaign()
-        record = campaign.run_with_workers(
+        result = campaign.run_with_workers(
             self.roster(), self.judge, resume_from=resume_from
-        ).to_dict()
+        )
+        record = result.to_dict()
         record["resume"] = campaign.resume_state()
+        record["digest"] = conclusion_digest(campaign, result)
         return record
 
     def reference_run(self) -> dict:

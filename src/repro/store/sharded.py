@@ -21,7 +21,7 @@ Two durability mechanisms compose:
   firehose) are *not* kept in memory at all: the WAL is their primary
   storage, and the shard keeps only a compact identity index — the key
   tuples the server's dedupe point-lookups ask about, per-value counts for
-  the configured count fields, and nothing proportional to document size.
+  the :data:`SPILL_COUNT_FIELDS`, and nothing proportional to document size.
   Point lookups answer from the index (returning a stub of the queried
   fields), streaming reads replay the log; anything else falls back to a
   log scan. Spilled collections are append-only by design.
@@ -55,12 +55,12 @@ from repro.store.wal import DiskShardBackend, MemoryShardBackend, WriteAheadLog
 
 #: Collections partitioned by a document field (everything else rides on
 #: shard 0 — test/integrated records are few and queried whole).
-DEFAULT_SHARD_KEYS: Dict[str, str] = {RESPONSES_COLLECTION: "worker_id"}
+SHARD_KEYS: Dict[str, str] = {RESPONSES_COLLECTION: "worker_id"}
 
 #: Identity-key groups per spilled collection: the exact-equality point
 #: lookups the index must answer (the server's duplicate and idempotency
 #: checks).
-DEFAULT_SPILL_IDENTITY: Dict[str, Tuple[Tuple[str, ...], ...]] = {
+SPILL_IDENTITY: Dict[str, Tuple[Tuple[str, ...], ...]] = {
     RESPONSES_COLLECTION: (
         ("test_id", "worker_id"),
         ("test_id", "idempotency_key"),
@@ -70,7 +70,7 @@ DEFAULT_SPILL_IDENTITY: Dict[str, Tuple[Tuple[str, ...], ...]] = {
 #: Fields with per-value counts on spilled collections (``count`` queries).
 #: Deliberately *not* ``worker_id``: a million-participant campaign would
 #: put a million Counter entries per shard back on the heap.
-DEFAULT_SPILL_COUNT_FIELDS: Dict[str, Tuple[str, ...]] = {
+SPILL_COUNT_FIELDS: Dict[str, Tuple[str, ...]] = {
     RESPONSES_COLLECTION: ("test_id",),
 }
 
@@ -177,34 +177,17 @@ class _SpillIndex:
         return None
 
 
-class _StoreConfig:
-    """Sharding policy shared by every shard."""
-
-    def __init__(self, shard_keys, spill, spill_identity, spill_count_fields):
-        self.shard_keys = dict(
-            DEFAULT_SHARD_KEYS if shard_keys is None else shard_keys
-        )
-        self.spill = tuple(spill)
-        self.spill_identity = dict(
-            DEFAULT_SPILL_IDENTITY if spill_identity is None else spill_identity
-        )
-        self.spill_count_fields = dict(
-            DEFAULT_SPILL_COUNT_FIELDS
-            if spill_count_fields is None
-            else spill_count_fields
-        )
-
-
 class _Shard:
     """One partition: an in-memory store for regular collections, a spill
     index for logged-only ones, and the WAL that makes both durable."""
 
-    def __init__(self, index: int, backend, config: _StoreConfig):
+    def __init__(self, index: int, backend, spill: Tuple[str, ...]):
         self.index = index
         self.backend = backend
         self.wal = WriteAheadLog(backend)
         self.store = DocumentStore()
-        self.config = config
+        #: Names of the collections whose log is their storage.
+        self.spilled = spill
         self.spill: Dict[str, _SpillIndex] = {}
         self.next_seq = 1
         self.applied_seq = 0       # non-spill high-water (snapshot-aware)
@@ -217,8 +200,8 @@ class _Shard:
     def spill_index(self, name: str) -> _SpillIndex:
         if name not in self.spill:
             self.spill[name] = _SpillIndex(
-                self.config.spill_identity.get(name, (("_id",),)),
-                self.config.spill_count_fields.get(name, ()),
+                SPILL_IDENTITY.get(name, (("_id",),)),
+                SPILL_COUNT_FIELDS.get(name, ()),
             )
         return self.spill[name]
 
@@ -234,7 +217,7 @@ class _Shard:
         record["seq"] = self.next_seq
         self.next_seq += 1
         self.wal.append(record)
-        if record["c"] not in self.config.spill:
+        if record["c"] not in self.spilled:
             self.records_since_snapshot += 1
 
     def apply(self, record: dict, replay: bool) -> None:
@@ -243,7 +226,7 @@ class _Shard:
         seq = int(record.get("seq", 0))
         name = record["c"]
         op = record["op"]
-        if name in self.config.spill:
+        if name in self.spilled:
             if op == "insert":
                 if seq > self.spill_seen_seq:
                     self.spill_index(name).add(record["doc"])
@@ -313,7 +296,7 @@ class _Shard:
         retained = (
             record
             for record in self.wal.replay()
-            if record.get("c") in self.config.spill
+            if record.get("c") in self.spilled
         )
         self.wal.rewrite(retained)
         self.records_since_snapshot = 0
@@ -380,8 +363,8 @@ class ShardedCollection:
     def __init__(self, store: "ShardedDocumentStore", name: str):
         self._store = store
         self.name = name
-        self._shard_key = store._config.shard_keys.get(name)
-        self._spilled = name in store._config.spill
+        self._shard_key = SHARD_KEYS.get(name)
+        self._spilled = name in store._spill
 
     # -- routing ------------------------------------------------------------
 
@@ -638,10 +621,7 @@ class ShardedDocumentStore:
         self,
         shards: int = 4,
         directory=None,
-        shard_keys: Optional[Dict[str, str]] = None,
         spill: Sequence[str] = (),
-        spill_identity: Optional[Dict[str, Tuple[Tuple[str, ...], ...]]] = None,
-        spill_count_fields: Optional[Dict[str, Tuple[str, ...]]] = None,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         metrics=None,
     ):
@@ -655,9 +635,7 @@ class ShardedDocumentStore:
         self.directory = directory
         self.snapshot_every = snapshot_every
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._config = _StoreConfig(
-            shard_keys, spill, spill_identity, spill_count_fields
-        )
+        self._spill = tuple(spill)
         self._shards: List[_Shard] = []
         for index in range(shards):
             if directory is None:
@@ -666,7 +644,7 @@ class ShardedDocumentStore:
                 from pathlib import Path
 
                 backend = DiskShardBackend(Path(directory) / f"shard-{index:02d}")
-            self._shards.append(_Shard(index, backend, self._config))
+            self._shards.append(_Shard(index, backend, self._spill))
         self._collections: Dict[str, ShardedCollection] = {}
         self._id_counter = itertools.count(1)
         self.recover()
@@ -691,7 +669,7 @@ class ShardedDocumentStore:
         return self._collections[name]
 
     def drop_collection(self, name: str) -> None:
-        if name in self._config.spill:
+        if name in self._spill:
             raise StorageError(
                 f"spilled collection {name!r} is append-only; cannot drop"
             )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -50,14 +51,6 @@ def make_judge():
 RETRIES = RetryPolicy(max_attempts=4, backoff_base_seconds=0.2)
 
 
-def fingerprint(result, campaign):
-    return (
-        [r.as_dict() for r in result.raw_results],
-        sorted(campaign.lost_uploads),
-        result.degraded.to_dict() if result.degraded else None,
-    )
-
-
 class TestDefaultUnchanged:
     def test_none_plan_bit_identical_to_no_plan(self):
         def run(fault_plan):
@@ -66,15 +59,12 @@ class TestDefaultUnchanged:
             )
             campaign.prepare(make_params(), make_documents())
             result = campaign.run(make_judge())
-            return (
-                [r.as_dict() for r in result.raw_results],
-                result.duration_days,
-                result.degraded,
-            )
+            assert result.degraded is None  # no degraded report on a clean run
+            # The digest holds duration rounded to 4 decimals; an inert
+            # plan must not move simulated time at all.
+            return conclusion_digest(campaign, result), result.duration_days
 
-        baseline = run(None)
-        assert run(FaultPlan.none()) == baseline
-        assert baseline[2] is None  # no degraded report on a clean run
+        assert run(FaultPlan.none()) == run(None)
 
     def test_none_plan_bit_identical_across_parallelism(self):
         def run(parallelism, fault_plan):
@@ -87,7 +77,7 @@ class TestDefaultUnchanged:
             campaign.prepare(make_params(participants=6), make_documents())
             workers = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=5, id_prefix="w")
             result = campaign.run_with_workers(workers, make_judge())
-            return [r.as_dict() for r in result.raw_results]
+            return conclusion_digest(campaign, result)
 
         assert (
             run(1, None)
@@ -182,7 +172,7 @@ class TestLossyDeterminism:
         campaign.prepare(make_params(participants=8), make_documents())
         workers = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=9, id_prefix="w")
         result = campaign.run_with_workers(workers, make_judge())
-        return fingerprint(result, campaign)
+        return conclusion_digest(campaign, result)
 
     def test_identical_across_parallelism(self):
         assert self.run_lossy(1) == self.run_lossy(3) == self.run_lossy(8)
@@ -237,7 +227,9 @@ class TestCheckpointResume:
         resumed = crashed.run_with_workers(
             workers, judge, resume_from=crashed.resume_state()
         )
-        assert fingerprint(resumed, crashed) == fingerprint(clean, reference)
+        assert conclusion_digest(crashed, resumed) == conclusion_digest(
+            reference, clean
+        )
 
     def test_resume_skips_completed_participants(self):
         workers = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=14, id_prefix="w")
@@ -310,7 +302,9 @@ class TestSerializedResume:
         resumed = fresh.run_with_workers(
             workers, make_judge(), resume_from=payload
         )
-        assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
+        assert conclusion_digest(fresh, resumed) == conclusion_digest(
+            reference, clean
+        )
 
     def test_result_payload_is_rejected_as_checkpoint(self):
         workers = generate_population(
@@ -365,7 +359,9 @@ class TestResumeAfterLostUploads:
         )
         assert fresh.lost_uploads == reference.lost_uploads
         assert resumed.conclusion.recruited == len(workers)
-        assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
+        assert conclusion_digest(fresh, resumed) == conclusion_digest(
+            reference, clean
+        )
 
 
 class TestLostUploads:

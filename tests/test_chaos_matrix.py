@@ -1,15 +1,16 @@
 """Seeded fault-matrix smoke: 3 seeds x {no-faults, lossy, outage}.
 
 Each cell runs the same small campaign twice at different parallelism levels
-and asserts bit-identical results — the reproducibility contract of the
+and asserts equal conclusion digests — the reproducibility contract of the
 fault-injection layer. The no-faults cell additionally asserts equality with
 a plain (pre-resilience) campaign, so the default path provably did not
-move. CI's ``chaos`` job runs this module on its own after the full suite.
+move.
 """
 
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -70,34 +71,29 @@ def run_cell(name, seed, parallelism):
     workers = generate_population(
         5, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=seed, id_prefix="w"
     )
-    result = campaign.run_with_workers(workers, judge)
-    return (
-        [r.as_dict() for r in result.raw_results],
-        sorted(campaign.lost_uploads),
-        result.degraded.to_dict() if result.degraded else None,
-    )
+    return campaign, campaign.run_with_workers(workers, judge)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_cell_reproduces_across_parallelism(scenario, seed):
-    assert run_cell(scenario, seed, parallelism=1) == run_cell(
-        scenario, seed, parallelism=4
-    )
+    assert conclusion_digest(
+        *run_cell(scenario, seed, parallelism=1)
+    ) == conclusion_digest(*run_cell(scenario, seed, parallelism=4))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_no_faults_cell_matches_plain_campaign(seed):
-    uploads, losses, degraded = run_cell("no-faults", seed, parallelism=2)
-    assert losses == []
-    assert degraded is None
+    campaign, result = run_cell("no-faults", seed, parallelism=2)
+    assert campaign.lost_uploads == []
+    assert result.degraded is None
     # The explicit empty plan must not perturb the plain pipeline either.
     plain = run_cell("no-faults", seed, parallelism=1)
-    assert plain[0] == uploads
+    assert conclusion_digest(*plain) == conclusion_digest(campaign, result)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_faulted_cells_still_conclude(seed):
     for scenario in ("lossy", "outage"):
-        uploads, _, _ = run_cell(scenario, seed, parallelism=2)
-        assert uploads  # survivors uploaded; the campaign concluded
+        _, result = run_cell(scenario, seed, parallelism=2)
+        assert result.participants  # survivors uploaded; the campaign concluded

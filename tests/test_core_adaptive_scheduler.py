@@ -22,6 +22,7 @@ from repro.core.adaptive import (
 )
 from repro.core.aggregator import Aggregator
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -174,6 +175,43 @@ class TestAdaptiveScheduler:
             scheduler.report(perfect_answer(*scheduler.next_pair("w0")), "w0")
         assert scheduler.next_pair("w0") is None
         assert scheduler.next_pair("w1") is not None
+
+    def test_a_session_never_repeats_a_pair(self):
+        # Two versions make one pair: once w0 has answered it, the best
+        # pair is one w0 already compared, so w0's session ends there and
+        # the pair goes to w1. The served pairs ride the snapshot.
+        config = SchedulerConfig(seed=7, session_pairs=2)
+        scheduler = AdaptiveScheduler(["a", "b"], config)
+        pair = scheduler.next_pair("w0")
+        scheduler.report("left", "w0")
+        restored = scheduler_from_snapshot(
+            json.loads(json.dumps(scheduler.snapshot()))
+        )
+        for candidate in (scheduler, restored):
+            assert candidate.next_pair("w0") is None
+            assert candidate.next_pair("w1") == pair
+
+    def test_snapshot_with_served_counts_is_rejected(self):
+        # Older snapshots held a served count per participant, which says
+        # nothing about which pairs a session has already seen.
+        scheduler = AdaptiveScheduler(VERSIONS, SchedulerConfig(seed=7))
+        scheduler.next_pair("w0")
+        scheduler.report("left", "w0")
+        payload = json.loads(json.dumps(scheduler.snapshot()))
+        payload["state"]["served"] = {"w0": 1}
+        with pytest.raises(ValidationError, match="served pairs"):
+            scheduler_from_snapshot(payload)
+
+    def test_campaign_uploads_show_each_page_once(self):
+        from tests.test_determinism_matrix import (
+            judge, new_campaign, roster, semantic_config,
+        )
+
+        campaign = new_campaign(semantic_config("adaptive", "clean", "steady"))
+        result = campaign.run_with_workers(roster(), judge())
+        for uploaded in result.raw_results:
+            pages = [answer.integrated_id for answer in uploaded.answers]
+            assert len(pages) == len(set(pages)), uploaded.worker_id
 
     def test_retraction_is_exact_tally_inverse(self):
         scheduler = AdaptiveScheduler(VERSIONS, SchedulerConfig(seed=7))
@@ -403,17 +441,6 @@ def _adaptive_campaign(executor, parallelism=1, scheduler="adaptive"):
     return campaign
 
 
-def _roster_digest(campaign, result):
-    """Conclusion, early stop, checkpoint (rows, losses, scheduler state,
-    from ``campaign.resume_state()``), quality decisions and controlled
-    tallies of one concluded run."""
-    payload = result.to_dict()
-    payload["checkpoint"] = campaign.resume_state()
-    payload["kept"] = sorted(r.worker_id for r in result.quality_report.kept)
-    payload["tallies"] = repr(sorted(result.controlled_analysis.tallies.items()))
-    return json.dumps(payload, sort_keys=True, default=str)
-
-
 def _crash_and_resume(scheduler, roster, judge, crash_at=3):
     """Kill a serial run at upload ``crash_at``, then finish it on a fresh
     campaign from nothing but the crashed one's checkpoint."""
@@ -445,15 +472,14 @@ class TestCampaignAdaptiveDeterminism:
         )
         for scheduler in ("full", "merge", "adaptive"):
             serial = _adaptive_campaign("serial", scheduler=scheduler)
-            reference = _roster_digest(
+            reference = conclusion_digest(
                 serial, serial.run_with_workers(roster, judge)
             )
-            assert '"checkpoint": {' in reference, scheduler
             pooled = _adaptive_campaign("process", 4, scheduler=scheduler)
-            assert _roster_digest(
+            assert conclusion_digest(
                 pooled, pooled.run_with_workers(roster, judge)
             ) == reference, scheduler
-            assert _roster_digest(
+            assert conclusion_digest(
                 *_crash_and_resume(scheduler, roster, judge)
             ) == reference, scheduler
 
@@ -508,7 +534,7 @@ class TestAdaptiveQualityScreen:
         implicit = _screened_adaptive_run(None)
         explicit = _screened_adaptive_run(QualityConfig())
         assert implicit[1].quality_report.dropped  # the screen has work to do
-        assert _roster_digest(*implicit) == _roster_digest(*explicit)
+        assert conclusion_digest(*implicit) == conclusion_digest(*explicit)
 
     def test_quality_counters_match_the_conclusion(self):
         campaign, result = _screened_adaptive_run(QualityConfig(), observe=True)

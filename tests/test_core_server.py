@@ -190,7 +190,8 @@ def set_result(key, value):
 class TestMalformedBehaviourRejected:
     """Behaviour that no extension can record is a malformed upload: a NaN
     duration would slip through every engagement threshold, since each
-    comparison against NaN is false."""
+    comparison against NaN is false, and a value of the wrong JSON type is
+    rejected rather than converted (``bool("false")`` is true)."""
 
     @pytest.mark.parametrize(
         "mutate",
@@ -207,6 +208,14 @@ class TestMalformedBehaviourRejected:
             set_result("total_minutes", float("-inf")),
             set_result("total_minutes", -1.0),
             set_result("revisits", -1),
+            set_result("abandoned", "false"),
+            set_result("abandoned", 1),
+            set_result("abandon_reason", 3),
+            set_behavior("created_tabs", 2.7),
+            set_behavior("created_tabs", True),
+            set_behavior("active_tab_switches", "3"),
+            set_result("revisits", True),
+            set_result("revisits", 1.0),
         ],
         ids=[
             "duration-nan",
@@ -221,6 +230,14 @@ class TestMalformedBehaviourRejected:
             "total-minutes-minus-inf",
             "total-minutes-negative",
             "revisits-negative",
+            "abandoned-string",
+            "abandoned-int",
+            "abandon-reason-int",
+            "created-tabs-float",
+            "created-tabs-bool",
+            "switches-string",
+            "revisits-bool",
+            "revisits-float",
         ],
     )
     def test_rejected_with_400_and_not_stored(self, stack, mutate):
@@ -240,8 +257,13 @@ class TestMalformedBehaviourRejected:
             set_behavior("created_tabs", 0),
             set_answer("is_control", True),
             set_result("total_minutes", 0.0),
+            set_result("abandoned", False),
+            set_result("revisits", 2),
         ],
-        ids=["duration-zero", "no-tabs", "control", "no-minutes"],
+        ids=[
+            "duration-zero", "no-tabs", "control", "no-minutes",
+            "not-abandoned", "revisits",
+        ],
     )
     def test_boundary_values_still_stored(self, stack, mutate):
         server, network, _, database = stack

@@ -9,13 +9,13 @@ unpicklable user hooks fail with a clear :class:`CampaignError`, and the
 chunking math is sane.
 """
 
-import json
 import pickle
 
 import pytest
 
 import repro.core.campaign as campaign_module
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.fanout import ensure_picklable
@@ -97,12 +97,11 @@ def run_campaign(
 
 
 def fingerprint(campaign, result, tmp_path, tag):
-    """(conclusion bytes, metrics snapshot, timeline bytes) for equality."""
-    conclusion = json.dumps(result.conclusion.to_dict(), sort_keys=True)
+    """(conclusion digest, metrics snapshot, timeline bytes) for equality."""
     snapshot = campaign.metrics.deterministic_snapshot()
     trace_path = tmp_path / f"trace-{tag}.json"
     campaign.timeline().write_json(trace_path)
-    return conclusion, snapshot, trace_path.read_bytes()
+    return conclusion_digest(campaign, result), snapshot, trace_path.read_bytes()
 
 
 # -- the cross-executor determinism suite -----------------------------------
@@ -119,7 +118,6 @@ class TestCrossExecutorDeterminism:
             base = fingerprint(
                 base_campaign, base_result, tmp_path, f"serial-{randomize}"
             )
-            base_rows = [r.as_dict() for r in base_result.raw_results]
             shown_mirrored = any(
                 answer.integrated_id.endswith("-m")
                 for r in base_result.raw_results
@@ -129,7 +127,6 @@ class TestCrossExecutorDeterminism:
             campaign, result = run_campaign(
                 "process", 4, randomize_orientation=randomize
             )
-            assert [r.as_dict() for r in result.raw_results] == base_rows
             conclusion, snapshot, trace = fingerprint(
                 campaign, result, tmp_path, f"process-{randomize}"
             )
@@ -153,11 +150,8 @@ class TestCrossExecutorDeterminism:
             "serial", 1, config=chaos_config()
         )
         base = fingerprint(base_campaign, base_result, tmp_path, "chaos-serial")
-        base_rows = [r.as_dict() for r in base_result.raw_results]
         assert base_campaign.network.stats.faults_injected > 0
         campaign, result = run_campaign("process", 4, config=chaos_config())
-        assert [r.as_dict() for r in result.raw_results] == base_rows
-        assert campaign.lost_uploads == base_campaign.lost_uploads
         assert campaign.network.stats == base_campaign.network.stats
         assert fingerprint(campaign, result, tmp_path, "chaos-process") == base
 
@@ -168,9 +162,9 @@ class TestCrossExecutorDeterminism:
         campaign, result = run_campaign(
             "process", 3, config=CampaignConfig(seed=71)
         )
-        assert [r.as_dict() for r in result.raw_results] == [
-            r.as_dict() for r in base_result.raw_results
-        ]
+        assert conclusion_digest(campaign, result) == conclusion_digest(
+            base_campaign, base_result
+        )
         # Every chunk's registry delta lands in the parent campaign's own
         # registry, exactly once.
         assert campaign.metrics.deterministic_snapshot() == (
@@ -219,7 +213,7 @@ class TestProcessCheckpointResume:
         # Automatic chunking over 12 participants and 2 workers: 6 chunks of
         # 2, checkpoint after each.
         config = CampaignConfig(seed=71, parallelism=2)
-        _, clean = self.run_reference(workers, config)
+        reference = self.run_reference(workers, config)
 
         crashed = Campaign(config=config)
         crashed.prepare(make_params(), make_documents())
@@ -240,12 +234,7 @@ class TestProcessCheckpointResume:
         resumed = fresh.run_with_workers(
             workers, make_judge(), resume_from=state
         )
-        assert json.dumps(resumed.conclusion.to_dict(), sort_keys=True) == (
-            json.dumps(clean.conclusion.to_dict(), sort_keys=True)
-        )
-        assert [r.as_dict() for r in resumed.raw_results] == [
-            r.as_dict() for r in clean.raw_results
-        ]
+        assert conclusion_digest(fresh, resumed) == conclusion_digest(*reference)
         # The resumed run only re-simulated the missing suffix: every worker
         # still uploaded exactly once.
         uploads = fresh.server.uploaded_worker_ids("executor-test")
@@ -256,7 +245,7 @@ class TestProcessCheckpointResume:
             PARTICIPANTS, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=7, id_prefix="w"
         )
         config = CampaignConfig(seed=71, parallelism=2)
-        _, clean = self.run_reference(workers, config)
+        reference = self.run_reference(workers, config)
         campaign = Campaign(config=config)
         campaign.prepare(make_params(), make_documents())
         campaign.checkpoint_hook = ChunkCrashHook(crash_after=3)
@@ -266,9 +255,9 @@ class TestProcessCheckpointResume:
         resumed = campaign.run_with_workers(
             workers, make_judge(), resume_from=campaign.resume_state()
         )
-        assert [r.as_dict() for r in resumed.raw_results] == [
-            r.as_dict() for r in clean.raw_results
-        ]
+        assert conclusion_digest(campaign, resumed) == conclusion_digest(
+            *reference
+        )
 
 
 # -- pool-size guardrails ----------------------------------------------------

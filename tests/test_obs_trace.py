@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -103,10 +104,10 @@ class TestCrossParallelismDeterminism:
         serial_campaign, serial_result = run_observed(parallelism=1)
         parallel_campaign, parallel_result = run_observed(parallelism=4)
 
-        # The concluded data agrees...
-        assert [r.as_dict() for r in serial_result.raw_results] == [
-            r.as_dict() for r in parallel_result.raw_results
-        ]
+        # The conclusion agrees...
+        assert conclusion_digest(serial_campaign, serial_result) == (
+            conclusion_digest(parallel_campaign, parallel_result)
+        )
         # ...the span trees agree down to timestamps, attrs and events...
         assert (
             serial_campaign.obs.trace_root().signature()

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -413,7 +414,7 @@ class TestOverloadedCampaign:
 
     def fingerprint(self, campaign, result):
         return (
-            json.dumps(result.conclusion.to_dict(), sort_keys=True),
+            conclusion_digest(campaign, result),
             campaign.metrics.deterministic_snapshot(),
             campaign.network.stats,
         )

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import Campaign
+from repro.core.conclusion import conclusion_digest
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -354,27 +355,23 @@ def run_campaign(parallelism, seed=7, artifact_cache=True):
         ),
     )
     campaign.prepare(make_params(), make_documents())
-    return campaign.run(make_judge())
+    return campaign, campaign.run(make_judge())
 
 
-def fingerprints(result):
-    return [r.as_dict() for r in result.raw_results]
+def digest(parallelism, **kwargs):
+    return conclusion_digest(*run_campaign(parallelism, **kwargs))
 
 
 class TestParallelEquivalence:
     def test_parallel_matches_sequential(self):
-        serial = run_campaign(parallelism=1)
-        parallel = run_campaign(parallelism=4)
-        assert fingerprints(serial) == fingerprints(parallel)
+        assert digest(parallelism=1) == digest(parallelism=4)
 
     def test_parallelism_level_does_not_matter(self):
-        two = run_campaign(parallelism=2)
-        eight = run_campaign(parallelism=8)
-        assert fingerprints(two) == fingerprints(eight)
+        assert digest(parallelism=2) == digest(parallelism=8)
 
     def test_analysis_identical_across_modes(self):
-        serial = run_campaign(parallelism=1)
-        parallel = run_campaign(parallelism=4)
+        _, serial = run_campaign(parallelism=1)
+        _, parallel = run_campaign(parallelism=4)
         q = "q1"
         assert (
             serial.controlled_analysis.rankings[q].matrix
@@ -390,22 +387,23 @@ class TestParallelEquivalence:
             campaign.config.replace(parallelism=0)
 
     def test_works_without_artifact_cache(self):
-        serial = run_campaign(parallelism=1, artifact_cache=None)
-        parallel = run_campaign(parallelism=4, artifact_cache=None)
-        assert fingerprints(serial) == fingerprints(parallel)
+        assert digest(parallelism=1, artifact_cache=None) == digest(
+            parallelism=4, artifact_cache=None
+        )
 
     def test_run_with_workers_parallel(self):
         from repro.crowd.workers import IN_LAB_MIX, generate_population
 
-        def result_for(parallelism):
+        def digest_for(parallelism):
             campaign = Campaign(
                 config=CampaignConfig(seed=11, parallelism=parallelism)
             )
             campaign.prepare(make_params(), make_documents())
             workers = generate_population(8, IN_LAB_MIX, seed=5)
-            return campaign.run_with_workers(workers, make_judge())
+            result = campaign.run_with_workers(workers, make_judge())
+            return conclusion_digest(campaign, result)
 
-        assert fingerprints(result_for(1)) == fingerprints(result_for(3))
+        assert digest_for(1) == digest_for(3)
 
     def test_participants_render_pages(self):
         campaign = Campaign(config=CampaignConfig(seed=7, parallelism=2))

@@ -418,9 +418,7 @@ class TestScan:
 
     @pytest.mark.parametrize("spill", [(), ("responses",)])
     def test_sharded_scan_merges_in_id_order(self, spill):
-        store = ShardedDocumentStore(
-            shards=3, shard_keys={"responses": "worker_id"}, spill=spill
-        )
+        store = ShardedDocumentStore(shards=3, spill=spill)
         collection = store.collection("responses")
         for i in range(9):
             collection.insert_one(response_document(i))
@@ -457,9 +455,7 @@ class TestCopyCost:
 
     @pytest.mark.parametrize("spill", [(), ("responses",)])
     def test_sharded_reads_copy_only_in_memory_documents(self, monkeypatch, spill):
-        store = ShardedDocumentStore(
-            shards=2, shard_keys={"responses": "worker_id"}, spill=spill
-        )
+        store = ShardedDocumentStore(shards=2, spill=spill)
         collection = store.collection("responses")
         for i in range(5):
             collection.insert_one(response_document(i))
@@ -542,17 +538,8 @@ class TestDump:
     def stores():
         return [
             fill_fixed_store(DocumentStore()),
-            fill_fixed_store(
-                ShardedDocumentStore(shards=2, shard_keys={"responses": "worker_id"})
-            ),
-            fill_fixed_store(
-                ShardedDocumentStore(
-                    shards=3,
-                    shard_keys={"responses": "worker_id"},
-                    spill=("responses",),
-                    spill_identity={"responses": (("test_id", "worker_id"),)},
-                )
-            ),
+            fill_fixed_store(ShardedDocumentStore(shards=2)),
+            fill_fixed_store(ShardedDocumentStore(shards=3, spill=("responses",))),
         ]
 
     def test_mutating_a_dump_leaves_the_store(self):

@@ -12,6 +12,11 @@ from repro.core.aggregator import RESPONSES_COLLECTION
 from repro.core.analysis import analyze_responses
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
+from repro.core.conclusion import (
+    conclusion_digest,
+    conclusion_payload,
+    payload_digest,
+)
 from repro.core.config import CampaignConfig
 from repro.core.extension import ParticipantResult, make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -25,25 +30,17 @@ from repro.store.sharded import ShardedDocumentStore
 from repro.util.jsonutil import dumps_canonical
 
 
-def result_digest(result):
-    """Everything conclusion-relevant, hashable for equality checks."""
-    return (
-        result.conclusion.to_dict(),
-        result.quality_report.kept_ids,
-        [(d.worker_id, d.reason, d.detail) for d in result.quality_report.dropped],
-        sorted(
-            (key, (t.left_count, t.right_count, t.same_count))
-            for key, t in result.controlled_analysis.tallies.items()
-        ),
-    )
-
-
 def run_campaign(store, participants=25, seed=7, **config_kwargs):
     config = CampaignConfig(seed=seed, store=store, **config_kwargs)
     campaign = Campaign(config=config)
     campaign.prepare(make_params(participants=participants), make_documents())
     result = campaign.run(make_judge())
     return campaign, result
+
+
+def reconclude(campaign, result):
+    """Conclude ``campaign`` again, as the run that produced ``result`` did."""
+    return campaign.conclude(job=result.job, duration_days=result.duration_days)
 
 
 class Boom(Exception):
@@ -132,6 +129,24 @@ class TestBatchStreamingIdentity:
                 == fit_bradley_terry(folded).scores
             )
 
+    def test_fold_digest_equals_the_batch_digest(self, runs, reference):
+        """The batch outputs, hashed in the conclusion digest's form, equal
+        each store's digest of its fold."""
+        campaign, memory = runs["memory"]
+        checkpoint = campaign.resume_state()
+        batch = payload_digest(
+            conclusion_payload(
+                memory.to_dict(),
+                reference.report,
+                reference.raw_analysis,
+                reference.controlled_analysis,
+                reference.bt,
+                checkpoint,
+            )
+        )
+        for campaign, result in runs.values():
+            assert conclusion_digest(campaign, result) == batch
+
     def test_streaming_result_shape(self, runs):
         stream_campaign, streaming = runs["sharded-streaming"]
         # Streaming never materializes participants: raw_results stays
@@ -168,20 +183,18 @@ class TestOneConcludePath:
 class TestExecutorIdentity:
     @pytest.fixture(scope="class")
     def baseline(self):
-        _, result = run_campaign(
+        return conclusion_digest(*run_campaign(
             "memory", participants=16, seed=11, executor="serial", parallelism=3
-        )
-        return result_digest(result)
+        ))
 
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_every_executor_matches_serial_memory(
         self, baseline, store, executor
     ):
-        _, result = run_campaign(
+        assert conclusion_digest(*run_campaign(
             store, participants=16, seed=11, executor=executor, parallelism=3
-        )
-        assert result_digest(result) == baseline
+        )) == baseline
 
 
 class TestConcludeReadsOnce:
@@ -192,6 +205,7 @@ class TestConcludeReadsOnce:
         the memory store that pass is one uncopied ``scan``: no ``find``
         and no document copy."""
         campaign, result = run_campaign(store, participants=6, seed=5)
+        digest = conclusion_digest(campaign, result)
         calls = {}
 
         def count_calls(owner, name):
@@ -212,9 +226,9 @@ class TestConcludeReadsOnce:
             count_calls(campaign.database.collection(RESPONSES_COLLECTION), "scan")
             count_calls(documentstore, "deep_copy_json")
             expected = {"find": 0, "scan": 1, "deep_copy_json": 0}
-        again = campaign.conclude(job=None, duration_days=0.0)
+        again = reconclude(campaign, result)
         assert calls == expected
-        assert result_digest(again) == result_digest(result)
+        assert conclusion_digest(campaign, again) == digest
 
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
     def test_sharded_conclude_parses_only_screen_survivors(self, store, monkeypatch):
@@ -222,6 +236,7 @@ class TestConcludeReadsOnce:
         before parsing them; the memory store parses every row, because it
         keeps them all as ``raw_results``."""
         campaign, result = run_campaign(store, participants=25, seed=5)
+        digest = conclusion_digest(campaign, result)
         dropped = len(campaign._streaming_state.screen.dropped_ids)
         assert dropped > 0
         parsed = []
@@ -232,10 +247,10 @@ class TestConcludeReadsOnce:
             return original(cls, row)
 
         monkeypatch.setattr(ParticipantResult, "from_dict", classmethod(counted))
-        again = campaign.conclude(job=None, duration_days=0.0)
+        again = reconclude(campaign, result)
         expected = 25 if store == "memory" else 25 - dropped
         assert len(parsed) == expected
-        assert result_digest(again) == result_digest(result)
+        assert conclusion_digest(campaign, again) == digest
 
 
 def dump_text(campaign):
@@ -249,19 +264,20 @@ class TestStoredRowsStayPrivate:
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
     def test_read_paths_leave_the_store_unchanged(self, store):
         campaign, result = run_campaign(store, participants=6, seed=5)
+        digest = conclusion_digest(campaign, result)
         before = dump_text(campaign)
-        again = campaign.conclude(job=None, duration_days=0.0)
+        again = reconclude(campaign, result)
         campaign._ensure_streaming()
         stored = campaign.server.stored_results(campaign.prepared.test_id)
         assert len(stored) == again.participant_count == 6
         assert dump_text(campaign) == before
-        assert result_digest(campaign.conclude(job=None, duration_days=0.0)) == (
-            result_digest(result)
-        )
+        final = reconclude(campaign, result)
+        assert conclusion_digest(campaign, final) == digest
 
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
     def test_mutating_handed_out_rows_and_results(self, store):
         campaign, result = run_campaign(store, participants=6, seed=5)
+        digest = conclusion_digest(campaign, result)
         before = dump_text(campaign)
         raw_before = dumps_canonical([r.as_dict() for r in result.raw_results])
         checkpoint = campaign.resume_state()
@@ -276,8 +292,8 @@ class TestStoredRowsStayPrivate:
         for parsed in list(result.raw_results) + stored:
             parsed.demographics.clear()
         assert dump_text(campaign) == before
-        again = campaign.conclude(job=None, duration_days=0.0)
-        assert result_digest(again) == result_digest(result)
+        again = reconclude(campaign, result)
+        assert conclusion_digest(campaign, again) == digest
         assert dumps_canonical([r.as_dict() for r in again.raw_results]) == raw_before
         assert len(again.raw_results) == (6 if store == "memory" else 0)
 
@@ -325,12 +341,14 @@ class TestCrashRecovery:
         result = resumed.run_with_workers(
             roster, make_judge(), resume_from=checkpoint
         )
-        assert result_digest(result) == result_digest(ref)
+        assert conclusion_digest(resumed, result) == conclusion_digest(
+            ref_campaign, ref
+        )
 
     def test_disk_wal_recovery_refolds_and_resumes(
         self, roster, reference, tmp_path
     ):
-        config, _, ref = reference
+        config, ref_campaign, ref = reference
         disk_config = config.replace(store_directory=tmp_path)
         crashed = self.crash_after(disk_config, roster, checkpoints=7)
         crashed.database.close()
@@ -342,7 +360,9 @@ class TestCrashRecovery:
         revived.prepare(make_params(), make_documents())
         assert revived._streaming_state.ingested == 7
         result = revived.run_with_workers(roster, make_judge())
-        assert result_digest(result) == result_digest(ref)
+        assert conclusion_digest(revived, result) == conclusion_digest(
+            ref_campaign, ref
+        )
 
     def test_shard_count_mismatch_rejected(self, roster, reference):
         config, _, _ = reference
@@ -390,16 +410,14 @@ class TestScheduledStreaming:
             {"p0": 1.5, "p1": 0.6, "p2": -0.2, "p3": -1.0, "__contrast__": -5.0},
             ThurstoneChoiceModel(),
         )
-        outcomes = {}
+        digests = {}
         for store in ("memory", "sharded-streaming"):
-            result = scheduled_campaign(store, scheduler).run_with_workers(
-                roster, judge
-            )
-            early_stop = result.early_stop.to_dict() if result.early_stop else None
-            outcomes[store] = (result_digest(result), early_stop)
-        assert outcomes["sharded-streaming"] == outcomes["memory"]
-        if scheduler == "adaptive":
-            assert outcomes["memory"][1] is not None
+            campaign = scheduled_campaign(store, scheduler)
+            result = campaign.run_with_workers(roster, judge)
+            digests[store] = conclusion_digest(campaign, result)
+            if scheduler == "adaptive":
+                assert result.early_stop is not None
+        assert digests["sharded-streaming"] == digests["memory"]
 
 
 class TestStreamingGuards:
