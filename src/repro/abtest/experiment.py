@@ -76,10 +76,10 @@ class ABExperiment:
         generator = coerce_rng(rng, seed)
 
         def handle_visit(visit: Visit) -> None:
-            arm = "A" if generator.uniform() < 0.5 else "B"
+            arm = "A" if generator.random() < 0.5 else "B"
             self.assignments[visit.visitor_id] = arm
             rate = self.click_rate_a if arm == "A" else self.click_rate_b
-            self.clicks[visit.visitor_id] = bool(generator.uniform() < rate)
+            self.clicks[visit.visitor_id] = bool(generator.random() < rate)
 
         self.traffic.run_until_visitors(visitors, on_visit=handle_visit, rng=generator)
         return self.result()

@@ -69,13 +69,14 @@ from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 from repro.util.executors import EXECUTOR_SERIAL, effective_pool_size
 from repro.util.jsonutil import deep_copy_json
-from repro.util.rng import coerce_rng
+from repro.util.rng import Categorical, coerce_rng
 
 # Participants arrive on whatever access network they have; the replay
 # design makes the *test* insensitive to this, but downloads still take
 # realistically different times.
-_PARTICIPANT_PROFILES = ("fiber", "cable", "dsl", "4g", "3g")
-_PROFILE_WEIGHTS = (0.25, 0.30, 0.15, 0.20, 0.10)
+_PARTICIPANT_PROFILES = Categorical(
+    ("fiber", "cable", "dsl", "4g", "3g"), (0.25, 0.30, 0.15, 0.20, 0.10)
+)
 
 
 def _comparison_versions(prepared: PreparedTest) -> List[str]:
@@ -1123,7 +1124,7 @@ class Campaign:
         if prepared.mirrored:
             pages = [
                 page
-                if rng.uniform() < 0.5
+                if rng.random() < 0.5
                 else self._mirrored_of(prepared, page)
                 for page in pages
             ]
@@ -1151,8 +1152,7 @@ class Campaign:
 
     @staticmethod
     def _sample_profile(rng: np.random.Generator) -> NetworkProfile:
-        name = str(rng.choice(_PARTICIPANT_PROFILES, p=_PROFILE_WEIGHTS))
-        return PROFILES[name]
+        return PROFILES[_PARTICIPANT_PROFILES.draw(rng)]
 
     # -- step 4: conclusion ------------------------------------------------------
 

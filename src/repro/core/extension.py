@@ -20,7 +20,6 @@ attentiveness, not on the stimulus dimension under test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -32,7 +31,12 @@ from repro.core.integrated import (
     IntegratedWebpage,
 )
 from repro.core.parameters import Question
-from repro.crowd.behavior import BehaviorTrace, dropout_probability, sample_behavior
+from repro.crowd.behavior import (
+    BehaviorTrace,
+    dropout_probability,
+    is_minutes,
+    sample_behavior,
+)
 from repro.crowd.judgment import judge_contrast_pair, judge_identical_pair
 from repro.crowd.workers import WorkerProfile
 from repro.errors import ExtensionError, NetworkError, ParticipantAbandoned
@@ -137,15 +141,16 @@ class ParticipantResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParticipantResult":
-        """Parse one upload; a malformed answer, a non-finite or negative
-        ``total_minutes``, a ``revisits`` that is not an ``int`` >= 0, an
-        ``abandoned`` that is not a JSON boolean or an ``abandon_reason``
-        that is not a string raises ``ValueError`` (the server rejects that
-        upload with a 400). Types are checked, never converted."""
-        total_minutes = float(data.get("total_minutes", 0.0))
-        if not 0.0 <= total_minutes < math.inf:
+        """Parse one upload; a malformed answer, a ``total_minutes`` that is
+        not a finite JSON number >= 0, a ``revisits`` that is not an
+        ``int`` >= 0, an ``abandoned`` that is not a JSON boolean or an
+        ``abandon_reason`` that is not a string raises ``ValueError`` (the
+        server rejects that upload with a 400). Types are checked, never
+        converted."""
+        total_minutes = data.get("total_minutes", 0.0)
+        if not is_minutes(total_minutes):
             raise ValueError(
-                f"total_minutes must be finite and >= 0, got {total_minutes!r}"
+                f"total_minutes must be a finite number >= 0, got {total_minutes!r}"
             )
         revisits = data.get("revisits", 0)
         if type(revisits) is not int or revisits < 0:
@@ -163,7 +168,7 @@ class ParticipantResult:
             worker_id=data["worker_id"],
             demographics=dict(data["demographics"]),
             answers=[Answer.from_dict(a) for a in data["answers"]],
-            total_minutes=total_minutes,
+            total_minutes=float(total_minutes),
             revisits=revisits,
             abandoned=abandoned,
             abandon_reason=abandon_reason,
@@ -375,7 +380,7 @@ class BrowserExtension:
         if self.dropout_rate <= 0.0 or pages_seen == 0:
             return
         probability = dropout_probability(self.worker, self.dropout_rate)
-        if float(self.rng.uniform()) < probability:
+        if self.rng.random() < probability:
             self.tracer.event("dropout", pages_seen=pages_seen)
             raise ParticipantAbandoned(
                 f"participant {self.worker.worker_id} dropped out after "

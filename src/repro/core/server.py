@@ -174,7 +174,7 @@ class CoreServer:
             return Response.bad_request(f"malformed response upload: {exc}")
         tests = self.database.collection(TESTS_COLLECTION)
         # The unique test_id index answers the existence check without
-        # copying the test record; only the quality screen reads it.
+        # copying the test record; the quality screen reads it uncopied.
         if not tests.count({"test_id": result.test_id}):
             return Response.bad_request(f"unknown test {result.test_id!r}")
         # Ladder rung 2: the deep upload-time quality screen runs whenever
@@ -187,7 +187,7 @@ class CoreServer:
                 self.metrics.add("server.qc_skipped", 1)
             else:
                 self.metrics.add("server.qc_checks", 1)
-                record = tests.find_one({"test_id": result.test_id})
+                record = next(tests.scan({"test_id": result.test_id}))
                 problem = self._screen_upload(result, record)
                 if problem:
                     self.metrics.add("server.qc_rejects", 1)
@@ -240,7 +240,8 @@ class CoreServer:
 
         Checks the answers against the test's declared questions and flags
         duplicate (page, question) pairs — the per-upload work the ladder's
-        ``sample-qc`` rung sheds under load.
+        ``sample-qc`` rung sheds under load. ``record`` is the stored test
+        document itself, not a copy: the screen only reads it.
         """
         declared = {
             q.get("question_id")

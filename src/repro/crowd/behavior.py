@@ -15,7 +15,7 @@ their distributions must separate worker types the way real traces do:
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,6 +24,16 @@ from repro.crowd.workers import WorkerProfile, WorkerType
 from repro.util.rng import coerce_rng
 
 _new_tuple = tuple.__new__
+_LARGEST_FLOAT = sys.float_info.max
+
+
+def is_minutes(value) -> bool:
+    """True for a parsed JSON number (an exact ``int`` or ``float``, so not
+    a ``bool``) that is >= 0 and finite as a float: an uploaded duration. A
+    string, a bool, NaN, an infinity or an integer too large for a float is
+    not one."""
+    kind = type(value)
+    return (kind is float or kind is int) and 0.0 <= value <= _LARGEST_FLOAT
 
 
 class BehaviorTrace(NamedTuple):
@@ -49,23 +59,24 @@ class BehaviorTrace(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorTrace":
-        """Parse one trace; a non-finite or negative duration, or a tab
-        count that is not an ``int`` >= 0 (a bool, float or string is not
-        converted), raises ``ValueError`` (the server rejects that upload)."""
-        duration = float(data["duration_minutes"])
+        """Parse one trace; a duration that is not a finite JSON number
+        >= 0, or a tab count that is not an ``int`` >= 0 (a bool, float or
+        string is not converted), raises ``ValueError`` (the server rejects
+        that upload)."""
+        duration = data["duration_minutes"]
         created = data["created_tabs"]
         switches = data["active_tab_switches"]
         if (
-            0.0 <= duration < math.inf
+            is_minutes(duration)
             and type(created) is int
             and type(switches) is int
             and created >= 0
             and switches >= 0
         ):
-            return _new_tuple(cls, (duration, created, switches))
+            return _new_tuple(cls, (float(duration), created, switches))
         raise ValueError(
-            "behaviour needs a finite duration >= 0 and integer tab counts "
-            f">= 0, got {duration!r} minutes, {created!r} created, "
+            "behaviour needs a finite numeric duration >= 0 and integer tab "
+            f"counts >= 0, got {duration!r} minutes, {created!r} created, "
             f"{switches!r} switches"
         )
 

@@ -14,25 +14,31 @@ from typing import Optional
 
 import numpy as np
 
-from repro.util.rng import coerce_rng
+from repro.util.rng import Categorical, coerce_rng
 
 GENDERS = ("female", "male", "other", "prefer-not-to-say")
 AGE_RANGES = ("18-24", "25-34", "35-44", "45-54", "55+")
 COUNTRIES = ("US", "IN", "GB", "DE", "BR", "PH", "CA", "IT", "other")
 TECH_ABILITY = (1, 2, 3, 4, 5)  # self-assessed, 5 = expert
 
-# Marginal weights per pool.
-_CROWD_WEIGHTS = {
-    "gender": (0.42, 0.53, 0.02, 0.03),
-    "age": (0.26, 0.38, 0.20, 0.10, 0.06),
-    "country": (0.32, 0.20, 0.08, 0.06, 0.08, 0.10, 0.05, 0.04, 0.07),
-    "tech": (0.03, 0.10, 0.32, 0.38, 0.17),
+# Marginal distributions per pool, one per attribute.
+_CROWD_MARGINALS = {
+    "gender": Categorical(GENDERS, (0.42, 0.53, 0.02, 0.03)),
+    "age": Categorical(AGE_RANGES, (0.26, 0.38, 0.20, 0.10, 0.06)),
+    "country": Categorical(
+        COUNTRIES, (0.32, 0.20, 0.08, 0.06, 0.08, 0.10, 0.05, 0.04, 0.07)
+    ),
+    "tech": Categorical(TECH_ABILITY, (0.03, 0.10, 0.32, 0.38, 0.17)),
 }
-_INLAB_WEIGHTS = {
-    "gender": (0.45, 0.50, 0.02, 0.03),
-    "age": (0.40, 0.45, 0.10, 0.04, 0.01),  # friends & colleagues skew young
-    "country": (0.70, 0.05, 0.04, 0.04, 0.02, 0.02, 0.05, 0.03, 0.05),
-    "tech": (0.01, 0.04, 0.20, 0.40, 0.35),  # CS-department pool
+_INLAB_MARGINALS = {
+    "gender": Categorical(GENDERS, (0.45, 0.50, 0.02, 0.03)),
+    # friends & colleagues skew young
+    "age": Categorical(AGE_RANGES, (0.40, 0.45, 0.10, 0.04, 0.01)),
+    "country": Categorical(
+        COUNTRIES, (0.70, 0.05, 0.04, 0.04, 0.02, 0.02, 0.05, 0.03, 0.05)
+    ),
+    # CS-department pool
+    "tech": Categorical(TECH_ABILITY, (0.01, 0.04, 0.20, 0.40, 0.35)),
 }
 
 
@@ -70,10 +76,10 @@ def sample_demographics(
 ) -> Demographics:
     """Sample one participant's demographics for a pool ('crowd' or 'inlab')."""
     generator = coerce_rng(rng, seed)
-    weights = _CROWD_WEIGHTS if pool == "crowd" else _INLAB_WEIGHTS
+    marginals = _CROWD_MARGINALS if pool == "crowd" else _INLAB_MARGINALS
     return Demographics(
-        gender=str(generator.choice(GENDERS, p=weights["gender"])),
-        age_range=str(generator.choice(AGE_RANGES, p=weights["age"])),
-        country=str(generator.choice(COUNTRIES, p=weights["country"])),
-        tech_ability=int(generator.choice(TECH_ABILITY, p=weights["tech"])),
+        gender=marginals["gender"].draw(generator),
+        age_range=marginals["age"].draw(generator),
+        country=marginals["country"].draw(generator),
+        tech_ability=marginals["tech"].draw(generator),
     )

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.crowd.workers import WorkerProfile
 from repro.errors import ValidationError
-from repro.util.rng import coerce_rng
+from repro.util.rng import categorical, coerce_rng
 
 ANSWER_LEFT = "left"
 ANSWER_RIGHT = "right"
@@ -90,7 +90,7 @@ class ThurstoneChoiceModel:
         p_left = (1.0 - p_same) * (0.5 - 0.5 * worker.position_bias)
         p_right = 1.0 - p_same - p_left
         probabilities = _normalize((max(p_left, 0.0), max(p_right, 0.0), p_same))
-        return str(generator.choice(ANSWERS, p=probabilities))
+        return categorical(generator, ANSWERS, probabilities)
 
     def probability_correct(
         self, utility_gap: float, sigma: float
@@ -126,9 +126,9 @@ def judge_identical_pair(
     if worker.is_random_clicker:
         return ThurstoneChoiceModel._spam_answer(worker, generator)
     p_same = 0.80 + 0.19 * worker.attention
-    if generator.uniform() < p_same:
+    if generator.random() < p_same:
         return ANSWER_SAME
-    return ANSWER_LEFT if generator.uniform() < 0.5 else ANSWER_RIGHT
+    return ANSWER_LEFT if generator.random() < 0.5 else ANSWER_RIGHT
 
 
 def judge_contrast_pair(
@@ -145,10 +145,10 @@ def judge_contrast_pair(
     if worker.is_random_clicker:
         return ThurstoneChoiceModel._spam_answer(worker, generator)
     p_correct = 0.82 + 0.17 * worker.attention
-    if generator.uniform() < p_correct:
+    if generator.random() < p_correct:
         return expected
     other = ANSWER_RIGHT if expected == ANSWER_LEFT else ANSWER_LEFT
-    return other if generator.uniform() < 0.7 else ANSWER_SAME
+    return other if generator.random() < 0.7 else ANSWER_SAME
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,11 @@ class UPLTPerceptionModel:
     ) -> float:
         """The worker's main-content weight in [0, 1]."""
         generator = coerce_rng(rng, seed)
-        if generator.uniform() < self.change_watcher_fraction:
+        if generator.random() < self.change_watcher_fraction:
             # Change-watchers weigh every region nearly equally.
             return float(generator.uniform(0.45, 0.55))
         weight = generator.normal(self.content_weight_mean, self.content_weight_spread)
-        return float(np.clip(weight, 0.05, 0.98))
+        return min(max(weight, 0.05), 0.98)
 
     def perceived_ready_ms(
         self,

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.crowd.demographics import Demographics, sample_demographics
 from repro.errors import ValidationError
-from repro.util.rng import coerce_rng
+from repro.util.rng import categorical, coerce_rng
 
 
 class WorkerType:
@@ -101,10 +101,8 @@ IN_LAB_MIX = PopulationMix(
 
 
 def _sample_type(mix: PopulationMix, generator: np.random.Generator) -> str:
-    return str(
-        generator.choice(
-            WorkerType.ALL, p=(mix.trustworthy, mix.distracted, mix.spammer)
-        )
+    return categorical(
+        generator, WorkerType.ALL, (mix.trustworthy, mix.distracted, mix.spammer)
     )
 
 
@@ -149,8 +147,8 @@ def generate_worker(
         demographics=sample_demographics(rng=generator, pool=pool),
         judgment_sigma=sigma,
         attention=attention,
-        position_bias=float(np.clip(position_bias, -1.0, 1.0)),
-        same_bias=float(np.clip(same_bias, 0.0, 1.0)),
+        position_bias=min(max(position_bias, -1.0), 1.0),
+        same_bias=min(max(same_bias, 0.0), 1.0),
         speed_factor=speed,
     )
 

@@ -239,7 +239,7 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (1-based failed attempt)."""
         delay = self.backoff_base_seconds * self.backoff_factor ** (attempt - 1)
         if self.jitter_fraction > 0 and rng is not None:
-            delay *= 1.0 + self.jitter_fraction * float(rng.uniform())
+            delay *= 1.0 + self.jitter_fraction * rng.random()
         return delay
 
 

@@ -17,9 +17,12 @@ from typing import Any
 from repro.errors import ValidationError
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(value: Any) -> str:
     """Serialize to canonical JSON: sorted keys, compact separators."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(value)
 
 
 def dumps_pretty(value: Any) -> str:

@@ -13,8 +13,11 @@ a new label never shifts the draws seen by existing consumers.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from typing import Optional
+import sys
+from bisect import bisect_right
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,3 +93,75 @@ def coerce_rng(
     if rng is not None:
         return rng
     return np.random.default_rng(0 if seed is None else seed)
+
+
+# -- categorical draws ---------------------------------------------------------
+#
+# ``Generator.choice(options, p=weights)`` with no ``size`` draws one double
+# ``u`` and returns ``options[i]`` for the first ``i`` with ``u < cdf[i]``,
+# where ``cdf = p.cumsum(); cdf /= cdf[-1]``. The helpers below make exactly
+# that draw (same double, same index, same stream position) without numpy's
+# per-call cost of converting ``options`` and validating ``p``, which is
+# tens of microseconds inside a running campaign.
+
+#: numpy's tolerance on a probability vector's sum (``Generator.choice``).
+_SUM_TOLERANCE = math.sqrt(sys.float_info.epsilon)
+
+
+def _check_weights(weights: Sequence[float], size: int) -> None:
+    """Raise ``ValueError`` wherever ``Generator.choice(size options,
+    p=weights)`` does: no options, a length mismatch, a NaN, a negative
+    weight, or a (Kahan-summed, as numpy sums) total off 1 by more than
+    the square root of the float64 epsilon."""
+    if size == 0:
+        raise ValueError("options cannot be empty")
+    if len(weights) != size:
+        raise ValueError("options and weights must have the same length")
+    total = float(weights[0])
+    carry = 0.0
+    for weight in weights[1:]:
+        y = float(weight) - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if math.isnan(total):
+        raise ValueError("weights contain NaN")
+    if any(weight < 0 for weight in weights):
+        raise ValueError("weights must be non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+
+
+class Categorical:
+    """A constant categorical distribution, drawn like
+    ``Generator.choice(options, p=weights)``.
+
+    Build it once (at import, for a module's weight table); the weights are
+    validated as numpy validates them and the normalized CDF is computed
+    with numpy's own ``cumsum``.
+    """
+
+    __slots__ = ("options", "cdf")
+
+    def __init__(self, options: Sequence, weights: Sequence[float]):
+        self.options = tuple(options)
+        _check_weights(weights, len(self.options))
+        cdf = np.asarray(weights, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        self.cdf = tuple(cdf.tolist())
+
+    def draw(self, rng: np.random.Generator):
+        """One option; consumes one ``rng.random()`` double."""
+        return self.options[bisect_right(self.cdf, rng.random())]
+
+
+def categorical(rng: np.random.Generator, options: Sequence, weights: Sequence[float]):
+    """``Generator.choice(options, p=weights)`` for weights known only per
+    call: same validation, same double consumed, same option returned."""
+    _check_weights(weights, len(options))
+    running = 0.0
+    cdf = []
+    for weight in weights:
+        running += weight
+        cdf.append(running)
+    return options[bisect_right([c / running for c in cdf], rng.random())]

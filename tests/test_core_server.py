@@ -3,6 +3,7 @@
 import pytest
 
 import repro.storage.documentstore
+import repro.store.sharded
 from repro.core.aggregator import (
     Aggregator,
     RESPONSES_COLLECTION,
@@ -216,6 +217,13 @@ class TestMalformedBehaviourRejected:
             set_behavior("active_tab_switches", "3"),
             set_result("revisits", True),
             set_result("revisits", 1.0),
+            set_behavior("duration_minutes", "0.5"),
+            set_behavior("duration_minutes", True),
+            set_behavior("duration_minutes", None),
+            set_result("total_minutes", "0.5"),
+            set_result("total_minutes", True),
+            set_result("total_minutes", None),
+            set_result("total_minutes", 10**400),
         ],
         ids=[
             "duration-nan",
@@ -238,6 +246,13 @@ class TestMalformedBehaviourRejected:
             "switches-string",
             "revisits-bool",
             "revisits-float",
+            "duration-string",
+            "duration-bool",
+            "duration-null",
+            "total-minutes-string",
+            "total-minutes-bool",
+            "total-minutes-null",
+            "total-minutes-beyond-float",
         ],
     )
     def test_rejected_with_400_and_not_stored(self, stack, mutate):
@@ -259,10 +274,12 @@ class TestMalformedBehaviourRejected:
             set_result("total_minutes", 0.0),
             set_result("abandoned", False),
             set_result("revisits", 2),
+            set_behavior("duration_minutes", 1),
+            set_result("total_minutes", 3),
         ],
         ids=[
             "duration-zero", "no-tabs", "control", "no-minutes",
-            "not-abandoned", "revisits",
+            "not-abandoned", "revisits", "duration-int", "minutes-int",
         ],
     )
     def test_boundary_values_still_stored(self, stack, mutate):
@@ -353,19 +370,20 @@ class TestUploadDedupeCost:
 
 class TestUploadTestRecordReads:
     """The existence check is an index count; only the quality screen reads
-    the test record."""
+    the test record, through the uncopied ``scan``."""
 
     @staticmethod
     def count_test_reads(monkeypatch):
         reads = []
-        original = Collection.find_one
+        for method in ("find_one", "scan"):
+            original = getattr(Collection, method)
 
-        def counting(self, query=None):
-            if self.name == TESTS_COLLECTION:
-                reads.append(query)
-            return original(self, query)
+            def counting(self, query=None, method=method, original=original):
+                if self.name == TESTS_COLLECTION:
+                    reads.append((method, query))
+                return original(self, query)
 
-        monkeypatch.setattr(Collection, "find_one", counting)
+            monkeypatch.setattr(Collection, method, counting)
         return reads
 
     def test_unscreened_upload_never_reads_the_test_record(self, stack, monkeypatch):
@@ -384,7 +402,38 @@ class TestUploadTestRecordReads:
         reads = self.count_test_reads(monkeypatch)
         response = network.post_json(server.url("/responses"), upload_payload())
         assert response.status == 201
-        assert reads == [{"test_id": "srv-test"}]
+        assert reads == [("scan", {"test_id": "srv-test"})]
+
+    @pytest.mark.parametrize("store", ["memory", "sharded"])
+    def test_screen_neither_copies_nor_changes_the_record(self, store, monkeypatch):
+        if store == "memory":
+            database = DocumentStore()
+        else:
+            database = ShardedDocumentStore(shards=2, spill=(RESPONSES_COLLECTION,))
+        server, network, _, _ = make_stack(database)
+        server.http.admission = AdmissionController(OverloadConfig())
+        stored = next(database.collection(TESTS_COLLECTION).scan({"test_id": "srv-test"}))
+
+        def everything_but_responses():
+            dump = database.dump()
+            dump.pop(RESPONSES_COLLECTION, None)
+            return dump
+
+        before = everything_but_responses()
+        copied = []
+        for module in (repro.storage.documentstore, repro.store.sharded):
+            real = module.deep_copy_json
+            monkeypatch.setattr(
+                module,
+                "deep_copy_json",
+                lambda value, real=real: copied.append(value) or real(value),
+            )
+        response = network.post_json(server.url("/responses"), upload_payload())
+        assert response.status == 201
+        assert server.metrics.counter("server.qc_checks") == 1
+        assert not any(value is stored for value in copied)
+        assert server.response_count("srv-test") == 1
+        assert everything_but_responses() == before
 
     def test_screen_still_rejects_an_undeclared_question(self, stack):
         server, network, _, _ = stack

@@ -377,15 +377,16 @@ class TestDocumentStore:
 
 
 def count_json_encodes(monkeypatch):
-    """Count every ``json.dumps`` call made while the test runs."""
+    """Count every JSON encode made while the test runs: each ``json.dumps``
+    and each call of a shared encoder goes through ``JSONEncoder.encode``."""
     calls = []
-    original = json.dumps
+    original = json.JSONEncoder.encode
 
-    def counting(*args, **kwargs):
+    def counting(self, value):
         calls.append(1)
-        return original(*args, **kwargs)
+        return original(self, value)
 
-    monkeypatch.setattr(json, "dumps", counting)
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
     return calls
 
 

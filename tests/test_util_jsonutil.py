@@ -120,6 +120,22 @@ def containers(value):
     return found
 
 
+class TestCanonicalEncoder:
+    """One shared encoder gives exactly the bytes a fresh ``json.dumps``
+    gives, errors included."""
+
+    @settings(deadline=None)
+    @given(json_trees)
+    def test_equals_json_dumps(self, value):
+        try:
+            expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        except TypeError:  # mixed key types cannot be sorted
+            with pytest.raises(TypeError):
+                jsonutil.dumps_canonical(value)
+            return
+        assert jsonutil.dumps_canonical(value) == expected
+
+
 class TestDeepCopyContract:
     """``deep_copy_json`` is ``json.loads(json.dumps(v))``, node for node."""
 
