@@ -12,9 +12,6 @@ statistical tests used in §IV-B.
 from repro.abtest.traffic import SiteTrafficModel, Visit
 from repro.abtest.experiment import ABExperiment, ABResult, ArmStats
 from repro.abtest.stats import (
-    binomial_test_p,
-    chi_square_2x2,
-    proportion_confidence_interval,
     two_proportion_z,
     TwoProportionResult,
 )
@@ -25,9 +22,6 @@ __all__ = [
     "ABExperiment",
     "ABResult",
     "ArmStats",
-    "binomial_test_p",
-    "chi_square_2x2",
-    "proportion_confidence_interval",
     "two_proportion_z",
     "TwoProportionResult",
 ]

@@ -11,7 +11,7 @@ in the paper's run, ~3/51 on the original and ~6/49 on the variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -107,18 +107,3 @@ class ABExperiment:
             duration_days=self.traffic.duration_days,
             test=test,
         )
-
-    def cumulative_preference_series(self) -> List[tuple]:
-        """(visitor index, cumulative A clicks, cumulative B clicks) — the
-        Figure 7(b) series of click accumulation over visitors."""
-        series = []
-        a_clicks = b_clicks = 0
-        ordered = sorted(self.assignments)
-        for index, visitor_id in enumerate(ordered, start=1):
-            if self.clicks.get(visitor_id, False):
-                if self.assignments[visitor_id] == "A":
-                    a_clicks += 1
-                else:
-                    b_clicks += 1
-            series.append((index, a_clicks, b_clicks))
-        return series

@@ -7,9 +7,6 @@ Implements the tests the paper's numbers come from:
   Kaleidoscope p-value (6.8e-8 for 46 vs 14 out of 100) matches the
   *unpooled*, one-sided variant, so both pooling modes and both sidedness
   modes are provided.
-* :func:`binomial_test_p` — exact sign test, the standard alternative for
-  paired preference counts.
-* :func:`chi_square_2x2` — the contingency-table view of the same data.
 
 Implemented on ``math.erfc`` directly so results are exact and dependency-
 free; scipy (when available in the environment) is used only by tests to
@@ -48,10 +45,6 @@ class TwoProportionResult:
     @property
     def significant_95(self) -> bool:
         return self.p_value < 0.05
-
-    @property
-    def significant_99(self) -> bool:
-        return self.p_value < 0.01
 
 
 def two_proportion_z(
@@ -94,74 +87,6 @@ def two_proportion_z(
     return TwoProportionResult(
         z=z, p_value=p_value, p1=p1, p2=p2, pooled=pooled, two_sided=two_sided
     )
-
-
-def binomial_test_p(successes: int, n: int, p: float = 0.5, two_sided: bool = True) -> float:
-    """Exact binomial test p-value for H0: success probability == ``p``."""
-    if not 0 <= successes <= n:
-        raise ValidationError("successes must be in [0, n]")
-    if not 0.0 < p < 1.0:
-        raise ValidationError("p must be in (0, 1)")
-
-    def pmf(k: int) -> float:
-        return math.comb(n, k) * (p ** k) * ((1.0 - p) ** (n - k))
-
-    observed = pmf(successes)
-    if two_sided:
-        # Sum of all outcomes at most as likely as the observed one.
-        total = sum(pmf(k) for k in range(n + 1) if pmf(k) <= observed * (1 + 1e-12))
-        return min(1.0, total)
-    # One-sided: P(X >= successes).
-    return min(1.0, sum(pmf(k) for k in range(successes, n + 1)))
-
-
-def chi_square_2x2(a: int, b: int, c: int, d: int) -> float:
-    """Chi-square p-value (1 dof, no continuity correction) for the table
-    [[a, b], [c, d]]."""
-    for value in (a, b, c, d):
-        if value < 0:
-            raise ValidationError("cell counts must be >= 0")
-    n = a + b + c + d
-    if n == 0:
-        raise ValidationError("empty contingency table")
-    row1, row2 = a + b, c + d
-    col1, col2 = a + c, b + d
-    if 0 in (row1, row2, col1, col2):
-        return 1.0
-    expected = [
-        row1 * col1 / n,
-        row1 * col2 / n,
-        row2 * col1 / n,
-        row2 * col2 / n,
-    ]
-    observed = [a, b, c, d]
-    statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    # chi2(1) survival == P(|Z| > sqrt(stat))
-    return 2.0 * _survival(math.sqrt(statistic))
-
-
-def proportion_confidence_interval(successes: int, n: int, confidence: float = 0.95):
-    """Wilson score interval for a proportion."""
-    if n <= 0:
-        raise ValidationError("n must be positive")
-    if not 0 <= successes <= n:
-        raise ValidationError("successes must be in [0, n]")
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError("confidence must be in (0, 1)")
-    z = _inverse_phi(0.5 + confidence / 2.0)
-    p_hat = successes / n
-    denominator = 1.0 + z * z / n
-    center = (p_hat + z * z / (2 * n)) / denominator
-    margin = (z / denominator) * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n))
-    low = max(0.0, center - margin)
-    high = min(1.0, center + margin)
-    # Degenerate counts pin the corresponding edge exactly (bisection noise
-    # in z must not push the interval off the point estimate).
-    if successes == 0:
-        low = 0.0
-    if successes == n:
-        high = 1.0
-    return (low, high)
 
 
 def _inverse_phi(p: float) -> float:

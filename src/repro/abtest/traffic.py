@@ -90,13 +90,6 @@ class SiteTrafficModel:
             self.env.run(until=self.env.now + delay)
         return self.visits
 
-    def cumulative_by_day(self) -> List[tuple]:
-        """(day, cumulative visitors) — the Figure 7(a) A/B series."""
-        series = []
-        for index, visit in enumerate(sorted(self.visits, key=lambda v: v.arrival_time_s)):
-            series.append((visit.arrival_day, index + 1))
-        return series
-
     @property
     def duration_days(self) -> float:
         """Days from simulation start to the last visit."""

@@ -349,10 +349,6 @@ class Aggregator:
 
     # -- reads used by the core server ---------------------------------------
 
-    def load_prepared(self, test_id: str) -> Optional[dict]:
-        """The stored test record, or None."""
-        return self.database.collection(TESTS_COLLECTION).find_one({"test_id": test_id})
-
     def integrated_pages(self, test_id: str) -> List[IntegratedWebpage]:
         """All integrated webpage records for a test."""
         rows = self.database.collection(INTEGRATED_COLLECTION).find(

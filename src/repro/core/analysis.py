@@ -154,10 +154,6 @@ class RankingDistribution:
         index = RANK_LABELS.index(rank_label)
         return self.matrix[version_id][index]
 
-    def top_choice_distribution(self) -> Dict[str, float]:
-        """{version: % of participants ranking it 'A'}."""
-        return {v: self.matrix[v][0] for v in self.version_ids}
-
     def modal_version_at_rank(self, rank_label: str) -> str:
         """The version most often assigned a given rank."""
         index = RANK_LABELS.index(rank_label)

@@ -49,35 +49,8 @@ class PairwiseCounts:
         self.add_win(a, b, 0.5)
         self.add_win(b, a, 0.5)
 
-    def remove_win(self, winner: str, loser: str, weight: float = 1.0) -> None:
-        """Exact inverse of :meth:`add_win` — retract absorbed evidence.
-
-        Entries that reach exactly zero are deleted, so a tally whose every
-        answer was retracted compares equal to a fresh one.
-        """
-        if winner not in self.version_ids or loser not in self.version_ids:
-            raise ValidationError(f"unknown version in ({winner!r}, {loser!r})")
-        key = (winner, loser)
-        value = self.wins.get(key, 0.0) - weight
-        if value < 0:
-            raise ValidationError(
-                f"retracting more weight than absorbed for {key}"
-            )
-        if value == 0.0:
-            self.wins.pop(key, None)
-        else:
-            self.wins[key] = value
-
-    def remove_tie(self, a: str, b: str) -> None:
-        """Exact inverse of :meth:`add_tie`."""
-        self.remove_win(a, b, 0.5)
-        self.remove_win(b, a, 0.5)
-
     def total_comparisons(self) -> float:
         return sum(self.wins.values())
-
-    def wins_of(self, version: str) -> float:
-        return sum(w for (winner, _), w in self.wins.items() if winner == version)
 
     def matchups(self, a: str, b: str) -> float:
         """Total decisions (either direction) between a pair."""

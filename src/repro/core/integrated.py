@@ -144,15 +144,6 @@ def compose_integrated_page(
     return document
 
 
-def integrated_page_html(
-    integrated_id: str, left_src: str, right_src: str, instructions: str = ""
-) -> str:
-    """Serialized markup of a composed integrated page."""
-    return serialize(
-        compose_integrated_page(integrated_id, left_src, right_src, instructions=instructions)
-    )
-
-
 class IntegratedComposer:
     """Stamps out integrated pages from one shared template document.
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.extension import ANSWER_VALUES, ParticipantResult
-from repro.errors import ValidationError
 
 REASON_INCOMPLETE = "hard-rule:incomplete"
 REASON_ABANDONED = "hard-rule:abandoned"
@@ -317,20 +316,3 @@ def record_report(report: QualityReport, span, metrics, tracer) -> None:
     for reason, count in sorted(report.drop_reasons().items()):
         metrics.add(f"quality.drop.{reason}", count)
         tracer.event("quality_drop", reason=reason, count=count)
-
-
-def split_raw_and_controlled(
-    results: Sequence[ParticipantResult],
-    expected_answers_per_page: int,
-    config: Optional[QualityConfig] = None,
-) -> Tuple[List[ParticipantResult], QualityReport]:
-    """Convenience: return (raw list, quality-controlled report).
-
-    The evaluation figures always present Kaleidoscope twice — raw and with
-    quality control — so this pairing is the common call shape.
-    """
-    if expected_answers_per_page <= 0:
-        raise ValidationError("expected_answers_per_page must be positive")
-    raw = list(results)
-    report = QualityControl(config).apply(raw, expected_answers_per_page)
-    return raw, report

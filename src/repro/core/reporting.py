@@ -7,7 +7,7 @@ formatting, CDF series) so EXPERIMENTS.md diffs stay readable.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.analysis import RANK_LABELS, QuestionTally, RankingDistribution
 from repro.util.statsutil import Cdf
@@ -103,14 +103,3 @@ def _round_maybe(value):
     if isinstance(value, float):
         return round(value, 3)
     return value
-
-
-def shares_line(counts: Dict[str, int]) -> str:
-    """'left 14 (14.0%) | same 40 (40.0%) | right 46 (46.0%)' one-liner."""
-    total = sum(counts.values())
-    parts = []
-    for key in ("left", "same", "right"):
-        count = counts.get(key, 0)
-        percent = 100.0 * count / total if total else 0.0
-        parts.append(f"{key} {count} ({percent:.1f}%)")
-    return " | ".join(parts)

@@ -6,27 +6,14 @@ to the hint." The paper omits details for space; this module supplies a
 faithful stand-in:
 
 * :func:`render_builder_form` — an HTML form (built on our own DOM) with one
-  hinted input per Table-I key, plus repeatable question/webpage blocks;
-* :func:`parse_builder_submission` — decode a flat form-field mapping
-  (``question_1_text``, ``webpage_2_web_page_load``, ...) into a validated
-  :class:`~repro.core.parameters.TestParameters`;
-* :func:`mount_builder` — attach ``GET /builder`` and ``POST /builder``
-  routes to a core server, so the whole loop (serve form, accept
-  submission, store the JSON document) runs over the simulated network.
+  hinted input per Table-I key, plus repeatable question/webpage blocks.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List
-
-from repro.core.parameters import Question, TestParameters, WebpageSpec
-from repro.core.server import CoreServer
 from repro.errors import ValidationError
 from repro.html.dom import Document, Element, Text
 from repro.html.serializer import serialize
-from repro.net.http import Request, Response
-from repro.util import jsonutil
 
 FIELD_HINTS = {
     "test_id": "The test identification (unique string)",
@@ -104,126 +91,3 @@ def render_builder_form(questions: int = 1, webpages: int = 2) -> str:
     body.append(form)
     return serialize(document)
 
-
-_QUESTION_FIELD = re.compile(r"^question_(\d+)_(id|text)$")
-_WEBPAGE_FIELD = re.compile(
-    r"^webpage_(\d+)_(web_path|web_page_load|web_main_file|web_description)$"
-)
-
-
-def parse_builder_submission(fields: Dict[str, str]) -> TestParameters:
-    """Decode flat form fields into validated test parameters."""
-    questions: Dict[int, Dict[str, str]] = {}
-    webpages: Dict[int, Dict[str, str]] = {}
-    for name, value in fields.items():
-        question_match = _QUESTION_FIELD.match(name)
-        if question_match:
-            index = int(question_match.group(1))
-            questions.setdefault(index, {})[question_match.group(2)] = value
-            continue
-        webpage_match = _WEBPAGE_FIELD.match(name)
-        if webpage_match:
-            index = int(webpage_match.group(1))
-            webpages.setdefault(index, {})[webpage_match.group(2)] = value
-
-    question_list: List[Question] = []
-    for index in sorted(questions):
-        block = questions[index]
-        if not block.get("text", "").strip():
-            continue  # empty extra block: skip, as a web form would
-        question_list.append(
-            Question(block.get("id", f"q{index}").strip(), block["text"].strip())
-        )
-
-    webpage_list: List[WebpageSpec] = []
-    for index in sorted(webpages):
-        block = webpages[index]
-        if not block.get("web_path", "").strip():
-            continue
-        load_raw = block.get("web_page_load", "").strip()
-        webpage_list.append(
-            WebpageSpec.from_dict(
-                {
-                    "web_path": block["web_path"].strip(),
-                    "web_page_load": _parse_load_value(load_raw),
-                    "web_main_file": block.get("web_main_file", "index.html").strip()
-                    or "index.html",
-                    "web_description": block.get("web_description", "").strip(),
-                }
-            )
-        )
-
-    participant_raw = fields.get("participant_num", "").strip()
-    try:
-        participant_num = int(participant_raw)
-    except ValueError:
-        raise ValidationError(
-            f"participant_num must be an integer, got {participant_raw!r}",
-            field="participant_num",
-        ) from None
-    return TestParameters(
-        test_id=fields.get("test_id", "").strip(),
-        test_description=fields.get("test_description", "").strip(),
-        participant_num=participant_num,
-        question=question_list,
-        webpages=webpage_list,
-    )
-
-
-def _parse_load_value(raw: str):
-    if not raw:
-        raise ValidationError("web_page_load is required", field="web_page_load")
-    if raw.startswith("["):
-        return jsonutil.loads(raw)
-    try:
-        return int(raw)
-    except ValueError:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(
-                f"web_page_load must be a number or JSON array, got {raw!r}",
-                field="web_page_load",
-            ) from None
-
-
-BUILDER_COLLECTION = "parameter_drafts"
-
-
-def mount_builder(server: CoreServer) -> None:
-    """Attach the builder routes to a core server.
-
-    ``GET /builder?questions=N&webpages=M`` serves the form;
-    ``POST /builder`` accepts a JSON body of form fields, validates it, and
-    stores the generated Table-I document as a draft.
-    """
-
-    def get_builder(request: Request) -> Response:
-        try:
-            questions = int(request.query.get("questions", "1"))
-            webpages = int(request.query.get("webpages", "2"))
-            return Response.html(render_builder_form(questions, webpages))
-        except (ValueError, ValidationError) as exc:
-            return Response.bad_request(str(exc))
-
-    def post_builder(request: Request) -> Response:
-        try:
-            fields = request.json()
-            if not isinstance(fields, dict):
-                return Response.bad_request("expected an object of form fields")
-            parameters = parse_builder_submission(
-                {k: str(v) for k, v in fields.items()}
-            )
-        except ValidationError as exc:
-            return Response.bad_request(str(exc))
-        drafts = server.database.collection(BUILDER_COLLECTION)
-        existing = drafts.find_one({"test_id": parameters.test_id})
-        payload = parameters.as_dict()
-        if existing is not None:
-            drafts.replace_one({"test_id": parameters.test_id}, payload)
-        else:
-            drafts.insert_one(payload)
-        return Response.json_response(payload, status=201)
-
-    server.http.router.get("/builder", get_builder)
-    server.http.router.post("/builder", post_builder)

@@ -30,7 +30,6 @@ from repro.crowd.arrivals import ARRIVAL_MODES, arrival_offsets, validate_arriva
 from repro.crowd.platform import CrowdJob, CrowdPlatform, matches_target
 from repro.crowd.inlab import InLabStudy
 from repro.crowd.multiplatform import ParallelRecruiter, PlatformChannel, default_channel
-from repro.crowd.reputation import ReputationLedger
 
 __all__ = [
     "Demographics",
@@ -56,5 +55,4 @@ __all__ = [
     "ParallelRecruiter",
     "PlatformChannel",
     "default_channel",
-    "ReputationLedger",
 ]

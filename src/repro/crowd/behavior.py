@@ -154,22 +154,3 @@ def dropout_probability(worker: WorkerProfile, base_rate: float) -> float:
     susceptibility = _DROPOUT_SUSCEPTIBILITY[worker.worker_type]
     attention_factor = 1.5 - 0.5 * worker.attention
     return float(min(0.9, base_rate * susceptibility * attention_factor))
-
-
-def engagement_score(trace: BehaviorTrace) -> float:
-    """A scalar engagement indicator in [0, 1].
-
-    1 near the "comfortable" region (20s-2min, little tab churn); low for
-    both rushed and wandering traces — the paper's observation that *both*
-    very short and very long times indicate low-quality work.
-    """
-    duration = trace.duration_minutes
-    if duration < 0.15:
-        time_component = duration / 0.15
-    elif duration <= 2.0:
-        time_component = 1.0
-    else:
-        time_component = max(0.0, 1.0 - (duration - 2.0) / 1.5)
-    churn = trace.created_tabs + max(0, trace.active_tab_switches - 3)
-    churn_component = 1.0 / (1.0 + 0.35 * churn)
-    return time_component * churn_component

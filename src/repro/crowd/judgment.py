@@ -92,17 +92,6 @@ class ThurstoneChoiceModel:
         probabilities = _normalize((max(p_left, 0.0), max(p_right, 0.0), p_same))
         return categorical(generator, ANSWERS, probabilities)
 
-    def probability_correct(
-        self, utility_gap: float, sigma: float
-    ) -> float:
-        """P(choose the higher-utility side | decision made), analytic.
-
-        Used by power analyses in the benchmarks; ignores the Same band.
-        """
-        if sigma <= 0:
-            return 1.0 if utility_gap > 0 else 0.5
-        return 0.5 * (1.0 + math.erf(utility_gap / (sigma * math.sqrt(2.0))))
-
 
 def _normalize(probabilities):
     total = sum(probabilities)

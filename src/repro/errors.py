@@ -12,15 +12,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
-class HTMLParseError(ReproError):
-    """Raised when the HTML tokenizer or tree builder hits malformed input
-    that cannot be recovered by the (forgiving) error-correction rules."""
-
-
-class CSSParseError(ReproError):
-    """Raised on unrecoverable CSS syntax errors."""
-
-
 class SelectorError(ReproError):
     """Raised when a CSS selector string cannot be compiled."""
 

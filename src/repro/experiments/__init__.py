@@ -8,7 +8,6 @@ authors' research-group landing page).
 """
 
 from repro.experiments.datasets import (
-    build_group_page_resources,
     build_group_page_variant,
     build_wikipedia_page,
     build_wikipedia_resources,
@@ -18,7 +17,6 @@ from repro.experiments.expand_button import ExpandButtonExperiment, ExpandButton
 from repro.experiments.pageload import PageLoadExperiment, PageLoadOutcome
 
 __all__ = [
-    "build_group_page_resources",
     "build_group_page_variant",
     "build_wikipedia_page",
     "build_wikipedia_resources",

@@ -18,14 +18,11 @@ SingleFile-style compression step runs against a real fetch path.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.html.dom import Document
 from repro.html.parser import parse_html
 from repro.net.fetch import StaticResourceMap
 
 WIKIPEDIA_BASE_URL = "http://wiki.local/rock-hyrax"
-GROUP_BASE_URL = "http://group.local/index"
 
 # A 1x1 PNG payload (as raw bytes, not a real image decoder target — the
 # simulated pipeline only needs sizes and data-URI round-trips).
@@ -205,18 +202,6 @@ body { font-family: Georgia, serif; margin: 0 auto; max-width: 900px; }
 .blurb { line-height: 1.5; }
 .expand-button { background: none; border: 1px solid #ccc; cursor: pointer; }
 """
-
-
-def build_group_page_resources() -> StaticResourceMap:
-    """The group page's external resources, served at GROUP_BASE_URL."""
-    resources = StaticResourceMap()
-    resources.add(f"{GROUP_BASE_URL}/styles/group.css", _GROUP_CSS)
-    return resources
-
-
-def build_both_group_variants() -> Tuple[Document, Document]:
-    """(original, variant) pair for Experiment 2."""
-    return build_group_page_variant("A"), build_group_page_variant("B")
 
 
 # -- resource maps keyed by the aggregator's version folders -------------------

@@ -118,11 +118,6 @@ class ExpandButtonOutcome:
         return self.ab_duration_days / self.kaleidoscope_duration_days
 
     @property
-    def visibility_p_value(self) -> float:
-        """The question-C p-value (paper: 6.8e-8)."""
-        return self.tallies[QUESTION_C.question_id].preference_p_value()
-
-    @property
     def ab_p_value(self) -> float:
         """The A/B p-value (paper: 0.133)."""
         return self.ab_result.test.p_value

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.analysis import BehaviorCdfs, RankingDistribution, behavior_cdfs
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import CampaignConfig
@@ -29,7 +31,7 @@ from repro.crowd.judgment import FontReadabilityModel, ThurstoneChoiceModel
 from repro.html.mutations import set_font_size
 from repro.experiments.datasets import build_wikipedia_page, wikipedia_resources_for
 from repro.sim.clock import SimulationEnvironment
-from repro.util.rng import SeedSequenceFactory
+from repro.util.rng import SeedSequenceFactory, derive_rng
 
 FONT_SIZES_PT = (10, 12, 14, 18, 22)
 MAIN_TEXT_SELECTOR = "#mw-content-text p"
@@ -140,10 +142,6 @@ class PersonalFontJudge:
         return state
 
     def _model_for(self, worker_id: str) -> FontReadabilityModel:
-        import numpy as np
-
-        from repro.util.rng import derive_rng
-
         model = self._models.get(worker_id)
         if model is None:
             rng = derive_rng(self.hetero_seed, worker_id)

@@ -145,12 +145,3 @@ class FleetStore:
         if path not in self.files:
             return None
         return json.loads(self.files.read(path))
-
-    def dead_letter_ids(self) -> List[str]:
-        """Job ids currently in the dead-letter folder (sorted)."""
-        prefix = f"{self.root}/dead/"
-        return sorted(
-            path[len(prefix):-len(".json")]
-            for path in self.files.list_files(f"{self.root}/dead")
-            if path.endswith(".json")
-        )

@@ -396,10 +396,6 @@ class StyleResolver:
         """Computed font size in pixels."""
         return _font_px(self.computed_style(element))
 
-    def invalidate(self) -> None:
-        """Drop the computed-style cache after document mutation."""
-        self._cache.clear()
-
 
 def _font_px(style: Dict[str, str]) -> float:
     value = style.get("font-size")

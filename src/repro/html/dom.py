@@ -42,13 +42,6 @@ class Node:
             self.parent = None
         return self
 
-    @property
-    def index_in_parent(self) -> int:
-        """This node's position among its siblings; -1 when parentless."""
-        if self.parent is None:
-            return -1
-        return self.parent.children.index(self)
-
 
 class Text(Node):
     """A text node."""
@@ -114,21 +107,6 @@ class Element(Node):
         """True when ``name`` is in the class list."""
         return name in self.classes
 
-    def add_class(self, name: str) -> None:
-        """Append a class if not already present."""
-        current = self.classes
-        if name not in current:
-            current.append(name)
-            self.set("class", " ".join(current))
-
-    def remove_class(self, name: str) -> None:
-        """Remove a class if present."""
-        current = [c for c in self.classes if c != name]
-        if current:
-            self.set("class", " ".join(current))
-        else:
-            self.remove_attribute("class")
-
     # -- inline style ---------------------------------------------------------
 
     def style_declarations(self) -> dict:
@@ -153,17 +131,6 @@ class Element(Node):
             "style", "; ".join(f"{p}: {v}" for p, v in declarations.items())
         )
 
-    def remove_style(self, prop: str) -> None:
-        """Remove one inline-style property."""
-        declarations = self.style_declarations()
-        declarations.pop(prop.lower(), None)
-        if declarations:
-            self.set(
-                "style", "; ".join(f"{p}: {v}" for p, v in declarations.items())
-            )
-        else:
-            self.remove_attribute("style")
-
     # -- tree mutation --------------------------------------------------------
 
     def append(self, node: Node) -> Node:
@@ -179,11 +146,6 @@ class Element(Node):
         node.parent = self
         self.children.insert(index, node)
         return node
-
-    def append_text(self, data: str) -> Text:
-        """Append a new text node."""
-        text = Text(data)
-        return self.append(text)  # type: ignore[return-value]
 
     def replace_child(self, old: Node, new: Node) -> Node:
         """Replace ``old`` with ``new`` in place."""
@@ -243,10 +205,6 @@ class Element(Node):
         """Descendant elements with a given tag name."""
         tag = tag.lower()
         return self.find_all(lambda e: e.tag == tag)
-
-    def get_elements_by_class(self, name: str) -> List["Element"]:
-        """Descendant elements carrying a given class."""
-        return self.find_all(lambda e: e.has_class(name))
 
     # -- text extraction ----------------------------------------------------
 

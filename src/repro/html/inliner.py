@@ -45,15 +45,6 @@ class InlineReport:
     failures: List[str] = field(default_factory=list)
     bytes_inlined: int = 0
 
-    @property
-    def total_inlined(self) -> int:
-        return (
-            self.inlined_stylesheets
-            + self.inlined_scripts
-            + self.inlined_images
-            + self.inlined_css_urls
-        )
-
 
 def to_data_url(content_type: str, body: bytes) -> str:
     """Encode bytes as a base64 ``data:`` URL."""

@@ -9,7 +9,7 @@ mirroring Kaleidoscope's "no impact on the running website" property.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ValidationError
 from repro.html.dom import Document, Element, Text
@@ -104,14 +104,6 @@ def remove_elements(document: Document, selector: str) -> int:
     return len(matched)
 
 
-def set_attribute(document: Document, selector: str, name: str, value: str) -> int:
-    """Set an attribute on every match."""
-    matched = query_selector_all(document, selector)
-    for element in matched:
-        element.set(name, value)
-    return len(matched)
-
-
 def _is_ancestor(candidate: Element, element: Element) -> bool:
     return any(ancestor is candidate for ancestor in element.ancestors)
 
@@ -141,19 +133,13 @@ class VariantBuilder:
     """Fluent builder composing several mutations into one page variant.
 
     >>> variant = (VariantBuilder(page)
-    ...            .font_size("#mw-content-text p", 14)
-    ...            .label("14pt")
+    ...            .style("#mw-content-text p", "font-size", "14pt")
     ...            .build())
     """
 
     def __init__(self, base: Document):
         self._base = base
         self._operations: List = []
-        self._label: Optional[str] = None
-
-    def font_size(self, selector: str, points: float) -> "VariantBuilder":
-        self._operations.append(lambda d: set_font_size(d, selector, points))
-        return self
 
     def style(self, selector: str, prop: str, value: str) -> "VariantBuilder":
         self._operations.append(lambda d: set_style_property(d, selector, prop, value))
@@ -179,17 +165,9 @@ class VariantBuilder:
         self._operations.append(lambda d: remove_elements(d, selector))
         return self
 
-    def label(self, text: str) -> "VariantBuilder":
-        self._label = text
-        return self
-
     def build(self) -> Document:
         """Apply all queued mutations to a fresh clone of the base page."""
         document = self._base.clone()
         for operation in self._operations:
             operation(document)
         return document
-
-    @property
-    def variant_label(self) -> str:
-        return self._label or "variant"

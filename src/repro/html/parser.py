@@ -168,20 +168,3 @@ def parse_html(markup: str) -> Document:
     for token in Tokenizer(markup).tokens():
         builder.feed(token)
     return builder.finish()
-
-
-def parse_fragment(markup: str) -> List:
-    """Parse a fragment; returns its top-level nodes (no html/head/body)."""
-    document = parse_html(markup)
-    body = document.body
-    head = document.head
-    nodes: List = []
-    if head is not None:
-        for child in list(head.children):
-            # Head-ish fragment content (e.g. a bare <style>) still belongs
-            # to the fragment result.
-            nodes.append(child.detach())
-    if body is not None:
-        for child in list(body.children):
-            nodes.append(child.detach())
-    return nodes

@@ -51,13 +51,6 @@ def _serialize_node(node: Node, out: List[str], raw_depth: int) -> None:
         out.append(f"</{node.tag}>")
 
 
-def serialize_element(element: Element) -> str:
-    """Serialize a single element subtree."""
-    out: List[str] = []
-    _serialize_node(element, out, 0)
-    return "".join(out)
-
-
 def serialize(document: Document) -> str:
     """Serialize a full document, doctype included."""
     out: List[str] = []
@@ -65,46 +58,3 @@ def serialize(document: Document) -> str:
         out.append(f"<!DOCTYPE {document.doctype}>")
     _serialize_node(document.root, out, 0)
     return "".join(out)
-
-
-def _pretty_node(node: Node, out: List[str], depth: int, raw_depth: int) -> None:
-    indent = "  " * depth
-    if isinstance(node, Text):
-        data = node.data if raw_depth > 0 else encode_text(node.data)
-        stripped = data.strip()
-        if stripped:
-            out.append(f"{indent}{stripped}")
-    elif isinstance(node, Comment):
-        out.append(f"{indent}<!--{node.data}-->")
-    elif isinstance(node, Element):
-        open_tag = f"{indent}<{node.tag}{_serialize_attributes(node)}>"
-        if node.tag in VOID_ELEMENTS:
-            out.append(open_tag)
-            return
-        only_text = all(isinstance(c, Text) for c in node.children)
-        if only_text:
-            text = "".join(
-                c.data if raw_depth or node.tag in RAW_TEXT_ELEMENTS else encode_text(c.data)
-                for c in node.children
-                if isinstance(c, Text)
-            ).strip()
-            out.append(f"{open_tag}{text}</{node.tag}>")
-            return
-        out.append(open_tag)
-        child_raw = raw_depth + (1 if node.tag in RAW_TEXT_ELEMENTS else 0)
-        for child in node.children:
-            _pretty_node(child, out, depth + 1, child_raw)
-        out.append(f"{indent}</{node.tag}>")
-
-
-def serialize_pretty(document: Document) -> str:
-    """Serialize with indentation (whitespace-insensitive content only).
-
-    Note: pretty output is for human inspection; it normalizes whitespace in
-    text nodes and therefore does not round-trip byte-identically.
-    """
-    out: List[str] = []
-    if document.doctype:
-        out.append(f"<!DOCTYPE {document.doctype}>")
-    _pretty_node(document.root, out, 0, 0)
-    return "\n".join(out) + "\n"

@@ -221,8 +221,3 @@ class Tokenizer:
                 self.pos += 1
             value = self.markup[start : self.pos]
         return (name, decode_entities(value))
-
-
-def tokenize(markup: str) -> List[Token]:
-    """Tokenize ``markup`` into a list of tokens."""
-    return list(Tokenizer(markup).tokens())

@@ -12,7 +12,7 @@ removes.
 from repro.net.profiles import NetworkProfile, PROFILES, get_profile
 from repro.net.http import IDEMPOTENCY_HEADER, Request, Response, Router, HttpServer
 from repro.net.simnet import Client, SimulatedNetwork
-from repro.net.fetch import FetchedResource, ResourceFetcher, StaticResourceMap
+from repro.net.fetch import FetchedResource, StaticResourceMap
 from repro.net.faults import (
     CircuitBreaker,
     CircuitBreakerConfig,
@@ -41,7 +41,6 @@ __all__ = [
     "Client",
     "SimulatedNetwork",
     "FetchedResource",
-    "ResourceFetcher",
     "StaticResourceMap",
     "CircuitBreaker",
     "CircuitBreakerConfig",

@@ -149,9 +149,6 @@ class FaultPlan:
             rules.append(FaultRule(FAULT_LATENCY, latency_rate, host=host))
         return cls(seed=seed, rules=rules)
 
-    def with_rule(self, rule: FaultRule) -> "FaultPlan":
-        return FaultPlan(self.seed, self.rules + (rule,), self.outages)
-
     def with_outage(
         self, start: float, end: float, host: Optional[str] = None
     ) -> "FaultPlan":

@@ -1,8 +1,7 @@
 """Resource fetching for the inliner and the extension.
 
-:class:`ResourceFetcher` adapts the simulated network to the fetch protocol
-the inliner expects (``fetch(url) -> FetchedResource``).
-:class:`StaticResourceMap` satisfies the same protocol from a plain mapping,
+:class:`StaticResourceMap` satisfies the fetch protocol the inliner expects
+(``fetch(url) -> FetchedResource``) from a plain mapping,
 which is how experiment datasets seed a synthetic origin server without
 standing up network plumbing.
 """
@@ -15,9 +14,6 @@ from typing import Dict, Optional, Union
 
 from repro.errors import FetchError
 from repro.html.urlutil import guess_content_type, split_url
-from repro.net.http import HttpServer, Request, Response, Router
-from repro.net.profiles import NetworkProfile
-from repro.net.simnet import SimulatedNetwork
 
 
 @dataclass(frozen=True)
@@ -36,33 +32,6 @@ class FetchedResource:
     @property
     def size_bytes(self) -> int:
         return len(self.body_bytes)
-
-
-class ResourceFetcher:
-    """Fetches resources over a :class:`SimulatedNetwork`."""
-
-    def __init__(self, network: SimulatedNetwork, profile: Optional[NetworkProfile] = None):
-        self.network = network
-        self.profile = profile
-
-    def fetch(self, url: str) -> FetchedResource:
-        """GET ``url``; raises :class:`FetchError` on any non-2xx outcome."""
-        try:
-            response, elapsed = self.network.exchange(Request.get(url), self.profile)
-        except Exception as exc:
-            raise FetchError(f"fetch failed: {exc}", url=url) from exc
-        if not response.ok:
-            raise FetchError(
-                f"fetch of {url!r} returned {response.status} {response.reason}",
-                url=url,
-                status=response.status,
-            )
-        return FetchedResource(
-            url=url,
-            content_type=response.content_type,
-            body_bytes=response.body,
-            elapsed_seconds=elapsed,
-        )
 
 
 class StaticResourceMap:
@@ -118,25 +87,3 @@ class StaticResourceMap:
             relative = path.relative_to(root).as_posix()
             resources.add(f"{base}/{relative}", path.read_bytes())
         return resources
-
-    def as_server(self, host: str) -> HttpServer:
-        """Expose the map as an attachable HTTP server for ``host``.
-
-        Only resources whose URL host matches are served.
-        """
-        router = Router()
-
-        def serve(request: Request) -> Response:
-            for url, body in self._bodies.items():
-                parts = split_url(url)
-                if parts.host == request.host and parts.path == request.path:
-                    return Response(
-                        status=200,
-                        headers={"content-type": self._types[url]},
-                        body=body,
-                    )
-            return Response.not_found(request.path)
-
-        router.get("/", serve)
-        router.get("/*path", serve)
-        return HttpServer(host, router)

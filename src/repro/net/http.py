@@ -251,10 +251,6 @@ class HttpServer:
         """Stop accepting requests (subsequent calls raise NetworkError)."""
         self._open = False
 
-    def reopen(self) -> None:
-        """Resume accepting requests after a close (a server restart)."""
-        self._open = True
-
     def handle(self, request: Request, now: float = 0.0, token: str = "") -> Response:
         """Dispatch one request through the router.
 

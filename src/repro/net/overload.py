@@ -301,9 +301,6 @@ class LoadSignal:
         w = self.window_of(now)
         return series[w] if w < len(series) else default
 
-    def utilization_at(self, now: float) -> float:
-        return self._lookup(self.utilization, now, 0.0)
-
     def queue_depth(self, now: float) -> float:
         return self._lookup(self.backlog, now, 0.0)
 

@@ -37,13 +37,6 @@ class NetworkProfile:
         serialization = (size_bytes * 8.0) / (self.downlink_kbps * 1000.0)
         return self.rtt_ms / 1000.0 + serialization
 
-    def upload_seconds(self, size_bytes: int) -> float:
-        """Time to upload ``size_bytes``."""
-        if size_bytes < 0:
-            raise ValidationError(f"size must be >= 0, got {size_bytes}")
-        serialization = (size_bytes * 8.0) / (self.uplink_kbps * 1000.0)
-        return self.rtt_ms / 1000.0 + serialization
-
     def request_seconds(self, request_bytes: int, response_bytes: int) -> float:
         """Round-trip request/response exchange time."""
         up = (request_bytes * 8.0) / (self.uplink_kbps * 1000.0)

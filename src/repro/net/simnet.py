@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import repro.errors as errors
 from repro.errors import CircuitOpenError, ConnectionDropped, NetworkError
@@ -143,10 +143,6 @@ class SimulatedNetwork:
     def detach(self, host: str) -> None:
         """Remove a host from the network."""
         self._hosts.pop(host.lower(), None)
-
-    def hosts(self) -> List[str]:
-        """Sorted attached host names."""
-        return sorted(self._hosts)
 
     # -- exchanges --------------------------------------------------------
 

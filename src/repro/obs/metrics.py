@@ -3,16 +3,14 @@
 This is the quantitative half of the observability layer (the qualitative
 half — nested spans — lives in :mod:`repro.obs.tracing`).
 :class:`MetricsRegistry` keeps counters and wall timers (``add`` /
-``counter`` / ``timed`` / ``timer_seconds`` / ``timer_calls`` /
-``snapshot`` / ``reset``) and adds:
+``counter`` / ``timed`` / ``snapshot`` / ``reset``) and adds:
 
 * **gauges** — last-written named values (``set_gauge("campaign.roster", 20)``);
 * **histograms** — order-independent aggregates (count / total / min / max)
   of *virtual-time* or size observations, safe to compare bit-for-bit across
   parallelism levels because merging observations is commutative;
 * **exception-safe timers** — a raising ``timed`` block still records its
-  elapsed time and call, increments ``<name>.errors``, and never leaks an
-  open timer (:meth:`open_timers` is the regression hook).
+  elapsed time and call and increments ``<name>.errors``.
 
 Wall-clock timers are inherently nondeterministic, so
 :meth:`deterministic_snapshot` exports only the sections (counters, gauges,
@@ -32,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class _TimedBlock:
@@ -40,8 +38,8 @@ class _TimedBlock:
 
     Implemented as a real class (not ``@contextmanager``) so the close-out
     runs in ``__exit__`` even when the body raises: the elapsed time and call
-    are recorded either way, an ``<name>.errors`` counter marks the failed
-    block, and the open-timer count returns to its pre-block value.
+    are recorded either way, and an ``<name>.errors`` counter marks the failed
+    block.
     """
 
     __slots__ = ("_registry", "_name", "_start")
@@ -52,7 +50,6 @@ class _TimedBlock:
         self._start = 0.0
 
     def __enter__(self) -> "_TimedBlock":
-        self._registry._open_timer(self._name)
         self._start = time.perf_counter()
         return self
 
@@ -73,8 +70,6 @@ class MetricsRegistry:
         self._histograms: Dict[str, List[float]] = {}
         # name -> [accumulated_seconds, calls]
         self._timers: Dict[str, list] = {}
-        # name -> number of currently-open timed blocks
-        self._open: Dict[str, int] = {}
 
     # -- counters -----------------------------------------------------------
 
@@ -97,11 +92,6 @@ class MetricsRegistry:
         """Record the latest value of gauge ``name``."""
         with self._lock:
             self._gauges[name] = value
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        """Last value written to gauge ``name`` (``default`` when never set)."""
-        with self._lock:
-            return self._gauges.get(name, default)
 
     # -- histograms ---------------------------------------------------------
 
@@ -127,22 +117,6 @@ class MetricsRegistry:
                 entry[2] = min(entry[2], value)
                 entry[3] = max(entry[3], value)
 
-    def histogram(self, name: str) -> Optional[dict]:
-        """Aggregates of histogram ``name`` (None when never observed)."""
-        with self._lock:
-            entry = self._histograms.get(name)
-            if entry is None:
-                return None
-            count, total, low, high = entry
-            total = float(total)
-            return {
-                "count": count,
-                "total": total,
-                "min": low,
-                "max": high,
-                "mean": total / count if count else 0.0,
-            }
-
     # -- timers -------------------------------------------------------------
 
     def timed(self, name: str) -> _TimedBlock:
@@ -150,21 +124,12 @@ class MetricsRegistry:
 
         Exception-safe: a raising body still records its elapsed time and
         call count, and additionally increments the ``<name>.errors``
-        counter — no timer is ever left open.
+        counter.
         """
         return _TimedBlock(self, name)
 
-    def _open_timer(self, name: str) -> None:
-        with self._lock:
-            self._open[name] = self._open.get(name, 0) + 1
-
     def _close_timer(self, name: str, elapsed: float, error: bool) -> None:
         with self._lock:
-            remaining = self._open.get(name, 0) - 1
-            if remaining > 0:
-                self._open[name] = remaining
-            else:
-                self._open.pop(name, None)
             entry = self._timers.setdefault(name, [0.0, 0])
             entry[0] += elapsed
             entry[1] += 1
@@ -172,23 +137,6 @@ class MetricsRegistry:
                 self._counters[name + ".errors"] = (
                     self._counters.get(name + ".errors", 0) + 1
                 )
-
-    def timer_seconds(self, name: str) -> float:
-        """Accumulated seconds under timer ``name`` (0.0 when never used)."""
-        with self._lock:
-            entry = self._timers.get(name)
-            return entry[0] if entry else 0.0
-
-    def timer_calls(self, name: str) -> int:
-        """Number of completed ``timed`` blocks under ``name``."""
-        with self._lock:
-            entry = self._timers.get(name)
-            return entry[1] if entry else 0
-
-    def open_timers(self) -> int:
-        """Number of ``timed`` blocks currently open (leak detector)."""
-        with self._lock:
-            return sum(self._open.values())
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -291,4 +239,3 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
             self._timers.clear()
-            self._open.clear()

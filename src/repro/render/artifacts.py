@@ -72,22 +72,8 @@ class PageArtifacts:
     frames: Dict[str, "PageArtifacts"] = field(default_factory=dict)
 
     @property
-    def is_integrated(self) -> bool:
-        """True when the page is a two-iframe integrated composition."""
-        return bool(self.frames)
-
-    @property
-    def element_count(self) -> int:
-        return sum(1 for _ in self.document.iter_elements())
-
-    @property
     def page_height(self) -> float:
         return self.layout.page_height if self.layout is not None else 0.0
-
-    @property
-    def last_reveal_ms(self) -> float:
-        """When the page finishes revealing under its replay schedule."""
-        return max(self.reveal_times.values(), default=0.0)
 
 
 class PageArtifactCache:

@@ -40,14 +40,6 @@ class Box:
             return Box(x1, y1, 0.0, 0.0)
         return Box(x1, y1, x2 - x1, y2 - y1)
 
-    def intersects(self, other: "Box") -> bool:
-        """True when the rectangles overlap with positive area."""
-        return self.intersect(other).area > 0
-
-    def translate(self, dx: float, dy: float) -> "Box":
-        """A copy shifted by (dx, dy)."""
-        return Box(self.x + dx, self.y + dy, self.width, self.height)
-
 
 @dataclass(frozen=True)
 class Viewport:

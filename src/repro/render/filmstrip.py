@@ -50,13 +50,6 @@ class Filmstrip:
     def frame_count(self) -> int:
         return len(self.frames)
 
-    def first_change_frame(self) -> Optional[Frame]:
-        """The first frame where anything had painted."""
-        for frame in self.frames:
-            if frame.completeness > 0:
-                return frame
-        return None
-
     def visually_complete_frame(self, threshold: float = 0.999) -> Optional[Frame]:
         """The first frame at (effectively) full completeness."""
         for frame in self.frames:
@@ -74,11 +67,6 @@ class Filmstrip:
                 f"{100 * frame.completeness:5.1f}% {marker}"
             )
         return "\n".join(lines)
-
-    def change_times(self) -> List[float]:
-        """Frame times where new paints landed — the recorded reveal times
-        a SelectorSchedule can be built from."""
-        return [f.time_ms for f in self.frames if f.newly_painted > 0]
 
 
 def build_filmstrip(

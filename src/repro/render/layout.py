@@ -68,14 +68,6 @@ class LayoutResult:
         """The box of ``element``, or None when it isn't rendered."""
         return self.boxes.get(id(element))
 
-    def rendered_elements(self) -> List[Element]:
-        """Every element that produced a box, in insertion (document) order."""
-        return list(self.elements.values())
-
-    def total_painted_area(self) -> float:
-        """Sum of leaf-level painted areas (see :meth:`paintable_leaves`)."""
-        return sum(self.box_of(e).area for e in self.paintable_leaves())
-
     def paintable_leaves(self) -> List[Element]:
         """Elements whose paint is counted by the visual metrics.
 

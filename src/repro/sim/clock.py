@@ -48,16 +48,6 @@ class Clock:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def now_days(self) -> float:
-        """Current virtual time in days."""
-        return self._now / SECONDS_PER_DAY
-
-    @property
-    def now_hours(self) -> float:
-        """Current virtual time in hours."""
-        return self._now / SECONDS_PER_HOUR
-
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time``; going backwards is a bug."""
         if time < self._now:

@@ -15,21 +15,12 @@ from typing import Any, Callable, Optional
 
 @dataclass(order=True)
 class Event:
-    """A scheduled callback.
-
-    ``cancelled`` events stay in the heap (removal from a heap is O(n)) but
-    are skipped when popped.
-    """
+    """A scheduled callback."""
 
     time: float
     sequence: int
     callback: Callable[[], Any] = field(compare=False)
     label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when its time comes."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -40,10 +31,10 @@ class EventQueue:
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     def push(self, time: float, callback: Callable[[], Any], label: str = "") -> Event:
-        """Schedule ``callback`` at virtual ``time``; returns a cancellable handle."""
+        """Schedule ``callback`` at virtual ``time``; returns its event."""
         if time < 0:
             raise ValueError(f"event time must be >= 0, got {time}")
         event = Event(time=time, sequence=next(self._counter), callback=callback, label=label)
@@ -51,20 +42,12 @@ class EventQueue:
         return event
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or None."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
+        """Remove and return the earliest event, or None."""
+        return heapq.heappop(self._heap) if self._heap else None
 
     def peek_time(self) -> Optional[float]:
-        """Virtual time of the next live event, or None if the queue is drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        """Virtual time of the next event, or None if the queue is drained."""
+        return self._heap[0].time if self._heap else None
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -552,18 +552,3 @@ class DocumentStore:
             for index in payload.get("indexes", []):
                 collection.create_index(index["field"], unique=index["unique"])
         return store
-
-    def save_file(self, path) -> None:
-        """Persist the snapshot as a JSON file."""
-        from pathlib import Path
-
-        from repro.util.jsonutil import dumps_pretty
-
-        Path(path).write_text(dumps_pretty(self.dump()) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load_file(cls, path) -> "DocumentStore":
-        """Restore a store from a JSON snapshot file."""
-        from repro.util.jsonutil import load_file
-
-        return cls.load(load_file(path))

@@ -81,31 +81,10 @@ class FileStore:
             raise StorageError(f"no such file: {normal!r}")
         del self._files[normal]
 
-    def delete_tree(self, prefix: str) -> int:
-        """Remove every file under a folder prefix; returns the count removed."""
-        normal = _normalize(prefix)
-        doomed = [p for p in self._files if p == normal or p.startswith(normal + "/")]
-        for path in doomed:
-            del self._files[path]
-        return len(doomed)
-
-    def list_files(self, prefix: str = "") -> List[str]:
-        """Sorted paths, optionally restricted to a folder prefix."""
-        if not prefix:
-            return sorted(self._files)
-        normal = _normalize(prefix)
-        return sorted(
-            p for p in self._files if p == normal or p.startswith(normal + "/")
-        )
-
     def iter_items(self) -> Iterator[tuple]:
         """Yield ``(path, content)`` pairs in sorted path order."""
         for path in sorted(self._files):
             yield path, self._files[path]
-
-    def total_bytes(self) -> int:
-        """Total stored size in UTF-8 bytes (storage-footprint reporting)."""
-        return sum(len(c.encode("utf-8")) for c in self._files.values())
 
     def export_to_directory(self, directory) -> List[Path]:
         """Write every stored file under a real directory; returns the paths."""

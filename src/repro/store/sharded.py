@@ -689,13 +689,6 @@ class ShardedDocumentStore:
 
     # -- durability ---------------------------------------------------------
 
-    def snapshot_all(self) -> None:
-        """Force a snapshot + compaction on every shard (checkpointing)."""
-        for shard in self._shards:
-            shard.compact(self._peek_next_id())
-            self.metrics.add("store.snapshots", 1)
-            self.metrics.add("store.compactions", 1)
-
     def recover(self) -> None:
         """(Re)build in-memory state from each shard's snapshot + WAL.
 

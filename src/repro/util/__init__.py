@@ -6,10 +6,8 @@ from repro.util.statsutil import (
     empirical_cdf,
     mean,
     percentile,
-    stdev,
 )
 from repro.util.validation import (
-    require_in_range,
     require_non_empty,
     require_positive,
     require_type,
@@ -23,8 +21,6 @@ __all__ = [
     "empirical_cdf",
     "mean",
     "percentile",
-    "stdev",
-    "require_in_range",
     "require_non_empty",
     "require_positive",
     "require_type",

@@ -43,11 +43,6 @@ def load_file(path) -> Any:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def dump_file(path, value: Any) -> None:
-    """Write a value to a JSON file (pretty form, trailing newline)."""
-    Path(path).write_text(dumps_pretty(value) + "\n", encoding="utf-8")
-
-
 #: Exact types a JSON round trip returns unchanged. Their values are
 #: immutable, so a copy may share them.
 _SHARED_TYPES = frozenset((str, int, float, bool, type(None)))

@@ -20,15 +20,6 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def stdev(values: Sequence[float]) -> float:
-    """Sample standard deviation (ddof=1); 0.0 for fewer than two values."""
-    values = list(values)
-    if len(values) < 2:
-        return 0.0
-    m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile, ``q`` in [0, 100]."""
     values = sorted(values)
@@ -62,16 +53,6 @@ class Cdf:
         if len(self.xs) != len(self.ps):
             raise ValueError("xs and ps must be aligned")
 
-    def evaluate(self, x: float) -> float:
-        """Return P(X <= x)."""
-        result = 0.0
-        for value, prob in zip(self.xs, self.ps):
-            if value <= x:
-                result = prob
-            else:
-                break
-        return result
-
     def quantile(self, p: float) -> float:
         """Return the smallest x with P(X <= x) >= p."""
         if not 0 <= p <= 1:
@@ -85,11 +66,6 @@ class Cdf:
     def maximum(self) -> float:
         """Largest observed value."""
         return self.xs[-1]
-
-    @property
-    def minimum(self) -> float:
-        """Smallest observed value."""
-        return self.xs[0]
 
     def series(self) -> List[Tuple[float, float]]:
         """Return ``(x, p)`` points suitable for plotting or printing."""
@@ -112,13 +88,3 @@ def empirical_cdf(samples: Iterable[float]) -> Cdf:
         xs.append(v)
         ps.append(seen / n)
     return Cdf(tuple(xs), tuple(ps))
-
-
-def histogram_percentages(labels: Sequence[str], counts: Sequence[int]) -> dict:
-    """Turn aligned label/count sequences into a {label: percent} mapping."""
-    if len(labels) != len(counts):
-        raise ValueError("labels and counts must be aligned")
-    total = sum(counts)
-    if total == 0:
-        return {label: 0.0 for label in labels}
-    return {label: 100.0 * c / total for label, c in zip(labels, counts)}

@@ -51,26 +51,6 @@ def require_positive(value, field: str, allow_zero: bool = False):
     return value
 
 
-def require_in_range(value, low, high, field: str):
-    """Ensure ``low <= value <= high``."""
-    require_type(value, (int, float), field)
-    if not (low <= value <= high):
-        raise ValidationError(
-            f"{field!r} must be in [{low}, {high}], got {value}", field=field
-        )
-    return value
-
-
-def require_one_of(value, allowed: Iterable, field: str):
-    """Ensure ``value`` is one of an allowed set."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValidationError(
-            f"{field!r} must be one of {allowed!r}, got {value!r}", field=field
-        )
-    return value
-
-
 def require_keys(mapping: dict, keys: Iterable[str], field: str) -> dict:
     """Ensure a mapping contains every key in ``keys``."""
     require_type(mapping, dict, field)

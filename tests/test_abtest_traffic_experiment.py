@@ -31,15 +31,6 @@ class TestTraffic:
         fast.run_until_visitors(100, seed=2)
         assert fast.duration_days < slow.duration_days / 5
 
-    def test_cumulative_series_monotone(self):
-        traffic = make_traffic()
-        traffic.run_until_visitors(30, seed=3)
-        series = traffic.cumulative_by_day()
-        days = [d for d, _ in series]
-        counts = [c for _, c in series]
-        assert days == sorted(days)
-        assert counts == list(range(1, 31))
-
     def test_max_days_bound(self):
         traffic = make_traffic(0.5)
         traffic.run_until_visitors(10_000, seed=4, max_days=3)
@@ -88,14 +79,6 @@ class TestABExperiment:
         experiment = ABExperiment(make_traffic(), 0.06, 0.12)
         result = experiment.run(visitors=50, seed=5)
         assert result.duration_days > 1
-
-    def test_cumulative_preference_series(self):
-        experiment = ABExperiment(make_traffic(50), 0.5, 0.5)
-        experiment.run(visitors=40, seed=6)
-        series = experiment.cumulative_preference_series()
-        assert len(series) == 40
-        _, a_final, b_final = series[-1]
-        assert a_final + b_final == sum(experiment.clicks.values())
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValidationError):

@@ -324,8 +324,8 @@ class TestResumeAfterLostUploads:
         campaign = Campaign(
             config=CampaignConfig(
                 seed=1,
-                fault_plan=FaultPlan(seed=1).with_rule(
-                    FaultRule(FAULT_DROP, 0.5, path_prefix="/responses")
+                fault_plan=FaultPlan(
+                    seed=1, rules=[FaultRule(FAULT_DROP, 0.5, path_prefix="/responses")]
                 ),
                 retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
             ),
@@ -372,8 +372,8 @@ class TestLostUploads:
         campaign = Campaign(
             config=CampaignConfig(
                 seed=51,
-                fault_plan=FaultPlan(seed=51).with_rule(
-                    FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")
+                fault_plan=FaultPlan(
+                    seed=51, rules=[FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")]
                 ),
                 retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
             ),

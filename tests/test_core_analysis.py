@@ -164,7 +164,7 @@ class TestBehaviorCdfs:
         result = result_with_answers("w", [("a", "b", "left")])
         cdfs = behavior_cdfs([result])
         assert cdfs.active_tabs.maximum >= 2
-        assert cdfs.created_tabs.minimum >= 0
+        assert cdfs.created_tabs.xs[0] >= 0
         assert cdfs.time_on_task_minutes.maximum == 0.5
 
 

@@ -34,15 +34,13 @@ class TestPairwiseCounts:
         counts.add_win("a", "b")
         counts.add_win("a", "b")
         counts.add_win("b", "a")
-        assert counts.wins_of("a") == 2
-        assert counts.wins_of("b") == 1
+        assert counts.wins == {("a", "b"): 2, ("b", "a"): 1}
         assert counts.matchups("a", "b") == 3
 
     def test_tie_splits(self):
         counts = PairwiseCounts(["a", "b"])
         counts.add_tie("a", "b")
-        assert counts.wins_of("a") == 0.5
-        assert counts.wins_of("b") == 0.5
+        assert counts.wins == {("a", "b"): 0.5, ("b", "a"): 0.5}
 
     def test_unknown_version_rejected(self):
         counts = PairwiseCounts(["a", "b"])
@@ -55,9 +53,7 @@ class TestPairwiseCounts:
             result_with("w2", [("a", "b", "right")]),
         ]
         counts = counts_from_results(results, "q1", ["a", "b", "c"])
-        assert counts.wins_of("a") == 1
-        assert counts.wins_of("b") == 1.5
-        assert counts.wins_of("c") == 0.5
+        assert counts.wins == {("a", "b"): 1, ("b", "a"): 1, ("b", "c"): 0.5, ("c", "b"): 0.5}
 
     def test_unknown_versions_in_answers_skipped(self):
         results = [result_with("w1", [("a", "__contrast__", "left")])]

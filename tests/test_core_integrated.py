@@ -5,9 +5,10 @@ from repro.core.integrated import (
     IntegratedWebpage,
     compose_integrated_page,
     frame_sources,
-    integrated_page_html,
 )
 from repro.html.parser import parse_html
+from repro.html.selectors import query_selector, query_selector_all
+from repro.html.serializer import serialize
 
 
 class TestComposition:
@@ -29,8 +30,8 @@ class TestComposition:
     def test_instructions_banner_optional(self):
         without = compose_integrated_page("i", "/a", "/b")
         with_banner = compose_integrated_page("i", "/a", "/b", instructions="Compare!")
-        assert not without.root.get_elements_by_class("kaleidoscope-banner")
-        banner = with_banner.root.get_elements_by_class("kaleidoscope-banner")[0]
+        assert not query_selector_all(without, ".kaleidoscope-banner")
+        banner = query_selector(with_banner, ".kaleidoscope-banner")
         assert banner.text_content == "Compare!"
 
     def test_frames_sandboxed(self):
@@ -39,8 +40,8 @@ class TestComposition:
             assert frame.get("sandbox") == "allow-scripts"
 
     def test_html_round_trips(self):
-        html = integrated_page_html("i1", "/a.html", "/b.html", instructions="Hi")
-        reparsed = parse_html(html)
+        document = compose_integrated_page("i1", "/a.html", "/b.html", instructions="Hi")
+        reparsed = parse_html(serialize(document))
         assert frame_sources(reparsed) == ("/a.html", "/b.html")
 
     def test_frame_sources_none_for_plain_page(self):

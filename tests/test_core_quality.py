@@ -1,7 +1,5 @@
 """Tests for the quality-control stack."""
 
-import pytest
-
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.quality import (
     QualityConfig,
@@ -12,10 +10,8 @@ from repro.core.quality import (
     REASON_TAB_CHURN,
     REASON_TOO_FAST,
     REASON_TOO_SLOW,
-    split_raw_and_controlled,
 )
 from repro.crowd.behavior import BehaviorTrace
-from repro.errors import ValidationError
 
 GOOD_TRACE = BehaviorTrace(0.8, 0, 3)
 
@@ -168,15 +164,3 @@ class TestMajorityVote:
         ]
         report = QualityControl().apply(results, EXPECTED)
         assert len(report.kept) == 2
-
-
-class TestSplitHelper:
-    def test_returns_raw_and_report(self):
-        results = [make_result(worker_id=f"w{i}") for i in range(4)]
-        raw, report = split_raw_and_controlled(results, EXPECTED)
-        assert len(raw) == 4
-        assert len(report.kept) == 4
-
-    def test_invalid_expected_rejected(self):
-        with pytest.raises(ValidationError):
-            split_raw_and_controlled([], 0)

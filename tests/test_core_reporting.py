@@ -9,7 +9,6 @@ from repro.core.reporting import (
     format_ranking_distribution,
     format_series,
     format_table,
-    shares_line,
 )
 from repro.util.statsutil import empirical_cdf
 
@@ -63,11 +62,3 @@ class TestDomainFormatters:
         series = [(i, i * 2) for i in range(100)]
         text = format_series(series, ["x", "y"], max_rows=10)
         assert len(text.splitlines()) == 12
-
-    def test_shares_line(self):
-        line = shares_line({"left": 14, "same": 40, "right": 46})
-        assert "left 14 (14.0%)" in line
-        assert "right 46 (46.0%)" in line
-
-    def test_shares_line_empty(self):
-        assert "(0.0%)" in shares_line({})

@@ -2,37 +2,10 @@
 
 import pytest
 
-from repro.core.parameters import TestParameters
-from repro.core.server import CoreServer
-from repro.core.webui import (
-    BUILDER_COLLECTION,
-    mount_builder,
-    parse_builder_submission,
-    render_builder_form,
-)
+from repro.core.webui import render_builder_form
 from repro.errors import ValidationError
 from repro.html.parser import parse_html
 from repro.html.selectors import query_selector, query_selector_all
-from repro.net.simnet import SimulatedNetwork
-from repro.storage.documentstore import DocumentStore
-from repro.storage.filestore import FileStore
-
-VALID_FIELDS = {
-    "test_id": "builder-demo",
-    "test_description": "made in the builder",
-    "participant_num": "25",
-    "question_1_id": "q1",
-    "question_1_text": "Which looks better?",
-    "webpage_1_web_path": "a",
-    "webpage_1_web_page_load": "3000",
-    "webpage_1_web_main_file": "index.html",
-    "webpage_1_web_description": "original",
-    "webpage_2_web_path": "b",
-    "webpage_2_web_page_load": '[{"#main": 1000}]',
-    "webpage_2_web_main_file": "",
-    "webpage_2_web_description": "variant",
-}
-
 
 class TestForm:
     def test_renders_all_table1_fields(self):
@@ -67,104 +40,3 @@ class TestForm:
             render_builder_form(questions=0)
         with pytest.raises(ValidationError):
             render_builder_form(webpages=1)
-
-
-class TestSubmissionParsing:
-    def test_valid_submission(self):
-        parameters = parse_builder_submission(VALID_FIELDS)
-        assert isinstance(parameters, TestParameters)
-        assert parameters.test_id == "builder-demo"
-        assert parameters.participant_num == 25
-        assert parameters.webpages[1].web_page_load == [{"#main": 1000}]
-        assert parameters.webpages[1].web_main_file == "index.html"  # default
-
-    def test_empty_extra_blocks_skipped(self):
-        fields = dict(VALID_FIELDS)
-        fields["question_2_id"] = "q2"
-        fields["question_2_text"] = "   "
-        fields["webpage_3_web_path"] = ""
-        parameters = parse_builder_submission(fields)
-        assert len(parameters.question) == 1
-        assert parameters.webpage_num == 2
-
-    def test_bad_participant_num(self):
-        fields = dict(VALID_FIELDS, participant_num="many")
-        with pytest.raises(ValidationError):
-            parse_builder_submission(fields)
-
-    def test_bad_load_value(self):
-        fields = dict(VALID_FIELDS)
-        fields["webpage_1_web_page_load"] = "soon"
-        with pytest.raises(ValidationError):
-            parse_builder_submission(fields)
-
-    def test_missing_load_value(self):
-        fields = dict(VALID_FIELDS)
-        fields["webpage_1_web_page_load"] = ""
-        with pytest.raises(ValidationError):
-            parse_builder_submission(fields)
-
-    def test_schema_validation_applies(self):
-        fields = dict(VALID_FIELDS, test_id="")
-        with pytest.raises(ValidationError):
-            parse_builder_submission(fields)
-
-
-class TestMountedRoutes:
-    @pytest.fixture
-    def stack(self):
-        server = CoreServer(DocumentStore(), FileStore())
-        mount_builder(server)
-        network = SimulatedNetwork()
-        network.attach(server.http)
-        return server, network
-
-    def test_get_serves_form(self, stack):
-        server, network = stack
-        response = network.get(server.url("/builder?questions=2&webpages=3"))
-        assert response.ok
-        assert response.content_type == "text/html"
-        page = parse_html(response.text)
-        assert query_selector(page, "#builder-form") is not None
-
-    def test_get_bad_counts_400(self, stack):
-        server, network = stack
-        assert network.get(server.url("/builder?webpages=1")).status == 400
-
-    def test_post_stores_draft(self, stack):
-        server, network = stack
-        response = network.post_json(server.url("/builder"), VALID_FIELDS)
-        assert response.status == 201
-        draft = server.database.collection(BUILDER_COLLECTION).find_one(
-            {"test_id": "builder-demo"}
-        )
-        assert draft is not None
-        assert draft["participant_num"] == 25
-
-    def test_post_resubmission_replaces(self, stack):
-        server, network = stack
-        network.post_json(server.url("/builder"), VALID_FIELDS)
-        updated = dict(VALID_FIELDS, participant_num="60")
-        network.post_json(server.url("/builder"), updated)
-        drafts = server.database.collection(BUILDER_COLLECTION)
-        assert drafts.count({"test_id": "builder-demo"}) == 1
-        assert drafts.find_one({"test_id": "builder-demo"})["participant_num"] == 60
-
-    def test_post_invalid_400(self, stack):
-        server, network = stack
-        response = network.post_json(server.url("/builder"), {"test_id": ""})
-        assert response.status == 400
-
-    def test_post_non_object_400(self, stack):
-        server, network = stack
-        assert network.post_json(server.url("/builder"), [1, 2]).status == 400
-
-    def test_draft_round_trips_to_parameters(self, stack):
-        server, network = stack
-        network.post_json(server.url("/builder"), VALID_FIELDS)
-        draft = server.database.collection(BUILDER_COLLECTION).find_one(
-            {"test_id": "builder-demo"}
-        )
-        draft.pop("_id")
-        restored = TestParameters.from_dict(draft)
-        assert restored.test_id == "builder-demo"

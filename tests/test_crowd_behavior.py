@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.crowd.behavior import BehaviorTrace, engagement_score, sample_behavior
+from repro.crowd.behavior import BehaviorTrace, sample_behavior
 from repro.crowd.workers import WorkerType
 
 from tests.conftest import make_worker
@@ -64,19 +64,3 @@ class TestRoundTrip:
     def test_dict_round_trip(self):
         trace = BehaviorTrace(1.25, 2, 5)
         assert BehaviorTrace.from_dict(trace.as_dict()) == trace
-
-
-class TestEngagementScore:
-    def test_comfortable_trace_scores_high(self):
-        assert engagement_score(BehaviorTrace(0.8, 0, 2)) == 1.0
-
-    def test_rushed_trace_scores_low(self):
-        assert engagement_score(BehaviorTrace(0.03, 0, 2)) < 0.3
-
-    def test_overlong_trace_scores_low(self):
-        assert engagement_score(BehaviorTrace(3.4, 0, 2)) < 0.1
-
-    def test_tab_churn_lowers_score(self):
-        calm = engagement_score(BehaviorTrace(1.0, 0, 2))
-        churny = engagement_score(BehaviorTrace(1.0, 5, 10))
-        assert churny < calm / 2

@@ -62,12 +62,6 @@ class TestThurstoneChoice:
 
         assert accuracy(True) > accuracy(False)
 
-    def test_probability_correct_analytic(self):
-        model = ThurstoneChoiceModel()
-        assert model.probability_correct(0.0, 1.0) == pytest.approx(0.5)
-        assert model.probability_correct(10.0, 0.1) == pytest.approx(1.0)
-        assert model.probability_correct(1.0, 0.0) == 1.0
-
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError):
             ThurstoneChoiceModel(same_threshold=-0.1)

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.experiments.datasets import (
-    GROUP_BASE_URL,
     WIKIPEDIA_BASE_URL,
-    build_both_group_variants,
-    build_group_page_resources,
     build_group_page_variant,
     build_wikipedia_page,
     build_wikipedia_resources,
@@ -51,7 +48,7 @@ class TestGroupPage:
         assert len(query_selector_all(page, ".expand-button")) == 9
 
     def test_variant_b_edits(self):
-        a, b = build_both_group_variants()
+        a, b = build_group_page_variant("A"), build_group_page_variant("B")
         button_a = query_selector(a, ".expand-button")
         button_b = query_selector(b, ".expand-button")
         # 1) larger text: 11px -> 16.5px (1.5x)
@@ -70,8 +67,8 @@ class TestGroupPage:
 
     def test_inlines_against_resources(self):
         page = build_group_page_variant("B")
-        report = Inliner(build_group_page_resources()).inline(
-            page, f"{GROUP_BASE_URL}/index.html"
+        report = Inliner(group_resources_for(["group-b"])).inline(
+            page, "http://test.local/group-b/index.html"
         )
         assert report.failures == []
         assert is_self_contained(page)

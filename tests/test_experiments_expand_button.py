@@ -42,7 +42,7 @@ class TestSmallScaleRun:
 
     def test_visibility_question_significant(self, outcome):
         """Paper: p = 6.8e-8 — B more visible at 99% confidence."""
-        assert outcome.visibility_p_value < 0.01
+        assert outcome.tallies[QUESTION_C.question_id].preference_p_value() < 0.01
         tally = outcome.tallies[QUESTION_C.question_id]
         assert tally.right_count > tally.left_count
 

@@ -173,12 +173,3 @@ class TestFontSizeResolution:
         )
         resolver = StyleResolver(document)
         assert resolver.font_size_px(query_selector(document, "p")) == 10.0
-
-    def test_invalidate_clears_cache(self):
-        document = parse_html("<p>t</p>")
-        resolver = StyleResolver(document)
-        p = query_selector(document, "p")
-        assert resolver.font_size_px(p) == 16.0
-        p.set_style("font-size", "32px")
-        resolver.invalidate()
-        assert resolver.font_size_px(p) == 32.0

@@ -36,17 +36,6 @@ class TestClasses:
         assert element.has_class("active")
         assert not element.has_class("act")
 
-    def test_add_class_idempotent(self):
-        element = Element("div")
-        element.add_class("x")
-        element.add_class("x")
-        assert element.classes == ["x"]
-
-    def test_remove_class_drops_attribute_when_empty(self):
-        element = Element("div", {"class": "only"})
-        element.remove_class("only")
-        assert element.get("class") is None
-
 
 class TestInlineStyle:
     def test_parse_declarations(self):
@@ -64,16 +53,6 @@ class TestInlineStyle:
         element.set_style("font-size", "10pt")
         element.set_style("font-size", "22pt")
         assert element.style_declarations() == {"font-size": "22pt"}
-
-    def test_remove_style(self):
-        element = Element("p", {"style": "color: red; margin: 0"})
-        element.remove_style("color")
-        assert element.style_declarations() == {"margin": "0"}
-
-    def test_remove_last_style_drops_attribute(self):
-        element = Element("p", {"style": "color: red"})
-        element.remove_style("color")
-        assert element.get("style") is None
 
     def test_malformed_declarations_skipped(self):
         element = Element("p", {"style": "color red; ; font-size: 1em"})
@@ -123,14 +102,6 @@ class TestTreeMutation:
         assert parent.children == []
         assert child.parent is None
 
-    def test_index_in_parent(self):
-        parent = Element("div")
-        first = parent.append(Element("a"))
-        second = parent.append(Element("b"))
-        assert first.index_in_parent == 0
-        assert second.index_in_parent == 1
-        assert parent.index_in_parent == -1
-
 
 class TestTraversal:
     @pytest.fixture
@@ -150,10 +121,6 @@ class TestTraversal:
 
     def test_get_elements_by_tag(self, tree):
         assert len(tree.body.get_elements_by_tag("p")) == 2
-
-    def test_get_elements_by_class(self, tree):
-        assert len(tree.body.get_elements_by_class("x")) == 2
-        assert len(tree.body.get_elements_by_class("y")) == 1
 
     def test_find_first_document_order(self, tree):
         found = tree.body.find_first(lambda e: e.tag == "p")

@@ -105,12 +105,6 @@ class TestInlining:
     def test_bytes_accounted(self, page, resources):
         report = Inliner(resources).inline(page, PAGE_URL)
         assert report.bytes_inlined > 0
-        assert report.total_inlined == (
-            report.inlined_stylesheets
-            + report.inlined_scripts
-            + report.inlined_images
-            + report.inlined_css_urls
-        )
 
 
 class TestFailureTolerance:

@@ -10,7 +10,6 @@ from repro.html.mutations import (
     remove_elements,
     replace_text,
     scale_font_size,
-    set_attribute,
     set_font_size,
     set_style_property,
 )
@@ -77,10 +76,6 @@ class TestTextEdits:
         prepend_symbol(page, "#btn", "▶")
         assert query_selector(page, "#btn").text_content == "▶ Expand"
 
-    def test_set_attribute(self, page):
-        assert set_attribute(page, "p.a", "data-x", "1") == 2
-        assert query_selector(page, "p.a").get("data-x") == "1"
-
 
 class TestMoveRemove:
     def test_move_element(self, page):
@@ -109,7 +104,7 @@ class TestMoveRemove:
 
 class TestVariantBuilder:
     def test_base_untouched(self, page):
-        variant = VariantBuilder(page).font_size("p.a", 22).build()
+        variant = VariantBuilder(page).style("p.a", "font-size", "22pt").build()
         assert query_selector(page, "p.a").get("style") is None
         assert query_selector(variant, "p.a").style_declarations()["font-size"] == "22pt"
 
@@ -119,17 +114,12 @@ class TestVariantBuilder:
             .scale_font("#btn", 1.5)
             .symbol("#btn", "▶")
             .move("#btn", "#sidebar")
-            .label("B")
             .build()
         )
         button = query_selector(variant, "#btn")
         assert button.style_declarations()["font-size"] == "16.5px"
         assert button.text_content.startswith("▶")
         assert button.parent.id == "sidebar"
-
-    def test_label_default(self, page):
-        assert VariantBuilder(page).variant_label == "variant"
-        assert VariantBuilder(page).label("B").variant_label == "B"
 
     def test_two_builds_are_independent(self, page):
         builder = VariantBuilder(page).text("#btn", "X")

@@ -1,7 +1,7 @@
 """Tests for HTML tree construction."""
 
-from repro.html.dom import Comment, Element, Text
-from repro.html.parser import parse_fragment, parse_html
+from repro.html.dom import Comment, Text
+from repro.html.parser import parse_html
 
 
 class TestDocumentStructure:
@@ -103,18 +103,3 @@ class TestErrorRecovery:
     def test_unclosed_elements_closed_at_eof(self):
         document = parse_html("<div><p>unclosed")
         assert document.body.get_elements_by_tag("p")[0].text_content == "unclosed"
-
-
-class TestFragment:
-    def test_returns_top_level_nodes(self):
-        nodes = parse_fragment("<p>a</p><p>b</p>")
-        assert [n.tag for n in nodes if isinstance(n, Element)] == ["p", "p"]
-
-    def test_nodes_are_detached(self):
-        nodes = parse_fragment("<p>a</p>")
-        assert nodes[0].parent is None
-
-    def test_headish_content_included(self):
-        nodes = parse_fragment("<style>p{}</style><p>x</p>")
-        tags = [n.tag for n in nodes if isinstance(n, Element)]
-        assert "style" in tags and "p" in tags

@@ -2,7 +2,7 @@
 
 from repro.html.dom import Document, Element, Text
 from repro.html.parser import parse_html
-from repro.html.serializer import serialize, serialize_element, serialize_pretty
+from repro.html.serializer import serialize
 
 
 class TestSerialize:
@@ -26,8 +26,9 @@ class TestSerialize:
         assert "<p>a &lt; b &amp; c</p>" in serialize(document)
 
     def test_attribute_value_escaped(self):
-        element = Element("a", {"title": 'x "y" & z'})
-        assert serialize_element(element) == '<a title="x &quot;y&quot; &amp; z"></a>'
+        document = Document()
+        document.ensure_body().append(Element("a", {"title": 'x "y" & z'}))
+        assert '<a title="x &quot;y&quot; &amp; z"></a>' in serialize(document)
 
     def test_script_not_escaped(self):
         document = parse_html("<script>if (a < b) alert('&amp;');</script><p>x</p>")
@@ -52,17 +53,3 @@ class TestSerialize:
         once = serialize(parse_html(markup))
         twice = serialize(parse_html(once))
         assert once == twice  # serialization is a fixed point
-
-
-class TestPretty:
-    def test_indented_output(self):
-        document = parse_html("<div><p>text</p></div>")
-        pretty = serialize_pretty(document)
-        assert "  <body>" in pretty
-        assert "<p>text</p>" in pretty
-
-    def test_reparses_to_same_structure(self):
-        document = parse_html('<div id="x"><p>one</p><p>two</p></div>')
-        reparsed = parse_html(serialize_pretty(document))
-        assert len(reparsed.body.get_elements_by_tag("p")) == 2
-        assert reparsed.get_element_by_id("x") is not None

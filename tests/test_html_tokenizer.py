@@ -1,6 +1,10 @@
 """Tests for the HTML tokenizer."""
 
-from repro.html.tokenizer import tokenize
+from repro.html.tokenizer import Tokenizer
+
+
+def tokenize(markup):
+    return list(Tokenizer(markup).tokens())
 
 
 def kinds(markup):

@@ -137,9 +137,9 @@ class TestRecoveryPaths:
         campaign.server.http.close()
         with pytest.raises(NetworkError):
             campaign.run(make_judge())
-        # "Restart" the server: reopen and run a fixed roster; earlier
-        # failures left no partial state behind.
-        campaign.server.http.reopen()
+        # "Restart" the server and run a fixed roster; earlier failures left
+        # no partial state behind.
+        campaign.server.http._open = True
         workers = generate_population(5, IN_LAB_MIX, seed=3, id_prefix="rec")
         result = campaign.run_with_workers(workers, make_judge())
         assert result.participants == 5

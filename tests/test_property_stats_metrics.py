@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abtest.stats import (
-    binomial_test_p,
-    proportion_confidence_interval,
-    two_proportion_z,
-)
+from repro.abtest.stats import two_proportion_z
 from repro.html.parser import parse_html
 from repro.render.metrics import compute_visual_metrics
 from repro.render.paint import build_paint_timeline
@@ -41,22 +37,6 @@ class TestStatsProperties:
         backward = two_proportion_z(n - s, n, s, n, two_sided=True)
         assert forward.p_value == pytest.approx(backward.p_value, abs=1e-12)
 
-    @given(proportions)
-    @settings(max_examples=100)
-    def test_binomial_p_in_unit_interval(self, proportion):
-        s, n = proportion
-        assert 0.0 <= binomial_test_p(s, n) <= 1.0
-        assert 0.0 <= binomial_test_p(s, n, two_sided=False) <= 1.0
-
-    @given(proportions)
-    @settings(max_examples=100)
-    def test_wilson_interval_ordered_and_bounded(self, proportion):
-        s, n = proportion
-        low, high = proportion_confidence_interval(s, n)
-        assert 0.0 <= low <= high <= 1.0
-        # Point estimate inside the interval.
-        assert low <= s / n <= high
-
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=100)
     def test_cdf_monotone_normalized(self, samples):
@@ -73,7 +53,7 @@ class TestStatsProperties:
     def test_cdf_quantile_inverse_bound(self, samples, p):
         cdf = empirical_cdf(samples)
         x = cdf.quantile(p)
-        assert cdf.evaluate(x) >= p - 1e-12
+        assert sum(s <= x for s in samples) / len(samples) >= p - 1e-12
 
 
 PAGE = parse_html(

@@ -86,26 +86,10 @@ class TestFileStoreProperties:
 
     @given(st.dictionaries(safe_paths, st.text(max_size=20), min_size=1, max_size=10))
     @settings(max_examples=50)
-    def test_list_files_complete_and_sorted(self, files):
+    def test_iter_items_complete_and_sorted(self, files):
         store = FileStore()
         for path, content in files.items():
             store.write(path, content)
-        listed = store.list_files()
+        listed = [path for path, _ in store.iter_items()]
         assert listed == sorted(listed)
         assert set(listed) == set(files)
-
-    @given(
-        st.dictionaries(safe_paths, st.text(max_size=20), min_size=1, max_size=10),
-        safe_segment,
-    )
-    @settings(max_examples=50)
-    def test_delete_tree_removes_exactly_prefix(self, files, prefix):
-        store = FileStore()
-        for path, content in files.items():
-            store.write(path, content)
-        in_prefix = {
-            p for p in files if p == prefix or p.startswith(prefix + "/")
-        }
-        removed = store.delete_tree(prefix) if in_prefix else 0
-        assert removed == len(in_prefix)
-        assert set(store.list_files()) == set(files) - in_prefix

@@ -84,7 +84,7 @@ class TestTornWal:
         half = len(docs) // 2
         for doc in docs[:half]:
             items.insert_one(dict(doc))
-        store.snapshot_all()
+        store._shards[0].compact(store._peek_next_id())
         for doc in docs[half:]:
             items.insert_one(dict(doc))
 

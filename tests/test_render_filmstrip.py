@@ -41,15 +41,9 @@ class TestBuildFilmstrip:
         strip = build_filmstrip(timeline, interval_ms=500)
         assert sum(f.newly_painted for f in strip.frames) == len(timeline.events)
 
-    def test_first_change_and_complete_frames(self):
+    def test_complete_frame(self):
         strip = build_filmstrip(timeline_for(1000, 3000), interval_ms=500)
-        assert strip.first_change_frame().time_ms == 1000
         assert strip.visually_complete_frame().time_ms == 3000
-
-    def test_change_times_usable_as_schedule(self):
-        strip = build_filmstrip(timeline_for(1000, 3000), interval_ms=500)
-        assert 1000 in strip.change_times()
-        assert 3000 in strip.change_times()
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValidationError):

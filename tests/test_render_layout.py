@@ -94,7 +94,7 @@ class TestHiddenAndNonRendered:
 
     def test_script_and_style_not_rendered(self):
         document, result = layout_of("<script>var x;</script><p id='p'>x</p>")
-        rendered_tags = {e.tag for e in result.rendered_elements()}
+        rendered_tags = {e.tag for e in result.elements.values()}
         assert "script" not in rendered_tags
 
 
@@ -152,7 +152,3 @@ class TestPaintableLeaves:
         document, result = layout_of("<p>text</p><img src='x' width='10' height='10'>")
         tags = sorted(e.tag for e in result.paintable_leaves())
         assert tags == ["img", "p"]
-
-    def test_total_painted_area_positive(self):
-        _, result = layout_of("<p>some text content</p>")
-        assert result.total_painted_area() > 0

@@ -10,7 +10,6 @@ from repro.render.replay import (
     SelectorSchedule,
     UniformRandomSchedule,
     compute_reveal_times,
-    reveal_order,
     schedule_from_parameter,
 )
 
@@ -97,10 +96,6 @@ class TestSelectorSchedule:
         times = compute_reveal_times(page, schedule)
         assert time_of(page, times, "main") <= 100
 
-    def test_total_duration(self):
-        schedule = SelectorSchedule.from_pairs([("#a", 700), ("#b", 1200)], default_ms=0)
-        assert schedule.total_duration_ms == 1200
-
     def test_invalid_selector_rejected_eagerly(self):
         with pytest.raises(Exception):
             SelectorSchedule.from_pairs([("@@@", 100)])
@@ -140,14 +135,3 @@ class TestScheduleFromParameter:
     def test_other_types_rejected(self):
         with pytest.raises(ReplayError):
             schedule_from_parameter("2000")
-
-
-class TestRevealOrder:
-    def test_sorted_by_time(self, page):
-        schedule = SelectorSchedule.from_pairs(
-            [("#navbar", 900), ("#main", 100)], default_ms=500
-        )
-        times = compute_reveal_times(page, schedule)
-        ordered = reveal_order(times)
-        values = [t for _, t in ordered]
-        assert values == sorted(values)

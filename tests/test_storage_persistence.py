@@ -68,12 +68,6 @@ class TestDumpLoad:
         store.collection("responses").delete_many({})
         assert len(snapshot["responses"]["documents"]) == 5
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "db.json"
-        seeded_store().save_file(path)
-        restored = DocumentStore.load_file(path)
-        assert restored.collection("responses").count() == 5
-
     def test_empty_store(self):
         restored = DocumentStore.load(DocumentStore().dump())
         assert restored.collection_names() == []
