@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import lgamma, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.abtest.stats import two_proportion_z
@@ -80,6 +81,22 @@ class QuestionTally:
             reverse=True,
         )
         return ranked[0][1]
+
+
+def preference_log_evidence(left: int, right: int) -> float:
+    """ln of the Beta(1,1)-mixture likelihood ratio for a preference.
+
+    Weighs ``left`` against ``right`` decided answers (Same answers carry no
+    evidence either way) against an even split, p = 1/2. Under that null
+    the ratio is a nonnegative martingale with mean 1, so by Ville's
+    inequality the chance it ever reaches ``1/alpha`` is at most ``alpha``,
+    however often it is checked: an always-valid sequential test, unlike
+    :meth:`QuestionTally.preference_p_value`, which holds for one look.
+    """
+    decided = left + right
+    return (
+        lgamma(left + 1) + lgamma(right + 1) - lgamma(decided + 2) + decided * log(2)
+    )
 
 
 def tally_question(

@@ -20,14 +20,16 @@ spans on virtual clocks, plus a metrics registry — exportable through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import log
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.aggregator import RESPONSES_COLLECTION, Aggregator, PreparedTest
 # Unused here; kept because perfbench/layers.py patches it on this module by name.
 from repro.core.analysis import AnalysisBundle, analyze_responses  # noqa: F401
-from repro.core.conclusion import Conclusion, DegradedConclusion
+from repro.core.analysis import preference_log_evidence, tally_question
+from repro.core.conclusion import Conclusion, DegradedConclusion, floors_met
 from repro.core.config import STREAMING_NETWORK_LOG_LIMIT, CampaignConfig
 from repro.core.extension import BrowserExtension, JudgeFunction, ParticipantResult
 from repro.core.fanout import run_process_fanout
@@ -82,17 +84,6 @@ _PARTICIPANT_PROFILES = Categorical(
 def _comparison_versions(prepared: PreparedTest) -> List[str]:
     """The test's version ids without the contrast-control pseudo-version."""
     return [v for v in prepared.version_ids if v != "__contrast__"]
-
-
-def _require_floors(conclusion: Conclusion) -> None:
-    """Raise when a concluded run fell below its requested floors."""
-    if not conclusion.quorum_met:
-        raise CampaignError(
-            "campaign degraded below the conclusion floor: "
-            f"{conclusion.complete}/{conclusion.recruited} complete "
-            f"(min_participants={conclusion.min_participants}, "
-            f"quorum={conclusion.quorum})"
-        )
 
 
 @dataclass
@@ -442,39 +433,56 @@ class Campaign:
         question_id: str,
         pair: tuple,
         alpha: float = 0.01,
-        batch_size: int = 10,
         max_participants: int = 400,
     ) -> CampaignResult:
-        """Recruit in batches until a pair's preference reaches significance.
+        """Recruit one participant at a time until a pair's preference is
+        significant on an always-valid test, or ``max_participants`` ran.
 
         The §IV-B discussion notes that an inconclusive test simply needs
-        "more visits (and time)". This sequential mode recruits
-        ``batch_size`` participants at a time and stops as soon as the
-        quality-controlled tally for ``(question_id, *pair)`` has
-        p < ``alpha`` — or at ``max_participants``.
-
-        Each batch grows one roster that runs through the roster pipeline on
-        a single root entropy, so recruit *i* always simulates on substream
-        *i* however the batches fall. The config's controls and conclusion
-        floors apply: the test does not stop before the floors are met, and
-        raises :class:`~repro.errors.CampaignError` if ``max_participants``
-        ends below them. Shared schedulers (``scheduler="adaptive"``) are
-        rejected: they carry their own certified early stop.
-
-        Note the statistical caveat baked into the default: repeatedly
-        peeking inflates the false-positive rate, so ``alpha`` defaults to
-        a stricter 0.01 rather than 0.05.
+        "more visits (and time)". After every upload this stops once the
+        decided answers for ``(question_id, *pair)`` in the uploads the
+        upload-time quality screen kept reach a Beta(1,1)-mixture likelihood
+        ratio of ``1/alpha`` (:func:`~repro.core.analysis.
+        preference_log_evidence`): by Ville's inequality it stops on two
+        equally good versions with chance at most ``alpha``, however often
+        it looks. It never stops before the config's conclusion floors are
+        met, and raises :class:`~repro.errors.CampaignError` if
+        ``max_participants`` ends below them. Recruit *i* simulates on
+        substream *i*; cost and duration count only those who ran. Shared
+        schedulers (``scheduler="adaptive"``) are rejected: they carry
+        their own certified early stop.
         """
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
-        if batch_size <= 0 or max_participants <= 0:
-            raise CampaignError("batch_size and max_participants must be positive")
+        if not 0 < alpha < 1 or max_participants <= 0:
+            raise CampaignError("need 0 < alpha < 1 and max_participants > 0")
         if self._scheduler_is_shared():
             raise CampaignError(
                 f"run_until_significant cannot drive scheduler="
                 f"{self.config.scheduler!r}: a shared scheduler stops on its "
                 "own certificate; use run() or run_with_workers()"
             )
+        cfg = self.config
+        state = self._streaming_state
+        threshold = -log(alpha)
+        left = right = 0
+
+        def significant(stored: Optional[ParticipantResult]) -> bool:
+            nonlocal left, right
+            if stored is not None and stored.worker_id not in state.screen.dropped_ids:
+                tally = tally_question([stored], question_id, *pair)
+                left += tally.left_count
+                right += tally.right_count
+            return preference_log_evidence(left, right) >= threshold and floors_met(
+                state.raw.complete, job.participants_recruited,
+                cfg.min_participants, cfg.quorum,
+            )
+
+        def recruits():
+            while job.participants_recruited < max_participants:
+                job.participants_needed = job.participants_recruited + 1
+                yield from self._recruit(job)
+
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="sequential",
@@ -482,30 +490,15 @@ class Campaign:
             self._root_span = root
             job = self._post_task(prepared, max_participants)
             start_time = self.env.now
-            roster: List[WorkerProfile] = []
-            root_entropy = None
-            while job.participants_recruited < max_participants:
-                quota = job.participants_needed
-                job.participants_needed = min(
-                    job.participants_recruited + batch_size, max_participants
-                )
-                roster += self._recruit(job)
-                job.participants_needed = quota
-                self._run_roster(roster, judge, root_entropy=root_entropy)
-                root_entropy = self.last_root_entropy
-                duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
-                result = self._conclude(job, duration_days)
-                tally = result.controlled_analysis.tallies.get((question_id, *pair))
-                if (
-                    tally is not None
-                    and tally.total >= batch_size
-                    and tally.preference_p_value() < alpha
-                    and result.conclusion.quorum_met
-                ):
-                    self.platform.close_job(job.job_id)
-                    break
-            _require_floors(result.conclusion)
-            return result
+            self._run_roster(
+                recruits(), judge, stop=significant, slots=max_participants,
+            )
+            # The job keeps its posted quota; an early stop closes it short.
+            job.participants_needed = max_participants
+            if job.participants_recruited < max_participants:
+                self.platform.close_job(job.job_id)
+            duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
+            return self.conclude(job=job, duration_days=duration_days)
 
     def run_with_workers(
         self,
@@ -918,10 +911,12 @@ class Campaign:
 
     def _run_roster(
         self,
-        workers: Sequence[WorkerProfile],
+        workers: Iterable[WorkerProfile],
         judge: JudgeFunction,
         in_lab: bool = False,
         root_entropy: Optional[int] = None,
+        stop: Optional[Callable[[Optional[ParticipantResult]], bool]] = None,
+        slots: Optional[int] = None,
     ) -> None:
         """The roster pipeline: simulate every pending worker on an
         independent RNG substream and upload in roster order.
@@ -957,9 +952,13 @@ class Campaign:
         slot, keeping stream alignment, and workers whose uploads the server
         already stores, or whose loss is already recorded, are skipped — the
         resume path after a crash (fed from a :meth:`resume_state`
-        checkpoint by :meth:`run_with_workers`), and how
-        :meth:`run_until_significant` grows its roster batch by batch. The
-        entropy actually used is recorded in :attr:`last_root_entropy`.
+        checkpoint by :meth:`run_with_workers`). The entropy actually used
+        is recorded in :attr:`last_root_entropy`.
+
+        ``stop`` makes the roster lazy: ``workers`` may then be an iterator
+        of at most ``slots`` recruits, and after each upload ``stop(result)``
+        (``None`` for a lost upload) may end the roster. A lazy roster has no
+        length to chunk, so it always takes the inline loop.
         """
         cfg = self.config
         prepared = self._require_prepared()
@@ -968,15 +967,14 @@ class Campaign:
         if root_entropy is None:
             root_entropy = int(self.rng.integers(0, 2**63))
         self.last_root_entropy = root_entropy
+        if slots is None:
+            slots = len(workers)
         root = np.random.SeedSequence(root_entropy)
         # Spawn a stream per roster slot even when resuming (alignment):
         # worker i always gets substream i regardless of who already finished.
-        streams = [np.random.default_rng(s) for s in root.spawn(len(workers))]
+        streams = [np.random.default_rng(s) for s in root.spawn(slots)]
         done = set(self.server.uploaded_worker_ids(prepared.test_id))
         done.update(worker_id for worker_id, _ in self.lost_uploads)
-        pending = [
-            i for i in range(len(workers)) if workers[i].worker_id not in done
-        ]
         # Captured once before the fan-out so every client's session clock has
         # the same execution-order-free anchor.
         session_start = self.env.now
@@ -984,7 +982,7 @@ class Campaign:
         # index (resume keeps alignment: a redelivered job derives the same
         # offsets), and drives the admission controller's load signal.
         offsets = arrival_offsets(
-            cfg.arrival, len(workers), cfg.seed, reward_usd=cfg.reward_usd,
+            cfg.arrival, slots, cfg.seed, reward_usd=cfg.reward_usd,
         )
         self._install_overload(offsets, session_start)
         scheduler = None
@@ -1001,9 +999,9 @@ class Campaign:
             # real extension could drive the same campaign the simulation does.
             self.server.attach_scheduler(scheduler)
 
-        def simulate(index: int):
+        def simulate(index: int, worker: WorkerProfile):
             return self._simulate_participant(
-                workers[index], judge, streams[index], in_lab=in_lab,
+                worker, judge, streams[index], in_lab=in_lab,
                 session_start=session_start + (
                     offsets[index] if index < len(offsets) else 0.0
                 ),
@@ -1011,8 +1009,7 @@ class Campaign:
                 shared_scheduler=scheduler,
             )
 
-        def upload(index: int, result, client, pspan) -> None:
-            worker = workers[index]
+        def upload(worker: WorkerProfile, result, client, pspan) -> bool:
             self._adopt(pspan)
             if scheduler is not None and getattr(result, "abandoned", False):
                 # The served-but-unanswered pair goes back to the pool.
@@ -1027,17 +1024,25 @@ class Campaign:
                 # so scheduling and conclude see the same data.
                 self._retract_from_scheduler(scheduler, result)
             self._checkpoint()
+            return stop is not None and stop(result if lost_reason is None else None)
 
-        # Never spawn more workers than there are pending participants.
-        pool_size = 1 if scheduler is not None else effective_pool_size(
-            cfg.parallelism, len(pending)
-        )
+        if stop is None:
+            pending = [i for i in range(slots) if workers[i].worker_id not in done]
+            # Never spawn more workers than there are pending participants.
+            pool_size = 1 if scheduler is not None else effective_pool_size(
+                cfg.parallelism, len(pending)
+            )
+        else:
+            pending, pool_size = range(slots), 1
         self._last_fanout_pool = pool_size
         with self.tracer.span("fanout", category="campaign",
                               participants=len(pending)):
             if cfg.executor == EXECUTOR_SERIAL or pool_size == 1:
-                for i in pending:
-                    upload(i, *simulate(i))
+                for index, worker in enumerate(workers):
+                    if worker.worker_id not in done and upload(
+                        worker, *simulate(index, worker)
+                    ):
+                        break
             else:
                 with self.metrics.timed("campaign.parallel_fanout"):
                     run_process_fanout(
@@ -1176,28 +1181,14 @@ class Campaign:
         concluding on too little data.
 
         Quality control runs under ``CampaignConfig.quality``, the config
-        the upload-time screen already applied.
-        """
-        result = self._conclude(job, duration_days)
-        _require_floors(result.conclusion)
-        return result
-
-    def _conclude(
-        self, job: Optional[CrowdJob], duration_days: float
-    ) -> CampaignResult:
-        """The conclude body without the floor check (which
-        :meth:`run_until_significant` defers to its final batch).
-
-        Finishes the fold the server ran on every accepted upload: one pass
-        over the stored rows — the only read of the store, no checkpoint is
-        built — completes the quality screen (majority votes need the final
-        tallies) and folds the controlled aggregates. The stores differ
-        only in materialisation. The in-memory store parses its stored
-        documents in place, copying none, and keeps them, parsed, as
-        ``raw_results`` (and the kept ones as ``quality_report.kept``); the
-        sharded store parses its WAL replay lazily, skips the rows the
-        upload-time screen dropped before parsing them, and leaves both
-        empty, so its memory stays O(pairs), not O(participants).
+        the upload-time screen already applied: one pass over the stored
+        rows (the only read of the store) completes the screen, whose
+        majority votes need the final tallies, and folds the controlled
+        aggregates. The in-memory store parses its documents in place and
+        keeps them as ``raw_results`` (the kept ones as
+        ``quality_report.kept``); the sharded store parses its WAL replay
+        lazily, skips the rows the upload-time screen dropped, and leaves
+        both empty, so its memory stays O(pairs), not O(participants).
         """
         prepared = self._require_prepared()
         cfg = self.config
@@ -1279,7 +1270,7 @@ class Campaign:
             if self._shared_scheduler is not None:
                 stop = getattr(self._shared_scheduler, "conclusion", None)
                 early_stop = stop() if callable(stop) else None
-            return CampaignResult(
+            result = CampaignResult(
                 test_id=prepared.test_id,
                 raw_results=raw_results,
                 quality_report=report,
@@ -1292,6 +1283,14 @@ class Campaign:
                 participant_count=data.uploaded,
                 early_stop=early_stop,
             )
+        if not conclusion.quorum_met:
+            raise CampaignError(
+                "campaign degraded below the conclusion floor: "
+                f"{conclusion.complete}/{conclusion.recruited} complete "
+                f"(min_participants={conclusion.min_participants}, "
+                f"quorum={conclusion.quorum})"
+            )
+        return result
 
     def _record_store_observations(self) -> None:
         """Export the sharded store's durability counters into the trace +

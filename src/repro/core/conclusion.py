@@ -27,6 +27,21 @@ from repro.core.btmodel import fit_bradley_terry
 from repro.util.jsonutil import dumps_canonical
 
 
+def floors_met(
+    complete: int,
+    recruited: int,
+    min_participants: Optional[int],
+    quorum: Optional[float],
+) -> bool:
+    """True when ``complete`` of ``recruited`` participants satisfy the
+    conclusion floors (``None`` means no floor)."""
+    if min_participants is not None and complete < min_participants:
+        return False
+    if quorum is not None and (complete / recruited if recruited else 0.0) < quorum:
+        return False
+    return True
+
+
 @dataclass
 class Conclusion:
     """What one concluded campaign measured.
@@ -68,11 +83,9 @@ class Conclusion:
     @property
     def quorum_met(self) -> bool:
         """True when the requested conclusion floors (if any) are satisfied."""
-        if self.min_participants is not None and self.complete < self.min_participants:
-            return False
-        if self.quorum is not None and self.completion_fraction < self.quorum:
-            return False
-        return True
+        return floors_met(
+            self.complete, self.recruited, self.min_participants, self.quorum
+        )
 
     def to_dict(self) -> dict:
         """The JSON form shared by the CLI, timeline exporter and reports."""

@@ -11,7 +11,7 @@ standard library.
 from repro.html.dom import Comment, Document, Element, Node, Text
 from repro.html.parser import parse_html
 from repro.html.serializer import serialize
-from repro.html.selectors import Selector, matches, query_selector, query_selector_all
+from repro.html.selectors import Selector, matches, query_selector_all
 from repro.html.cssom import (
     Declaration,
     Rule,
@@ -24,7 +24,6 @@ from repro.html.mutations import (
     set_font_size,
     set_style_property,
     scale_font_size,
-    replace_text,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "serialize",
     "Selector",
     "matches",
-    "query_selector",
     "query_selector_all",
     "Declaration",
     "Rule",
@@ -49,5 +47,4 @@ __all__ = [
     "set_font_size",
     "set_style_property",
     "scale_font_size",
-    "replace_text",
 ]

@@ -1,10 +1,12 @@
 """Document mutations used to generate test-webpage variants.
 
-The paper's experiments derive N versions of a page by editing style and
-content: five font sizes of the Wikipedia article (Experiment 1), a larger /
-symbol-enriched / repositioned "Expand" button (Experiment 2). These helpers
-perform those edits on a cloned document so the original is never touched —
-mirroring Kaleidoscope's "no impact on the running website" property.
+The paper's experiments derive N versions of a page by editing its style:
+five font sizes of the Wikipedia article (Experiment 1), a 1.5x larger
+"Expand" button (Experiment 2, whose symbol and position edits
+``repro.experiments.datasets`` writes into the page it generates). These
+helpers perform those edits on a cloned document so the original is never
+touched — mirroring Kaleidoscope's "no impact on the running website"
+property.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import ValidationError
-from repro.html.dom import Document, Element, Text
-from repro.html.selectors import query_selector, query_selector_all
+from repro.html.dom import Document
+from repro.html.selectors import query_selector_all
 
 
 def set_style_property(
@@ -57,57 +59,6 @@ def scale_font_size(document: Document, selector: str, factor: float) -> int:
     return len(matched)
 
 
-def replace_text(document: Document, selector: str, text: str) -> int:
-    """Replace the text content of every match; returns the match count."""
-    matched = query_selector_all(document, selector)
-    for element in matched:
-        element.clear()
-        element.append(Text(text))
-    return len(matched)
-
-
-def prepend_symbol(document: Document, selector: str, symbol: str) -> int:
-    """Prefix matches' text with a symbol (the "captivating symbol" edit)."""
-    matched = query_selector_all(document, selector)
-    for element in matched:
-        element.insert(0, Text(symbol + " "))
-    return len(matched)
-
-
-def move_element(
-    document: Document, selector: str, destination_selector: str, position: int = -1
-) -> bool:
-    """Move the first match inside the first destination match.
-
-    ``position`` of -1 appends; otherwise inserts at that child index.
-    Returns False when either endpoint is missing (no partial move).
-    """
-    element = query_selector(document, selector)
-    destination = query_selector(document, destination_selector)
-    if element is None or destination is None:
-        return False
-    if destination is element or _is_ancestor(element, destination):
-        raise ValidationError("cannot move an element into itself or its subtree")
-    element.detach()
-    if position < 0:
-        destination.append(element)
-    else:
-        destination.insert(position, element)
-    return True
-
-
-def remove_elements(document: Document, selector: str) -> int:
-    """Detach every match from the tree; returns the count removed."""
-    matched = query_selector_all(document, selector)
-    for element in matched:
-        element.detach()
-    return len(matched)
-
-
-def _is_ancestor(candidate: Element, element: Element) -> bool:
-    return any(ancestor is candidate for ancestor in element.ancestors)
-
-
 def _split_length(value: str):
     """Split '14pt' -> (14.0, 'pt'); (None, '') when not a length."""
     value = value.strip()
@@ -147,22 +98,6 @@ class VariantBuilder:
 
     def scale_font(self, selector: str, factor: float) -> "VariantBuilder":
         self._operations.append(lambda d: scale_font_size(d, selector, factor))
-        return self
-
-    def text(self, selector: str, value: str) -> "VariantBuilder":
-        self._operations.append(lambda d: replace_text(d, selector, value))
-        return self
-
-    def symbol(self, selector: str, symbol: str) -> "VariantBuilder":
-        self._operations.append(lambda d: prepend_symbol(d, selector, symbol))
-        return self
-
-    def move(self, selector: str, destination: str, position: int = -1) -> "VariantBuilder":
-        self._operations.append(lambda d: move_element(d, selector, destination, position))
-        return self
-
-    def remove(self, selector: str) -> "VariantBuilder":
-        self._operations.append(lambda d: remove_elements(d, selector))
         return self
 
     def build(self) -> Document:

@@ -338,11 +338,3 @@ def query_selector_all(scope, selector_text: str) -> List[Element]:
         if any(s.matches(element) for s in selectors)
     ]
 
-
-def query_selector(scope, selector_text: str) -> Optional[Element]:
-    """First matching element under ``scope``, or None."""
-    selectors = compile_selector_list(selector_text)
-    for element in _scope_elements(scope):
-        if any(s.matches(element) for s in selectors):
-            return element
-    return None

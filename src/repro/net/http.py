@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import NetworkError
 from repro.util import jsonutil
 
 STATUS_REASONS = {
@@ -243,13 +242,8 @@ class HttpServer:
             if request_log_limit is None
             else deque(maxlen=request_log_limit)
         )  # type: ignore[var-annotated]
-        self._open = True
         # Optional repro.net.overload.AdmissionController guarding dispatch.
         self.admission = None
-
-    def close(self) -> None:
-        """Stop accepting requests (subsequent calls raise NetworkError)."""
-        self._open = False
 
     def handle(self, request: Request, now: float = 0.0, token: str = "") -> Response:
         """Dispatch one request through the router.
@@ -261,8 +255,6 @@ class HttpServer:
         their :class:`~repro.net.overload.AdmissionDecision` as
         ``request.admission`` so handlers can shed detail or sample QC.
         """
-        if not self._open:
-            raise NetworkError(f"server {self.host!r} is closed")
         self.request_log.append((request.method, request.path))
         admission = self.admission
         if admission is None:

@@ -208,7 +208,7 @@ class SimulatedNetwork:
         try:
             response = server.handle(request, now=when, token=fault_token)
         except NetworkError as exc:
-            # Connection refused (closed server): burns one RTT.
+            # Connection refused by the server: burns one RTT.
             elapsed = profile.rtt_ms / 1000.0
             exc.elapsed_seconds = elapsed
             self.stats.errors += 1

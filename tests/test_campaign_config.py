@@ -116,7 +116,9 @@ class TestOneDoor:
         assert not params(Campaign.run) & {
             "reward_usd", "participants", "controls_per_participant",
         }
-        assert "reward_usd" not in params(Campaign.run_until_significant)
+        assert not params(Campaign.run_until_significant) & {
+            "reward_usd", "batch_size",
+        }
         assert "controls_per_participant" not in params(Campaign.run_with_workers)
         assert "config" not in params(BrowserExtension.__init__)
         assert "host" not in params(CoreServer.__init__)

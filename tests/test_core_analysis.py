@@ -6,6 +6,7 @@ from repro.core.analysis import (
     analyze_responses,
     behavior_cdfs,
     participant_ranking,
+    preference_log_evidence,
     ranking_distribution,
     tally_question,
 )
@@ -77,6 +78,50 @@ class TestTallyQuestion:
             result_with_answers("w1", [("a", "b", "left")], question_id="q2"),
         ]
         assert tally_question(results, "q1", "a", "b").total == 0
+
+
+class TestPreferenceLogEvidence:
+    @pytest.mark.parametrize(
+        "left,right", [(0, 0), (3, 0), (0, 7), (5, 5), (14, 46), (120, 80)]
+    )
+    def test_matches_the_mixture_integral(self, left, right):
+        """ln of 2^(L+R) times the integral of p^L (1-p)^R over [0, 1]."""
+        from math import log
+
+        from scipy.integrate import quad
+
+        integral, _ = quad(lambda p: p**left * (1 - p) ** right, 0, 1)
+        expected = (left + right) * log(2) + log(integral)
+        assert preference_log_evidence(left, right) == pytest.approx(
+            expected, rel=1e-6, abs=1e-9
+        )
+
+    def test_symmetric_and_zero_without_decided_answers(self):
+        assert preference_log_evidence(0, 0) == 0.0
+        assert preference_log_evidence(9, 2) == pytest.approx(preference_log_evidence(2, 9))
+        assert preference_log_evidence(6, 5) < 0 < preference_log_evidence(12, 0)
+
+    def test_false_stop_chance_within_alpha_at_every_look(self):
+        """Exact over every path of 400 fair left/right answers: the chance
+        the ratio ever reaches 1/alpha, checking after each answer."""
+        from math import log
+
+        alpha = 0.01
+        threshold = log(1 / alpha)
+        alive = {0: 1.0}  # left count -> probability of not having stopped
+        stopped = 0.0
+        for decided in range(1, 401):
+            step = {}
+            for left, mass in alive.items():
+                for moved in (left, left + 1):
+                    step[moved] = step.get(moved, 0.0) + mass / 2
+            alive = {}
+            for left, mass in step.items():
+                if preference_log_evidence(left, decided - left) >= threshold:
+                    stopped += mass
+                else:
+                    alive[left] = mass
+        assert 0.001 < stopped <= alpha
 
 
 class TestParticipantRanking:

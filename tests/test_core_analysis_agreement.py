@@ -116,7 +116,7 @@ class TestSequentialCampaign:
             {"a": 0.0, "b": 1.0, "__contrast__": -9.0}, ThurstoneChoiceModel()
         )
         result = campaign.run_until_significant(
-            judge, "q1", ("a", "b"), alpha=0.01, batch_size=10, max_participants=200
+            judge, "q1", ("a", "b"), alpha=0.01, max_participants=200
         )
         tally = result.controlled_analysis.tallies[("q1", "a", "b")]
         assert tally.preference_p_value() < 0.01
@@ -150,7 +150,7 @@ class TestSequentialCampaign:
             {"a": 0.0, "b": 0.0, "__contrast__": -9.0}, ThurstoneChoiceModel()
         )
         result = campaign.run_until_significant(
-            judge, "q1", ("a", "b"), alpha=0.001, batch_size=10, max_participants=40
+            judge, "q1", ("a", "b"), alpha=0.001, max_participants=40
         )
         assert result.participants == 40
 
@@ -194,7 +194,7 @@ class TestSequentialCampaign:
         )
         assert len(campaign.prepared.control_pairs()) >= 2
         result = campaign.run_until_significant(
-            self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+            self.clear_judge(), "q1", ("a", "b"),
             max_participants=30,
         )
         for participant in result.raw_results:
@@ -208,7 +208,7 @@ class TestSequentialCampaign:
             CampaignConfig(seed=24, min_participants=30)
         )
         result = campaign.run_until_significant(
-            self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+            self.clear_judge(), "q1", ("a", "b"),
             max_participants=60,
         )
         tally = result.controlled_analysis.tallies[("q1", "a", "b")]
@@ -226,8 +226,20 @@ class TestSequentialCampaign:
         )
         with pytest.raises(CampaignError, match="conclusion floor"):
             campaign.run_until_significant(
-                self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+                self.clear_judge(), "q1", ("a", "b"),
                 max_participants=20,
+            )
+
+    @pytest.mark.parametrize("alpha,cap", [(0.0, 30), (1.0, 30), (0.01, 0)])
+    def test_out_of_range_arguments_rejected(self, alpha, cap):
+        from repro.core.config import CampaignConfig
+        from repro.errors import CampaignError
+
+        campaign = self.sequential_campaign(CampaignConfig(seed=26))
+        with pytest.raises(CampaignError, match="alpha"):
+            campaign.run_until_significant(
+                self.clear_judge(), "q1", ("a", "b"), alpha=alpha,
+                max_participants=cap,
             )
 
     def test_shared_scheduler_rejected(self):
@@ -239,6 +251,23 @@ class TestSequentialCampaign:
         )
         with pytest.raises(CampaignError, match="shared scheduler"):
             campaign.run_until_significant(
-                self.clear_judge(), "q1", ("a", "b"), batch_size=10,
+                self.clear_judge(), "q1", ("a", "b"),
                 max_participants=30,
             )
+
+    def test_same_conclusion_on_every_store_and_observer(self):
+        from repro.core.conclusion import conclusion_digest
+        from repro.core.config import CampaignConfig
+
+        digests = {}
+        for store in ("memory", "sharded-streaming"):
+            for observe in (False, True):
+                campaign = self.sequential_campaign(
+                    CampaignConfig(seed=27, store=store, observe=observe)
+                )
+                result = campaign.run_until_significant(
+                    self.clear_judge(), "q1", ("a", "b"), max_participants=30
+                )
+                assert result.participants < 30  # the stop fired
+                digests[store, observe] = conclusion_digest(campaign, result)
+        assert len(set(digests.values())) == 1, digests

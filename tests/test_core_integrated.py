@@ -7,7 +7,7 @@ from repro.core.integrated import (
     frame_sources,
 )
 from repro.html.parser import parse_html
-from repro.html.selectors import query_selector, query_selector_all
+from repro.html.selectors import query_selector_all
 from repro.html.serializer import serialize
 
 
@@ -31,7 +31,7 @@ class TestComposition:
         without = compose_integrated_page("i", "/a", "/b")
         with_banner = compose_integrated_page("i", "/a", "/b", instructions="Compare!")
         assert not query_selector_all(without, ".kaleidoscope-banner")
-        banner = query_selector(with_banner, ".kaleidoscope-banner")
+        banner = query_selector_all(with_banner, ".kaleidoscope-banner")[0]
         assert banner.text_content == "Compare!"
 
     def test_frames_sandboxed(self):

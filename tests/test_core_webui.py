@@ -5,7 +5,7 @@ import pytest
 from repro.core.webui import render_builder_form
 from repro.errors import ValidationError
 from repro.html.parser import parse_html
-from repro.html.selectors import query_selector, query_selector_all
+from repro.html.selectors import query_selector_all
 
 class TestForm:
     def test_renders_all_table1_fields(self):
@@ -31,7 +31,7 @@ class TestForm:
 
     def test_form_posts_to_builder(self):
         page = parse_html(render_builder_form())
-        form = query_selector(page, "form")
+        form = query_selector_all(page, "form")[0]
         assert form.get("action") == "/builder"
         assert form.get("method") == "post"
 

@@ -11,21 +11,21 @@ from repro.experiments.datasets import (
     wikipedia_resources_for,
 )
 from repro.html.inliner import Inliner, is_self_contained
-from repro.html.selectors import query_selector, query_selector_all
+from repro.html.selectors import query_selector_all
 from repro.render.layout import LayoutEngine
 
 
 class TestWikipediaPage:
     def test_structure(self):
         page = build_wikipedia_page()
-        assert query_selector(page, "#navbar") is not None
-        assert query_selector(page, "#mw-content-text") is not None
-        assert query_selector(page, "#infobox img") is not None
+        assert query_selector_all(page, "#navbar")
+        assert query_selector_all(page, "#mw-content-text")
+        assert query_selector_all(page, "#infobox img")
         assert len(query_selector_all(page, "#mw-content-text p")) >= 6
 
     def test_text_heavy(self):
         page = build_wikipedia_page()
-        assert len(query_selector(page, "#mw-content-text").text_content) > 1500
+        assert len(query_selector_all(page, "#mw-content-text")[0].text_content) > 1500
 
     def test_lays_out(self):
         result = LayoutEngine().layout(build_wikipedia_page())
@@ -49,8 +49,8 @@ class TestGroupPage:
 
     def test_variant_b_edits(self):
         a, b = build_group_page_variant("A"), build_group_page_variant("B")
-        button_a = query_selector(a, ".expand-button")
-        button_b = query_selector(b, ".expand-button")
+        button_a = query_selector_all(a, ".expand-button")[0]
+        button_b = query_selector_all(b, ".expand-button")[0]
         # 1) larger text: 11px -> 16.5px (1.5x)
         assert "11px" in button_a.get("style")
         assert "16.5px" in button_b.get("style")

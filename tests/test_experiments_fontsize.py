@@ -9,7 +9,7 @@ from repro.experiments.fontsize import (
     build_parameters,
     version_id_for,
 )
-from repro.html.selectors import query_selector
+from repro.html.selectors import query_selector_all
 
 
 class TestSetup:
@@ -18,7 +18,7 @@ class TestSetup:
         assert len(documents) == 5
         for size in FONT_SIZES_PT:
             page = documents[version_id_for(size)]
-            p = query_selector(page, "#mw-content-text p")
+            p = query_selector_all(page, "#mw-content-text p")[0]
             assert p.style_declarations()["font-size"] == f"{size}pt"
 
     def test_parameters_match_paper(self):

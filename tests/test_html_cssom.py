@@ -10,7 +10,7 @@ from repro.html.cssom import (
     parse_stylesheet,
 )
 from repro.html.parser import parse_html
-from repro.html.selectors import query_selector
+from repro.html.selectors import query_selector_all
 
 
 class TestParseDeclarations:
@@ -103,7 +103,7 @@ class TestCascade:
             '<p class="x">t</p>'
         )
         resolver = StyleResolver(document)
-        p = query_selector(document, "p")
+        p = query_selector_all(document, "p")[0]
         assert resolver.computed_style(p)["color"] == "blue"
 
     def test_source_order_breaks_ties(self):
@@ -111,7 +111,7 @@ class TestCascade:
             "<style>p { color: red } p { color: green }</style><p>t</p>"
         )
         resolver = StyleResolver(document)
-        assert resolver.computed_style(query_selector(document, "p"))["color"] == "green"
+        assert resolver.computed_style(query_selector_all(document, "p")[0])["color"] == "green"
 
     def test_important_beats_specificity(self):
         document = parse_html(
@@ -119,26 +119,26 @@ class TestCascade:
             '<p class="x" id="y">t</p>'
         )
         resolver = StyleResolver(document)
-        assert resolver.computed_style(query_selector(document, "p"))["color"] == "red"
+        assert resolver.computed_style(query_selector_all(document, "p")[0])["color"] == "red"
 
     def test_inline_style_beats_sheets(self):
         document = parse_html(
             "<style>#y { color: blue }</style><p id='y' style='color: black'>t</p>"
         )
         resolver = StyleResolver(document)
-        assert resolver.computed_style(query_selector(document, "p"))["color"] == "black"
+        assert resolver.computed_style(query_selector_all(document, "p")[0])["color"] == "black"
 
 
 class TestInheritance:
     def test_color_inherits(self):
         document = parse_html("<style>div { color: red }</style><div><p>t</p></div>")
         resolver = StyleResolver(document)
-        assert resolver.computed_style(query_selector(document, "p"))["color"] == "red"
+        assert resolver.computed_style(query_selector_all(document, "p")[0])["color"] == "red"
 
     def test_margin_does_not_inherit(self):
         document = parse_html("<style>div { margin: 10px }</style><div><p>t</p></div>")
         resolver = StyleResolver(document)
-        assert "margin" not in resolver.computed_style(query_selector(document, "p"))
+        assert "margin" not in resolver.computed_style(query_selector_all(document, "p")[0])
 
     def test_explicit_inherit_keyword(self):
         document = parse_html(
@@ -146,30 +146,30 @@ class TestInheritance:
             "<div><p>t</p></div>"
         )
         resolver = StyleResolver(document)
-        assert resolver.computed_style(query_selector(document, "p"))["border-width"] == "3px"
+        assert resolver.computed_style(query_selector_all(document, "p")[0])["border-width"] == "3px"
 
 
 class TestFontSizeResolution:
     def test_default_16px(self):
         document = parse_html("<p>t</p>")
         resolver = StyleResolver(document)
-        assert resolver.font_size_px(query_selector(document, "p")) == 16.0
+        assert resolver.font_size_px(query_selector_all(document, "p")[0]) == 16.0
 
     def test_pt_resolves_to_px(self):
         document = parse_html('<p style="font-size: 12pt">t</p>')
         resolver = StyleResolver(document)
-        assert resolver.font_size_px(query_selector(document, "p")) == pytest.approx(16.0)
+        assert resolver.font_size_px(query_selector_all(document, "p")[0]) == pytest.approx(16.0)
 
     def test_em_compounds_down_the_tree(self):
         document = parse_html(
             '<div style="font-size: 20px"><p style="font-size: 1.5em"><span style="font-size: 2em">t</span></p></div>'
         )
         resolver = StyleResolver(document)
-        assert resolver.font_size_px(query_selector(document, "span")) == 60.0
+        assert resolver.font_size_px(query_selector_all(document, "span")[0]) == 60.0
 
     def test_percent_of_parent(self):
         document = parse_html(
             '<div style="font-size: 20px"><p style="font-size: 50%">t</p></div>'
         )
         resolver = StyleResolver(document)
-        assert resolver.font_size_px(query_selector(document, "p")) == 10.0
+        assert resolver.font_size_px(query_selector_all(document, "p")[0]) == 10.0

@@ -9,7 +9,7 @@ from repro.html.inliner import (
     to_data_url,
 )
 from repro.html.parser import parse_html
-from repro.html.selectors import query_selector
+from repro.html.selectors import query_selector_all
 from repro.net.fetch import StaticResourceMap
 
 PAGE_URL = "http://site.local/page/index.html"
@@ -63,24 +63,24 @@ class TestInlining:
         assert not page.root.find_all(
             lambda e: e.tag == "link" and "stylesheet" in (e.get("rel") or "")
         )
-        style = query_selector(page, "style")
+        style = query_selector_all(page, "style")[0]
         assert "background" in style.children[0].data
 
     def test_css_urls_inside_stylesheet_inlined(self, page, resources):
         Inliner(resources).inline(page, PAGE_URL)
-        style = query_selector(page, "style")
+        style = query_selector_all(page, "style")[0]
         assert "data:image/png;base64" in style.children[0].data
 
     def test_script_inlined(self, page, resources):
         report = Inliner(resources).inline(page, PAGE_URL)
         assert report.inlined_scripts == 1
-        script = query_selector(page, "script")
+        script = query_selector_all(page, "script")[0]
         assert script.get("src") is None
         assert "console.log" in script.children[0].data
 
     def test_image_inlined(self, page, resources):
         report = Inliner(resources).inline(page, PAGE_URL)
-        img = query_selector(page, "img")
+        img = query_selector_all(page, "img")[0]
         assert img.get("src").startswith("data:image/png;base64,")
         assert decode_data_url(img.get("src")) == b"\x89PNGphoto"
         assert report.inlined_images >= 1
@@ -94,7 +94,7 @@ class TestInlining:
 
     def test_inline_style_attribute_urls(self, page, resources):
         Inliner(resources).inline(page, PAGE_URL)
-        div = query_selector(page, "div")
+        div = query_selector_all(page, "div")[0]
         assert "data:image/png;base64" in div.get("style")
 
     def test_result_is_self_contained(self, page, resources):
@@ -113,7 +113,7 @@ class TestFailureTolerance:
         report = Inliner(StaticResourceMap()).inline(page, PAGE_URL)
         assert len(report.failures) == 1
         assert "missing.png" in report.failures[0]
-        assert query_selector(page, "img").get("src") == "missing.png"
+        assert query_selector_all(page, "img")[0].get("src") == "missing.png"
 
     def test_partial_failure_still_inlines_rest(self, resources):
         page = parse_html('<img src="photo.png"><img src="missing.png">')
@@ -126,9 +126,9 @@ class TestIdempotence:
     def test_already_inlined_content_untouched(self, page, resources):
         inliner = Inliner(resources)
         inliner.inline(page, PAGE_URL)
-        first = query_selector(page, "img").get("src")
+        first = query_selector_all(page, "img")[0].get("src")
         report = inliner.inline(page, PAGE_URL)
-        assert query_selector(page, "img").get("src") == first
+        assert query_selector_all(page, "img")[0].get("src") == first
         assert report.inlined_images == 0
         assert report.failures == []
 

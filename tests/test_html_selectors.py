@@ -8,7 +8,6 @@ from repro.html.selectors import (
     compile_selector,
     compile_selector_list,
     matches,
-    query_selector,
     query_selector_all,
 )
 
@@ -40,7 +39,7 @@ class TestSimpleSelectors:
         assert len(query_selector_all(page, "*")) > 5
 
     def test_id(self, page):
-        assert query_selector(page, "#content").id == "content"
+        assert query_selector_all(page, "#content")[0].id == "content"
 
     def test_class(self, page):
         assert len(query_selector_all(page, ".link")) == 2
@@ -175,11 +174,11 @@ class TestErrors:
 
 class TestMatches:
     def test_element_matches(self, page):
-        intro = query_selector(page, ".intro")
+        intro = query_selector_all(page, ".intro")[0]
         assert matches(intro, "p")
         assert matches(intro, "#content p")
         assert not matches(intro, "#nav p")
 
     def test_scoped_query_on_element(self, page):
-        content = query_selector(page, "#content")
+        content = query_selector_all(page, "#content")[0]
         assert len(query_selector_all(content, "p")) == 3

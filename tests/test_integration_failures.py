@@ -48,7 +48,7 @@ def make_judge():
 class TestServerFailures:
     def test_server_closed_mid_campaign_raises_network_error(self):
         campaign = build_campaign()
-        campaign.server.http.close()
+        campaign.network.detach(campaign.server.http.host)
         with pytest.raises(NetworkError):
             campaign.run(make_judge())
 
@@ -134,12 +134,12 @@ class TestJudgeFailures:
 class TestRecoveryPaths:
     def test_campaign_recovers_after_transient_server_closure(self):
         campaign = build_campaign(test_id="recover")
-        campaign.server.http.close()
+        campaign.network.detach(campaign.server.http.host)
         with pytest.raises(NetworkError):
             campaign.run(make_judge())
         # "Restart" the server and run a fixed roster; earlier failures left
         # no partial state behind.
-        campaign.server.http._open = True
+        campaign.network.attach(campaign.server.http)
         workers = generate_population(5, IN_LAB_MIX, seed=3, id_prefix="rec")
         result = campaign.run_with_workers(workers, make_judge())
         assert result.participants == 5

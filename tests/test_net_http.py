@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import NetworkError
 from repro.net.http import HttpServer, Request, Response, Router
 
 
@@ -107,12 +106,6 @@ class TestHttpServer:
         response = server.handle(Request.get("http://h.local/ping"))
         assert response.text == "pong"
         assert server.request_log == [("GET", "/ping")]
-
-    def test_closed_server_raises(self):
-        server = HttpServer("h.local")
-        server.close()
-        with pytest.raises(NetworkError):
-            server.handle(Request.get("http://h.local/"))
 
     def test_host_lowercased(self):
         assert HttpServer("API.Local").host == "api.local"

@@ -272,6 +272,13 @@ def _identity_server():
     return server
 
 
+class _RefusingServer(HttpServer):
+    """A host that refuses every connection."""
+
+    def handle(self, request, now=0.0, token=""):
+        raise NetworkError(f"server {self.host!r} refuses connections")
+
+
 def _identity_script(network_cls=SimulatedNetwork):
     """Run one exchange down every path; return what the parent pinned."""
     plan = FaultPlan(
@@ -286,8 +293,7 @@ def _identity_script(network_cls=SimulatedNetwork):
     env = SimulationEnvironment(start=2.5)
     network = network_cls(env, fault_plan=plan)
     network.attach(_identity_server())
-    down = network.attach(HttpServer("down.local"))
-    down.close()
+    network.attach(_RefusingServer("down.local"))
     for name in ("fiber", "3g", "2g"):
         network.exchange(Request.get("http://srv.local/hello"), get_profile(name))
     network.exchange(

@@ -40,7 +40,6 @@ KEPT = {
     # Deliverables named by EXPERIMENTS.md, the README or docs/TUTORIAL.md.
     "core/analysis.py::fleiss_kappa": "deliverable: EXPERIMENTS.md and TUTORIAL.md agreement statistics",
     "core/analysis.py::demographic_breakdown": "deliverable: EXPERIMENTS.md and TUTORIAL.md per-group results",
-    "core/campaign.py::Campaign.run_until_significant": "deliverable: EXPERIMENTS.md and TUTORIAL.md stop at significance",
     "core/btmodel.py::BradleyTerryFit.win_probability": "deliverable: TUTORIAL.md prints a win probability",
     "render/filmstrip.py::Filmstrip.render_ascii": "deliverable: TUTORIAL.md prints a filmstrip",
     "fleet/manager.py::CampaignManager.submit_all": "deliverable: the README's fleet example",

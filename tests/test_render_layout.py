@@ -5,7 +5,6 @@ import pytest
 from repro.errors import LayoutError
 from repro.html.dom import Document, Element
 from repro.html.parser import parse_html
-from repro.html.selectors import query_selector
 from repro.render.box import Viewport
 from repro.render.layout import LayoutEngine
 

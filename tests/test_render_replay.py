@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ReplayError
 from repro.html.parser import parse_html
-from repro.html.selectors import query_selector
 from repro.render.replay import (
     SelectorSchedule,
     UniformRandomSchedule,
