@@ -8,7 +8,9 @@ shared cross-participant :class:`~repro.core.btmodel.PairwiseCounts` tally;
 after every ``refit_every`` absorbed answers it refits the Bradley-Terry
 model (a cold-started Newton fit of well under a millisecond at N = 8,
 which depends on the tally alone) and serves each participant the
-currently most informative pair.
+currently most informative pair. A refit on the tally the current fit
+came from reuses that fit, so the ``btmodel.refits`` counter counts fits
+computed while :attr:`AdaptiveScheduler.refits` counts refit events.
 
 **Phases.** A fresh scheduler first serves a shared merge-sort schedule
 (~N log N answers locates the approximate order; posterior-only
@@ -233,6 +235,9 @@ class AdaptiveScheduler(Scheduler):
         #: Pairs served in each participant's session, in serving order.
         self._served: Dict[str, List[Tuple[str, str]]] = {}
         self._fit: Optional[BradleyTerryFit] = None
+        #: The tally ``_fit`` was computed from; a refit on an equal tally
+        #: reuses the fit. Not snapshotted: a resumed run fits afresh.
+        self._fit_wins: Optional[Dict[Tuple[str, str], float]] = None
         self._answers = 0
         self._since_refit = 0
         self.refits = 0
@@ -369,11 +374,16 @@ class AdaptiveScheduler(Scheduler):
     def _refit(self, check_stability: bool = True) -> None:
         self.refits += 1
         self._since_refit = 0
-        self._fit = fit_bradley_terry(
-            self.tally,
-            regularization=self.config.regularization,
-            metrics=self.metrics,
-        )
+        # The fit is a pure function of the tally (cold start, matrix built
+        # by position), so an unchanged tally -- most often a retraction
+        # putting back one an earlier refit saw -- keeps the current fit.
+        if self._fit is None or self.tally.wins != self._fit_wins:
+            self._fit = fit_bradley_terry(
+                self.tally,
+                regularization=self.config.regularization,
+                metrics=self.metrics,
+            )
+            self._fit_wins = dict(self.tally.wins)
         ranking = self._fit.ranking()
         if not check_stability:
             self._last_ranking = ranking
@@ -553,6 +563,7 @@ class AdaptiveScheduler(Scheduler):
             else list(state["last_ranking"])
         )
         self._stop_reason = state["stop_reason"]
+        self._fit_wins = None
         fit = state["fit"]
         self._fit = None if fit is None else BradleyTerryFit(
             scores={v: float(s) for v, s in fit["scores"].items()},

@@ -14,7 +14,10 @@ Fitting maximizes the log-likelihood over mean-centred log-abilities
 is the comparison graph's Laplacian weighted by ``m_ij p_ij p_ji``, each
 step backtracks until the likelihood does not fall, and the fit stops
 when no ability moves by more than ``tolerance``. On the adaptive
-scheduler's tallies that takes about eight steps. Scores are returned
+scheduler's tallies that takes about eight steps. Each step calls LAPACK's
+least squares (the gufunc behind ``np.linalg.lstsq``) and numpy's reduce
+ufuncs directly, without their Python-level wrappers but with the same
+float operations in the same order. Scores are returned
 normalized to sum to 1, plus the log-scale ("ability") form whose
 differences are comparable to the Thurstone utility gaps used by the
 judgment models.
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from repro.core.extension import ParticipantResult
 from repro.errors import ValidationError
@@ -101,6 +105,22 @@ class BradleyTerryFit:
 _EPS = float(np.finfo(float).eps)
 
 
+def _raise_svd_failure(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond)[0]`` for float64 ``a`` (n×n) and
+    ``b`` (n,), bit for bit, without the wrapper's Python-level checks.
+
+    Calls the LAPACK ``gelsd`` gufunc the wrapper calls, under the same
+    floating-point error state: a failed SVD raises ``LinAlgError``.
+    """
+    with np.errstate(call=_raise_svd_failure, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(a, b[:, None], rcond)[0][:, 0]
+
+
 def _surprisal(theta: np.ndarray) -> np.ndarray:
     """``-log sigma(theta_i - theta_j)``: how unlikely "i beats j" is."""
     return np.logaddexp(0.0, theta[None, :] - theta[:, None])
@@ -124,7 +144,8 @@ def fit_bradley_terry(
     to the live one. ``metrics`` (a :class:`repro.obs.MetricsRegistry`)
     receives ``btmodel.refits`` / ``btmodel.iterations`` /
     ``btmodel.unconverged`` counters so refit cost and convergence are
-    observable.
+    observable; ``btmodel.refits`` counts fits computed (the adaptive
+    scheduler reuses its fit on an unchanged tally).
     """
     versions = counts.version_ids
     if len(versions) < 2:
@@ -143,35 +164,42 @@ def fit_bradley_terry(
     np.fill_diagonal(wins_matrix, 0.0)
     for (winner, loser), weight in counts.wins.items():
         wins_matrix[index[winner], index[loser]] += weight
-    win_totals = wins_matrix.sum(axis=1)
+    win_totals = np.add.reduce(wins_matrix, axis=1)
     matchups = wins_matrix + wins_matrix.T  # zero diagonal
+    laplacian = np.empty((n, n))
+    diagonal = laplacian.reshape(-1)[:: n + 1]  # a view: the matrix's diagonal
+    rcond = _EPS * n  # np.linalg.lstsq's rcond=None
 
     theta = np.zeros(n)
     surprisal = _surprisal(theta)
-    log_likelihood = -float((wins_matrix * surprisal).sum())
+    log_likelihood = -float(np.add.reduce(wins_matrix * surprisal, axis=None))
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         win_prob = np.exp(-surprisal)
-        gradient = win_totals - (matchups * win_prob).sum(axis=1)
+        gradient = win_totals - np.add.reduce(matchups * win_prob, axis=1)
         # The negative Hessian is the Laplacian of the comparison graph
         # weighted by m_ij p_ij p_ji: singular along the all-ones direction
         # (abilities are defined up to a shift), so solve by least squares
-        # and keep the step mean-centred.
+        # and keep the step mean-centred. (0 - w) + d rounds exactly as
+        # d - w, so this is np.diag(degree) - weights bit for bit.
         weights = matchups * win_prob * win_prob.T
-        laplacian = np.diag(weights.sum(axis=1)) - weights
-        step = np.linalg.lstsq(laplacian, gradient, rcond=None)[0]
-        step -= step.mean()
+        np.subtract(0.0, weights, out=laplacian)
+        np.add(diagonal, np.add.reduce(weights, axis=1), out=diagonal)
+        step = _least_squares(laplacian, gradient, rcond)
+        step -= np.add.reduce(step) / n
         # Backtrack while the log-likelihood falls by more than the
         # rounding of its n² summed terms: near the optimum a full step
         # changes it by less than that, and halving such a step would only
         # stop the fit short of the optimum.
         floor = log_likelihood - n * n * _EPS * abs(log_likelihood)
         while True:
-            step_size = float(np.abs(step).max())
+            step_size = float(np.maximum.reduce(np.abs(step)))
             candidate = theta + step
             surprisal = _surprisal(candidate)
-            candidate_likelihood = -float((wins_matrix * surprisal).sum())
+            candidate_likelihood = -float(
+                np.add.reduce(wins_matrix * surprisal, axis=None)
+            )
             if candidate_likelihood >= floor or step_size < tolerance:
                 break
             step *= 0.5
@@ -181,9 +209,9 @@ def fit_bradley_terry(
             converged = True
             break
 
-    theta -= theta.mean()
-    p = np.exp(theta - theta.max())
-    p /= p.sum()
+    theta -= np.add.reduce(theta) / n
+    p = np.exp(theta - np.maximum.reduce(theta))
+    p /= np.add.reduce(p)
     scores = dict(zip(versions, p.tolist()))
     abilities = dict(zip(versions, theta.tolist()))
     if metrics is not None:

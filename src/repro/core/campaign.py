@@ -608,6 +608,7 @@ class Campaign:
         session_start: Optional[float] = None,
         trace_index: int = 0,
         shared_scheduler: Optional[Scheduler] = None,
+        scheduled_pages: Optional[Tuple[dict, list]] = None,
     ):
         """One participant's full extension flow, minus the upload.
 
@@ -619,6 +620,8 @@ class Campaign:
         ``shared_scheduler`` serves the comparisons when the campaign pools one scheduler across
         the roster; otherwise the configured mode builds a fresh one per
         participant (``"full"`` keeps the all-pairs page plan).
+        ``scheduled_pages`` is :meth:`_scheduled_pages`, built once per roster;
+        every mode but ``"full"`` needs it.
 
         Returns ``(result, client, participant_span)``; the span is a
         *detached* trace subtree (or the shared null span) that the caller
@@ -680,11 +683,7 @@ class Campaign:
                             prepared.test_id, prepared.parameters.question, pages
                         )
                     else:
-                        pages_by_pair = {
-                            frozenset((p.left_version, p.right_version)): p
-                            for p in prepared.comparison_pairs()
-                        }
-                        controls = list(prepared.control_pairs())
+                        pages_by_pair, controls = scheduled_pages
                         order = rng.permutation(len(controls))
                         chosen = [
                             controls[i]
@@ -718,6 +717,17 @@ class Campaign:
                 )
         self.metrics.add("campaign.participants", 1)
         return result, client, pspan
+
+    def _scheduled_pages(
+        self, prepared: PreparedTest
+    ) -> Tuple[Dict[frozenset, IntegratedWebpage], List[IntegratedWebpage]]:
+        """A scheduler's page lookup: each comparison page by its unordered
+        version pair, and the control pages."""
+        pages_by_pair = {
+            frozenset((p.left_version, p.right_version)): p
+            for p in prepared.comparison_pairs()
+        }
+        return pages_by_pair, list(prepared.control_pairs())
 
     def _upload_result(
         self,
@@ -999,6 +1009,8 @@ class Campaign:
             # real extension could drive the same campaign the simulation does.
             self.server.attach_scheduler(scheduler)
 
+        scheduled_pages = self._scheduled_pages(prepared)
+
         def simulate(index: int, worker: WorkerProfile):
             return self._simulate_participant(
                 worker, judge, streams[index], in_lab=in_lab,
@@ -1007,6 +1019,7 @@ class Campaign:
                 ),
                 trace_index=index,
                 shared_scheduler=scheduler,
+                scheduled_pages=scheduled_pages,
             )
 
         def upload(worker: WorkerProfile, result, client, pspan) -> bool:

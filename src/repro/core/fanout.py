@@ -256,6 +256,7 @@ class _WorkerRuntime:
         observed = campaign.obs.enabled
         responses = self.database.collection(RESPONSES_COLLECTION)
         outcomes: List[ParticipantOutcome] = []
+        scheduled_pages = campaign._scheduled_pages(spec.prepared)
         try:
             for index in indices:
                 worker = spec.workers[index]
@@ -272,6 +273,7 @@ class _WorkerRuntime:
                     in_lab=spec.in_lab,
                     session_start=spec.session_start + offset,
                     trace_index=index,
+                    scheduled_pages=scheduled_pages,
                 )
                 uspan, lost_reason = campaign._upload_result(
                     client, worker, result, detached=True

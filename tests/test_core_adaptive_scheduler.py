@@ -578,6 +578,76 @@ class TestRefitConvergence:
         assert_refits_converged(campaign.metrics)
 
 
+def _one_pair_sessions_campaign():
+    """A 5-version adaptive campaign of one pair per session whose upload-time
+    screen drops participants: a dropped participant's one answer is
+    retracted right after it arrived, back to a tally already fitted."""
+    pages = tuple(f"p{i}" for i in range(5))
+    campaign = Campaign(
+        config=CampaignConfig(
+            seed=3, scheduler="adaptive", quality=QualityConfig(),
+            artifact_cache=None,
+            scheduler_config=SchedulerConfig(seed=3, session_pairs=1),
+        )
+    )
+    spec = TestParameters(
+        test_id="adaptive-reuse",
+        test_description="refits on a retracted tally",
+        participant_num=40,
+        question=[Question("q1", "Which looks better?")],
+        webpages=[WebpageSpec(web_path=p, web_page_load=1000) for p in pages],
+    )
+    documents = {
+        p: parse_html(f"<html><body><p>{p} body</p></body></html>") for p in pages
+    }
+    campaign.prepare(spec, documents)
+    judge = make_utility_judge(
+        {**{p: 0.3 * i for i, p in enumerate(pages)}, "__contrast__": -5.0},
+        ThurstoneChoiceModel(),
+    )
+    return campaign, judge, generate_population(40, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=3)
+
+
+class TestRefitOnUnchangedTally:
+    """A refit on the tally the current fit came from reuses that fit."""
+
+    def test_retractions_skip_fits(self):
+        campaign, judge, roster = _one_pair_sessions_campaign()
+        result = campaign.run_with_workers(roster, judge)
+        assert result.quality_report.dropped
+        assert result.early_stop is not None
+        fits = campaign.metrics.counter("btmodel.refits")
+        assert 0 < fits < result.early_stop.refits
+        assert_refits_converged(campaign.metrics)
+
+    def test_resume_right_after_a_skipped_refit_concludes_identically(self):
+        campaign, judge, roster = _one_pair_sessions_campaign()
+        reference = campaign.run_with_workers(roster, judge)
+
+        crashed, _, _ = _one_pair_sessions_campaign()
+        counts = []
+
+        def crash_after_skip(run):
+            scheduler = run._shared_scheduler
+            counts.append((scheduler.refits, run.metrics.counter("btmodel.refits")))
+            if len(counts) > 1:
+                (refits_before, fits_before), (refits, fits) = counts[-2:]
+                if refits > refits_before and fits == fits_before:
+                    raise RuntimeError("simulated crash after a skipped refit")
+
+        crashed.checkpoint_hook = crash_after_skip
+        with pytest.raises(RuntimeError, match="skipped refit"):
+            crashed.run_with_workers(roster, judge)
+        fresh, _, _ = _one_pair_sessions_campaign()
+        resumed = fresh.run_with_workers(
+            roster, judge, resume_from=crashed.resume_state()
+        )
+        assert resumed.early_stop == reference.early_stop
+        assert conclusion_digest(fresh, resumed) == conclusion_digest(
+            campaign, reference
+        )
+
+
 answers = st.lists(
     st.tuples(
         st.sampled_from(VERSIONS[:5]),
