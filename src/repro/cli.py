@@ -41,7 +41,6 @@ from repro.render.metrics import compute_visual_metrics
 from repro.render.paint import build_paint_timeline
 from repro.render.replay import schedule_from_parameter
 from repro.util import jsonutil
-from repro.util.executors import EXECUTOR_MODES, available_cpus
 
 BASE_URL = "http://test.local"
 
@@ -66,18 +65,11 @@ def _prepare_campaign(args) -> Campaign:
     documents = _load_documents(spec, args.pages)
     fetcher = StaticResourceMap.from_directory(args.pages, BASE_URL)
     observe = bool(getattr(args, "observe", False) or getattr(args, "trace_out", None))
-    parallelism = getattr(args, "parallelism", None)
-    executor = getattr(args, "executor", None)
-    if parallelism is None:
-        # --executor asks for a pool; default its worker count to the
-        # machine. Safe: results are identical at any worker count.
-        parallelism = available_cpus() if executor is not None else 1
     scheduler = getattr(args, "scheduler", None)
     config = CampaignConfig(
         seed=args.seed,
         reward_usd=getattr(args, "reward", CampaignConfig.reward_usd),
-        parallelism=parallelism,
-        executor=executor or "process",
+        parallelism=getattr(args, "parallelism", 1),
         observe=observe,
         arrival=getattr(args, "arrival", None),
         store=getattr(args, "store", None) or "memory",
@@ -317,16 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
         "early stopping); non-'full' modes require single-question tests",
     )
     run.add_argument(
-        "--parallelism", type=int, default=None,
-        help="fan-out worker count for participant simulation (default: "
-        "1, or all CPUs when --executor is given)",
-    )
-    run.add_argument(
-        "--executor", choices=sorted(EXECUTOR_MODES), default=None,
-        help="fan-out backend: 'process' (default) chunks participants "
-        "across worker processes when --parallelism > 1, 'serial' forces "
-        "the inline loop; both produce bit-identical results for a fixed "
-        "--seed",
+        "--parallelism", type=int, default=1,
+        help="worker count for participant simulation: 1 (default) runs "
+        "the roster inline, N > 1 chunks it across N worker processes; "
+        "every N gives bit-identical results for a fixed --seed",
     )
     run.add_argument(
         "--arrival", default=None, metavar="MODE",
@@ -338,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--store", choices=sorted(STORE_MODES), default=None,
-        help="storage/aggregation backend: 'memory' (default, in-RAM store "
-        "+ batch conclude) or 'sharded-streaming' (WAL-backed shards with "
-        "responses spilled to the log and folded into O(pairs) streaming "
-        "sufficient statistics at upload time)",
+        help="storage backend: 'memory' (default, in-RAM store) or "
+        "'sharded-streaming' (WAL-backed shards with responses spilled to "
+        "the log); both fold every upload into O(pairs) streaming "
+        "sufficient statistics at upload time and conclude from that fold",
     )
     run.add_argument(
         "--store-shards", type=int, default=None, metavar="N",

@@ -82,7 +82,6 @@ from repro.core.scheduling import (
     Scheduler,
     SchedulerConfig,
     all_pairs,
-    register_scheduler,
 )
 from repro.errors import ValidationError
 
@@ -571,6 +570,3 @@ class AdaptiveScheduler(Scheduler):
             iterations=int(fit["iterations"]),
             converged=bool(fit["converged"]),
         )
-
-
-register_scheduler("adaptive", AdaptiveScheduler)

@@ -80,6 +80,9 @@ _PARTICIPANT_PROFILES = Categorical(
     ("fiber", "cable", "dsl", "4g", "3g"), (0.25, 0.30, 0.15, 0.20, 0.10)
 )
 
+#: Control pages shown per participant: §IV-A shows each one control page.
+CONTROLS_PER_PARTICIPANT = 1
+
 
 def _comparison_versions(prepared: PreparedTest) -> List[str]:
     """The test's version ids without the contrast-control pseudo-version."""
@@ -687,7 +690,7 @@ class Campaign:
                         order = rng.permutation(len(controls))
                         chosen = [
                             controls[i]
-                            for i in order[: self.config.controls_per_participant]
+                            for i in order[:CONTROLS_PER_PARTICIPANT]
                         ]
                         result = extension.run_adaptive_test(
                             prepared.test_id,
@@ -1152,7 +1155,7 @@ class Campaign:
         control_order = rng.permutation(len(controls))
         chosen = [
             controls[i]
-            for i in control_order[: self.config.controls_per_participant]
+            for i in control_order[:CONTROLS_PER_PARTICIPANT]
         ]
         for control in chosen:
             position = int(rng.integers(0, len(pages) + 1))

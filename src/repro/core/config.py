@@ -11,8 +11,8 @@ dataclass that :class:`~repro.core.campaign.Campaign` and
     campaign = Campaign(config=config)
 
 The config is the single source of truth: the constructors and run entry
-points take no per-call overrides of its fields (seed, reward, controls,
-host, dropout). Only :meth:`~repro.core.campaign.Campaign.prepare`'s test
+points take no per-call overrides of its fields (seed, reward, host,
+dropout). Only :meth:`~repro.core.campaign.Campaign.prepare`'s test
 inputs sit beside it.
 
 The object is immutable (hashable, safely shareable between a campaign and
@@ -71,8 +71,6 @@ class CampaignConfig:
     min_participants: Optional[int] = None
     #: Conclusion floor: minimum completed fraction of the recruited roster.
     quorum: Optional[float] = None
-    #: Control pages shown per participant.
-    controls_per_participant: int = 1
     #: Reward offered per participant when posting the task; it also
     #: paces the ``arrival`` schedule (arrivals are reward-elastic).
     reward_usd: float = 0.10
@@ -102,6 +100,7 @@ class CampaignConfig:
     arrival: Optional[str] = None
     #: Server-side overload control plane (admission queue, token-bucket
     #: rate limiter, load-shedding ladder); ``None`` = accept everything.
+    #: The ladder's thresholds are constants of :mod:`repro.net.overload`.
     overload: Optional[OverloadConfig] = None
     #: Storage backend: ``"memory"`` (historical in-RAM store; the result
     #: keeps ``raw_results``) or ``"sharded-streaming"`` (WAL-backed shards
@@ -113,8 +112,9 @@ class CampaignConfig:
     #: Directory for the sharded store's WALs + snapshots; ``None`` keeps
     #: them in process memory (still streamed, not crash-durable).
     store_directory: Optional[str] = None
-    #: Quality-control thresholds for the campaign, fixed up front: the
-    #: online screen applies them to every upload as it arrives.
+    #: Quality-control layers the campaign runs, fixed up front: the online
+    #: screen applies them to every upload as it arrives (the thresholds
+    #: are constants of :mod:`repro.core.quality`).
     quality: Optional[QualityConfig] = None
     #: Comparison scheduler: ``"full"`` (every C(N, 2) pair — the paper's
     #: default design), a participant-driven sort (``"bubble"``,
@@ -141,8 +141,6 @@ class CampaignConfig:
             raise ValidationError(
                 f"dropout_rate must be in [0, 1], got {self.dropout_rate}"
             )
-        if self.controls_per_participant < 0:
-            raise ValidationError("controls_per_participant must be >= 0")
         validate_executor_mode(self.executor)
         if self.reward_usd < 0:
             raise ValidationError("reward_usd must be >= 0")
@@ -190,7 +188,6 @@ class CampaignConfig:
             "parallelism": self.parallelism,
             "min_participants": self.min_participants,
             "quorum": self.quorum,
-            "controls_per_participant": self.controls_per_participant,
             "reward_usd": self.reward_usd,
             "artifact_cache": self.artifact_cache,
             "fault_plan": (

@@ -31,23 +31,25 @@ REASON_TAB_CHURN = "engagement:tab-churn"
 REASON_CONTROL = "control-question:failed"
 REASON_MAJORITY = "crowd-wisdom:deviates"
 
+# Paper-calibrated thresholds of the engagement and crowd-wisdom layers.
+MIN_COMPARISON_MINUTES = 0.08   # < ~5s per pair is a rush
+MAX_COMPARISON_MINUTES = 2.6    # filters the 3.3-min wanderers
+MAX_CREATED_TABS = 4
+MAX_ACTIVE_TAB_SWITCHES = 9
+ENGAGEMENT_VIOLATION_FRACTION = 0.4   # tolerate a few odd pairs
+MAX_SLOW_VIOLATIONS = 0               # any overlong comparison drops
+MAJORITY_DEVIATION_FRACTION = 0.5     # drop if wrong on > half
+MAJORITY_MIN_CELLS = 3                # too few cells -> no verdict
+
 
 @dataclass(frozen=True)
 class QualityConfig:
-    """Thresholds for the four layers (paper-calibrated defaults)."""
+    """Which of the four layers run; the ablation bench toggles them."""
 
     enable_hard_rules: bool = True
     enable_engagement: bool = True
     enable_control_questions: bool = True
     enable_majority_vote: bool = True
-    min_comparison_minutes: float = 0.08   # < ~5s per pair is a rush
-    max_comparison_minutes: float = 2.6    # filters the 3.3-min wanderers
-    max_created_tabs: int = 4
-    max_active_tab_switches: int = 9
-    engagement_violation_fraction: float = 0.4   # tolerate a few odd pairs
-    max_slow_violations: int = 0                 # any overlong comparison drops
-    majority_deviation_fraction: float = 0.5     # drop if wrong on > half
-    majority_min_cells: int = 3                  # too few cells -> no verdict
 
 
 @dataclass
@@ -156,28 +158,27 @@ class QualityControl:
         return None
 
     def _engagement_check(self, result: ParticipantResult) -> Optional[DropRecord]:
-        config = self.config
         traces = {a.integrated_id: a.behavior for a in result.answers}
         if not traces:
             return DropRecord(result.worker_id, REASON_INCOMPLETE, "no behaviour data")
         violations_fast = violations_slow = violations_churn = 0
         for trace in traces.values():
-            if trace.duration_minutes < config.min_comparison_minutes:
+            if trace.duration_minutes < MIN_COMPARISON_MINUTES:
                 violations_fast += 1
-            elif trace.duration_minutes > config.max_comparison_minutes:
+            elif trace.duration_minutes > MAX_COMPARISON_MINUTES:
                 violations_slow += 1
             if (
-                trace.created_tabs > config.max_created_tabs
-                or trace.active_tab_switches > config.max_active_tab_switches
+                trace.created_tabs > MAX_CREATED_TABS
+                or trace.active_tab_switches > MAX_ACTIVE_TAB_SWITCHES
             ):
                 violations_churn += 1
-        limit = config.engagement_violation_fraction * len(traces)
+        limit = ENGAGEMENT_VIOLATION_FRACTION * len(traces)
         if violations_fast > limit:
             return DropRecord(
                 result.worker_id, REASON_TOO_FAST, f"{violations_fast}/{len(traces)} rushed"
             )
-        if violations_slow > config.max_slow_violations:
-            # Zero tolerance by default: one wander-off comparison taints the
+        if violations_slow > MAX_SLOW_VIOLATIONS:
+            # Zero tolerance: one wander-off comparison taints the
             # whole submission (this is what pulls the paper's 3.3-minute
             # raw maximum down to 2.5 after filtering).
             return DropRecord(
@@ -251,8 +252,8 @@ class QualityControl:
             if answer.answer != consensus:
                 deviations += 1
         if (
-            cells >= self.config.majority_min_cells
-            and deviations / cells > self.config.majority_deviation_fraction
+            cells >= MAJORITY_MIN_CELLS
+            and deviations / cells > MAJORITY_DEVIATION_FRACTION
         ):
             return DropRecord(
                 result.worker_id,

@@ -705,16 +705,11 @@ _REGISTRY: Dict[str, type] = {
 }
 
 
-def register_scheduler(name: str, cls: type) -> None:
-    """Register a :class:`Scheduler` implementation under a config key."""
-    _REGISTRY[name] = cls
-
-
 def scheduler_class(name: str) -> type:
     """The registered implementation for ``name`` (importing lazily for the
     adaptive scheduler, which lives in its own module)."""
-    if name == "adaptive" and "adaptive" not in _REGISTRY:
-        from repro.core.adaptive import AdaptiveScheduler  # registers itself
+    if name == "adaptive":
+        from repro.core.adaptive import AdaptiveScheduler
 
         return AdaptiveScheduler
     try:

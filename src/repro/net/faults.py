@@ -201,6 +201,14 @@ class FaultPlan:
 
 # -- client-side resilience ---------------------------------------------------
 
+#: Growth of the retry backoff per failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Upper bound of the seeded jitter, as a fraction of the backoff.
+JITTER_FRACTION = 0.1
+#: Virtual seconds of the owning client's timeline an open breaker waits
+#: before it half-opens.
+RESET_AFTER_SECONDS = 60.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -214,18 +222,13 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_base_seconds: float = 0.5
-    backoff_factor: float = 2.0
-    jitter_fraction: float = 0.1
     retry_budget_seconds: float = 60.0
-    retry_on_status: Tuple[int, ...] = (500, 502, 503, 504)
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
-        if self.backoff_base_seconds < 0 or self.backoff_factor < 1.0:
-            raise ValidationError("backoff must be non-negative and non-shrinking")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValidationError("jitter_fraction must be in [0, 1]")
+        if self.backoff_base_seconds < 0:
+            raise ValidationError("backoff must be non-negative")
 
     @classmethod
     def none(cls) -> "RetryPolicy":
@@ -234,25 +237,22 @@ class RetryPolicy:
 
     def backoff_seconds(self, attempt: int, rng=None) -> float:
         """Backoff before retry number ``attempt`` (1-based failed attempt)."""
-        delay = self.backoff_base_seconds * self.backoff_factor ** (attempt - 1)
-        if self.jitter_fraction > 0 and rng is not None:
-            delay *= 1.0 + self.jitter_fraction * rng.random()
+        delay = self.backoff_base_seconds * BACKOFF_FACTOR ** (attempt - 1)
+        if rng is not None:
+            delay *= 1.0 + JITTER_FRACTION * rng.random()
         return delay
 
 
 @dataclass(frozen=True)
 class CircuitBreakerConfig:
     """Trip after ``failure_threshold`` consecutive failures; half-open after
-    ``reset_after_seconds`` of the owning client's virtual timeline."""
+    :data:`RESET_AFTER_SECONDS` of the owning client's virtual timeline."""
 
     failure_threshold: int = 4
-    reset_after_seconds: float = 60.0
 
     def __post_init__(self):
         if self.failure_threshold < 1:
             raise ValidationError("failure_threshold must be >= 1")
-        if self.reset_after_seconds <= 0:
-            raise ValidationError("reset_after_seconds must be positive")
 
 
 class CircuitBreaker:
@@ -278,7 +278,7 @@ class CircuitBreaker:
     def allow(self, now: float) -> bool:
         """May a request proceed at client-time ``now``?"""
         if self.state == self.OPEN:
-            if now - self.opened_at >= self.config.reset_after_seconds:
+            if now - self.opened_at >= RESET_AFTER_SECONDS:
                 self.state = self.HALF_OPEN
                 return True
             return False

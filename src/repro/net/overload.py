@@ -6,9 +6,10 @@ normal case, not the exception. This module protects the core server with a
 deterministic overload control plane:
 
 * :class:`OverloadConfig` — the frozen, picklable policy: sustainable
-  capacity, burst allowance, bounded admission-queue depth, the utilization
-  thresholds of the load-shedding ladder, and the per-request lotteries'
-  seed;
+  capacity, burst allowance, bounded admission-queue depth, protection on
+  or off, and the per-request lotteries' seed. The decision window, the
+  utilization thresholds of the load-shedding ladder and the offered-load
+  model are module constants;
 * :class:`LoadSignal` — the smoothed utilization signal. It precomputes,
   per quantized decision window, the offered load implied by the campaign's
   *seeded arrival schedule*, the token-bucket service series, the admission
@@ -79,6 +80,26 @@ TIMED_OUT_HEADER = "x-virtual-timed-out"
 #: task posting are not on any participant's critical upload path.
 DEFERRABLE_PREFIXES = ("/results", "/tasks")
 
+#: Length of one quantized decision window, in virtual seconds.
+WINDOW_SECONDS = 5.0
+#: EWMA weight of the newest window in the smoothed utilization signal.
+SMOOTHING = 0.35
+# Ladder thresholds on the smoothed utilization signal.
+SHED_DETAIL_AT = 0.70
+SAMPLE_QC_AT = 0.85
+DEFER_AT = 0.95
+REJECT_AT = 1.10
+#: Fraction of upload-time quality-control checks kept on the
+#: ``sample-qc`` rung (the rest are hash-sampled away).
+QC_SAMPLE_RATE = 0.5
+#: Offered-load model: requests one participant session issues, spread
+#: over ``SESSION_SECONDS`` of its session.
+REQUESTS_PER_PARTICIPANT = 10.0
+SESSION_SECONDS = 60.0
+#: Unprotected baseline only: queue delay beyond this loses the response
+#: in flight (the client times out; the server's side effects stand).
+TIMEOUT_SECONDS = 30.0
+
 
 def stable_uniform(seed: int, salt: str, token: str) -> float:
     """A stable uniform in [0, 1) for one ``(seed, salt, token)`` triple.
@@ -101,30 +122,13 @@ class OverloadConfig:
     ``queue_limit`` bounds the admission queue — with ``protected=True``
     overflow is rejected with ``Retry-After``, with ``protected=False``
     (the baseline the benchmark collapses) the queue grows without bound
-    and requests eventually time out in flight.
+    and requests eventually time out in flight. The decision window, the
+    ladder's thresholds and the offered-load model are module constants.
     """
 
     capacity_rps: float = 2.0
     burst: float = 10.0
     queue_limit: int = 32
-    window_seconds: float = 5.0
-    #: EWMA weight of the newest window in the smoothed utilization signal.
-    smoothing: float = 0.35
-    # Ladder thresholds on the smoothed utilization signal.
-    shed_detail_at: float = 0.70
-    sample_qc_at: float = 0.85
-    defer_at: float = 0.95
-    reject_at: float = 1.10
-    #: Fraction of upload-time quality-control checks kept on the
-    #: ``sample-qc`` rung (the rest are hash-sampled away).
-    qc_sample_rate: float = 0.5
-    #: Offered-load model: requests one participant session issues, spread
-    #: over ``session_seconds`` of its session.
-    requests_per_participant: float = 10.0
-    session_seconds: float = 60.0
-    #: Unprotected baseline only: queue delay beyond this loses the response
-    #: in flight (the client times out; the server's side effects stand).
-    timeout_seconds: float = 30.0
     #: ``False`` disables the ladder and the queue bound — the collapse
     #: baseline the flash-crowd benchmark measures against.
     protected: bool = True
@@ -138,26 +142,6 @@ class OverloadConfig:
             raise ValidationError("burst must be >= 0")
         if self.queue_limit < 1:
             raise ValidationError("queue_limit must be >= 1")
-        if self.window_seconds <= 0:
-            raise ValidationError("window_seconds must be positive")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValidationError("smoothing must be in (0, 1]")
-        thresholds = (
-            self.shed_detail_at, self.sample_qc_at, self.defer_at, self.reject_at
-        )
-        if any(t <= 0 for t in thresholds) or list(thresholds) != sorted(thresholds):
-            raise ValidationError(
-                "ladder thresholds must be positive and non-decreasing "
-                "(shed_detail_at <= sample_qc_at <= defer_at <= reject_at)"
-            )
-        if not 0.0 <= self.qc_sample_rate <= 1.0:
-            raise ValidationError("qc_sample_rate must be in [0, 1]")
-        if self.requests_per_participant <= 0 or self.session_seconds <= 0:
-            raise ValidationError(
-                "requests_per_participant and session_seconds must be positive"
-            )
-        if self.timeout_seconds <= 0:
-            raise ValidationError("timeout_seconds must be positive")
 
     def replace(self, **changes) -> "OverloadConfig":
         import dataclasses
@@ -169,18 +153,6 @@ class OverloadConfig:
             "capacity_rps": self.capacity_rps,
             "burst": self.burst,
             "queue_limit": self.queue_limit,
-            "window_seconds": self.window_seconds,
-            "smoothing": self.smoothing,
-            "ladder": {
-                STATE_SHED_DETAIL: self.shed_detail_at,
-                STATE_SAMPLE_QC: self.sample_qc_at,
-                STATE_DEFER: self.defer_at,
-                STATE_REJECT: self.reject_at,
-            },
-            "qc_sample_rate": self.qc_sample_rate,
-            "requests_per_participant": self.requests_per_participant,
-            "session_seconds": self.session_seconds,
-            "timeout_seconds": self.timeout_seconds,
             "protected": self.protected,
             "seed": self.seed,
         }
@@ -204,7 +176,7 @@ class LoadSignal:
 
     def __init__(self, config: OverloadConfig, offered: Sequence[float]):
         self.config = config
-        cap = config.capacity_rps * config.window_seconds
+        cap = config.capacity_rps * WINDOW_SECONDS
         offered = list(offered)
         self.offered: List[float] = []
         self.backlog: List[float] = []
@@ -232,8 +204,8 @@ class LoadSignal:
                 backlog = overflow
                 rejected = 0.0
             smoothed = (
-                config.smoothing * (work / cap)
-                + (1.0 - config.smoothing) * smoothed
+                SMOOTHING * (work / cap)
+                + (1.0 - SMOOTHING) * smoothed
             )
             self.offered.append(offered_w)
             self.backlog.append(backlog)
@@ -253,21 +225,21 @@ class LoadSignal:
     ) -> "LoadSignal":
         """Build the signal from per-participant session-start offsets.
 
-        Each arrival contributes ``requests_per_participant`` requests
-        spread evenly over ``session_seconds`` of its session; per-window
+        Each arrival contributes ``REQUESTS_PER_PARTICIPANT`` requests
+        spread evenly over ``SESSION_SECONDS`` of its session; per-window
         offered load is the exact overlap integral, so the series is a pure
         function of ``(offsets, config)``.
         """
-        window = config.window_seconds
-        rate = config.requests_per_participant / config.session_seconds
+        window = WINDOW_SECONDS
+        rate = REQUESTS_PER_PARTICIPANT / SESSION_SECONDS
         horizon = 0.0
         for offset in offsets:
-            horizon = max(horizon, float(offset) + config.session_seconds)
+            horizon = max(horizon, float(offset) + SESSION_SECONDS)
         count = max(1, int(horizon / window) + 1)
         offered = [0.0] * count
         for offset in offsets:
             start = float(offset)
-            end = start + config.session_seconds
+            end = start + SESSION_SECONDS
             first = int(start // window)
             last = int(end // window)
             for w in range(first, min(last, count - 1) + 1):
@@ -277,15 +249,15 @@ class LoadSignal:
                     offered[w] += (hi - lo) * rate
         return cls(config, offered)
 
-    def _ladder_state(self, utilization: float) -> str:
-        cfg = self.config
-        if utilization >= cfg.reject_at:
+    @staticmethod
+    def _ladder_state(utilization: float) -> str:
+        if utilization >= REJECT_AT:
             return STATE_REJECT
-        if utilization >= cfg.defer_at:
+        if utilization >= DEFER_AT:
             return STATE_DEFER
-        if utilization >= cfg.sample_qc_at:
+        if utilization >= SAMPLE_QC_AT:
             return STATE_SAMPLE_QC
-        if utilization >= cfg.shed_detail_at:
+        if utilization >= SHED_DETAIL_AT:
             return STATE_SHED_DETAIL
         return STATE_NORMAL
 
@@ -295,7 +267,7 @@ class LoadSignal:
         return len(self.offered)
 
     def window_of(self, now: float) -> int:
-        return max(0, int(now // self.config.window_seconds))
+        return max(0, int(now // WINDOW_SECONDS))
 
     def _lookup(self, series: List, now: float, default):
         w = self.window_of(now)
@@ -319,7 +291,7 @@ class LoadSignal:
         """The occupancy-derived come-back delay: one full decision window
         plus the time the current backlog needs to drain."""
         return round(
-            self.config.window_seconds + self.queue_wait_seconds(now), 3
+            WINDOW_SECONDS + self.queue_wait_seconds(now), 3
         )
 
     # -- whole-run summaries ----------------------------------------------
@@ -332,7 +304,7 @@ class LoadSignal:
 
     def peak_offered_rps(self) -> float:
         peak = max(self.offered, default=0.0)
-        return peak / self.config.window_seconds
+        return peak / WINDOW_SECONDS
 
     def transitions(self) -> List[dict]:
         """Every ladder-state change as ``{"time", "from", "to"}``, in
@@ -344,7 +316,7 @@ class LoadSignal:
             if state != previous:
                 out.append(
                     {
-                        "time": w * self.config.window_seconds,
+                        "time": w * WINDOW_SECONDS,
                         "from": previous,
                         "to": state,
                     }
@@ -355,7 +327,7 @@ class LoadSignal:
     def to_dict(self) -> dict:
         return {
             "windows": len(self),
-            "window_seconds": self.config.window_seconds,
+            "window_seconds": WINDOW_SECONDS,
             "peak_offered_rps": round(self.peak_offered_rps(), 4),
             "peak_utilization": round(self.peak_utilization(), 4),
             "max_queue_depth": round(self.max_queue_depth(), 4),
@@ -463,7 +435,7 @@ class AdmissionController:
             # unbounded queue; past the timeout horizon the response is
             # lost in flight (the server's side effects stand).
             delay = signal.queue_wait_seconds(now)
-            timed_out = delay > self.config.timeout_seconds
+            timed_out = delay > TIMEOUT_SECONDS
             self._count("timed_out" if timed_out else "admitted")
             return AdmissionDecision(
                 admitted=True,
@@ -496,7 +468,7 @@ class AdmissionController:
             window = signal.window_of(now)
             qc_skipped = (
                 stable_uniform(self.config.seed, f"qc|{window}", token)
-                >= self.config.qc_sample_rate
+                >= QC_SAMPLE_RATE
             )
         self._count("admitted")
         if shed:
@@ -523,7 +495,7 @@ class AdmissionController:
             )
         if decision.timed_out:
             response.headers[TIMED_OUT_HEADER] = str(
-                int(round(self.config.timeout_seconds * 1000.0))
+                int(round(TIMEOUT_SECONDS * 1000.0))
             )
         return response
 

@@ -412,6 +412,8 @@ class SimulatedNetwork:
 
 
 _NO_RETRY = RetryPolicy.none()
+#: Statuses a client retries under its retry policy.
+RETRY_ON_STATUS = (500, 502, 503, 504)
 
 
 class Client:
@@ -542,7 +544,7 @@ class Client:
                     continue
                 raise failure
             overload = response.headers.get(OVERLOAD_HEADER, "")
-            if overload or response.status in policy.retry_on_status:
+            if overload or response.status in RETRY_ON_STATUS:
                 retry_after = 0.0
                 if overload:
                     # Server pushback, not a fault: count it separately and

@@ -71,7 +71,6 @@ class TestConfigObject:
             {"quorum": 1.5},
             {"dropout_rate": -0.1},
             {"dropout_rate": 1.1},
-            {"controls_per_participant": -1},
             {"reward_usd": -0.5},
             {"host": ""},
         ],

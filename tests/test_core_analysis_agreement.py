@@ -186,20 +186,21 @@ class TestSequentialCampaign:
             ThurstoneChoiceModel(),
         )
 
-    def test_honours_config_controls(self):
+    def test_shows_one_control_page_per_participant(self):
+        from repro.core.campaign import CONTROLS_PER_PARTICIPANT
         from repro.core.config import CampaignConfig
 
-        campaign = self.sequential_campaign(
-            CampaignConfig(seed=23, controls_per_participant=2)
-        )
+        campaign = self.sequential_campaign(CampaignConfig(seed=23))
+        # More control pages exist than each participant is shown (§IV-A).
         assert len(campaign.prepared.control_pairs()) >= 2
         result = campaign.run_until_significant(
             self.clear_judge(), "q1", ("a", "b"),
             max_participants=30,
         )
+        assert CONTROLS_PER_PARTICIPANT == 1
         for participant in result.raw_results:
             controls = [a for a in participant.answers if a.is_control]
-            assert len(controls) == 2
+            assert len(controls) == 1
 
     def test_min_participants_floor_defers_the_stop(self):
         from repro.core.config import CampaignConfig

@@ -1,7 +1,18 @@
 """Tests for the quality-control stack."""
 
+import math
+
+import pytest
+
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.quality import (
+    ENGAGEMENT_VIOLATION_FRACTION,
+    MAJORITY_DEVIATION_FRACTION,
+    MAJORITY_MIN_CELLS,
+    MAX_ACTIVE_TAB_SWITCHES,
+    MAX_COMPARISON_MINUTES,
+    MAX_CREATED_TABS,
+    MIN_COMPARISON_MINUTES,
     QualityConfig,
     QualityControl,
     REASON_CONTROL,
@@ -102,6 +113,50 @@ class TestEngagement:
         assert report.kept_ids == ["w1"]
 
 
+class TestEngagementBoundaries:
+    """Each threshold is exclusive: a value exactly at it passes."""
+
+    @pytest.mark.parametrize(
+        "trace, reason",
+        [
+            (BehaviorTrace(MIN_COMPARISON_MINUTES, 0, 3), None),
+            (
+                BehaviorTrace(math.nextafter(MIN_COMPARISON_MINUTES, 0.0), 0, 3),
+                REASON_TOO_FAST,
+            ),
+            (BehaviorTrace(MAX_COMPARISON_MINUTES, 0, 3), None),
+            (
+                BehaviorTrace(math.nextafter(MAX_COMPARISON_MINUTES, 10.0), 0, 3),
+                REASON_TOO_SLOW,
+            ),
+            (BehaviorTrace(0.8, MAX_CREATED_TABS, 3), None),
+            (BehaviorTrace(0.8, MAX_CREATED_TABS + 1, 3), REASON_TAB_CHURN),
+            (BehaviorTrace(0.8, 0, MAX_ACTIVE_TAB_SWITCHES), None),
+            (BehaviorTrace(0.8, 0, MAX_ACTIVE_TAB_SWITCHES + 1), REASON_TAB_CHURN),
+        ],
+    )
+    def test_every_comparison_at_or_past_a_threshold(self, trace, reason):
+        report = QualityControl().apply([make_result(trace=trace)], EXPECTED)
+        if reason is None:
+            assert report.kept_ids == ["w1"]
+        else:
+            assert [d.reason for d in report.dropped] == [reason]
+
+    @pytest.mark.parametrize("extra, kept", [(0, True), (1, False)])
+    def test_rushed_fraction_at_the_limit_is_tolerated(self, extra, kept):
+        # EXPECTED answers, control included; rushing on exactly the
+        # tolerated fraction of them passes, one more does not.
+        rushed = int(ENGAGEMENT_VIOLATION_FRACTION * EXPECTED) + extra
+        traces = [BehaviorTrace(0.02, 0, 2)] * rushed + [GOOD_TRACE] * EXPECTED
+        pages = ("p0", "p1", "p2", "p3")
+        answers = [
+            Answer(p, "q1", "left", "a", "b", False, trace)
+            for p, trace in zip(pages, traces)
+        ] + [Answer("ctrl", "q1", "same", "a", "a", True, traces[len(pages)])]
+        report = QualityControl().apply([make_result(answers=answers)], EXPECTED)
+        assert report.kept_ids == (["w1"] if kept else [])
+
+
 class TestControlQuestions:
     def test_failed_identical_control_drops(self):
         cheat = make_result(control=("ctrl", "a", "a", "left"))
@@ -164,3 +219,36 @@ class TestMajorityVote:
         ]
         report = QualityControl().apply(results, EXPECTED)
         assert len(report.kept) == 2
+
+
+def deviating_worker(cells, deviations, worker_id="edge"):
+    """A worker answering ``cells`` comparison pages, ``deviations`` of them
+    against the "left" majority."""
+    answers = [
+        Answer(f"p{i}", "q1", "right" if i < deviations else "left", "a", "b", False, GOOD_TRACE)
+        for i in range(cells)
+    ] + [Answer("ctrl", "q1", "same", "a", "a", True, GOOD_TRACE)]
+    return make_result(worker_id=worker_id, answers=answers)
+
+
+class TestMajorityBoundaries:
+    @pytest.mark.parametrize("extra, kept", [(0, True), (1, False)])
+    def test_deviating_on_exactly_the_fraction_is_kept(self, extra, kept):
+        cells = 2 * MAJORITY_MIN_CELLS
+        deviations = int(MAJORITY_DEVIATION_FRACTION * cells) + extra
+        assert MAJORITY_DEVIATION_FRACTION * cells == int(MAJORITY_DEVIATION_FRACTION * cells)
+        majority = [deviating_worker(cells, 0, f"w{i}") for i in range(5)]
+        report = QualityControl().apply(
+            majority + [deviating_worker(cells, deviations)], cells + 1
+        )
+        assert ("edge" in report.kept_ids) is kept
+
+    @pytest.mark.parametrize(
+        "cells, kept", [(MAJORITY_MIN_CELLS, False), (MAJORITY_MIN_CELLS - 1, True)]
+    )
+    def test_verdict_needs_the_minimum_cells(self, cells, kept):
+        majority = [deviating_worker(cells, 0, f"w{i}") for i in range(5)]
+        report = QualityControl().apply(
+            majority + [deviating_worker(cells, cells)], cells + 1
+        )
+        assert ("edge" in report.kept_ids) is kept

@@ -11,6 +11,8 @@ from repro.net.faults import (
     FAULT_LATENCY,
     FAULT_OUTAGE,
     FAULT_TIMEOUT,
+    JITTER_FRACTION,
+    RESET_AFTER_SECONDS,
     BreakerRegistry,
     CircuitBreaker,
     CircuitBreakerConfig,
@@ -137,26 +139,27 @@ class TestRetryPolicy:
         with pytest.raises(ValidationError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValidationError):
-            RetryPolicy(jitter_fraction=2.0)
+            RetryPolicy(backoff_base_seconds=-1.0)
 
     def test_none_is_single_attempt(self):
         assert RetryPolicy.none().max_attempts == 1
 
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(
-            backoff_base_seconds=1.0, backoff_factor=2.0, jitter_fraction=0.0
-        )
+        policy = RetryPolicy(backoff_base_seconds=1.0)
+        # Without an rng there is no jitter.
         assert policy.backoff_seconds(1) == 1.0
         assert policy.backoff_seconds(2) == 2.0
         assert policy.backoff_seconds(3) == 4.0
 
     def test_jitter_is_seeded(self):
-        policy = RetryPolicy(jitter_fraction=0.5)
+        policy = RetryPolicy()
         a = policy.backoff_seconds(1, rng=np.random.default_rng(3))
         b = policy.backoff_seconds(1, rng=np.random.default_rng(3))
         c = policy.backoff_seconds(1, rng=np.random.default_rng(4))
         assert a == b
         assert a != c
+        base = policy.backoff_base_seconds
+        assert base <= a <= base * (1.0 + JITTER_FRACTION)
 
 
 class TestCircuitBreaker:
@@ -171,25 +174,22 @@ class TestCircuitBreaker:
         assert breaker.trips == 1
 
     def test_half_opens_after_cooldown(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(failure_threshold=1, reset_after_seconds=10.0)
-        )
+        breaker = CircuitBreaker(CircuitBreakerConfig(failure_threshold=1))
         breaker.record_failure(0.0)
-        assert not breaker.allow(5.0)
-        assert breaker.allow(10.0)
+        assert not breaker.allow(RESET_AFTER_SECONDS / 2)
+        assert breaker.allow(RESET_AFTER_SECONDS)
         assert breaker.state == CircuitBreaker.HALF_OPEN
 
     def test_half_open_failure_retrips(self):
-        breaker = CircuitBreaker(
-            CircuitBreakerConfig(failure_threshold=2, reset_after_seconds=10.0)
-        )
+        breaker = CircuitBreaker(CircuitBreakerConfig(failure_threshold=2))
         breaker.record_failure(0.0)
         breaker.record_failure(0.0)
-        assert breaker.allow(10.0)  # half-open probe
-        breaker.record_failure(10.0)  # probe failed: open again immediately
+        assert breaker.allow(RESET_AFTER_SECONDS)  # half-open probe
+        # Probe failed: open again immediately.
+        breaker.record_failure(RESET_AFTER_SECONDS)
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.trips == 2
-        assert not breaker.allow(15.0)
+        assert not breaker.allow(RESET_AFTER_SECONDS * 1.5)
 
     def test_success_closes(self):
         breaker = CircuitBreaker(CircuitBreakerConfig(failure_threshold=1))
@@ -238,15 +238,13 @@ class TestBreakerRegistry:
             fault_plan=FaultPlan.lossy(seed=0, drop_rate=1.0),
         )
         network.attach(make_server())
-        registry = BreakerRegistry(
-            CircuitBreakerConfig(failure_threshold=2, reset_after_seconds=1e9)
-        )
+        registry = BreakerRegistry(CircuitBreakerConfig(failure_threshold=2))
 
         def client_for(client_id):
             return Client(
                 network,
                 get_profile("cable"),
-                retry_policy=RetryPolicy(max_attempts=1, jitter_fraction=0.0),
+                retry_policy=RetryPolicy(max_attempts=1),
                 client_id=client_id,
                 breaker_registry=registry,
             )
@@ -387,7 +385,7 @@ class TestResilientClient:
         client = Client(
             network,
             get_profile("cable"),
-            retry_policy=RetryPolicy(max_attempts=5, jitter_fraction=0.0),
+            retry_policy=RetryPolicy(max_attempts=5),
             client_id="retry-test",
         )
         response = client.get("http://srv.local/hello")
@@ -404,7 +402,7 @@ class TestResilientClient:
         client = Client(
             network,
             get_profile("cable"),
-            retry_policy=RetryPolicy(max_attempts=3, jitter_fraction=0.0),
+            retry_policy=RetryPolicy(max_attempts=3),
         )
         with pytest.raises(ConnectionDropped):
             client.get("http://srv.local/hello")
@@ -420,7 +418,7 @@ class TestResilientClient:
         client = Client(
             network,
             get_profile("cable"),
-            retry_policy=RetryPolicy(max_attempts=2, jitter_fraction=0.0),
+            retry_policy=RetryPolicy(max_attempts=2),
         )
         response = client.get("http://srv.local/hello")
         assert response.status == 503
@@ -457,9 +455,7 @@ class TestResilientClient:
         client = Client(
             network,
             get_profile("cable"),
-            breaker_config=CircuitBreakerConfig(
-                failure_threshold=2, reset_after_seconds=1e9
-            ),
+            breaker_config=CircuitBreakerConfig(failure_threshold=2),
         )
         for _ in range(2):
             with pytest.raises(ConnectionDropped):
@@ -482,13 +478,10 @@ class TestResilientClient:
             get_profile("cable"),
             retry_policy=RetryPolicy(
                 max_attempts=4,
-                backoff_base_seconds=4.0,
-                jitter_fraction=0.0,
+                backoff_base_seconds=30.0,
                 retry_budget_seconds=1000.0,
             ),
-            breaker_config=CircuitBreakerConfig(
-                failure_threshold=10, reset_after_seconds=5.0
-            ),
+            breaker_config=CircuitBreakerConfig(failure_threshold=10),
         )
         with pytest.raises(ConnectionDropped):
             client.get("http://srv.local/hello")
@@ -496,9 +489,9 @@ class TestResilientClient:
         breaker.record_failure(client.session_now)  # force-trip
         breaker.state = CircuitBreaker.OPEN
         breaker.opened_at = client.session_now
-        # Backoff time (12s of it) advanced the session clock well past the
-        # 5 s cooldown relative to an earlier trip.
-        assert client.session_now >= 12.0
+        # Backoff time (30 + 60 + 120 s of it) advanced the session clock
+        # well past the cooldown relative to an earlier trip.
+        assert client.session_now >= 210.0 > RESET_AFTER_SECONDS
         breaker.opened_at = 0.0
         assert breaker.allow(client.session_now)
 

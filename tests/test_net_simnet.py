@@ -314,7 +314,7 @@ def _identity_script(network_cls=SimulatedNetwork):
     client = Client(
         network,
         get_profile("3g-slow"),
-        retry_policy=RetryPolicy(max_attempts=3, jitter_fraction=0.0),
+        retry_policy=RetryPolicy(max_attempts=3),
     )
     assert client.get("http://srv.local/busy").ok
     network.wait(0.125)

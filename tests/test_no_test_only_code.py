@@ -11,7 +11,16 @@ re-exports of a package ``__init__`` (its imports and ``__all__``) and uses
 inside the definition itself (a recursive call, a class naming itself) do
 not count. The few definitions kept for another reason are in :data:`KEPT`.
 
-Run as a script to print each unnamed definition with its line count.
+The same holds for settings. Each field of a frozen ``*Config`` or
+``*Policy`` dataclass in ``src/repro`` must be passed as a keyword argument
+somewhere in those directories; a field only tests set is a setting no
+caller asked for, and becomes a constant of the module that reads it. The
+keyword is matched by name alone, so a shared name (``seed=`` passed to
+some other call) can hide a field nobody sets. The few fields kept for
+another reason are in :data:`KEPT_FIELDS`.
+
+Run as a script to print each unnamed definition with its line count and
+each field nothing sets.
 """
 
 from __future__ import annotations
@@ -45,6 +54,19 @@ KEPT = {
     "fleet/manager.py::CampaignManager.submit_all": "deliverable: the README's fleet example",
     "net/faults.py::FaultPlan.with_outage": "deliverable: the README's fault-plan example",
     "render/artifacts.py::PageArtifactCache.invalidate": "deliverable: the README's artifact-cache section",
+}
+
+#: Fields of frozen ``*Config``/``*Policy`` dataclasses nothing outside
+#: ``tests/`` sets that stay, each with why.
+KEPT_FIELDS = {
+    "core/scheduling.py::SchedulerConfig.refit_every": (
+        "digest: rides in Scheduler.snapshot()['config'], so deleting it "
+        "moves every adaptive conclusion digest"
+    ),
+    "core/scheduling.py::SchedulerConfig.stability_rounds": (
+        "digest: rides in Scheduler.snapshot()['config'], so deleting it "
+        "moves every adaptive conclusion digest"
+    ),
 }
 
 
@@ -136,13 +158,17 @@ def unnamed_definitions(sources, src):
 
 
 @functools.lru_cache(maxsize=None)
-def repo_unnamed_definitions():
-    sources = {
+def _repo_sources():
+    return {
         path: path.read_text(encoding="utf-8")
         for top in SEARCHED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
-    return unnamed_definitions(sources, SRC)
+
+
+@functools.lru_cache(maxsize=None)
+def repo_unnamed_definitions():
+    return unnamed_definitions(_repo_sources(), SRC)
 
 
 def test_every_definition_is_named_outside_tests():
@@ -200,8 +226,113 @@ def test_what_counts_as_a_use():
     ]
 
 
+def _is_frozen_dataclass(node):
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            func = decorator.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "dataclass" and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in decorator.keywords
+            ):
+                return True
+    return False
+
+
+def setting_fields(tree):
+    """``(qualname, line)`` for each field of a frozen top-level
+    ``*Config``/``*Policy`` dataclass in ``tree``."""
+    found = []
+    for node in tree.body:
+        if (
+            isinstance(node, ast.ClassDef)
+            and node.name.endswith(("Config", "Policy"))
+            and _is_frozen_dataclass(node)
+        ):
+            found += [
+                (f"{node.name}.{item.target.id}", item.lineno)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return found
+
+
+def unset_fields(sources, src):
+    """``{"<path under src>::<Class>.<field>": line}`` for each such field
+    in a module under ``src`` that nothing in ``sources`` passes as a
+    keyword argument."""
+    keywords = set()
+    fields = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        keywords.update(node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword))
+        if path.is_relative_to(src):
+            fields += [(path, qualname, line) for qualname, line in setting_fields(tree)]
+    return {
+        f"{path.relative_to(src).as_posix()}::{qualname}": line
+        for path, qualname, line in fields
+        if qualname.rsplit(".", 1)[1] not in keywords
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def repo_unset_fields():
+    return unset_fields(_repo_sources(), SRC)
+
+
+def test_every_setting_is_set_outside_tests():
+    assert sorted(set(repo_unset_fields()) - set(KEPT_FIELDS)) == []
+
+
+def test_every_kept_field_still_exists_and_is_still_unset():
+    assert sorted(set(KEPT_FIELDS) - set(repo_unset_fields())) == []
+    assert all(KEPT_FIELDS.values())
+
+
+def test_what_counts_as_setting_a_field():
+    src = Path("src/pkg")
+    sources = {
+        src / "mod.py": (
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class RunConfig:\n"
+            "    by_call: int = 1\n"
+            "    by_replace: int = 2\n"
+            "    by_other_call: int = 3\n"
+            "    unset: int = 4\n"
+            "    def bump(self):\n"
+            "        return self.unset + 1\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class RetryPolicy:\n"
+            "    attempts: int = 1\n"
+            "@dataclass\n"
+            "class MutableConfig:\n"
+            "    unset: int = 0\n"
+            "@dataclass(frozen=True)\n"
+            "class Record:\n"
+            "    unset: int = 0\n"
+        ),
+        Path("benchmarks/bench.py"): (
+            "RunConfig(by_call=1)\n"
+            "config.replace(by_replace=2)\n"
+            "run(by_other_call=3)\n"
+            "RetryPolicy(**{'attempts': 2})\n"
+            "print(RunConfig().unset)\n"
+        ),
+    }
+    assert sorted(unset_fields(sources, src)) == [
+        "mod.py::RetryPolicy.attempts",
+        "mod.py::RunConfig.unset",
+    ]
+
+
 if __name__ == "__main__":
     table = repo_unnamed_definitions()
     for key, lines in sorted(table.items()):
         print(f"{lines:4d}  {key}{'  (kept)' if key in KEPT else ''}")
     print(f"{len(table)} definitions, {sum(table.values())} lines")
+    fields = repo_unset_fields()
+    for key, line in sorted(fields.items()):
+        print(f"{line:4d}  {key}{'  (kept)' if key in KEPT_FIELDS else ''}")
+    print(f"{len(fields)} fields nothing outside tests/ sets")

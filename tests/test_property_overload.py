@@ -17,6 +17,7 @@ from repro.crowd.arrivals import ARRIVAL_MODES, arrival_offsets
 from repro.net.http import Request
 from repro.net.overload import (
     STATE_NORMAL,
+    WINDOW_SECONDS,
     AdmissionController,
     LoadSignal,
     OverloadConfig,
@@ -35,7 +36,6 @@ def make_config(seed, protected=True, queue_limit=8):
         capacity_rps=0.5,
         burst=2.0,
         queue_limit=queue_limit,
-        window_seconds=5.0,
         seed=seed,
         protected=protected,
     )
@@ -153,9 +153,9 @@ class TestTokenBucketInvariants:
         config = make_config(seed)
         signal = LoadSignal.from_offsets(offsets, config)
         suggested = signal.retry_after(now)
-        assert suggested >= config.window_seconds
+        assert suggested >= WINDOW_SECONDS
         wait = signal.queue_depth(now) / config.capacity_rps
-        assert suggested >= round(config.window_seconds + wait, 3) - 1e-9
+        assert suggested >= round(WINDOW_SECONDS + wait, 3) - 1e-9
 
 
 class TestArrivalOffsets:
