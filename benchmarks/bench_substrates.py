@@ -67,8 +67,8 @@ def test_bench_document_store_query(benchmark):
         [{"test_id": f"t{i % 20}", "value": i, "worker": f"w{i}"} for i in range(2000)]
     )
     collection.create_index("test_id")
-    rows = benchmark(collection.find, {"test_id": "t7", "value": {"$gt": 100}})
-    assert rows
+    rows = benchmark(collection.find, {"test_id": "t7", "worker": "w107"})
+    assert [row["value"] for row in rows] == [107]
 
 
 def test_bench_participant_flow(benchmark):

@@ -141,12 +141,17 @@ class ParticipantResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParticipantResult":
-        """Parse one upload; a malformed answer, a ``total_minutes`` that is
-        not a finite JSON number >= 0, a ``revisits`` that is not an
-        ``int`` >= 0, an ``abandoned`` that is not a JSON boolean or an
-        ``abandon_reason`` that is not a string raises ``ValueError`` (the
-        server rejects that upload with a 400). Types are checked, never
-        converted."""
+        """Parse one upload; a ``test_id`` or ``worker_id`` that is not a
+        string, a malformed answer, a ``total_minutes`` that is not a
+        finite JSON number >= 0, a ``revisits`` that is not an ``int`` >= 0,
+        an ``abandoned`` that is not a JSON boolean or an ``abandon_reason``
+        that is not a string raises ``ValueError`` (the server rejects that
+        upload with a 400). Types are checked, never converted."""
+        test_id, worker_id = data["test_id"], data["worker_id"]
+        if type(test_id) is not str or type(worker_id) is not str:
+            raise ValueError(
+                f"test_id and worker_id must be strings, got {test_id!r}, {worker_id!r}"
+            )
         total_minutes = data.get("total_minutes", 0.0)
         if not is_minutes(total_minutes):
             raise ValueError(
@@ -164,8 +169,8 @@ class ParticipantResult:
                 f"abandon_reason must be a string, got {abandon_reason!r}"
             )
         return cls(
-            test_id=data["test_id"],
-            worker_id=data["worker_id"],
+            test_id=test_id,
+            worker_id=worker_id,
             demographics=dict(data["demographics"]),
             answers=[Answer.from_dict(a) for a in data["answers"]],
             total_minutes=float(total_minutes),

@@ -40,7 +40,7 @@ class QueryError(StorageError):
 
 
 class NetworkError(ReproError):
-    """Raised by the simulated network layer (unroutable host, refused connection).
+    """Raised by the simulated network layer (unroutable host, dropped connection).
 
     ``elapsed_seconds`` is how much virtual transfer time the failed exchange
     consumed before it died (0.0 when the failure was instantaneous, e.g. an

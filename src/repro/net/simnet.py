@@ -205,28 +205,7 @@ class SimulatedNetwork:
             )
             return self._commit(request, host, response, profile, fault=FAULT_5XX)
 
-        try:
-            response = server.handle(request, now=when, token=fault_token)
-        except NetworkError as exc:
-            # Connection refused by the server: burns one RTT.
-            elapsed = profile.rtt_ms / 1000.0
-            exc.elapsed_seconds = elapsed
-            self.stats.errors += 1
-            self.log.append(
-                ExchangeRecord(
-                    time=clock_now,
-                    host=host,
-                    method=request.method,
-                    path=request.path,
-                    status=0,
-                    elapsed_seconds=elapsed,
-                    request_bytes=request.size_bytes,
-                    response_bytes=0,
-                    fault="refused",
-                )
-            )
-            self._advance(elapsed)
-            raise
+        response = server.handle(request, now=when, token=fault_token)
 
         if decision is not None and decision.kind == FAULT_TIMEOUT:
             # The server handled it; the response was lost in flight.

@@ -2,8 +2,9 @@
 
 The paper backs the core server with MongoDB (three collections: integrated
 webpages, test info, participant responses) plus a filesystem storage area
-keyed by test id. :class:`DocumentStore` reproduces the query/update contract
-the server needs; :class:`FileStore` reproduces the per-test resource folders.
+keyed by test id. :class:`DocumentStore` reproduces the contract the server
+needs (insert, top-level equality queries, ``$set`` updates);
+:class:`FileStore` reproduces the per-test resource folders.
 """
 
 from repro.storage.documentstore import Collection, DocumentStore

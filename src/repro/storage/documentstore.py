@@ -1,15 +1,19 @@
 """An embedded, Mongo-flavoured document store.
 
-Implements the subset of MongoDB the Kaleidoscope core server relies on:
+Implements the part of MongoDB the Kaleidoscope core server uses:
 
 * schemaless collections of JSON documents with auto-assigned ``_id``;
-* ``find`` with equality matching, dotted paths, and the query operators
-  ``$eq $ne $gt $gte $lt $lte $in $nin $exists $regex $and $or $not``;
-* ``update`` with ``$set $unset $inc $push $pull`` (and whole-document
-  replacement);
+* queries that are equality on top-level fields (``{"test_id": "t1"}``;
+  a missing field equals ``None``, and ``{}`` matches everything);
+* updates of the one form ``{"$set": {field: value, ...}}``, plus
+  whole-document replacement through ``replace_one``;
 * unique and non-unique single-field indexes (equality lookups use the
   most selective one);
-* sort / skip / limit, ``count``, ``distinct``, and ``delete``.
+* ``find`` in ``_id`` order, ``count``, ``distinct``, and ``delete``.
+
+A query value is only ever compared for equality, never read as an
+operator: ``{"test_id": {"$ne": None}}`` matches a document whose
+``test_id`` *is* that dict, so a request field cannot widen a query.
 
 Documents are deep-copied on the way in and out (copy-in/copy-out), so
 callers can never mutate stored state through aliasing — the same isolation
@@ -28,13 +32,10 @@ each just to throw the copy away). What it yields must not be mutated; use
 from __future__ import annotations
 
 import itertools
-import re
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import DuplicateKeyError, QueryError
 from repro.util.jsonutil import deep_copy_json
-
-_MISSING = object()
 
 
 def highest_numeric_id(ids: Iterable) -> int:
@@ -56,124 +57,32 @@ def highest_numeric_id(ids: Iterable) -> int:
     return highest
 
 
-def get_path(document: dict, path: str):
-    """Resolve a dotted path in a document; returns ``_MISSING`` sentinel absent."""
-    current: Any = document
-    for part in path.split("."):
-        if isinstance(current, dict) and part in current:
-            current = current[part]
-        elif isinstance(current, list) and part.isdigit() and int(part) < len(current):
-            current = current[int(part)]
-        else:
-            return _MISSING
-    return current
-
-
-def set_path(document: dict, path: str, value) -> None:
-    """Set a dotted path, creating intermediate objects as needed."""
-    parts = path.split(".")
-    current = document
-    for part in parts[:-1]:
-        if part not in current or not isinstance(current[part], dict):
-            current[part] = {}
-        current = current[part]
-    current[parts[-1]] = value
-
-
-def unset_path(document: dict, path: str) -> None:
-    """Remove a dotted path if present."""
-    parts = path.split(".")
-    current = document
-    for part in parts[:-1]:
-        if not isinstance(current, dict) or part not in current:
-            return
-        current = current[part]
-    if isinstance(current, dict):
-        current.pop(parts[-1], None)
-
-
-_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
-    "$eq": lambda value, operand: value == operand,
-    "$ne": lambda value, operand: value != operand,
-    "$gt": lambda value, operand: value is not _MISSING and value > operand,
-    "$gte": lambda value, operand: value is not _MISSING and value >= operand,
-    "$lt": lambda value, operand: value is not _MISSING and value < operand,
-    "$lte": lambda value, operand: value is not _MISSING and value <= operand,
-    "$in": lambda value, operand: value in operand,
-    "$nin": lambda value, operand: value not in operand,
-}
-
-
-def _match_condition(value, condition) -> bool:
-    """Match one field value against a condition (literal or operator doc)."""
-    if isinstance(condition, dict) and any(k.startswith("$") for k in condition):
-        for op, operand in condition.items():
-            if op in _COMPARATORS:
-                if not _COMPARATORS[op](value, operand):
-                    return False
-            elif op == "$exists":
-                if bool(operand) != (value is not _MISSING):
-                    return False
-            elif op == "$regex":
-                if value is _MISSING or not isinstance(value, str):
-                    return False
-                if re.search(operand, value) is None:
-                    return False
-            elif op == "$not":
-                if _match_condition(value, operand):
-                    return False
-            else:
-                raise QueryError(f"unknown query operator {op!r}")
-        return True
-    if isinstance(value, list) and not isinstance(condition, list):
-        # Mongo semantics: equality against an array matches any element.
-        return condition in value or value == condition
-    if value is _MISSING:
-        return condition is None
-    return value == condition
-
-
 def match_document(document: dict, query: dict) -> bool:
-    """Return True when ``document`` satisfies ``query``."""
-    for key, condition in query.items():
-        if key == "$and":
-            if not all(match_document(document, sub) for sub in condition):
-                return False
-        elif key == "$or":
-            if not any(match_document(document, sub) for sub in condition):
-                return False
-        elif key == "$nor":
-            if any(match_document(document, sub) for sub in condition):
-                return False
-        elif key.startswith("$"):
-            raise QueryError(f"unknown top-level operator {key!r}")
-        else:
-            if not _match_condition(get_path(document, key), condition):
-                return False
+    """True when each field of ``query`` equals the document's top-level
+    field of that name; a missing field equals ``None``."""
+    for key, value in query.items():
+        if document.get(key) != value:
+            return False
     return True
 
 
 class _Index:
     """A single-field index: value -> set of _id.
 
-    Missing and ``None`` values are not indexed. Unhashable values (arrays,
-    embedded documents) cannot be bucketed either, but an array matches an
-    equality on any of its elements, so their ids are kept in
-    ``unhashable`` and every index-served read treats them as candidates.
+    Only hashable values other than ``None`` are indexed. A ``None``
+    condition also matches documents that lack the field, which no bucket
+    holds, and an unhashable value (an array or embedded document) never
+    equals a hashable condition; so neither is ever served from a bucket.
     """
 
     def __init__(self, field: str, unique: bool):
         self.field = field
         self.unique = unique
         self.entries: Dict[Any, set] = {}
-        self.unhashable: set = set()
 
     def add(self, document: dict) -> None:
-        value = get_path(document, self.field)
-        if value is _MISSING or value is None:
-            return
-        if not _hashable(value):
-            self.unhashable.add(document["_id"])
+        value = document.get(self.field)
+        if value is None or not _hashable(value):
             return
         bucket = self.entries.setdefault(value, set())
         if self.unique and bucket and document["_id"] not in bucket:
@@ -183,9 +92,8 @@ class _Index:
         bucket.add(document["_id"])
 
     def remove(self, document: dict) -> None:
-        self.unhashable.discard(document["_id"])
-        value = get_path(document, self.field)
-        if value is _MISSING or value is None or not _hashable(value):
+        value = document.get(self.field)
+        if value is None or not _hashable(value):
             return
         bucket = self.entries.get(value)
         if bucket is not None:
@@ -228,6 +136,13 @@ def distinct_values(values: Iterable) -> List:
             unhashed.append(value)
         distinct.append(value)
     return distinct
+
+
+def _set_fields(update: dict) -> dict:
+    """The field -> value map of ``{"$set": {...}}``, the one update form."""
+    if list(update) != ["$set"] or not isinstance(update["$set"], dict):
+        raise QueryError(f"an update must be {{'$set': {{...}}}}, got {update!r}")
+    return update["$set"]
 
 
 class Collection:
@@ -286,24 +201,18 @@ class Collection:
         return [self.insert_one(d) for d in documents]
 
     def update_many(self, query: dict, update: dict) -> int:
-        """Apply an update document to every match; returns the match count."""
+        """Apply a ``$set`` update to every match; returns the match count."""
+        fields = _set_fields(update)
         matched = list(self._iter_matching(query))
         for document in matched:
-            for index in self._indexes.values():
-                index.remove(document)
-            self._apply_update(document, update)
-            for index in self._indexes.values():
-                index.add(document)
+            self._set(document, fields)
         return len(matched)
 
     def update_one(self, query: dict, update: dict) -> int:
-        """Apply an update to the first match; returns 0 or 1."""
+        """Apply a ``$set`` update to the first match; returns 0 or 1."""
+        fields = _set_fields(update)
         for document in self._iter_matching(query):
-            for index in self._indexes.values():
-                index.remove(document)
-            self._apply_update(document, update)
-            for index in self._indexes.values():
-                index.add(document)
+            self._set(document, fields)
             return 1
         return 0
 
@@ -330,93 +239,48 @@ class Collection:
             del self._documents[document["_id"]]
         return len(matched)
 
-    @staticmethod
-    def _apply_update(document: dict, update: dict) -> None:
-        has_operator = any(k.startswith("$") for k in update)
-        if not has_operator:
-            doc_id = document["_id"]
-            document.clear()
-            document.update(deep_copy_json(update))
-            document["_id"] = doc_id
-            return
-        for op, spec in update.items():
-            if op == "$set":
-                for path, value in spec.items():
-                    set_path(document, path, deep_copy_json(value))
-            elif op == "$unset":
-                for path in spec:
-                    unset_path(document, path)
-            elif op == "$inc":
-                for path, amount in spec.items():
-                    current = get_path(document, path)
-                    base = 0 if current is _MISSING else current
-                    set_path(document, path, base + amount)
-            elif op == "$push":
-                for path, value in spec.items():
-                    current = get_path(document, path)
-                    if current is _MISSING:
-                        current = []
-                        set_path(document, path, current)
-                    if not isinstance(current, list):
-                        raise QueryError(f"$push target {path!r} is not an array")
-                    current.append(deep_copy_json(value))
-            elif op == "$pull":
-                for path, value in spec.items():
-                    current = get_path(document, path)
-                    if isinstance(current, list):
-                        current[:] = [item for item in current if item != value]
-            else:
-                raise QueryError(f"unknown update operator {op!r}")
+    def _set(self, document: dict, fields: dict) -> None:
+        for index in self._indexes.values():
+            index.remove(document)
+        for field, value in fields.items():
+            document[field] = deep_copy_json(value)
+        for index in self._indexes.values():
+            index.add(document)
 
     # -- reads ------------------------------------------------------------
 
     def _candidate_ids(self, query: dict) -> Optional[List]:
         """Ids that may match ``query``, served by its most selective index.
 
-        Every top-level scalar equality clause on an indexed field names a
-        bucket; the smallest one wins. Its ids plus the index's
-        unhashable-valued documents hold every match, and come back in
-        ascending ``_id`` order, the order a full scan yields. A ``None``
-        condition is never served: it also matches documents that lack the
-        field, which no bucket holds. ``None`` means "scan everything".
+        Every equality clause on an indexed field names a bucket; the
+        smallest one wins. Its ids hold every match, and come back in
+        ascending ``_id`` order, the order a full scan yields. ``None``
+        means "scan everything".
         """
         best = None
         for key, condition in query.items():
             index = self._indexes.get(key)
             if index is None or condition is None:
                 continue
-            bucket = index.lookup(condition)  # None for operator documents
-            if bucket is None:
-                continue
-            size = len(bucket) + len(index.unhashable)
-            if best is None or size < best[0]:
-                best = (size, bucket, index.unhashable)
-        if best is None:
-            return None
-        _, bucket, unhashable = best
-        return sorted(bucket | unhashable)
+            bucket = index.lookup(condition)
+            if bucket is not None and (best is None or len(bucket) < len(best)):
+                best = bucket
+        return None if best is None else sorted(best)
 
     def _indexed_equality_bucket(self, query: dict) -> Optional[set]:
         """The index bucket that *fully* answers ``query``, or ``None``.
 
-        Only a single-clause scalar equality match on an indexed field
-        qualifies, and only while no document holds an unhashable value
-        there: then the bucket's members are exactly the matching
-        documents, so ``count``/``distinct`` can skip per-document matching
-        entirely. A ``None`` condition never qualifies — it also matches
-        documents missing the field, which the index cannot see.
+        Only a single-clause query on an indexed field qualifies, with a
+        hashable condition other than ``None``: then the bucket's members
+        are exactly the matching documents, so ``count``/``distinct`` can
+        skip per-document matching entirely.
         """
         if len(query) != 1:
             return None
         (key, condition), = query.items()
         if key not in self._indexes or condition is None:
             return None
-        if isinstance(condition, (dict, list)):
-            return None
-        index = self._indexes[key]
-        if index.unhashable:
-            return None
-        return index.lookup(condition)
+        return self._indexes[key].lookup(condition)
 
     def _iter_matching(self, query: dict):
         candidates = self._candidate_ids(query)
@@ -437,27 +301,9 @@ class Collection:
         """
         return self._iter_matching(query or {})
 
-    def find(
-        self,
-        query: Optional[dict] = None,
-        sort: Optional[List[Tuple[str, int]]] = None,
-        skip: int = 0,
-        limit: Optional[int] = None,
-    ) -> List[dict]:
-        """Return deep copies of matching documents."""
-        query = query or {}
-        results = list(self._iter_matching(query))
-        if sort:
-            for field, direction in reversed(sort):
-                results.sort(
-                    key=lambda d: (get_path(d, field) is _MISSING, get_path(d, field)),
-                    reverse=direction < 0,
-                )
-        if skip:
-            results = results[skip:]
-        if limit is not None:
-            results = results[:limit]
-        return [deep_copy_json(d) for d in results]
+    def find(self, query: Optional[dict] = None) -> List[dict]:
+        """Deep copies of matching documents, in ``_id`` order."""
+        return [deep_copy_json(d) for d in self._iter_matching(query or {})]
 
     def find_one(self, query: Optional[dict] = None) -> Optional[dict]:
         """Return a deep copy of the first match, or None."""
@@ -468,8 +314,8 @@ class Collection:
     def count(self, query: Optional[dict] = None) -> int:
         """Number of matching documents.
 
-        An indexed single-field scalar equality query is answered straight
-        from the index bucket's size — O(1) instead of a scan.
+        An indexed single-field equality query is answered straight from
+        the index bucket's size — O(1) instead of a scan.
         """
         query = query or {}
         bucket = self._indexed_equality_bucket(query)
@@ -480,7 +326,7 @@ class Collection:
     def distinct(self, field: str, query: Optional[dict] = None) -> List:
         """Distinct values of ``field`` over matches, in first-seen order.
 
-        An indexed single-field scalar equality query walks the index
+        An indexed single-field equality query walks the index
         bucket directly (in ``_id`` order, preserving first-seen order)
         without re-matching each document.
         """
@@ -492,9 +338,10 @@ class Collection:
             )
         else:
             documents = self._iter_matching(query)
-        values = (get_path(document, field) for document in documents)
         return deep_copy_json(
-            distinct_values(value for value in values if value is not _MISSING)
+            distinct_values(
+                document[field] for document in documents if field in document
+            )
         )
 
 

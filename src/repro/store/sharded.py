@@ -43,10 +43,8 @@ from repro.core.aggregator import RESPONSES_COLLECTION
 from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.documentstore import (
-    _MISSING,
     DocumentStore,
     distinct_values,
-    get_path,
     highest_numeric_id,
     match_document,
 )
@@ -121,15 +119,21 @@ class _SpillIndex:
         self.count = 0
 
     def add(self, doc: dict) -> None:
+        keys = {
+            group: tuple(doc[field] for field in group)
+            for group in self.identity_keys
+            if all(field in doc for field in group)
+        }
+        values = {field: doc[field] for field in self.count_fields if field in doc}
+        # Hash every key before any state changes: an unhashable one (say a
+        # list-valued worker_id) raises TypeError and leaves the index whole.
+        hash((tuple(keys.values()), tuple(values.values())))
         self.count += 1
-        for group in self.identity_keys:
-            if all(field in doc for field in group):
-                key = tuple(doc[field] for field in group)
-                self.groups[group][key] = doc["_id"]
-        for field in self.count_fields:
-            if field in doc:
-                counts = self.field_counts[field]
-                counts[doc[field]] = counts.get(doc[field], 0) + 1
+        for group, key in keys.items():
+            self.groups[group][key] = doc["_id"]
+        for field, value in values.items():
+            counts = self.field_counts[field]
+            counts[value] = counts.get(value, 0) + 1
 
     def lookup(self, query: dict) -> Optional[Tuple[bool, Any]]:
         """``(found, _id)`` for an exact identity-group query, or ``None``
@@ -498,28 +502,8 @@ class ShardedCollection:
             return self.scan(query)
         return (deep_copy_json(doc) for doc in self.scan(query))
 
-    def find(
-        self,
-        query: Optional[dict] = None,
-        sort: Optional[List[Tuple[str, int]]] = None,
-        skip: int = 0,
-        limit: Optional[int] = None,
-    ) -> List[dict]:
-        results = list(self._owned(query))
-        if sort:
-            for field, direction in reversed(sort):
-                results.sort(
-                    key=lambda d: (
-                        get_path(d, field) is _MISSING,
-                        get_path(d, field),
-                    ),
-                    reverse=direction < 0,
-                )
-        if skip:
-            results = results[skip:]
-        if limit is not None:
-            results = results[:limit]
-        return results
+    def find(self, query: Optional[dict] = None) -> List[dict]:
+        return list(self._owned(query))
 
     def find_one(self, query: Optional[dict] = None) -> Optional[dict]:
         query = query or {}
@@ -586,18 +570,16 @@ class ShardedCollection:
                 )
                 if served is None:
                     served = [
-                        (doc["_id"], get_path(doc, field))
+                        (doc["_id"], doc[field])
                         for doc in shard.scan_spilled(self.name)
-                        if match_document(doc, query)
-                        and get_path(doc, field) is not _MISSING
+                        if match_document(doc, query) and field in doc
                     ]
                 pairs.extend(served)
             elif self.name in shard.store._collections:
                 collection = shard.store.collection(self.name)
                 for doc in collection.scan(query):
-                    value = get_path(doc, field)
-                    if value is not _MISSING:
-                        pairs.append((doc["_id"], value))
+                    if field in doc:
+                        pairs.append((doc["_id"], doc[field]))
         pairs.sort(key=lambda item: item[0])
         return deep_copy_json(distinct_values(value for _, value in pairs))
 

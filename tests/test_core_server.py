@@ -488,6 +488,49 @@ class TestUnknownTestRejection:
         assert server.response_count("ghost") == 0
 
 
+class TestQueryInjectionRejected:
+    """A request field is a value, never a query: an upload whose
+    ``test_id`` or ``worker_id`` is an operator document is a 400 on either
+    store, and nothing lands."""
+
+    @pytest.fixture(params=["memory", "sharded-spill"])
+    def database(self, request):
+        if request.param == "memory":
+            return DocumentStore()
+        return ShardedDocumentStore(shards=2, spill=(RESPONSES_COLLECTION,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("test_id", {"$ne": None}),
+            ("test_id", {"$regex": "srv"}),
+            ("worker_id", {"$ne": "x"}),
+            ("worker_id", {"$regex": "^w"}),
+        ],
+    )
+    def test_operator_document_upload_is_rejected(self, database, field, value):
+        server, network, _, _ = make_stack(database)
+        assert network.post_json(server.url("/responses"), upload_payload()).status == 201
+        payload = upload_payload(worker_id="w2")
+        payload[field] = value
+        response = network.post_json(server.url("/responses"), payload)
+        assert response.status == 400
+        assert response.json()["detail"].startswith("malformed response upload")
+        assert database.collection(RESPONSES_COLLECTION).count({}) == 1
+        assert server.response_count("srv-test") == 1
+
+    def test_operator_document_task_leaves_the_test_unposted(self, stack):
+        server, network, _, database = stack
+        response = network.post_json(
+            server.url("/tasks"),
+            {"test_id": {"$ne": None}, "participants_needed": 1, "reward_usd": 0.1},
+        )
+        assert response.status == 400
+        record = database.collection(TESTS_COLLECTION).find_one({"test_id": "srv-test"})
+        assert record["status"] == "prepared" and "job_id" not in record
+        assert server.platform.jobs == {}
+
+
 class TestGetResults:
     def test_empty_results(self, stack):
         server, network, _, _ = stack
