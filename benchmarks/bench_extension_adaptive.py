@@ -49,9 +49,7 @@ def run_mode(mode, seed=2019):
     campaign = build_campaign(seed, mode)
     judge = make_utility_judge(UTILITIES, ThurstoneChoiceModel())
     result = campaign.run(judge)
-    downloads = sum(
-        1 for record in campaign.network.log if record.path.startswith("/resources/")
-    )
+    downloads = campaign.metrics.counter("server.resource_reads")
     bytes_down = campaign.network.stats.bytes_down
     winner = result.controlled_analysis.rankings[QUESTION.question_id].modal_version_at_rank("A")
     return {

@@ -30,7 +30,7 @@ from repro.core.aggregator import RESPONSES_COLLECTION, Aggregator, PreparedTest
 from repro.core.analysis import AnalysisBundle, analyze_responses  # noqa: F401
 from repro.core.analysis import preference_log_evidence, tally_question
 from repro.core.conclusion import Conclusion, DegradedConclusion, floors_met
-from repro.core.config import STREAMING_NETWORK_LOG_LIMIT, CampaignConfig
+from repro.core.config import CampaignConfig
 from repro.core.extension import BrowserExtension, JudgeFunction, ParticipantResult
 from repro.core.fanout import run_process_fanout
 from repro.core.integrated import IntegratedWebpage
@@ -204,12 +204,6 @@ class Campaign:
             else SimulatedNetwork(
                 self.env, fault_plan=config.fault_plan,
                 tracer=self.tracer, metrics=self.metrics,
-                # Streaming campaigns bound every O(participants) structure;
-                # the exchange log keeps a recent-window for diagnostics and
-                # the aggregate counts stay in ``stats``.
-                log_limit=STREAMING_NETWORK_LOG_LIMIT
-                if config.streaming
-                else None,
             )
         )
         if network is not None:

@@ -46,11 +46,6 @@ STORE_MODES = ("memory", "sharded-streaming")
 #: Store mode that spills responses to shard WALs and never materializes them.
 STORE_SHARDED_STREAMING = "sharded-streaming"
 
-#: Diagnostic-log window for streaming campaigns: the network exchange log
-#: and the server request log keep only the most recent N records, so a
-#: million-participant run carries O(window) diagnostics, not O(requests).
-STREAMING_NETWORK_LOG_LIMIT = 10_000
-
 
 @dataclass(frozen=True)
 class CampaignConfig:

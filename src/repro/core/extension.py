@@ -20,6 +20,7 @@ attentiveness, not on the stimulus dimension under test.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -50,7 +51,12 @@ JudgeFunction = Callable[..., str]
 #: Every value a comparison answer may take.
 ANSWER_VALUES = ("left", "right", "same")
 
+#: Each answer value to its :data:`ANSWER_VALUES` constant: a parsed answer
+#: is that one string object, not a fresh copy per upload.
+_ANSWER_CONSTANTS = {value: value for value in ANSWER_VALUES}
+
 _new_tuple = tuple.__new__
+_intern = sys.intern
 
 
 class Answer(NamedTuple):
@@ -84,22 +90,43 @@ class Answer(NamedTuple):
     @classmethod
     def from_dict(cls, data: dict) -> "Answer":
         """Parse one answer; an answer value outside :data:`ANSWER_VALUES`,
-        a non-boolean ``is_control`` or a malformed behaviour trace raises
-        ``ValueError`` (the server rejects that upload with a 400)."""
+        an id or version that is not a string, a non-boolean ``is_control``
+        or a malformed behaviour trace raises ``ValueError`` (the server
+        rejects that upload with a 400).
+
+        Every upload repeats the same few ids, versions and answer values,
+        so the parsed answer shares one string object per value: the ids
+        and versions are interned and the answer is its
+        :data:`ANSWER_VALUES` constant.
+        """
         answer = data["answer"]
-        if answer not in ANSWER_VALUES:
+        constant = _ANSWER_CONSTANTS.get(answer) if type(answer) is str else None
+        if constant is None:
             raise ValueError(f"answer must be one of {ANSWER_VALUES}, got {answer!r}")
         is_control = data["is_control"]
         if is_control is not True and is_control is not False:
             raise ValueError(f"is_control must be a boolean, got {is_control!r}")
+        integrated_id, question_id = data["integrated_id"], data["question_id"]
+        left_version, right_version = data["left_version"], data["right_version"]
+        try:  # sys.intern takes exact strings only
+            integrated_id = _intern(integrated_id)
+            question_id = _intern(question_id)
+            left_version = _intern(left_version)
+            right_version = _intern(right_version)
+        except TypeError:
+            raise ValueError(
+                "integrated_id, question_id, left_version and right_version "
+                f"must be strings, got {integrated_id!r}, {question_id!r}, "
+                f"{left_version!r}, {right_version!r}"
+            ) from None
         return _new_tuple(
             cls,
             (
-                data["integrated_id"],
-                data["question_id"],
-                answer,
-                data["left_version"],
-                data["right_version"],
+                integrated_id,
+                question_id,
+                constant,
+                left_version,
+                right_version,
                 is_control,
                 BehaviorTrace.from_dict(data["behavior"]),
             ),
@@ -146,7 +173,9 @@ class ParticipantResult:
         finite JSON number >= 0, a ``revisits`` that is not an ``int`` >= 0,
         an ``abandoned`` that is not a JSON boolean or an ``abandon_reason``
         that is not a string raises ``ValueError`` (the server rejects that
-        upload with a 400). Types are checked, never converted."""
+        upload with a 400). Types are checked, never converted. The
+        ``test_id`` every upload repeats is interned, like the answers'
+        ids."""
         test_id, worker_id = data["test_id"], data["worker_id"]
         if type(test_id) is not str or type(worker_id) is not str:
             raise ValueError(
@@ -169,7 +198,7 @@ class ParticipantResult:
                 f"abandon_reason must be a string, got {abandon_reason!r}"
             )
         return cls(
-            test_id=test_id,
+            test_id=_intern(test_id),
             worker_id=worker_id,
             demographics=dict(data["demographics"]),
             answers=[Answer.from_dict(a) for a in data["answers"]],

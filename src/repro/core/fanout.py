@@ -34,8 +34,8 @@ simulated per task (amortizing spawn + pickle); the chunk ships back:
 * detached participant/upload trace subtrees (observed runs);
 * the chunk's metrics registry delta (histogram totals stay exact
   :class:`~fractions.Fraction` sums — see ``MetricsRegistry.merge_state``);
-* the chunk's traffic stats, exchange log, and — crucially — the ordered
-  list of every virtual-clock advance it performed.
+* the chunk's traffic stats and — crucially — the ordered list of every
+  virtual-clock advance it performed.
 
 The parent merges chunks **in roster order**: adopt spans, ingest rows,
 fold metrics, then replay each recorded clock advance through its own
@@ -154,7 +154,6 @@ class ChunkOutcome:
     outcomes: List[ParticipantOutcome]
     metrics_state: dict
     stats: TrafficStats
-    log: list
     advances: List[float] = field(default_factory=list)
 
 
@@ -306,7 +305,6 @@ class _WorkerRuntime:
             outcomes=outcomes,
             metrics_state=campaign.metrics.export_state(),
             stats=network.stats,
-            log=list(network.log),
             advances=list(network.advances),
         )
 
@@ -354,7 +352,6 @@ def _merge_chunk(campaign, chunk: ChunkOutcome) -> None:
                 campaign._streaming_state.ingest_row(outcome.row)
     campaign.metrics.merge_state(chunk.metrics_state)
     campaign.network.stats.merge(chunk.stats)
-    campaign.network.log.extend(chunk.log)
     # Replay the chunk's virtual time advance-by-advance: same additions in
     # the same order as the serial run, hence a bit-identical clock.
     for amount in chunk.advances:

@@ -37,7 +37,7 @@ from repro.core.aggregator import (
     TESTS_COLLECTION,
 )
 from repro.core.analysis import analyze_responses
-from repro.core.config import DEFAULT_HOST, STREAMING_NETWORK_LOG_LIMIT
+from repro.core.config import DEFAULT_HOST
 from repro.core.extension import ParticipantResult
 from repro.errors import StorageError, ValidationError
 from repro.net.http import IDEMPOTENCY_HEADER, HttpServer, Request, Response, Router
@@ -81,14 +81,7 @@ class CoreServer:
         self.platform = platform
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        streaming = bool(getattr(config, "streaming", False))
-        self.http = HttpServer(
-            host,
-            self._build_router(),
-            # Streaming campaigns bound every O(requests) diagnostic; the
-            # request log keeps a recent window, aggregates stay in metrics.
-            request_log_limit=STREAMING_NETWORK_LOG_LIMIT if streaming else None,
-        )
+        self.http = HttpServer(host, self._build_router())
         # The overload control plane guards every route when configured.
         # Built purely from the frozen config, so each process-pool worker
         # and fleet redelivery reconstructs an identical controller; the

@@ -9,7 +9,6 @@ status codes, and content types. Handlers are plain callables
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -226,22 +225,9 @@ class Router:
 class HttpServer:
     """A named host bound to a router, attachable to a SimulatedNetwork."""
 
-    def __init__(
-        self,
-        host: str,
-        router: Optional[Router] = None,
-        request_log_limit: Optional[int] = None,
-    ):
+    def __init__(self, host: str, router: Optional[Router] = None):
         self.host = host.lower()
         self.router = router if router is not None else Router()
-        # (method, path) per dispatched request. ``request_log_limit`` keeps
-        # only the most recent N — streaming campaigns set it so a
-        # million-participant run's diagnostics stay O(window).
-        self.request_log = (
-            []
-            if request_log_limit is None
-            else deque(maxlen=request_log_limit)
-        )  # type: ignore[var-annotated]
         # Optional repro.net.overload.AdmissionController guarding dispatch.
         self.admission = None
 
@@ -255,7 +241,6 @@ class HttpServer:
         their :class:`~repro.net.overload.AdmissionDecision` as
         ``request.admission`` so handlers can shed detail or sample QC.
         """
-        self.request_log.append((request.method, request.path))
         admission = self.admission
         if admission is None:
             return self.router.dispatch(request)

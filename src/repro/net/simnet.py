@@ -10,17 +10,16 @@ longer to download an integrated webpage than one on "fiber".
 The network can also carry a :class:`~repro.net.faults.FaultPlan`: a seeded
 policy of drops, timeouts, injected 5xx responses, latency spikes and
 scheduled outage windows, consulted before and after the server handles each
-request. Injected faults are recorded in the exchange log and the traffic
-stats, and surface to callers as :class:`~repro.errors.ConnectionDropped` /
-:class:`~repro.errors.TimeoutError`. The :class:`Client` layers retries, an
-idempotency token for response uploads, and a per-host circuit breaker on
-top.
+request. Injected faults are counted in the traffic stats, traced as
+``fault:*`` events, and surface to callers as
+:class:`~repro.errors.ConnectionDropped` / :class:`~repro.errors.TimeoutError`.
+The :class:`Client` layers retries, an idempotency token for response
+uploads, and a per-host circuit breaker on top.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -49,26 +48,6 @@ from repro.net.profiles import NetworkProfile, get_profile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.clock import SimulationEnvironment
-
-
-@dataclass
-class ExchangeRecord:
-    """One logged request/response exchange.
-
-    ``fault`` names the injected fault for exchanges the fault plan touched
-    ("" for clean exchanges); faulted exchanges that never produced a
-    response log ``status`` 0.
-    """
-
-    time: float
-    host: str
-    method: str
-    path: str
-    status: int
-    elapsed_seconds: float
-    request_bytes: int
-    response_bytes: int
-    fault: str = ""
 
 
 @dataclass
@@ -102,8 +81,10 @@ class SimulatedNetwork:
     """Routes requests to hosts and accounts for transfer time.
 
     A network belongs to one process and runs one exchange at a time (the
-    fan-out is by process, each worker with its own network), so the log,
-    the stats and the clock take no lock.
+    fan-out is by process, each worker with its own network), so the stats
+    and the clock take no lock. It keeps nothing per request: ``stats``
+    holds the aggregate counts, and an observed run's tracer records each
+    exchange as a span.
     """
 
     def __init__(
@@ -112,7 +93,6 @@ class SimulatedNetwork:
         fault_plan: Optional[FaultPlan] = None,
         tracer=None,
         metrics=None,
-        log_limit: Optional[int] = None,
     ):
         self.env = env
         self.faults = fault_plan if fault_plan is not None else FaultPlan.none()
@@ -122,11 +102,6 @@ class SimulatedNetwork:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hosts: Dict[str, HttpServer] = {}
-        # ``log_limit`` bounds the exchange log to the most recent N records
-        # (aggregate counts live in ``stats`` regardless) — a
-        # million-participant streaming campaign must not keep one
-        # ExchangeRecord per request in memory.
-        self.log = [] if log_limit is None else deque(maxlen=log_limit)
         self.stats = TrafficStats()
         self._exchange_seq = 0
 
@@ -177,8 +152,10 @@ class SimulatedNetwork:
         if server is None:
             self.stats.errors += 1
             raise NetworkError(f"no route to host {host!r}")
-        clock_now = self.env.now if self.env is not None else 0.0
-        when = now if now is not None else clock_now
+        if now is not None:
+            when = now
+        else:
+            when = self.env.now if self.env is not None else 0.0
         if fault_token is None:
             self._exchange_seq += 1
             fault_token = f"net|{self._exchange_seq}"
@@ -234,19 +211,6 @@ class SimulatedNetwork:
                 profile.request_seconds(request_bytes, response.size_bytes)
                 + int(timeout_ms) / 1000.0
             )
-            self.log.append(
-                ExchangeRecord(
-                    time=clock_now,
-                    host=host,
-                    method=request.method,
-                    path=request.path,
-                    status=0,
-                    elapsed_seconds=elapsed,
-                    request_bytes=request_bytes,
-                    response_bytes=0,
-                    fault="overload-timeout",
-                )
-            )
             self.stats.requests += 1
             self.stats.bytes_up += request_bytes
             self.stats.errors += 1
@@ -286,19 +250,6 @@ class SimulatedNetwork:
         # Virtual time the request spent in the server's admission queue.
         queue_delay_ms = int(response.headers.get(QUEUE_DELAY_MS_HEADER, "0") or 0)
         elapsed += queue_delay_ms / 1000.0
-        self.log.append(
-            ExchangeRecord(
-                time=self.env.now if self.env is not None else 0.0,
-                host=host,
-                method=request.method,
-                path=request.path,
-                status=response.status,
-                elapsed_seconds=elapsed,
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-                fault=fault,
-            )
-        )
         self.stats.requests += 1
         self.stats.bytes_up += request_bytes
         self.stats.bytes_down += response_bytes
@@ -337,20 +288,7 @@ class SimulatedNetwork:
         kind: str,
         request_bytes: int,
     ) -> None:
-        """Log a response-less faulted exchange."""
-        self.log.append(
-            ExchangeRecord(
-                time=self.env.now if self.env is not None else 0.0,
-                host=host,
-                method=request.method,
-                path=request.path,
-                status=0,
-                elapsed_seconds=elapsed,
-                request_bytes=request_bytes,
-                response_bytes=0,
-                fault=kind,
-            )
-        )
+        """Account for a response-less faulted exchange."""
         self.stats.requests += 1
         self.stats.bytes_up += request_bytes
         self.stats.errors += 1

@@ -8,7 +8,7 @@ Implements the part of MongoDB the Kaleidoscope core server uses:
 * updates of the one form ``{"$set": {field: value, ...}}``, plus
   whole-document replacement through ``replace_one``;
 * unique and non-unique single-field indexes (equality lookups use the
-  most selective one);
+  most selective one); a write a unique index refuses changes nothing;
 * ``find`` in ``_id`` order, ``count``, ``distinct``, and ``delete``.
 
 A query value is only ever compared for equality, never read as an
@@ -80,16 +80,23 @@ class _Index:
         self.unique = unique
         self.entries: Dict[Any, set] = {}
 
-    def add(self, document: dict) -> None:
-        value = document.get(self.field)
-        if value is None or not _hashable(value):
+    def check(self, value, doc_ids: List) -> None:
+        """Raise :class:`DuplicateKeyError` when a unique index cannot hold
+        ``value`` on exactly the documents ``doc_ids``; changes nothing."""
+        if not self.unique or not doc_ids or value is None or not _hashable(value):
             return
-        bucket = self.entries.setdefault(value, set())
-        if self.unique and bucket and document["_id"] not in bucket:
+        holders = self.entries.get(value, ())
+        if len(doc_ids) > 1 or any(i not in doc_ids for i in holders):
             raise DuplicateKeyError(
                 f"duplicate value {value!r} for unique index on {self.field!r}"
             )
-        bucket.add(document["_id"])
+
+    def add(self, document: dict) -> None:
+        """Index ``document``; :meth:`check` it first on a unique index."""
+        value = document.get(self.field)
+        if value is None or not _hashable(value):
+            return
+        self.entries.setdefault(value, set()).add(document["_id"])
 
     def remove(self, document: dict) -> None:
         value = document.get(self.field)
@@ -176,8 +183,17 @@ class Collection:
         """Create (or replace) a single-field index."""
         index = _Index(field, unique)
         for document in self._documents.values():
+            index.check(document.get(field), [document["_id"]])
             index.add(document)
         self._indexes[field] = index
+
+    def _check_unique(self, fields: dict, doc_ids: List) -> None:
+        """Raise :class:`DuplicateKeyError`, before any state changes, when
+        giving the documents ``doc_ids`` these ``fields`` would break a
+        unique index."""
+        for index in self._indexes.values():
+            if index.unique and index.field in fields:
+                index.check(fields[index.field], doc_ids)
 
     # -- writes -----------------------------------------------------------
 
@@ -191,6 +207,7 @@ class Collection:
         doc_id = stored["_id"]
         if doc_id in self._documents:
             raise DuplicateKeyError(f"_id {doc_id!r} already exists")
+        self._check_unique(stored, [doc_id])
         for index in self._indexes.values():
             index.add(stored)
         self._documents[doc_id] = stored
@@ -201,17 +218,20 @@ class Collection:
         return [self.insert_one(d) for d in documents]
 
     def update_many(self, query: dict, update: dict) -> int:
-        """Apply a ``$set`` update to every match; returns the match count."""
-        fields = _set_fields(update)
+        """Apply a ``$set`` update to every match; returns the match count.
+        An update a unique index refuses changes no document."""
+        fields = deep_copy_json(_set_fields(update))
         matched = list(self._iter_matching(query))
+        self._check_unique(fields, [document["_id"] for document in matched])
         for document in matched:
             self._set(document, fields)
         return len(matched)
 
     def update_one(self, query: dict, update: dict) -> int:
         """Apply a ``$set`` update to the first match; returns 0 or 1."""
-        fields = _set_fields(update)
+        fields = deep_copy_json(_set_fields(update))
         for document in self._iter_matching(query):
+            self._check_unique(fields, [document["_id"]])
             self._set(document, fields)
             return 1
         return 0
@@ -219,11 +239,12 @@ class Collection:
     def replace_one(self, query: dict, replacement: dict) -> int:
         """Replace the first match wholesale, keeping its ``_id``."""
         for document in self._iter_matching(query):
-            for index in self._indexes.values():
-                index.remove(document)
             doc_id = document["_id"]
             new_doc = deep_copy_json(replacement)
             new_doc["_id"] = doc_id
+            self._check_unique(new_doc, [doc_id])
+            for index in self._indexes.values():
+                index.remove(document)
             self._documents[doc_id] = new_doc
             for index in self._indexes.values():
                 index.add(new_doc)

@@ -109,6 +109,10 @@ class _SpillIndex:
                 "spilled collections need at least one identity-key group"
             )
         self.identity_keys = identity_keys
+        # Each group under its sorted field names: the query shape it serves.
+        self.shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        for group in identity_keys:
+            self.shapes.setdefault(tuple(sorted(group)), group)
         self.count_fields = count_fields
         self.groups: Dict[Tuple[str, ...], Dict[tuple, Any]] = {
             group: {} for group in identity_keys
@@ -138,15 +142,11 @@ class _SpillIndex:
     def lookup(self, query: dict) -> Optional[Tuple[bool, Any]]:
         """``(found, _id)`` for an exact identity-group query, or ``None``
         when no group matches the query's field shape."""
-        fields = tuple(sorted(query))
-        for group in self.identity_keys:
-            if tuple(sorted(group)) == fields and all(
-                _scalar(query[field]) for field in group
-            ):
-                key = tuple(query[field] for field in group)
-                doc_id = self.groups[group].get(key)
-                return (doc_id is not None, doc_id)
-        return None
+        group = self.shapes.get(tuple(sorted(query)))
+        if group is None or not all(_scalar(query[field]) for field in group):
+            return None
+        doc_id = self.groups[group].get(tuple(query[field] for field in group))
+        return (doc_id is not None, doc_id)
 
     def count_for(self, query: dict) -> Optional[int]:
         if not query:
@@ -165,20 +165,18 @@ class _SpillIndex:
     ) -> Optional[List[Tuple[Any, Any]]]:
         """``(_id, value)`` pairs for a distinct over an identity group, or
         ``None`` when the index cannot serve the query shape."""
-        wanted = tuple(sorted(set(query) | {field}))
-        for group in self.identity_keys:
-            if tuple(sorted(group)) != wanted or field not in group:
-                continue
-            if not all(_scalar(condition) for condition in query.values()):
-                return None
-            positions = {name: i for i, name in enumerate(group)}
-            field_pos = positions[field]
-            out = []
-            for key, doc_id in self.groups[group].items():
-                if all(key[positions[name]] == query[name] for name in query):
-                    out.append((doc_id, key[field_pos]))
-            return out
-        return None
+        group = self.shapes.get(tuple(sorted(set(query) | {field})))
+        if group is None or not all(
+            _scalar(condition) for condition in query.values()
+        ):
+            return None
+        positions = {name: i for i, name in enumerate(group)}
+        field_pos = positions[field]
+        out = []
+        for key, doc_id in self.groups[group].items():
+            if all(key[positions[name]] == query[name] for name in query):
+                out.append((doc_id, key[field_pos]))
+        return out
 
 
 class _Shard:

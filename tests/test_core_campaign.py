@@ -74,13 +74,15 @@ class TestLifecycle:
         assert result.controlled_analysis.participants == len(result.controlled_results)
 
     def test_responses_travel_through_server(self):
-        campaign = Campaign(config=CampaignConfig(seed=6))
+        campaign = Campaign(config=CampaignConfig(seed=6, observe=True))
         campaign.prepare(make_params(participants=5), make_documents())
         campaign.run(make_judge())
         # Every upload hit the /responses route over the simulated network.
-        uploads = [r for r in campaign.network.log if r.path == "/responses"]
+        exchanges = campaign.obs.trace_root().find_all("exchange")
+        uploads = [s for s in exchanges if s.attrs["path"] == "/responses"]
         assert len(uploads) == 5
-        downloads = [r for r in campaign.network.log if r.path.startswith("/resources/")]
+        assert all(s.attrs["status"] == 201 for s in uploads)
+        downloads = [s for s in exchanges if s.attrs["path"].startswith("/resources/")]
         assert len(downloads) >= 5  # each participant downloads pages
 
     def test_each_participant_sees_control_pair(self):

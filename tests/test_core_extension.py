@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.extension import (
+    ANSWER_VALUES,
     Answer,
     BrowserExtension,
     ParticipantResult,
@@ -176,6 +177,44 @@ class TestAnswerRecord:
             behavior=BehaviorTrace(0.5, 1, 3),
         )
         assert Answer.from_dict(answer.as_dict()) == answer
+
+    @pytest.mark.parametrize(
+        "field_name",
+        ["answer", "integrated_id", "question_id", "left_version", "right_version"],
+    )
+    @pytest.mark.parametrize("value", [1, None, ["left"], {"left": 1}])
+    def test_non_string_field_raises_value_error(self, field_name, value):
+        data = fixed_result().answers[0].as_dict()
+        data[field_name] = value
+        with pytest.raises(ValueError):
+            Answer.from_dict(data)
+
+
+class TestParsedStringsAreShared:
+    """Every upload repeats the same ids, versions and answer values; a
+    parsed upload holds one shared string object per value, not a private
+    copy decoded from its own JSON."""
+
+    def test_two_uploads_share_their_strings(self):
+        first = ParticipantResult.from_dict(json.loads(FIXED_WIRE))
+        second = ParticipantResult.from_dict(json.loads(FIXED_WIRE))
+        assert first.test_id is second.test_id
+        for a, b in zip(first.answers, second.answers):
+            for field_name in (
+                "integrated_id", "question_id", "answer", "left_version", "right_version",
+            ):
+                assert getattr(a, field_name) is getattr(b, field_name), field_name
+        # The stored row a server builds from the parse shares them too.
+        assert first.as_dict()["answers"][0]["left_version"] is second.answers[0].left_version
+
+    def test_answers_are_the_answer_constants(self):
+        answers = ParticipantResult.from_dict(json.loads(FIXED_WIRE)).answers
+        left, same = "left", "same"  # the literals, as code compares them
+        assert answers[0].answer is left
+        assert answers[1].answer is same
+        decoded = json.loads('{"a": "right"}')["a"]
+        data = {**fixed_result().answers[0].as_dict(), "answer": decoded}
+        assert Answer.from_dict(data).answer is ANSWER_VALUES[1]
 
 
 def fixed_result():

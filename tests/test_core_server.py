@@ -224,6 +224,12 @@ class TestMalformedBehaviourRejected:
             set_result("total_minutes", True),
             set_result("total_minutes", None),
             set_result("total_minutes", 10**400),
+            set_answer("answer", ["left"]),
+            set_answer("answer", 1),
+            set_answer("integrated_id", 7),
+            set_answer("question_id", None),
+            set_answer("left_version", ["a"]),
+            set_answer("right_version", 1.5),
         ],
         ids=[
             "duration-nan",
@@ -253,6 +259,12 @@ class TestMalformedBehaviourRejected:
             "total-minutes-bool",
             "total-minutes-null",
             "total-minutes-beyond-float",
+            "answer-list",
+            "answer-int",
+            "integrated-id-int",
+            "question-id-null",
+            "left-version-list",
+            "right-version-float",
         ],
     )
     def test_rejected_with_400_and_not_stored(self, stack, mutate):

@@ -278,7 +278,7 @@ class TestBreakerRegistry:
 
 
 class TestNetworkFaultInjection:
-    def test_drop_raises_and_logs(self):
+    def test_drop_raises_and_counts(self):
         env = SimulationEnvironment()
         network = SimulatedNetwork(env, fault_plan=FaultPlan.lossy(seed=0, drop_rate=1.0))
         network.attach(make_server())
@@ -289,9 +289,11 @@ class TestNetworkFaultInjection:
         assert env.now > before  # the failed attempt burned virtual time
         assert network.stats.drops == 1
         assert network.stats.faults_injected == 1
-        record = network.log[-1]
-        assert record.fault == FAULT_DROP
-        assert record.status == 0
+        assert network.metrics.counter(f"net.fault.{FAULT_DROP}") == 1
+        # The response-less exchange is an error that sent bytes, got none.
+        assert network.stats.errors == 1
+        assert network.stats.bytes_up > 0
+        assert network.stats.bytes_down == 0
 
     def test_timeout_raised_after_handling(self):
         server = make_server()
@@ -322,7 +324,7 @@ class TestNetworkFaultInjection:
         assert response.status == 503
         assert seen == []  # front-end fault: the app never saw it
         assert network.stats.injected_errors == 1
-        assert network.log[-1].fault == FAULT_5XX
+        assert network.metrics.counter(f"net.fault.{FAULT_5XX}") == 1
 
     def test_latency_spike_multiplies_elapsed(self):
         clean = SimulatedNetwork()
@@ -353,10 +355,13 @@ class TestNetworkFaultInjection:
             env = SimulationEnvironment()
             network = SimulatedNetwork(env, fault_plan=plan)
             network.attach(make_server())
-            network.get("http://srv.local/hello")
-            network.post_json("http://srv.local/echo", {"a": 1})
+            exchanges = [
+                network.exchange(Request.get("http://srv.local/hello")),
+                network.exchange(Request.post_json("http://srv.local/echo", {"a": 1})),
+            ]
             return [
-                (r.path, r.status, r.elapsed_seconds) for r in network.log
+                (response.status, response.body, elapsed)
+                for response, elapsed in exchanges
             ], env.now
 
         assert trace(None) == trace(FaultPlan.none())

@@ -100,12 +100,18 @@ class TestRouter:
 
 
 class TestHttpServer:
-    def test_handles_and_logs(self):
+    def test_handles_through_router(self):
         server = HttpServer("h.local")
-        server.router.get("/ping", lambda r: Response.text_response("pong"))
+        seen = []
+
+        def ping(request):
+            seen.append((request.method, request.path))
+            return Response.text_response("pong")
+
+        server.router.get("/ping", ping)
         response = server.handle(Request.get("http://h.local/ping"))
         assert response.text == "pong"
-        assert server.request_log == [("GET", "/ping")]
+        assert seen == [("GET", "/ping")]
 
     def test_host_lowercased(self):
         assert HttpServer("API.Local").host == "api.local"

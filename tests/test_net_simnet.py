@@ -1,6 +1,8 @@
 """Tests for the simulated network."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 
@@ -91,15 +93,14 @@ class TestTiming:
 
 
 class TestAccounting:
-    def test_stats_and_log(self):
+    def test_stats_count_each_exchange(self):
         network = SimulatedNetwork()
         network.attach(make_server())
-        network.get("http://srv.local/hello")
-        network.post_json("http://srv.local/echo", {"a": 1})
+        assert network.get("http://srv.local/hello").text == "world"
+        assert network.post_json("http://srv.local/echo", {"a": 1}).json() == {"a": 1}
         assert network.stats.requests == 2
         assert network.stats.bytes_up > 0
         assert network.stats.bytes_down > 0
-        assert [r.path for r in network.log] == ["/hello", "/echo"]
 
     def test_error_counted(self):
         network = SimulatedNetwork()
@@ -130,6 +131,31 @@ class TestClient:
             client.get("http://ghost.local/hello")
         assert client.requests_made == 1
         assert client.failed_requests == 1
+
+
+class TestRetainedMemory:
+    """The network and the server keep nothing per request: the traffic
+    counters are the aggregate record, and an observed run's spans the
+    per-request one."""
+
+    def test_gets_retain_no_memory_per_request(self):
+        network = SimulatedNetwork(SimulationEnvironment())
+        network.attach(make_server())
+        request = Request.get("http://srv.local/hello")
+        for _ in range(200):  # warm every lazily built cache first
+            network.exchange(request)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(2000):
+                network.exchange(Request.get("http://srv.local/hello"))
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert network.stats.requests == 2200
+        assert after - before < 64 * 1024
 
 
 class TestHostCaseNormalization:
@@ -185,8 +211,13 @@ class TestExchangeCost:
     queue."""
 
     def _exchange_both(self, network):
-        network.exchange(Request.get("http://srv.local/hello"))
-        network.exchange(Request.post_json("http://srv.local/echo", {"a": [1, 2]}))
+        """Both exchanges' messages, returned so that they stay alive and no
+        ``id`` is reused while a test counts by it."""
+        requests = [
+            Request.get("http://srv.local/hello"),
+            Request.post_json("http://srv.local/echo", {"a": [1, 2]}),
+        ]
+        return requests, [network.exchange(request) for request in requests]
 
     def test_each_message_sized_once(self, monkeypatch):
         requests, responses = {}, {}
@@ -198,10 +229,11 @@ class TestExchangeCost:
         )
         network = SimulatedNetwork(SimulationEnvironment())
         network.attach(make_server())
-        self._exchange_both(network)
+        messages = self._exchange_both(network)
         assert sorted(requests.values()) == [1, 1]
         assert sorted(responses.values()) == [1, 1]
         assert network.stats.bytes_up > 0 and network.stats.bytes_down > 0
+        del messages
 
     @pytest.mark.parametrize("method", ["GET", "POST"])
     def test_url_split_once_per_request(self, method):
@@ -215,9 +247,11 @@ class TestExchangeCost:
             response = client.post_json(_CountingUrl("http://srv.local/echo"), {"a": 1})
         assert response.ok
         assert _CountingUrl.calls == 1
-        assert [(r.host, r.path) for r in network.log] == [
-            ("srv.local", "/hello" if method == "GET" else "/echo")
-        ]
+        assert network.stats.requests == 1
+        if method == "GET":
+            assert response.text == "world"
+        else:
+            assert response.json() == {"a": 1}
 
     def test_event_queue_untouched(self, monkeypatch):
         env = SimulationEnvironment()
@@ -272,7 +306,56 @@ def _identity_server():
     return server
 
 
-def _identity_script(network_cls=SimulatedNetwork):
+#: The fault each traffic counter names, most specific first.
+_FAULT_COUNTERS = (
+    ("overload_timeouts", "overload-timeout"),
+    ("drops", FAULT_DROP),
+    ("timeouts", FAULT_TIMEOUT),
+    ("injected_errors", FAULT_5XX),
+    ("latency_spikes", FAULT_LATENCY),
+)
+
+
+class _RowNetwork(SimulatedNetwork):
+    """Rebuilds one row per exchange from what a caller sees: the clock
+    before it, the returned (or raised) elapsed time, the message sizes,
+    the status, and the fault named by the traffic counter it moved."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = []
+
+    def exchange(self, request, profile=None, now=None, fault_token=None):
+        start = self.env.now
+        before = dataclasses.asdict(self.stats)
+
+        def row(elapsed, response):
+            after = dataclasses.asdict(self.stats)
+            fault = next(
+                (kind for name, kind in _FAULT_COUNTERS if after[name] > before[name]),
+                "",
+            )
+            self.rows.append(
+                (
+                    start,
+                    elapsed,
+                    request.size_bytes,
+                    0 if response is None else response.size_bytes,
+                    0 if response is None else response.status,
+                    fault,
+                )
+            )
+
+        try:
+            response, elapsed = super().exchange(request, profile, now, fault_token)
+        except NetworkError as exc:
+            row(exc.elapsed_seconds, None)
+            raise
+        row(elapsed, response)
+        return response, elapsed
+
+
+def _identity_script(network_cls=_RowNetwork):
     """Run one exchange down every path; return what the parent pinned."""
     plan = FaultPlan(
         seed=3,
@@ -309,11 +392,7 @@ def _identity_script(network_cls=SimulatedNetwork):
     )
     assert client.get("http://srv.local/busy").ok
     network.wait(0.125)
-    log = [
-        (r.time, r.elapsed_seconds, r.request_bytes, r.response_bytes, r.status, r.fault)
-        for r in network.log
-    ]
-    return env.now, log, dataclasses.asdict(network.stats), client.backoff_seconds
+    return env.now, network.rows, dataclasses.asdict(network.stats), client.backoff_seconds
 
 
 # ``_identity_script`` as it ran when every transfer and backoff still
@@ -344,8 +423,9 @@ PINNED_STATS = {
 
 
 class TestVirtualTimeIdentity:
-    """The clock, the log and the traffic counters of a scripted run,
-    pinned before the exchange stopped pushing an event per transfer."""
+    """The clock, the per-exchange rows and the traffic counters of a
+    scripted run, pinned before the exchange stopped pushing an event per
+    transfer."""
 
     def test_script_reproduces_pinned_timeline(self):
         now, log, stats, backoff = _identity_script()
@@ -360,7 +440,7 @@ class TestVirtualTimeIdentity:
         the clock bit for bit (what the process fan-out relies on)."""
         journals = []
 
-        class Journaling(SimulatedNetwork):
+        class Journaling(_RowNetwork):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 self.journal = []

@@ -228,6 +228,106 @@ OPERATIONS = st.lists(
 )
 
 
+#: Documents and writes over a unique index on ``a`` and a plain one on
+#: ``b``, with few enough values that writes often collide.
+UNIQUE_DOCUMENTS = st.dictionaries(st.sampled_from(("a", "b")), SCALARS, max_size=2)
+UNIQUE_QUERIES = st.dictionaries(st.sampled_from(("a", "b")), SCALARS, max_size=1)
+UNIQUE_SETS = st.fixed_dictionaries(
+    {"$set": st.dictionaries(st.sampled_from(("a", "b")), SCALARS, min_size=1)}
+)
+UNIQUE_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_one"), UNIQUE_DOCUMENTS),
+        st.tuples(st.just("update_many"), UNIQUE_QUERIES, UNIQUE_SETS),
+        st.tuples(st.just("update_one"), UNIQUE_QUERIES, UNIQUE_SETS),
+        st.tuples(st.just("replace_one"), UNIQUE_QUERIES, UNIQUE_DOCUMENTS),
+    ),
+    max_size=20,
+)
+
+
+class TestRefusedWriteChangesNothing:
+    """A write a unique index refuses leaves every document and every index
+    as it was: each unique index is checked before any state changes."""
+
+    @pytest.fixture
+    def emails(self):
+        collection = Collection("c")
+        collection.create_index("a")
+        collection.create_index("email", unique=True)
+        collection.insert_one({"a": 1, "email": "x"})
+        collection.insert_one({"a": 2, "email": "b"})
+        return collection
+
+    def assert_consistent(self, collection, documents):
+        assert collection.find() == documents
+        for query in ({"a": 1}, {"a": 2}, {"email": "x"}, {"email": "b"}):
+            expected = [d for d in documents if match_document(d, query)]
+            assert collection.count(query) == len(expected), query
+            assert collection.find(query) == expected, query
+
+    def test_insert_leaves_no_phantom_in_an_earlier_index(self, emails):
+        before = emails.find()
+        with pytest.raises(DuplicateKeyError):
+            emails.insert_one({"a": 1, "email": "x"})
+        assert len(emails) == 2
+        self.assert_consistent(emails, before)
+        emails.insert_one({"a": 1, "email": "y"})
+        assert emails.count({"a": 1}) == 2
+
+    def test_set_leaves_the_document_unchanged_and_indexed(self, emails):
+        before = emails.find()
+        with pytest.raises(DuplicateKeyError):
+            emails.update_one({"email": "b"}, {"$set": {"email": "x", "a": 1}})
+        self.assert_consistent(emails, before)
+
+    def test_replace_leaves_the_document_unchanged_and_indexed(self, emails):
+        before = emails.find()
+        with pytest.raises(DuplicateKeyError):
+            emails.replace_one({"email": "b"}, {"a": 1, "email": "x"})
+        self.assert_consistent(emails, before)
+
+    def test_update_many_giving_two_documents_one_value_changes_none(self, emails):
+        emails.insert_one({"a": 1, "email": "z"})
+        before = emails.find()
+        with pytest.raises(DuplicateKeyError):
+            emails.update_many({"a": 1}, {"$set": {"email": "new"}})
+        self.assert_consistent(emails, before)
+
+    def test_setting_a_document_its_own_value_is_allowed(self, emails):
+        assert emails.update_one({"email": "x"}, {"$set": {"email": "x", "a": 3}}) == 1
+        assert emails.replace_one({"email": "b"}, {"email": "b"}) == 1
+        assert emails.update_many({"a": 7}, {"$set": {"email": "x"}}) == 0
+        assert emails.count({"a": 3}) == 1 and emails.count({"email": "b"}) == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        initial=st.lists(UNIQUE_DOCUMENTS, max_size=8),
+        operations=UNIQUE_OPERATIONS,
+    )
+    def test_any_refused_write_changes_nothing(self, initial, operations):
+        collection = Collection("c")
+        collection.create_index("b")
+        collection.create_index("a", unique=True)
+        for document in initial:
+            try:
+                collection.insert_one(document)
+            except DuplicateKeyError:
+                pass
+        for method, *args in operations:
+            before = collection.find()
+            try:
+                getattr(collection, method)(*args)
+            except DuplicateKeyError:
+                assert collection.find() == before
+        documents = collection.find()
+        for field in ("a", "b"):
+            for value in {d.get(field) for d in documents} - {None}:
+                expected = [d for d in documents if d.get(field) == value]
+                assert collection.count({field: value}) == len(expected)
+                assert collection.find({field: value}) == expected
+
+
 class TestIndexNeverChangesAnswers:
     """An indexed collection answers every query exactly as a full scan."""
 

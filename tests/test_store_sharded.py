@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.aggregator import RESPONSES_COLLECTION
 from repro.core.server import CoreServer
-from repro.errors import QueryError, StorageError, ValidationError
+from repro.errors import DuplicateKeyError, QueryError, StorageError, ValidationError
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 from repro.store import ShardedDocumentStore
@@ -228,6 +228,28 @@ class TestDurability:
             response_row("w-new")
         )
         assert new_id not in old_ids
+
+    def test_refused_unique_write_journals_nothing_and_recovers_alike(self, tmp_path):
+        store = make_store(directory=tmp_path)
+        c = store.collection("items")
+        c.create_index("a")
+        c.create_index("email", unique=True)
+        c.insert_many([{"a": 1, "email": "x"}, {"a": 2, "email": "b"}])
+        records = store.stats()["wal_records"]
+        before = store.dump()
+        with pytest.raises(DuplicateKeyError):
+            c.insert_one({"a": 1, "email": "x"})
+        with pytest.raises(DuplicateKeyError):
+            c.update_one({"email": "b"}, {"$set": {"email": "x"}})
+        with pytest.raises(DuplicateKeyError):
+            c.replace_one({"email": "b"}, {"a": 1, "email": "x"})
+        assert store.stats()["wal_records"] == records
+        assert store.dump() == before
+        assert c.count({"a": 1}) == 1 and c.count({"email": "x"}) == 1
+        store.close()
+        revived = make_store(directory=tmp_path)
+        assert revived.dump() == before
+        assert revived.collection("items").count({"a": 1}) == 1
 
     def test_recover_on_live_store_is_idempotent(self, tmp_path):
         store = make_store(directory=tmp_path)

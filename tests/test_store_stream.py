@@ -439,20 +439,3 @@ class TestStreamingGuards:
         with pytest.raises(CampaignError, match="no responses"):
             campaign.conclude(job=None, duration_days=0)
 
-
-class TestBoundedDiagnostics:
-    def test_streaming_caps_network_and_request_logs(self):
-        from collections import deque
-
-        from repro.core.config import STREAMING_NETWORK_LOG_LIMIT
-
-        campaign, _ = run_campaign("sharded-streaming", participants=4)
-        assert isinstance(campaign.network.log, deque)
-        assert campaign.network.log.maxlen == STREAMING_NETWORK_LOG_LIMIT
-        assert isinstance(campaign.server.http.request_log, deque)
-        assert campaign.server.http.request_log.maxlen == STREAMING_NETWORK_LOG_LIMIT
-
-    def test_memory_mode_keeps_unbounded_lists(self):
-        campaign, _ = run_campaign("memory", participants=4)
-        assert isinstance(campaign.network.log, list)
-        assert isinstance(campaign.server.http.request_log, list)
