@@ -6,9 +6,11 @@ Two phases prove the `sharded-streaming` store mode (ISSUE 9):
   end (prepare → per-participant upload through the core server → streaming
   conclude) inside an isolated subprocess, with the response firehose
   spilled to per-shard on-disk WALs. The child reports its own
-  ``ru_maxrss``; the phase asserts a peak-RSS ceiling and that the
-  streaming aggregator's sufficient-statistics size is O(pairs) — the cell
-  count at 1M participants must equal the cell count of a tiny run.
+  ``ru_maxrss``, its wall time and the conclude's share of it; the phase
+  asserts a peak-RSS ceiling (which covers the per-survivor answer codes
+  conclude reads instead of the WAL) and that the streaming aggregator's
+  sufficient-statistics size is O(pairs) — the cell count at 1M
+  participants must equal the cell count of a tiny run.
 * **crosscheck** — a 10 000-participant campaign concludes byte-identically
   on the in-memory store and the sharded streaming store, across the
   serial and process executors and a process crash-resume run (checkpoint
@@ -170,6 +172,17 @@ def run_rss_child(participants: int, shards: int, directory: str) -> dict:
     )
     campaign.prepare(build_parameters(participants), build_documents())
     roster = SyntheticRoster(participants)
+    conclude = campaign.conclude
+    conclude_seconds = []
+
+    def timed_conclude(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return conclude(*args, **kwargs)
+        finally:
+            conclude_seconds.append(time.perf_counter() - started)
+
+    campaign.conclude = timed_conclude
     start = time.perf_counter()
     result = campaign.run_with_workers(roster, build_judge())
     wall = time.perf_counter() - start
@@ -189,6 +202,7 @@ def run_rss_child(participants: int, shards: int, directory: str) -> dict:
         "compactions": stats["compactions"],
         "spilled_documents": stats["spilled_documents"],
         "wall_seconds": round(wall, 2),
+        "conclude_seconds": round(conclude_seconds[-1], 3),
         "participants_per_second": round(participants / wall, 1) if wall else None,
     }
 

@@ -71,7 +71,7 @@ from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 from repro.util.executors import EXECUTOR_SERIAL, effective_pool_size
 from repro.util.jsonutil import deep_copy_json
-from repro.util.rng import Categorical, coerce_rng
+from repro.util.rng import Categorical, RosterStreams, coerce_rng
 
 # Participants arrive on whatever access network they have; the replay
 # design makes the *test* insensitive to this, but downloads still take
@@ -471,7 +471,7 @@ class Campaign:
                 left += tally.left_count
                 right += tally.right_count
             return preference_log_evidence(left, right) >= threshold and floors_met(
-                state.raw.complete, job.participants_recruited,
+                state.complete, job.participants_recruited,
                 cfg.min_participants, cfg.quorum,
             )
 
@@ -531,7 +531,7 @@ class Campaign:
         ) as root:
             self._root_span = root
             self._run_roster(
-                list(workers), judge, in_lab=in_lab, root_entropy=root_entropy,
+                workers, judge, in_lab=in_lab, root_entropy=root_entropy,
             )
             return self.conclude(job=None, duration_days=0.0)
 
@@ -928,9 +928,11 @@ class Campaign:
         """The roster pipeline: simulate every pending worker on an
         independent RNG substream and upload in roster order.
 
-        Each worker's stream comes from ``SeedSequence.spawn``, so no draw by
-        one participant can perturb another — results are identical whether
-        the roster runs serially or across ``parallelism`` workers. Uploads
+        Worker ``i``'s stream is child ``i`` of ``SeedSequence(root_entropy)``
+        (:class:`~repro.util.rng.RosterStreams`), so
+        no draw by one participant can perturb another — results are
+        identical whether the roster runs serially or across
+        ``parallelism`` workers. Uploads
         land in roster order, progressively as each participant (or, in
         process mode, each chunk) completes — so a crash mid-roster leaves a
         checkpoint of finished uploads on the server. Participant trace
@@ -955,8 +957,8 @@ class Campaign:
         resumed campaign restores it before continuing.
 
         ``root_entropy`` (default: a draw from the campaign RNG) replays a
-        previous roster: substreams are spawned from it for *every* roster
-        slot, keeping stream alignment, and workers whose uploads the server
+        previous roster: slot ``i`` always gets substream ``i``, keeping
+        stream alignment, and workers whose uploads the server
         already stores, or whose loss is already recorded, are skipped — the
         resume path after a crash (fed from a :meth:`resume_state`
         checkpoint by :meth:`run_with_workers`). The entropy actually used
@@ -976,10 +978,8 @@ class Campaign:
         self.last_root_entropy = root_entropy
         if slots is None:
             slots = len(workers)
-        root = np.random.SeedSequence(root_entropy)
-        # Spawn a stream per roster slot even when resuming (alignment):
-        # worker i always gets substream i regardless of who already finished.
-        streams = [np.random.default_rng(s) for s in root.spawn(slots)]
+        # Worker i always gets substream i, resumed or not (alignment).
+        streams = RosterStreams(root_entropy, slots)
         done = set(self.server.uploaded_worker_ids(prepared.test_id))
         done.update(worker_id for worker_id, _ in self.lost_uploads)
         # Captured once before the fan-out so every client's session clock has
@@ -1191,14 +1191,17 @@ class Campaign:
         concluding on too little data.
 
         Quality control runs under ``CampaignConfig.quality``, the config
-        the upload-time screen already applied: one pass over the stored
-        rows (the only read of the store) completes the screen, whose
-        majority votes need the final tallies, and folds the controlled
-        aggregates. The in-memory store parses its documents in place and
-        keeps them as ``raw_results`` (the kept ones as
-        ``quality_report.kept``); the sharded store parses its WAL replay
-        lazily, skips the rows the upload-time screen dropped, and leaves
-        both empty, so its memory stays O(pairs), not O(participants).
+        the upload-time screen already applied. The screen kept each
+        survivor's answer codes at ingest; conclude reads the majority
+        votes off their final counts, completes the screen and folds the
+        controlled aggregates from those codes alone
+        (:meth:`~repro.store.stream.StreamingCampaignState.conclude`), and
+        changes no state, so concluding again gives the same result. The
+        sharded store reads no row and leaves ``raw_results`` and
+        ``quality_report.kept`` empty: it holds O(pairs) tables plus, per
+        surviving upload, one worker id reference, a 4-byte end offset and
+        4 bytes per non-control answer. The in-memory store parses its
+        documents in place only to fill those two public fields.
         """
         prepared = self._require_prepared()
         cfg = self.config
@@ -1206,23 +1209,16 @@ class Campaign:
         with self.tracer.span("conclude", category="campaign") as cspan:
             if state.ingested == 0:
                 raise CampaignError("no responses collected; nothing to conclude")
-            rows = self._stream_rows(prepared.test_id)
             raw_results: List[ParticipantResult] = []
-            if cfg.streaming:
-                dropped_ids = state.screen.dropped_ids
-                results = (
+            if not cfg.streaming:
+                raw_results = [
                     ParticipantResult.from_dict(row)
-                    for row in rows
-                    if row["worker_id"] not in dropped_ids
-                )
-            else:
-                raw_results = results = [
-                    ParticipantResult.from_dict(row) for row in rows
+                    for row in self._stream_rows(prepared.test_id)
                 ]
             with self.tracer.span(
                 "quality", category="campaign", participants=state.ingested
             ) as qspan:
-                data = state.conclude(results)
+                data = state.conclude()
                 report = data.report
                 if raw_results:
                     kept = set(report.kept_worker_ids)

@@ -38,9 +38,9 @@ DEFAULT_HOST = "kaleidoscope.local"
 
 #: Storage backends: ``"memory"`` is the historical in-RAM DocumentStore;
 #: ``"sharded-streaming"`` hash-partitions responses across WAL-backed
-#: shards and streams them back lazily at conclude (see :mod:`repro.store`).
-#: Both fold every upload into O(pairs) sufficient statistics at ingest
-#: time and conclude from that fold; they differ only in materialisation.
+#: shards (see :mod:`repro.store`). Both encode every upload's answers once
+#: at ingest, fold them into O(pairs) count tables, and conclude from the
+#: codes recorded then; they differ only in materialisation.
 STORE_MODES = ("memory", "sharded-streaming")
 
 #: Store mode that spills responses to shard WALs and never materializes them.
@@ -99,8 +99,10 @@ class CampaignConfig:
     overload: Optional[OverloadConfig] = None
     #: Storage backend: ``"memory"`` (historical in-RAM store; the result
     #: keeps ``raw_results``) or ``"sharded-streaming"`` (WAL-backed shards
-    #: with responses spilled to the log and streamed back lazily —
-    #: O(pairs) conclude memory, empty ``raw_results``).
+    #: with responses spilled to the log and never read back by conclude —
+    #: O(pairs) tables plus one id reference, a 4-byte end offset and 4
+    #: bytes per non-control answer for each surviving upload; empty
+    #: ``raw_results``).
     store: str = "memory"
     #: Shard count for the ``"sharded-streaming"`` store.
     store_shards: int = 4

@@ -42,6 +42,15 @@ MAJORITY_DEVIATION_FRACTION = 0.5     # drop if wrong on > half
 MAJORITY_MIN_CELLS = 3                # too few cells -> no verdict
 
 
+def deviation_detail(cells: int, deviations: int) -> Optional[str]:
+    """The crowd-wisdom drop detail for a participant who answered ``cells``
+    cells that carry a consensus and deviated from it on ``deviations`` of
+    them, or ``None`` when that is too few cells or too few deviations."""
+    if cells >= MAJORITY_MIN_CELLS and deviations / cells > MAJORITY_DEVIATION_FRACTION:
+        return f"deviates on {deviations}/{cells} cells"
+    return None
+
+
 @dataclass(frozen=True)
 class QualityConfig:
     """Which of the four layers run; the ablation bench toggles them."""
@@ -251,31 +260,10 @@ class QualityControl:
             cells += 1
             if answer.answer != consensus:
                 deviations += 1
-        if (
-            cells >= MAJORITY_MIN_CELLS
-            and deviations / cells > MAJORITY_DEVIATION_FRACTION
-        ):
-            return DropRecord(
-                result.worker_id,
-                REASON_MAJORITY,
-                f"deviates on {deviations}/{cells} cells",
-            )
+        detail = deviation_detail(cells, deviations)
+        if detail is not None:
+            return DropRecord(result.worker_id, REASON_MAJORITY, detail)
         return None
-
-    @staticmethod
-    def tally_majority(
-        tallies: Dict[Tuple[str, str], Counter], result: ParticipantResult
-    ) -> None:
-        """Count ``result``'s non-control answers into per-(integrated page,
-        question) ``tallies``."""
-        for answer in result.answers:
-            if answer.is_control:
-                continue
-            key = (answer.integrated_id, answer.question_id)
-            counter = tallies.get(key)
-            if counter is None:
-                counter = tallies[key] = Counter()
-            counter[answer.answer] += 1
 
     @staticmethod
     def consensus(
@@ -285,8 +273,8 @@ class QualityControl:
 
         Cells with no clear winner (a tie) carry no consensus and are
         excluded from deviation counting. The strict-majority rule depends
-        only on the final counts, so tallies accumulated one upload at a
-        time give the same map as one batch pass.
+        only on the final counts, so tallies counted in any order (one batch
+        pass, or per answer code at conclude) give the same map.
         """
         majority: Dict[Tuple[str, str], str] = {}
         for key, counter in tallies.items():
@@ -302,7 +290,14 @@ class QualityControl:
         """Majority answer per (integrated page, question) cell."""
         tallies: Dict[Tuple[str, str], Counter] = {}
         for result in results:
-            cls.tally_majority(tallies, result)
+            for answer in result.answers:
+                if answer.is_control:
+                    continue
+                key = (answer.integrated_id, answer.question_id)
+                counter = tallies.get(key)
+                if counter is None:
+                    counter = tallies[key] = Counter()
+                counter[answer.answer] += 1
         return cls.consensus(tallies)
 
 

@@ -10,9 +10,10 @@ The subsystem behind million-participant campaigns:
   WAL-backed shards with snapshot + compaction and spill-to-log for the
   response firehose;
 * :mod:`repro.store.stream` — :class:`StreamingAggregator` /
-  :class:`OnlineQualityScreen`, folding each upload into O(pairs)
-  sufficient statistics. Every campaign concludes from this fold; with the
-  sharded store it does so without materializing its participants.
+  :class:`OnlineQualityScreen`, encoding each upload's answers once into
+  small answer codes and folding them into O(pairs) sufficient statistics.
+  Every campaign concludes from those codes; with the sharded store it
+  reads no stored row to do so.
 """
 
 from repro.store.sharded import ShardedDocumentStore

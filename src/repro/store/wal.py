@@ -36,8 +36,8 @@ from repro.util.jsonutil import dumps_canonical, loads
 def encode_wal_record(record: dict) -> str:
     """Frame one record as a single WAL line (no trailing newline)."""
     payload = dumps_canonical(record)
-    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return f"{len(payload.encode('utf-8'))}:{crc:08x}:{payload}"
+    raw = payload.encode("utf-8")
+    return f"{len(raw)}:{zlib.crc32(raw) & 0xFFFFFFFF:08x}:{payload}"
 
 
 def decode_wal_line(line: str) -> Optional[dict]:

@@ -1,5 +1,9 @@
 """Tests for end-to-end campaign orchestration."""
 
+import gc
+from collections.abc import Sequence
+
+import numpy as np
 import pytest
 
 from repro.core.campaign import Campaign
@@ -8,9 +12,15 @@ from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig
 from repro.crowd.judgment import ThurstoneChoiceModel
-from repro.crowd.workers import IN_LAB_MIX, generate_population
+from repro.crowd.workers import (
+    IN_LAB_MIX,
+    WorkerProfile,
+    generate_population,
+    generate_worker,
+)
 from repro.errors import CampaignError
 from repro.html.parser import parse_html
+from repro.util import rng
 
 
 def make_documents():
@@ -123,6 +133,57 @@ class TestFixedRoster:
         for participant in result.raw_results:
             for answer in participant.answers:
                 assert answer.behavior.duration_minutes <= 2.0
+
+
+class LazyRoster(Sequence):
+    """A roster that builds each worker when asked and keeps none."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, index):
+        if not 0 <= index < self.count:
+            raise IndexError(index)
+        return generate_worker(f"lazy{index:04d}", IN_LAB_MIX, seed=index)
+
+
+class TestRosterMemory:
+    def test_run_holds_no_worker_or_stream_per_roster_slot(self, monkeypatch):
+        """A fixed roster runs without copying it into a list or holding
+        every slot's RNG stream: at the first upload, the live worker
+        profiles are a handful and the generators one batch, not one per
+        slot."""
+        monkeypatch.setattr(rng, "ROSTER_STREAM_BATCH", 16)
+        live = []
+
+        def count_live():
+            # Other tests' fixtures may hold profiles and generators too.
+            objects = gc.get_objects()
+            return (
+                sum(
+                    isinstance(o, WorkerProfile) and o.worker_id.startswith("lazy")
+                    for o in objects
+                ),
+                sum(isinstance(o, np.random.Generator) for o in objects),
+            )
+
+        def hook(_checkpoint):
+            if not live:
+                live.append(count_live())
+
+        gc.collect()
+        _, generators_before = count_live()
+        campaign = Campaign(config=CampaignConfig(seed=9))
+        campaign.prepare(make_params(), make_documents())
+        campaign.checkpoint_hook = hook
+        result = campaign.run_with_workers(LazyRoster(300), make_judge())
+        assert result.participants == 300
+        profiles, generators = live[0]
+        assert profiles <= 10
+        assert generators - generators_before <= 16 + 10
 
 
 class TestDeterminism:

@@ -156,7 +156,7 @@ class TestQualityControlProperties:
         )
         for result in results:
             state.ingest(result)
-        folded = state.conclude(results).report
+        folded = state.conclude().report
         assert folded.kept_ids == batch.kept_ids
         assert [(d.worker_id, d.reason, d.detail) for d in folded.dropped] == [
             (d.worker_id, d.reason, d.detail) for d in batch.dropped

@@ -26,6 +26,7 @@ from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_populatio
 from repro.errors import CampaignError
 from repro.html.parser import parse_html
 from repro.storage import documentstore
+from repro.store import wal
 from repro.store.sharded import ShardedDocumentStore
 from repro.util.jsonutil import dumps_canonical
 
@@ -200,10 +201,10 @@ class TestExecutorIdentity:
 class TestConcludeReadsOnce:
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
     def test_one_conclude_streams_the_responses_once(self, store, monkeypatch):
-        """Conclude reads the stored responses in one pass: it builds no
-        checkpoint on the side (resume_state() reads only when asked). On
-        the memory store that pass is one uncopied ``scan``: no ``find``
-        and no document copy."""
+        """Conclude builds no checkpoint on the side (resume_state() reads
+        only when asked). The sharded store reads no row at all; the memory
+        store reads its responses in one uncopied ``scan`` (no ``find`` and
+        no document copy), only to fill ``raw_results``."""
         campaign, result = run_campaign(store, participants=6, seed=5)
         digest = conclusion_digest(campaign, result)
         calls = {}
@@ -220,7 +221,7 @@ class TestConcludeReadsOnce:
 
         if isinstance(campaign.database, ShardedDocumentStore):
             count_calls(campaign.database, "stream_collection")
-            expected = {"stream_collection": 1}
+            expected = {"stream_collection": 0}
         else:
             count_calls(campaign.database.collection(RESPONSES_COLLECTION), "find")
             count_calls(campaign.database.collection(RESPONSES_COLLECTION), "scan")
@@ -231,14 +232,12 @@ class TestConcludeReadsOnce:
         assert conclusion_digest(campaign, again) == digest
 
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
-    def test_sharded_conclude_parses_only_screen_survivors(self, store, monkeypatch):
-        """The sharded conclude skips rows the upload-time screen dropped
-        before parsing them; the memory store parses every row, because it
-        keeps them all as ``raw_results``."""
+    def test_only_the_memory_store_conclude_parses_rows(self, store, monkeypatch):
+        """The sharded conclude parses no row; the memory store parses every
+        row, because it keeps them all as ``raw_results``."""
         campaign, result = run_campaign(store, participants=25, seed=5)
         digest = conclusion_digest(campaign, result)
-        dropped = len(campaign._streaming_state.screen.dropped_ids)
-        assert dropped > 0
+        assert len(campaign._streaming_state.screen.dropped_ids) > 0
         parsed = []
         original = ParticipantResult.from_dict.__func__
 
@@ -248,9 +247,48 @@ class TestConcludeReadsOnce:
 
         monkeypatch.setattr(ParticipantResult, "from_dict", classmethod(counted))
         again = reconclude(campaign, result)
-        expected = 25 if store == "memory" else 25 - dropped
-        assert len(parsed) == expected
+        assert len(parsed) == (25 if store == "memory" else 0)
         assert conclusion_digest(campaign, again) == digest
+
+    def test_sharded_conclude_decodes_no_wal_line(self, monkeypatch):
+        """After a run whose responses spilled to the WAL, conclude decodes
+        no WAL line: it reads the answer codes recorded at upload."""
+        campaign, result = run_campaign("sharded-streaming", participants=25, seed=5)
+        assert campaign.database.stats()["spilled_documents"] > 0
+        digest = conclusion_digest(campaign, result)
+        decoded = [0]
+        original = wal.decode_wal_line
+
+        def counted(line):
+            decoded[0] += 1
+            return original(line)
+
+        monkeypatch.setattr(wal, "decode_wal_line", counted)
+        again = reconclude(campaign, result)
+        assert decoded[0] == 0
+        monkeypatch.undo()
+        assert conclusion_digest(campaign, again) == digest
+
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_concluding_twice_gives_the_same_conclusion(self, store):
+        """Conclude changes no state: two concludes of the streaming state
+        agree, and so do two campaign concludes' digests."""
+        campaign, result = run_campaign(store, participants=12, seed=5)
+        digest = conclusion_digest(campaign, result)
+        state = campaign._streaming_state
+        first, second = state.conclude(), state.conclude()
+        assert first.report.kept_ids == second.report.kept_ids
+        assert [
+            (d.worker_id, d.reason, d.detail) for d in first.report.dropped
+        ] == [(d.worker_id, d.reason, d.detail) for d in second.report.dropped]
+        assert first.controlled_analysis.tallies == second.controlled_analysis.tallies
+        for question_id, counts in first.controlled_bt.items():
+            assert list(counts.wins.items()) == list(
+                second.controlled_bt[question_id].wins.items()
+            )
+        assert state.ingested == 12
+        for _ in range(2):
+            assert conclusion_digest(campaign, reconclude(campaign, result)) == digest
 
 
 def dump_text(campaign):
