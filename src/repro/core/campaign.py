@@ -20,6 +20,7 @@ spans on virtual clocks, plus a metrics registry — exportable through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import log
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,7 +45,7 @@ from repro.core.scheduling import (
     make_scheduler,
     scheduler_class,
 )
-from repro.core.server import CoreServer
+from repro.core.server import CoreServer, ResultsOnRead, parse_rows
 from repro.store import ShardedDocumentStore, StreamingCampaignState
 from repro.crowd.arrivals import arrival_offsets
 from repro.crowd.platform import CrowdJob, CrowdPlatform
@@ -89,6 +90,15 @@ def _comparison_versions(prepared: PreparedTest) -> List[str]:
     return [v for v in prepared.version_ids if v != "__contrast__"]
 
 
+def _kept_results(
+    results: Sequence[ParticipantResult], kept_ids: Sequence[str]
+) -> List[ParticipantResult]:
+    """The results whose worker the quality screen kept, in upload order
+    (the order the screen keeps them in)."""
+    kept = set(kept_ids)
+    return [r for r in results if r.worker_id in kept]
+
+
 @dataclass
 class CampaignResult:
     """Everything one finished campaign produced.
@@ -111,9 +121,11 @@ class CampaignResult:
     duration_days: float
     total_cost_usd: float
     conclusion: Conclusion
-    #: Uploaded-participant count. Sharded-store conclusions keep
-    #: ``raw_results`` empty by design (the rows were folded into
-    #: sufficient statistics, never materialized), so this is the count.
+    #: Uploaded-participant count. Conclude parses no row on either store:
+    #: memory-store results parse ``raw_results`` on first read, and
+    #: sharded-store results keep it empty by design (the rows were folded
+    #: into sufficient statistics, never materialized), so this is the
+    #: count that costs no parse.
     participant_count: int
     #: The adaptive scheduler's structured stopping verdict (ranking,
     #: answers used, stability evidence); ``None`` for every other
@@ -384,8 +396,9 @@ class Campaign:
         Uses the sharded store's lazy WAL replay when available; a plain
         :class:`DocumentStore` yields its stored documents uncopied through
         :meth:`~repro.storage.documentstore.Collection.scan`. Callers parse
-        the rows and must not mutate them (:meth:`resume_state` copies the
-        rows it hands out).
+        the rows, or keep references for a result to parse on first read
+        (:meth:`conclude`), and must not mutate them (:meth:`resume_state`
+        copies the rows it hands out).
         """
         stream = getattr(self.database, "stream_collection", None)
         if stream is not None:
@@ -1036,14 +1049,17 @@ class Campaign:
             self._checkpoint()
             return stop is not None and stop(result if lost_reason is None else None)
 
-        if stop is None:
-            pending = [i for i in range(slots) if workers[i].worker_id not in done]
-            # Never spawn more workers than there are pending participants.
-            pool_size = 1 if scheduler is not None else effective_pool_size(
-                cfg.parallelism, len(pending)
-            )
+        if stop is None and done:
+            pending = [
+                i for i, worker in enumerate(workers) if worker.worker_id not in done
+            ]
         else:
-            pending, pool_size = range(slots), 1
+            # A fresh roster is pending whole: sizing it reads no profile.
+            pending = range(slots)
+        # Never spawn more workers than there are pending participants.
+        pool_size = 1 if stop is not None or scheduler is not None else (
+            effective_pool_size(cfg.parallelism, len(pending))
+        )
         self._last_fanout_pool = pool_size
         with self.tracer.span("fanout", category="campaign",
                               participants=len(pending)):
@@ -1196,12 +1212,16 @@ class Campaign:
         votes off their final counts, completes the screen and folds the
         controlled aggregates from those codes alone
         (:meth:`~repro.store.stream.StreamingCampaignState.conclude`), and
-        changes no state, so concluding again gives the same result. The
-        sharded store reads no row and leaves ``raw_results`` and
-        ``quality_report.kept`` empty: it holds O(pairs) tables plus, per
-        surviving upload, one worker id reference, a 4-byte end offset and
-        4 bytes per non-control answer. The in-memory store parses its
-        documents in place only to fill those two public fields.
+        changes no state, so concluding again gives the same result.
+        Conclude parses no row on either store. The sharded store reads no
+        row and leaves ``raw_results`` and ``quality_report.kept`` empty: it
+        holds O(pairs) tables plus, per surviving upload, one worker id
+        reference, a 4-byte end offset and 4 bytes per non-control answer.
+        The in-memory store takes references to its stored rows, in upload
+        order, from one uncopied scan; the responses collection is
+        insert-only, so they are a snapshot. Both fields parse those rows
+        on first read (:class:`~repro.core.server.ResultsOnRead`), each row
+        once per result, ``kept`` in kept order.
         """
         prepared = self._require_prepared()
         cfg = self.config
@@ -1209,20 +1229,18 @@ class Campaign:
         with self.tracer.span("conclude", category="campaign") as cspan:
             if state.ingested == 0:
                 raise CampaignError("no responses collected; nothing to conclude")
-            raw_results: List[ParticipantResult] = []
-            if not cfg.streaming:
-                raw_results = [
-                    ParticipantResult.from_dict(row)
-                    for row in self._stream_rows(prepared.test_id)
-                ]
+            # References to the stored rows, in upload order: the collection
+            # is insert-only, so they are this conclude's snapshot.
+            rows = [] if cfg.streaming else list(self._stream_rows(prepared.test_id))
+            raw_results = ResultsOnRead(load=partial(parse_rows, rows))
             with self.tracer.span(
                 "quality", category="campaign", participants=state.ingested
             ) as qspan:
                 data = state.conclude()
                 report = data.report
-                if raw_results:
-                    kept = set(report.kept_worker_ids)
-                    report.kept = [r for r in raw_results if r.worker_id in kept]
+                report.kept = ResultsOnRead(load=partial(
+                    _kept_results, raw_results, report.kept_worker_ids
+                ))
                 record_report(report, qspan, self.metrics, self.tracer)
             # The analyses were folded alongside the screen; the span keeps
             # the trace shape of a screen-then-analyse conclude.

@@ -97,9 +97,11 @@ class CampaignConfig:
     #: rate limiter, load-shedding ladder); ``None`` = accept everything.
     #: The ladder's thresholds are constants of :mod:`repro.net.overload`.
     overload: Optional[OverloadConfig] = None
-    #: Storage backend: ``"memory"`` (historical in-RAM store; the result
-    #: keeps ``raw_results``) or ``"sharded-streaming"`` (WAL-backed shards
-    #: with responses spilled to the log and never read back by conclude —
+    #: Storage backend: ``"memory"`` (historical in-RAM store; conclude
+    #: parses no row, and the result parses ``raw_results`` and
+    #: ``quality_report.kept`` from the rows stored at conclude on first
+    #: read) or ``"sharded-streaming"`` (WAL-backed shards with responses
+    #: spilled to the log and never read back by conclude —
     #: O(pairs) tables plus one id reference, a 4-byte end offset and 4
     #: bytes per non-control answer for each surviving upload; empty
     #: ``raw_results``).

@@ -29,7 +29,9 @@ that a real (non-simulated) extension could drive an adaptive campaign.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import UserList
+from functools import cached_property
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.aggregator import (
     INTEGRATED_COLLECTION,
@@ -365,8 +367,9 @@ class CoreServer:
     def stored_results(self, test_id: str) -> List[ParticipantResult]:
         """All uploaded participant results for a test, parsed from the
         stored rows in place (the parse copies what it keeps)."""
-        rows = self.database.collection(RESPONSES_COLLECTION).scan({"test_id": test_id})
-        return [ParticipantResult.from_dict(row) for row in rows]
+        return parse_rows(
+            self.database.collection(RESPONSES_COLLECTION).scan({"test_id": test_id})
+        )
 
     def response_count(self, test_id: str) -> int:
         """Number of uploads so far."""
@@ -383,3 +386,34 @@ class CoreServer:
         return self.database.collection(RESPONSES_COLLECTION).distinct(
             "worker_id", {"test_id": test_id}
         )
+
+
+def parse_rows(rows: Iterable[dict]) -> List[ParticipantResult]:
+    """Parse stored response rows in order: the one path from a stored row
+    to a :class:`~repro.core.extension.ParticipantResult`. Rows are read in
+    place and never changed; the parse copies what it keeps."""
+    return [ParticipantResult.from_dict(row) for row in rows]
+
+
+class ResultsOnRead(UserList):
+    """A list of participant results computed on first read.
+
+    ``ResultsOnRead(load=f)`` holds only ``f`` until its contents are first
+    read; then it calls ``f()`` once, keeps the list it returns and drops
+    ``f``. Every list operation, comparison included, behaves as on that
+    list. Without ``load`` it is an ordinary :class:`~collections.UserList`.
+    """
+
+    def __init__(self, initlist=None, load: Optional[Callable[[], list]] = None):
+        if load is None:
+            super().__init__(initlist)
+        else:
+            self._load = load
+
+    @cached_property
+    def data(self) -> List[ParticipantResult]:
+        load, self._load = self._load, None
+        return load()
+
+    def __copy__(self) -> "ResultsOnRead":
+        return self.__class__(self.data)

@@ -139,14 +139,20 @@ class _SpillIndex:
             counts = self.field_counts[field]
             counts[value] = counts.get(value, 0) + 1
 
-    def lookup(self, query: dict) -> Optional[Tuple[bool, Any]]:
-        """``(found, _id)`` for an exact identity-group query, or ``None``
-        when no group matches the query's field shape."""
+    def identity_key(self, query: dict) -> Optional[Tuple[Tuple[str, ...], tuple]]:
+        """``(group, key)`` for an exact identity-group query, or ``None``
+        when no group matches the query's field shape. Every shard's index
+        of one collection has the same groups, so a lookup across shards
+        works the key out once."""
         group = self.shapes.get(tuple(sorted(query)))
         if group is None or not all(_scalar(query[field]) for field in group):
             return None
-        doc_id = self.groups[group].get(tuple(query[field] for field in group))
-        return (doc_id is not None, doc_id)
+        return group, tuple(query[field] for field in group)
+
+    def find_id(self, identity: Tuple[Tuple[str, ...], tuple]) -> Any:
+        """The ``_id`` stored under an :meth:`identity_key`, or ``None``."""
+        group, key = identity
+        return self.groups[group].get(key)
 
     def count_for(self, query: dict) -> Optional[int]:
         if not query:
@@ -155,9 +161,9 @@ class _SpillIndex:
             (field, condition), = query.items()
             if field in self.field_counts and _scalar(condition):
                 return self.field_counts[field].get(condition, 0)
-        hit = self.lookup(query)
-        if hit is not None:
-            return 1 if hit[0] else 0
+        identity = self.identity_key(query)
+        if identity is not None:
+            return 0 if self.find_id(identity) is None else 1
         return None
 
     def distinct_pairs(
@@ -523,14 +529,17 @@ class ShardedCollection:
         absent, or ``None`` when the query shape is not index-servable and
         the caller must fall back to a log scan.
         """
+        identity = None
         for shard in self._shards_for_query(query):
             if self.name not in shard.spill:
                 continue  # nothing ever landed here: authoritative miss
-            hit = shard.spill_index(self.name).lookup(query)
-            if hit is None:
-                return None  # unservable shape — same on every shard
-            found, doc_id = hit
-            if found:
+            index = shard.spill_index(self.name)
+            if identity is None:
+                identity = index.identity_key(query)
+                if identity is None:
+                    return None  # unservable shape — same on every shard
+            doc_id = index.find_id(identity)
+            if doc_id is not None:
                 stub = dict(query)
                 stub["_id"] = doc_id
                 return stub

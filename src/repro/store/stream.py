@@ -370,8 +370,9 @@ class OnlineQualityScreen:
 class StreamingQualityReport(QualityReport):
     """A :class:`~repro.core.quality.QualityReport` built from the kept
     worker ids, in kept order. ``kept`` stays empty unless the caller
-    materialized the results (the in-memory store fills it); every
-    id/count accessor reports the true numbers either way."""
+    attaches the results (the in-memory store attaches them, parsed on
+    first read); every id/count accessor reports the true numbers either
+    way."""
 
     kept_worker_ids: List[str] = field(default_factory=list)
 

@@ -140,6 +140,7 @@ class LazyRoster(Sequence):
 
     def __init__(self, count):
         self.count = count
+        self.built = 0
 
     def __len__(self):
         return self.count
@@ -147,6 +148,7 @@ class LazyRoster(Sequence):
     def __getitem__(self, index):
         if not 0 <= index < self.count:
             raise IndexError(index)
+        self.built += 1
         return generate_worker(f"lazy{index:04d}", IN_LAB_MIX, seed=index)
 
 
@@ -184,6 +186,42 @@ class TestRosterMemory:
         profiles, generators = live[0]
         assert profiles <= 10
         assert generators - generators_before <= 16 + 10
+
+
+    def test_fresh_roster_builds_each_profile_once(self):
+        """Sizing a fresh roster's fan-out reads no profile: a lazy roster
+        of N slots builds N profiles, and the fan-out span still counts
+        every pending participant."""
+        campaign = Campaign(config=CampaignConfig(seed=9, observe=True))
+        campaign.prepare(make_params(), make_documents())
+        roster = LazyRoster(30)
+        campaign.run_with_workers(roster, make_judge())
+        assert roster.built == 30
+        (fanout,) = campaign.obs.trace_root().find_all("fanout")
+        assert fanout.attrs["participants"] == 30
+        assert campaign._last_fanout_pool == 1
+
+    def test_resumed_roster_counts_only_pending_slots(self):
+        config = CampaignConfig(seed=9, observe=True)
+        crashed = Campaign(config=config)
+        crashed.prepare(make_params(), make_documents())
+
+        def hook(_checkpoint, seen=[0]):
+            seen[0] += 1
+            if seen[0] == 5:
+                raise CampaignError("crash")
+
+        crashed.checkpoint_hook = hook
+        with pytest.raises(CampaignError, match="crash"):
+            crashed.run_with_workers(LazyRoster(12), make_judge())
+        resumed = Campaign(config=config)
+        resumed.prepare(make_params(), make_documents())
+        result = resumed.run_with_workers(
+            LazyRoster(12), make_judge(), resume_from=crashed.resume_state()
+        )
+        assert result.participants == 12
+        (fanout,) = resumed.obs.trace_root().find_all("fanout")
+        assert fanout.attrs["participants"] == 7
 
 
 class TestDeterminism:

@@ -1,14 +1,16 @@
 """Tests for the hash-sharded, WAL-backed document store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregator import RESPONSES_COLLECTION
 from repro.core.server import CoreServer
 from repro.errors import DuplicateKeyError, QueryError, StorageError, ValidationError
-from repro.storage.documentstore import DocumentStore
+from repro.storage.documentstore import DocumentStore, match_document
 from repro.storage.filestore import FileStore
 from repro.store import ShardedDocumentStore
-from repro.store.sharded import shard_for
+from repro.store.sharded import _SpillIndex, shard_for
 from repro.store.wal import decode_wal_line, encode_wal_record
 
 
@@ -181,6 +183,81 @@ class TestSpill:
         assert responses.count({"score": 3}) == 1
         found = responses.find_one({"worker_id": "w2", "score": 2})
         assert found is not None and found["score"] == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["t1", "t2"]),
+                st.sampled_from([f"w{i}" for i in range(6)]),
+                st.sampled_from([None, "k1", "k2", "k3"]),
+                st.integers(0, 2),
+            ),
+            max_size=14,
+        ),
+        query=st.dictionaries(
+            st.sampled_from(["test_id", "worker_id", "idempotency_key", "score"]),
+            st.one_of(
+                st.sampled_from(["t1", "t2", "w0", "w3", "k1", "k2"]),
+                st.integers(0, 2),
+                st.none(),
+                st.lists(st.just("w0"), max_size=1),
+            ),
+            min_size=1,
+        ),
+        shards=st.sampled_from([1, 3, 4]),
+    )
+    def test_spilled_lookups_agree_with_a_log_scan(self, rows, query, shards):
+        """Index-served ``find_one`` and ``count`` — found, authoritative
+        miss or unservable shape, on one shard or across all — give what a
+        scan of the log gives."""
+        store = make_store(shards=shards, spill=(RESPONSES_COLLECTION,))
+        responses = store.collection(RESPONSES_COLLECTION)
+        seen = set()
+        for test_id, worker_id, key, score in rows:
+            identities = {(test_id, "w", worker_id), (test_id, "k", key)}
+            if identities & seen:
+                continue  # the server stores one row per identity
+            seen |= identities - {(test_id, "k", None)}
+            extra = {"score": score}
+            if key is not None:
+                extra["idempotency_key"] = key
+            responses.insert_one(response_row(worker_id, test_id=test_id, **extra))
+        expected = [
+            doc for doc in store.stream_collection(RESPONSES_COLLECTION)
+            if match_document(doc, query)
+        ]
+        found = responses.find_one(query)
+        assert (found is not None) == bool(expected)
+        if found is not None:
+            assert found["_id"] in [doc["_id"] for doc in expected]
+            assert match_document(found, query)
+        assert responses.count(query) == len(expected)
+
+    def test_spilled_lookup_works_out_the_key_once(self, monkeypatch):
+        """A query without the shard key asks every shard, and works out
+        its identity key once for all of them."""
+        store = make_store(shards=4, spill=(RESPONSES_COLLECTION,))
+        responses = store.collection(RESPONSES_COLLECTION)
+        for i in range(12):
+            responses.insert_one(response_row(f"w{i}", idempotency_key=f"k{i}"))
+        assert all(RESPONSES_COLLECTION in shard.spill for shard in store._shards)
+        calls = []
+        original = _SpillIndex.identity_key
+
+        def counted(index, query):
+            calls.append(query)
+            return original(index, query)
+
+        monkeypatch.setattr(_SpillIndex, "identity_key", counted)
+        for key, found in (("k11", True), ("missing", False)):
+            calls.clear()
+            hit = responses.find_one({"test_id": "t1", "idempotency_key": key})
+            assert (hit is not None) == found
+            assert len(calls) == 1
+        calls.clear()
+        assert responses.find_one({"test_id": "t1", "score": 1}) is None
+        assert len(calls) == 1
 
     def test_unhashable_identity_key_is_refused_whole(self):
         # The identity and count keys are hashed before the index changes,

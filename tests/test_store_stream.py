@@ -1,7 +1,9 @@
 """Streaming aggregation tests: the `sharded-streaming` store mode must be
 decision-identical to the batch pipeline, across executors and crashes."""
 
+import copy
 import json
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -232,23 +234,19 @@ class TestConcludeReadsOnce:
         assert conclusion_digest(campaign, again) == digest
 
     @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
-    def test_only_the_memory_store_conclude_parses_rows(self, store, monkeypatch):
-        """The sharded conclude parses no row; the memory store parses every
-        row, because it keeps them all as ``raw_results``."""
+    def test_neither_store_conclude_parses_rows(self, store, monkeypatch):
+        """Conclude parses no row on either store: the memory store parses
+        ``raw_results`` and ``quality_report.kept`` on first read."""
         campaign, result = run_campaign(store, participants=25, seed=5)
         digest = conclusion_digest(campaign, result)
         assert len(campaign._streaming_state.screen.dropped_ids) > 0
-        parsed = []
-        original = ParticipantResult.from_dict.__func__
-
-        def counted(cls, row):
-            parsed.append(row["worker_id"])
-            return original(cls, row)
-
-        monkeypatch.setattr(ParticipantResult, "from_dict", classmethod(counted))
+        parsed = count_parses(monkeypatch)
         again = reconclude(campaign, result)
-        assert len(parsed) == (25 if store == "memory" else 0)
         assert conclusion_digest(campaign, again) == digest
+        assert again.to_dict() == result.to_dict()
+        assert parsed == []
+        if store == "sharded-streaming":
+            assert again.raw_results == [] and again.quality_report.kept == []
 
     def test_sharded_conclude_decodes_no_wal_line(self, monkeypatch):
         """After a run whose responses spilled to the WAL, conclude decodes
@@ -291,8 +289,96 @@ class TestConcludeReadsOnce:
             assert conclusion_digest(campaign, reconclude(campaign, result)) == digest
 
 
+def count_parses(monkeypatch):
+    """Record the worker id of every ``ParticipantResult.from_dict`` call."""
+    parsed = []
+    original = ParticipantResult.from_dict.__func__
+
+    def counted(cls, row):
+        parsed.append(row["worker_id"])
+        return original(cls, row)
+
+    monkeypatch.setattr(ParticipantResult, "from_dict", classmethod(counted))
+    return parsed
+
+
 def dump_text(campaign):
     return dumps_canonical(campaign.database.dump())
+
+
+def as_dicts(results):
+    return dumps_canonical([r.as_dict() for r in results])
+
+
+class TestResultsParsedOnRead:
+    """The memory store's ``raw_results`` and ``quality_report.kept`` are
+    parsed from the rows stored at conclude, on first read, once."""
+
+    def test_first_read_parses_each_row_once(self, monkeypatch):
+        campaign, result = run_campaign("memory", participants=25, seed=5)
+        again = reconclude(campaign, result)
+        parsed = count_parses(monkeypatch)
+        assert len(again.quality_report.kept) < len(again.raw_results) == 25
+        uploaded = campaign.server.uploaded_worker_ids(campaign.prepared.test_id)
+        assert sorted(parsed) == sorted(uploaded)
+        before = list(parsed)
+        assert len(again.raw_results) == 25
+        assert len(again.quality_report.kept) == again.quality_report.kept_count
+        assert list(again.raw_results) and list(again.controlled_results)
+        assert parsed == before
+
+    def test_kept_read_first_shares_the_raw_parse(self, monkeypatch):
+        campaign, result = run_campaign("memory", participants=25, seed=5)
+        again = reconclude(campaign, result)
+        parsed = count_parses(monkeypatch)
+        kept = list(again.quality_report.kept)
+        assert len(parsed) == 25
+        raw = list(again.raw_results)
+        assert len(parsed) == 25
+        assert all(any(k is r for r in raw) for k in kept)
+
+    def test_results_equal_the_eager_lists(self):
+        campaign, result = run_campaign("memory", participants=25, seed=5)
+        eager = campaign.server.stored_results(campaign.prepared.test_id)
+        report = result.quality_report
+        kept_ids = set(report.kept_ids)
+        eager_kept = [r for r in eager if r.worker_id in kept_ids]
+        assert result.raw_results == eager and eager == result.raw_results
+        assert report.kept == eager_kept and eager_kept == report.kept
+        assert [r.worker_id for r in report.kept] == report.kept_ids
+        assert [r.worker_id for r in result.raw_results] == [
+            r.worker_id for r in eager
+        ]
+        assert result.raw_results != eager[:-1]
+        reference = batch_reference(campaign, eager)
+        assert report.kept == reference.report.kept
+
+    def test_results_stay_the_rows_stored_at_conclude(self):
+        campaign, result = run_campaign("memory", participants=8, seed=5)
+        test_id = campaign.prepared.test_id
+        eager = as_dicts(campaign.server.stored_results(test_id))
+        after_uploads = reconclude(campaign, result)
+        after_drop = reconclude(campaign, result)
+        responses = campaign.database.collection(RESPONSES_COLLECTION)
+        late = responses.find({"test_id": test_id})[0]
+        late.pop("_id")
+        late["worker_id"] = "late-worker"
+        responses.insert_one(late)
+        assert len(campaign.server.stored_results(test_id)) == 9
+        assert as_dicts(after_uploads.raw_results) == eager
+        assert "late-worker" not in after_uploads.quality_report.kept_ids
+        kept = as_dicts(after_uploads.quality_report.kept)
+        campaign.database.drop_collection(RESPONSES_COLLECTION)
+        assert campaign.server.stored_results(test_id) == []
+        assert as_dicts(after_drop.raw_results) == eager
+        assert as_dicts(after_drop.quality_report.kept) == kept
+
+    def test_list_operations_read_the_loaded_list(self, monkeypatch):
+        campaign, result = run_campaign("memory", participants=6, seed=5)
+        lazy, eager = reconclude(campaign, result).raw_results, result.raw_results
+        assert copy.copy(lazy) == list(eager)
+        assert lazy[1:3] == list(eager)[1:3] and len(lazy + eager) == 12
+        assert pickle.loads(pickle.dumps(lazy)) == eager
 
 
 class TestStoredRowsStayPrivate:
@@ -334,6 +420,30 @@ class TestStoredRowsStayPrivate:
         assert conclusion_digest(campaign, again) == digest
         assert dumps_canonical([r.as_dict() for r in again.raw_results]) == raw_before
         assert len(again.raw_results) == (6 if store == "memory" else 0)
+
+    def test_results_parsed_on_read_alias_no_stored_row(self):
+        campaign, result = run_campaign("memory", participants=6, seed=5)
+        before = dump_text(campaign)
+        again = reconclude(campaign, result)
+        rows = list(
+            campaign.database.collection(RESPONSES_COLLECTION).scan(
+                {"test_id": campaign.prepared.test_id}
+            )
+        )
+        stored = [
+            id(part) for row in rows
+            for part in (row, row["demographics"], row["answers"], *row["answers"])
+        ]
+        kept = again.quality_report.kept
+        assert kept
+        for parsed in list(again.raw_results) + list(kept):
+            assert id(parsed.demographics) not in stored
+            assert id(parsed.answers) not in stored
+            parsed.demographics["country"] = "XX"
+            parsed.answers.clear()
+        assert dump_text(campaign) == before
+        final = reconclude(campaign, result)
+        assert as_dicts(final.raw_results) == as_dicts(result.raw_results)
 
 
 class TestCrashRecovery:
