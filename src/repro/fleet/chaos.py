@@ -11,19 +11,11 @@ under the same chaos.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import FleetError
-
-
-def _uniform(seed: int, token: str, salt: str) -> float:
-    """A stable uniform in [0, 1) for one (seed, token, salt) triple."""
-    digest = hashlib.blake2b(
-        f"{seed}|{salt}|{token}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2.0**64
+from repro.util.rng import stable_uniform
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class WorkerChaos:
         ):
             return None
         token = f"{job_id}|{delivery}"
-        if _uniform(self.seed, token, "kill") >= self.kill_rate:
+        if stable_uniform(self.seed, "kill", token) >= self.kill_rate:
             return None
         span = checkpoints - 1  # k in [1, checkpoints-1]: never after the last
-        return 1 + int(_uniform(self.seed, token, "point") * span)
+        return 1 + int(stable_uniform(self.seed, "point", token) * span)

@@ -25,11 +25,11 @@ the order in which participants' exchanges run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
+from repro.util.rng import draw_prefix, prefixed_uniform
 
 FAULT_DROP = "drop"          # connection dies before the server sees the request
 FAULT_TIMEOUT = "timeout"    # server handles it, the response is lost in flight
@@ -42,7 +42,12 @@ _RULE_KINDS = (FAULT_DROP, FAULT_TIMEOUT, FAULT_5XX, FAULT_LATENCY)
 
 @dataclass(frozen=True)
 class FaultRule:
-    """One probabilistic fault policy, global or scoped to a host/path."""
+    """One probabilistic fault policy, global or scoped to a host/path.
+
+    A rule applies to a request when its host (compared lower-cased) is
+    ``None`` or the request's, and the request's path starts with
+    ``path_prefix``; :meth:`FaultPlan.decide` applies the test.
+    """
 
     kind: str
     probability: float
@@ -65,11 +70,6 @@ class FaultRule:
             raise ValidationError("timeout_seconds must be positive")
         if self.latency_multiplier < 1.0:
             raise ValidationError("latency_multiplier must be >= 1")
-
-    def applies_to(self, host: str, path: str) -> bool:
-        if self.host is not None and self.host.lower() != host:
-            return False
-        return path.startswith(self.path_prefix) if self.path_prefix else True
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,13 @@ class FaultPlan:
 
     Immutable in use: the ``with_*`` builders return new plans. Decisions are
     derived from a stable hash, so they depend only on the plan and the
-    request's identity token — not on call order.
+    request's identity token — not on call order. Everything that depends
+    on the plan alone is built once, at construction: each drawing rule's
+    lower-cased host and its salt prefix ``f"{seed}|{index}|{kind}|"`` as
+    bytes (bytes, not hashers, so the plan still pickles for process
+    fan-out), and the decision each rule or window returns. Per request,
+    :meth:`decide` encodes ``f"{method}|{host}|{path}|{token}"`` once and
+    hashes it behind each applicable rule's prefix.
     """
 
     def __init__(
@@ -119,6 +125,22 @@ class FaultPlan:
         self.seed = int(seed)
         self.rules: Tuple[FaultRule, ...] = tuple(rules)
         self.outages: Tuple[OutageWindow, ...] = tuple(outages)
+        self._outage_decisions = tuple(
+            (window, FaultDecision(FAULT_OUTAGE, window=window))
+            for window in self.outages
+        )
+        # Zero-probability rules never fire, so they are never drawn for.
+        self._draws = tuple(
+            (
+                rule.probability,
+                None if rule.host is None else rule.host.lower(),
+                rule.path_prefix,
+                draw_prefix(self.seed, f"{index}|{rule.kind}"),
+                FaultDecision(rule.kind, rule=rule),
+            )
+            for index, rule in enumerate(self.rules)
+            if rule.probability > 0.0
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -162,34 +184,30 @@ class FaultPlan:
     def is_none(self) -> bool:
         return not self.rules and not self.outages
 
-    def _uniform(self, token: str, salt: str) -> float:
-        """A stable uniform in [0, 1) for one (token, salt) pair."""
-        digest = hashlib.blake2b(
-            f"{self.seed}|{salt}|{token}".encode("utf-8"), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") / 2.0**64
-
     def decide(self, request, now: float, token: str) -> Optional[FaultDecision]:
         """The fault (if any) to inject for this exchange attempt.
 
         ``token`` identifies the attempt (client id, per-client request
         sequence, attempt number) so retries of the same request redraw.
         Outage windows are checked first (no randomness); then rules fire in
-        declaration order, each with its own independent stable draw.
+        declaration order, each with its own independent stable draw: the
+        hash of ``f"{seed}|{index}|{kind}|{method}|{host}|{path}|{token}"``.
         """
-        if self.is_none:
-            return None
         host = request.host
-        path = request.path
-        for window in self.outages:
+        for window, decision in self._outage_decisions:
             if window.covers(host, now):
-                return FaultDecision(FAULT_OUTAGE, window=window)
-        for index, rule in enumerate(self.rules):
-            if rule.probability <= 0.0 or not rule.applies_to(host, path):
+                return decision
+        path = request.path
+        tail = None
+        for probability, rule_host, path_prefix, prefix, decision in self._draws:
+            if rule_host is not None and rule_host != host:
                 continue
-            salt = f"{index}|{rule.kind}|{request.method}|{host}|{path}"
-            if self._uniform(token, salt) < rule.probability:
-                return FaultDecision(rule.kind, rule=rule)
+            if not path.startswith(path_prefix):
+                continue
+            if tail is None:
+                tail = f"{request.method}|{host}|{path}|{token}".encode("utf-8")
+            if prefixed_uniform(prefix, tail) < probability:
+                return decision
         return None
 
     def __repr__(self) -> str:

@@ -37,13 +37,14 @@ same virtual times get byte-identical admissions, rejections, and
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.net.http import Request, Response
 from repro.obs.metrics import MetricsRegistry
+# ``stable_uniform`` is the lotteries' draw; it is importable from here too.
+from repro.util.rng import draw_prefix, prefixed_uniform, stable_uniform
 
 #: Ladder states, in escalation order. Each rung keeps the server answering
 #: while giving up progressively more: trace detail, per-upload QC depth,
@@ -101,16 +102,18 @@ SESSION_SECONDS = 60.0
 TIMEOUT_SECONDS = 30.0
 
 
-def stable_uniform(seed: int, salt: str, token: str) -> float:
-    """A stable uniform in [0, 1) for one ``(seed, salt, token)`` triple.
+#: Counters the controller bumps, one per verdict.
+ADMITTED_COUNTER = "server.overload.admitted"
+TIMED_OUT_COUNTER = "server.overload.timed_out"
+DEFERRED_COUNTER = "server.overload.deferred"
+REJECTED_COUNTER = "server.overload.rejected"
+SHED_COUNTER = "server.overload.shed"
+QC_SKIPPED_COUNTER = "server.overload.qc_skipped"
 
-    Same construction as :meth:`repro.net.faults.FaultPlan._uniform`; the
-    salt carries the decision window so retries in a later window redraw.
-    """
-    digest = hashlib.blake2b(
-        f"{seed}|{salt}|{token}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2.0**64
+#: Rungs on which the ladder hash-samples upload-time quality control.
+_QC_SAMPLED_STATES = (STATE_SAMPLE_QC, STATE_DEFER, STATE_REJECT)
+#: Rungs on which deferrable endpoints are pushed back.
+_DEFER_STATES = (STATE_DEFER, STATE_REJECT)
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,21 @@ class OverloadConfig:
         }
 
 
+def _retry_after(wait: float) -> float:
+    """One full decision window plus the time the backlog needs to drain."""
+    return round(WINDOW_SECONDS + wait, 3)
+
+
+#: What every admission decision in one decision window reads: the
+#: window's ``(state, reject_fraction, queue_depth, queue_wait_seconds,
+#: retry_after)``. The queue wait is the backlog over the service rate.
+WindowVerdict = Tuple[str, float, float, float, float]
+
+#: ``(state, reject_fraction, queue_depth)`` of every window past the
+#: signal's end: the server is idle and its queue empty.
+IDLE_WINDOW: Tuple[str, float, float] = (STATE_NORMAL, 0.0, 0.0)
+
+
 class LoadSignal:
     """The precomputed, order-free utilization signal.
 
@@ -169,6 +187,10 @@ class LoadSignal:
     of virtual time, which is what keeps admission decisions identical
     across executor modes, worker counts, and fleet redeliveries: no shared
     mutable bucket exists for request order to perturb.
+
+    A decision looks its window up once: :meth:`verdict` answers for any
+    window, past the series' end too (:data:`IDLE_WINDOW`), and the
+    per-time accessors read it.
     """
 
     #: Backstop on drain extension after the last arrival's window.
@@ -177,46 +199,56 @@ class LoadSignal:
     def __init__(self, config: OverloadConfig, offered: Sequence[float]):
         self.config = config
         cap = config.capacity_rps * WINDOW_SECONDS
+        burst = config.burst
+        limit = float(config.queue_limit)
+        protected = config.protected
+        keep = 1.0 - SMOOTHING
         offered = list(offered)
+        arrivals = len(offered)
         self.offered: List[float] = []
         self.backlog: List[float] = []
         self.utilization: List[float] = []
         self.states: List[str] = []
         self.reject_fractions: List[float] = []
-        tokens = config.burst
+        tokens = burst
         backlog = 0.0
         smoothed = 0.0
         index = 0
         extra = 0
-        while index < len(offered) or (backlog > 1e-9 and extra < self._MAX_EXTRA_WINDOWS):
-            offered_w = offered[index] if index < len(offered) else 0.0
-            if index >= len(offered):
+        # ``min(a, b)`` written as a comparison keeps ``a`` unless ``b < a``,
+        # as the builtin does.
+        while index < arrivals or (backlog > 1e-9 and extra < self._MAX_EXTRA_WINDOWS):
+            if index < arrivals:
+                offered_w = offered[index]
+            else:
+                offered_w = 0.0
                 extra += 1
             work = backlog + offered_w
             available = cap + tokens
-            served = min(work, available)
-            tokens = min(config.burst, available - served)
+            served = available if available < work else work
+            spare = available - served
+            tokens = spare if spare < burst else burst
             overflow = work - served
-            if config.protected:
-                backlog = min(overflow, float(config.queue_limit))
+            if protected:
+                backlog = limit if limit < overflow else overflow
                 rejected = overflow - backlog
             else:
                 backlog = overflow
                 rejected = 0.0
-            smoothed = (
-                SMOOTHING * (work / cap)
-                + (1.0 - SMOOTHING) * smoothed
-            )
+            smoothed = SMOOTHING * (work / cap) + keep * smoothed
+            if offered_w > 0:
+                fraction = rejected / offered_w
+                if not fraction < 1.0:
+                    fraction = 1.0
+            else:
+                fraction = 1.0 if rejected > 0 else 0.0
             self.offered.append(offered_w)
             self.backlog.append(backlog)
             self.utilization.append(smoothed)
             self.states.append(
-                self._ladder_state(smoothed) if config.protected else STATE_NORMAL
+                self._ladder_state(smoothed) if protected else STATE_NORMAL
             )
-            self.reject_fractions.append(
-                min(1.0, rejected / offered_w) if offered_w > 0 else
-                (1.0 if rejected > 0 else 0.0)
-            )
+            self.reject_fractions.append(fraction)
             index += 1
 
     @classmethod
@@ -232,19 +264,36 @@ class LoadSignal:
         """
         window = WINDOW_SECONDS
         rate = REQUESTS_PER_PARTICIPANT / SESSION_SECONDS
+        starts = [float(offset) for offset in offsets]
         horizon = 0.0
-        for offset in offsets:
-            horizon = max(horizon, float(offset) + SESSION_SECONDS)
+        for start in starts:
+            end = start + SESSION_SECONDS
+            if end > horizon:
+                horizon = end
         count = max(1, int(horizon / window) + 1)
         offered = [0.0] * count
-        for offset in offsets:
-            start = float(offset)
+        top = count - 1
+        # Window edges ``w * window``, computed once.
+        edges = [w * window for w in range(count + 1)]
+        if starts and min(starts) < 0.0:
+            # A negative offset's first windows come before window 0, where
+            # ``offered[w]`` wraps to the end; their edges go at the end too.
+            lowest = min(int(start // window) for start in starts)
+            edges += [w * window for w in range(lowest, 0)]
+        for start in starts:
             end = start + SESSION_SECONDS
-            first = int(start // window)
             last = int(end // window)
-            for w in range(first, min(last, count - 1) + 1):
-                lo = max(start, w * window)
-                hi = min(end, (w + 1) * window)
+            if last > top:
+                last = top
+            for w in range(int(start // window), last + 1):
+                # The window's overlap with ``[start, end)``, clamped as
+                # ``max(start, edge)`` and ``min(end, next edge)`` would.
+                lo = edges[w]
+                if not lo > start:
+                    lo = start
+                hi = edges[w + 1]
+                if not hi < end:
+                    hi = end
                 if hi > lo:
                     offered[w] += (hi - lo) * rate
         return cls(config, offered)
@@ -269,30 +318,28 @@ class LoadSignal:
     def window_of(self, now: float) -> int:
         return max(0, int(now // WINDOW_SECONDS))
 
-    def _lookup(self, series: List, now: float, default):
-        w = self.window_of(now)
-        return series[w] if w < len(series) else default
+    def verdict(self, window: int) -> WindowVerdict:
+        """What a decision in ``window`` reads; past the series' end the
+        server is idle."""
+        if window < len(self.states):
+            state = self.states[window]
+            fraction = self.reject_fractions[window]
+            depth = self.backlog[window]
+        else:
+            state, fraction, depth = IDLE_WINDOW
+        wait = depth / self.config.capacity_rps
+        return state, fraction, depth, wait, _retry_after(wait)
 
     def queue_depth(self, now: float) -> float:
-        return self._lookup(self.backlog, now, 0.0)
-
-    def state(self, now: float) -> str:
-        return self._lookup(self.states, now, STATE_NORMAL)
+        return self.verdict(self.window_of(now))[2]
 
     def reject_fraction(self, now: float) -> float:
-        return self._lookup(self.reject_fractions, now, 0.0)
-
-    def queue_wait_seconds(self, now: float) -> float:
-        """Virtual time a request admitted at ``now`` waits behind the
-        backlog before service."""
-        return self.queue_depth(now) / self.config.capacity_rps
+        return self.verdict(self.window_of(now))[1]
 
     def retry_after(self, now: float) -> float:
         """The occupancy-derived come-back delay: one full decision window
         plus the time the current backlog needs to drain."""
-        return round(
-            WINDOW_SECONDS + self.queue_wait_seconds(now), 3
-        )
+        return self.verdict(self.window_of(now))[4]
 
     # -- whole-run summaries ----------------------------------------------
 
@@ -350,16 +397,27 @@ class RateLimiter:
     def __init__(self, config: OverloadConfig, signal: LoadSignal):
         self.config = config
         self.signal = signal
+        # The lottery's salt prefix, built once for each window that draws.
+        self._prefixes = {
+            w: draw_prefix(config.seed, f"admit|{w}")
+            for w, fraction in enumerate(signal.reject_fractions)
+            if 0.0 < fraction < 1.0
+        }
 
     def admit(self, now: float, token: str) -> bool:
-        fraction = self.signal.reject_fraction(now)
+        return self.admit_in(
+            self.signal.window_of(now), self.signal.reject_fraction(now),
+            f"{token}".encode("utf-8"),
+        )
+
+    def admit_in(self, window: int, fraction: float, token: bytes) -> bool:
+        """:meth:`admit` for a request whose window and reject fraction the
+        caller has looked up, with its token already encoded."""
         if fraction <= 0.0:
             return True
         if fraction >= 1.0:
             return False
-        window = self.signal.window_of(now)
-        draw = stable_uniform(self.config.seed, f"admit|{window}", token)
-        return draw >= fraction
+        return prefixed_uniform(self._prefixes[window], token) >= fraction
 
 
 @dataclass
@@ -389,6 +447,12 @@ class AdmissionController:
     the campaign's :class:`LoadSignal`. Each verdict increments a
     ``server.overload.<verdict>`` counter in ``metrics`` — the server's
     registry, or one of the controller's own when none is given.
+
+    A decision looks its window up once and reads the window's
+    :data:`WindowVerdict`; the QC lottery's salt prefix is built once per
+    sampling window, at :meth:`attach_signal`. What is left per request is
+    what depends on the request: its path, its token's two draws, and the
+    counters.
     """
 
     def __init__(self, config: OverloadConfig, metrics=None):
@@ -396,13 +460,16 @@ class AdmissionController:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.signal: Optional[LoadSignal] = None
         self.limiter: Optional[RateLimiter] = None
+        self._qc_prefixes: Dict[int, bytes] = {}
 
     def attach_signal(self, signal: LoadSignal) -> None:
         self.signal = signal
         self.limiter = RateLimiter(self.config, signal)
-
-    def _count(self, key: str) -> None:
-        self.metrics.add(f"server.overload.{key}", 1)
+        self._qc_prefixes = {
+            w: draw_prefix(self.config.seed, f"qc|{w}")
+            for w, state in enumerate(signal.states)
+            if state in _QC_SAMPLED_STATES
+        }
 
     def _pushback(
         self, verdict: str, status: int, state: str, retry_after: float
@@ -430,57 +497,61 @@ class AdmissionController:
         signal = self.signal
         if signal is None:
             return AdmissionDecision(admitted=True)
+        window = signal.window_of(now)
+        state, fraction, _, wait, retry_after = signal.verdict(window)
+        add = self.metrics.add
         if not self.config.protected:
             # The collapse baseline: every request is admitted into an
             # unbounded queue; past the timeout horizon the response is
             # lost in flight (the server's side effects stand).
-            delay = signal.queue_wait_seconds(now)
-            timed_out = delay > TIMEOUT_SECONDS
-            self._count("timed_out" if timed_out else "admitted")
+            timed_out = wait > TIMEOUT_SECONDS
+            add(TIMED_OUT_COUNTER if timed_out else ADMITTED_COUNTER, 1)
             return AdmissionDecision(
                 admitted=True,
-                queue_delay_seconds=delay,
+                queue_delay_seconds=wait,
                 timed_out=timed_out,
             )
-        state = signal.state(now)
-        retry_after = signal.retry_after(now)
-        if state in (STATE_DEFER, STATE_REJECT) and any(
-            request.path.startswith(prefix) for prefix in DEFERRABLE_PREFIXES
-        ):
-            self._count("deferred")
+        if state == STATE_NORMAL:
+            add(ADMITTED_COUNTER, 1)
+            return AdmissionDecision(
+                admitted=True,
+                queue_delay_seconds=wait,
+                retry_after=retry_after,
+            )
+        if state in _DEFER_STATES and request.path.startswith(DEFERRABLE_PREFIXES):
+            add(DEFERRED_COUNTER, 1)
             return AdmissionDecision(
                 admitted=False,
                 state=state,
                 response=self._pushback("defer", 503, state, retry_after),
                 retry_after=retry_after,
             )
-        if state == STATE_REJECT and not self.limiter.admit(now, token):
-            self._count("rejected")
-            return AdmissionDecision(
-                admitted=False,
-                state=state,
-                response=self._pushback("reject", 429, state, retry_after),
-                retry_after=retry_after,
-            )
-        shed = state != STATE_NORMAL
         qc_skipped = False
-        if state in (STATE_SAMPLE_QC, STATE_DEFER, STATE_REJECT):
-            window = signal.window_of(now)
+        if state in _QC_SAMPLED_STATES:
+            key = f"{token}".encode("utf-8")
+            if state == STATE_REJECT and not self.limiter.admit_in(
+                window, fraction, key
+            ):
+                add(REJECTED_COUNTER, 1)
+                return AdmissionDecision(
+                    admitted=False,
+                    state=state,
+                    response=self._pushback("reject", 429, state, retry_after),
+                    retry_after=retry_after,
+                )
             qc_skipped = (
-                stable_uniform(self.config.seed, f"qc|{window}", token)
-                >= QC_SAMPLE_RATE
+                prefixed_uniform(self._qc_prefixes[window], key) >= QC_SAMPLE_RATE
             )
-        self._count("admitted")
-        if shed:
-            self._count("shed")
+        add(ADMITTED_COUNTER, 1)
+        add(SHED_COUNTER, 1)
         if qc_skipped:
-            self._count("qc_skipped")
+            add(QC_SKIPPED_COUNTER, 1)
         return AdmissionDecision(
             admitted=True,
             state=state,
-            shed_detail=shed,
+            shed_detail=True,
             qc_skipped=qc_skipped,
-            queue_delay_seconds=signal.queue_wait_seconds(now),
+            queue_delay_seconds=wait,
             retry_after=retry_after,
         )
 

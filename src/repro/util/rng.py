@@ -88,6 +88,35 @@ def derive_random(root_seed: int, label: str) -> random.Random:
     return random.Random(spawn_seed(root_seed, label))
 
 
+def draw_prefix(seed: int, salt: str) -> bytes:
+    """The leading ``f"{seed}|{salt}|"`` bytes of :func:`stable_uniform`'s
+    hashed input. A caller that draws many tokens under one salt builds it
+    once; it is bytes, not a hasher, so its holder still pickles."""
+    return f"{seed}|{salt}|".encode("utf-8")
+
+
+#: Bound once: :func:`prefixed_uniform` runs several times per simulated
+#: request on a lossy network.
+_blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
+
+
+def prefixed_uniform(prefix: bytes, tail: bytes) -> float:
+    """The stable uniform in [0, 1) whose hashed input is ``prefix + tail``."""
+    return _from_bytes(_blake2b(prefix + tail, digest_size=8).digest(), "big") / 2.0**64
+
+
+def stable_uniform(seed: int, salt: str, token: str) -> float:
+    """A stable uniform in [0, 1) for one ``(seed, salt, token)`` triple.
+
+    The 8-byte blake2b digest of ``f"{seed}|{salt}|{token}"``, scaled to
+    [0, 1): a pure function of its arguments, never a draw from a shared
+    stream. Fault rules, admission lotteries and fleet chaos all draw
+    through it (or through its :func:`prefixed_uniform` form).
+    """
+    return prefixed_uniform(draw_prefix(seed, salt), f"{token}".encode("utf-8"))
+
+
 class SeedSequenceFactory:
     """Hands out labelled child RNGs derived from one root seed.
 

@@ -45,15 +45,21 @@ class TestFaultRule:
         with pytest.raises(ValidationError):
             FaultRule(FAULT_DROP, -0.1)
 
+    @staticmethod
+    def fires(rule, url):
+        # A certain rule fires exactly where it applies.
+        plan = FaultPlan(rules=[rule])
+        return plan.decide(Request("GET", url), 0.0, "t") is not None
+
     def test_host_and_path_scoping(self):
-        rule = FaultRule(FAULT_DROP, 1.0, host="a.local", path_prefix="/resources")
-        assert rule.applies_to("a.local", "/resources/x.html")
-        assert not rule.applies_to("b.local", "/resources/x.html")
-        assert not rule.applies_to("a.local", "/responses")
+        rule = FaultRule(FAULT_DROP, 1.0, host="A.local", path_prefix="/resources")
+        assert self.fires(rule, "http://a.local/resources/x.html")
+        assert not self.fires(rule, "http://b.local/resources/x.html")
+        assert not self.fires(rule, "http://a.local/responses")
 
     def test_global_rule_applies_everywhere(self):
         rule = FaultRule(FAULT_DROP, 1.0)
-        assert rule.applies_to("anything.local", "/any/path")
+        assert self.fires(rule, "http://anything.local/any/path")
 
 
 class TestOutageWindow:

@@ -44,6 +44,7 @@ KEPT = {
     "html/inliner.py::decode_data_url": "oracle: the bytes the inliner embedded",
     "net/faults.py::BreakerRegistry.open_hosts": "oracle: per-scope breaker trips of clients and the fleet",
     "net/faults.py::BreakerRegistry.scopes": "oracle: which scopes the fleet's breakers were keyed by",
+    "net/overload.py::LoadSignal.queue_depth": "oracle: the backlog whose drain Retry-After must cover",
     "obs/tracing.py::Span.signature": "oracle: trace shape equal across parallelism",
     "obs/tracing.py::Span.event_names": "oracle: answer, fault and retry events a campaign traced",
     # Deliverables named by EXPERIMENTS.md, the README or docs/TUTORIAL.md.
